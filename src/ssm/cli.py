@@ -589,6 +589,12 @@ def main(argv=None):
     except (ModelError, ThetaError, DataError) as err:
         _log(f"error: {err}")
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (`ssm simulate ... | head`): that ends
+        # the output, not the run in error; stdout goes to devnull so the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as err:
         _log(f"error: {err}")
         return 2

@@ -7,16 +7,34 @@ The state vector is laid out as
 where a driven (diffusing) parameter occupies one coordinate on its
 transformed scale and rate formulas see the natural-scale quantity.  From the
 declared reactions we build, symbolically, the propensity of each reaction,
-the drift of every coordinate and the exact Jacobian of the drift, then emit
-one Python function evaluating all of them.  The same generated source is
-compiled twice: once against math.* for fast scalar use (moment filters) and
-once against numpy.* so a whole swarm of states, or per-particle parameter
-values, can be pushed through in one call.
+the drift of every coordinate and the exact Jacobian of the drift, and emit
+straight-line Python source for them, with the stoichiometry, noise-group
+membership and Jacobian sparsity folded in.  Scalar kernels bind the math
+functions to math.* (one state); vector kernels bind them to numpy.* so a
+whole swarm of states, or per-particle parameter values, goes through in one
+call.
+
+Each caller gets a kernel shaped to what it needs, generated and compiled the
+first time it is used:
+
+    rates    propensities only (Poisson and jump steppers)
+    drift    drift rows and driven-parameter volatilities (RK4, and the
+             driven coordinates of the Poisson and jump steppers)
+    sde      one fused Euler-Maruyama step over a batch of states
+    moments  the time derivative of [mean, upper triangle of covariance]
+             for the moment filter
+
+The reference evaluators (`dynamics`, `jacobian`, `process_cov`) assemble
+dense arrays from the same kernels and a Jacobian kernel; they serve tests,
+not the hot paths.  The initial state and the observation streams are
+compiled when the model is loaded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +56,41 @@ def _param_local(name):
 
 def _natural_local(name):
     return f"_q_{name}"
+
+
+def _combine(pairs):
+    """Source for a signed integer combination of (coefficient, local)."""
+    terms = []
+    for coef, local in pairs:
+        if coef == 1:
+            terms.append(f"+ {local}")
+        elif coef == -1:
+            terms.append(f"- {local}")
+        else:
+            terms.append(f"+ ({coef})*{local}")
+    s = " ".join(terms)
+    return s[2:] if s.startswith("+ ") else s
+
+
+def _on_floats(kernel):
+    """Wrap a scalar kernel to run on Python floats, several times faster
+    than on numpy scalars.  Python float arithmetic raises on division by
+    zero and on overflow in a power, and takes a negative number to a
+    fractional power as a complex number (a TypeError where it meets a
+    comparison or a math function); in those cases the kernel runs again on
+    numpy scalars, so the result is always numpy's."""
+    def run(x, t, p):
+        try:
+            out = kernel(x.tolist(), t, p)
+        except (ZeroDivisionError, OverflowError, TypeError):
+            return kernel(x, t, p)
+        return out if out.dtype.kind == "f" else kernel(x, t, p)
+    return run
+
+
+_SCALAR_NS = dict(ex.SCALAR_NAMESPACE, array=np.array)
+_VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
+                  scalar_sqrt=math.sqrt)
 
 
 @dataclass
@@ -74,6 +127,12 @@ class CompiledModel:
         self.comp_slice = slice(0, self.n_comp)
         self.diff_slice = slice(self.n_comp, self.n_comp + self.n_diff)
         self.acc_slice = slice(self.n_comp + self.n_diff, self.nx)
+        # order of the covariance entries in the moments kernel's vector
+        self.tri_index = np.triu_indices(self.nx)
+        # clamp floor per column: counts stay nonnegative, driven
+        # coordinates are free
+        self.floor = np.zeros(self.nx)
+        self.floor[self.diff_slice] = -np.inf
 
         # stoichiometry over the full state: accumulators count one firing
         # per reaction that feeds them, driven parameters take no jumps
@@ -115,14 +174,12 @@ class CompiledModel:
 
         self._build_symbols()
         self._build_propensities()
+        self._build_blocks()
         source = self._emit_module()
-        self.source = source
         scalar_ns = dict(ex.SCALAR_NAMESPACE)
         vector_ns = dict(ex.VECTOR_NAMESPACE)
         exec(compile(source, f"<model {spec.name}>", "exec"), scalar_ns)
         exec(compile(source, f"<model {spec.name}>", "exec"), vector_ns)
-        self._core_scalar = scalar_ns["core"]
-        self._core_vector = vector_ns["core"]
         self._init_vector = vector_ns["init"]
         self.observations = tuple(
             ObsFns(
@@ -203,148 +260,140 @@ class CompiledModel:
     # ------------------------------------------------------------------
     # code generation
 
-    def _prologue(self, lines, needed):
+    def _prologue(self, lines, needed, unpack=None, extra=()):
+        """Bind the needed state columns and parameter values to locals.
+
+        Columns are read as x[..., i]; with `unpack`, the source of a flat
+        sequence, they are unpacked from it in one statement, followed by
+        the `extra` names.
+        """
         spec = self.spec
-        for i, name in enumerate(spec.compartments):
-            if name in needed:
-                lines.append(f"    {_state_local(name)} = x[..., {i}]")
-        for d_i, d in enumerate(spec.diffusions):
-            col = self.n_comp + d_i
-            if d.name in needed:
-                u = f"x[..., {col}]"
+        targets = []
+        naturals = []
+        for i, name in enumerate(self.state_names):
+            if name not in needed:
+                targets.append("_")
+            elif self.n_comp <= i < self.n_comp + self.n_diff:
+                d = spec.diffusions[i - self.n_comp]
+                u = f"_u{i}"
                 q = _natural_local(d.name)
                 if isinstance(d.transform, Identity):
-                    lines.append(f"    {q} = {u}")
+                    naturals.append(f"    {q} = {u}")
                 elif isinstance(d.transform, Log):
-                    lines.append(f"    {q} = exp({u})")
+                    naturals.append(f"    {q} = exp({u})")
                 else:  # logit
-                    lines.append(f"    {q} = 1.0/(1.0 + exp(-({u})))")
-        for a_i, name in enumerate(spec.accumulators):
-            if name in needed:
-                col = self.n_comp + self.n_diff + a_i
-                lines.append(f"    {_state_local(name)} = x[..., {col}]")
+                    naturals.append(f"    {q} = 1.0/(1.0 + exp(-({u})))")
+                targets.append(u)
+            else:
+                targets.append(_state_local(name))
+        if unpack is None:
+            for i, local in enumerate(targets):
+                if local != "_":
+                    lines.append(f"    {local} = x[..., {i}]")
+        else:
+            names = targets + list(extra)
+            if names:
+                lines.append(f"    {', '.join(names)}, = {unpack}")
+        lines.extend(naturals)
         for p in spec.parameters:
             if p.name in needed:
                 lines.append(f"    {_param_local(p.name)} = p['{p.name}']")
+
+    def _build_blocks(self):
+        """Source lines of the model's intermediate quantities, shared by
+        every kernel, with the symbols each block reads:
+
+            rates   _a{k}     propensity of reaction k
+            drift   _d{i}     drift of state column i
+            vols    _v{d}     volatility of driven parameter d
+            jac     _j{i}_{j} Jacobian nonzero, after its propensity
+                              partials _g{k}_{j}
+        """
+        spec = self.spec
+        S = self.stoich_full
+
+        def code(tree):
+            return ex.to_python(tree, self._resolve)
+
+        def syms(trees):
+            out = set()
+            for tree in trees:
+                out |= tree.free_symbols()
+            return out
+
+        rates = [f"    _a{k} = {code(tree)}" for k, tree in enumerate(self._prop_exprs)]
+
+        # compartment and accumulator rows combine propensities; driven rows
+        # evaluate their own drift formula
+        drift = []
+        for i in range(self.nx):
+            if self.n_comp <= i < self.n_comp + self.n_diff:
+                d = spec.diffusions[i - self.n_comp]
+                drift.append(f"    _d{i} = {code(d.drift)}")
+                continue
+            pairs = [(int(S[i, k]), f"_a{k}") for k in range(self.n_react) if S[i, k]]
+            drift.append(f"    _d{i} = {_combine(pairs) if pairs else '0.0'}")
+
+        vols = [f"    _v{d_i} = {code(d.volatility)}"
+                for d_i, d in enumerate(spec.diffusions)]
+
+        # jacobian nonzeros: compartment and accumulator rows combine the
+        # propensity partials, driven rows differentiate their drift formula
+        prop_partials = [self._partials(tree) for tree in self._prop_exprs]
+        diff_drift_partials = [self._partials(d.drift) for d in spec.diffusions]
+        jac = []
+        jac_cols = {}
+        for k, plist in enumerate(prop_partials):
+            for j, tree in plist:
+                jac.append(f"    _g{k}_{j} = {code(tree)}")
+                jac_cols.setdefault(j, set()).add(k)
+        jac_index = []
+        for i in range(self.nx):
+            if self.n_comp <= i < self.n_comp + self.n_diff:
+                for j, tree in diff_drift_partials[i - self.n_comp]:
+                    jac.append(f"    _j{i}_{j} = {code(tree)}")
+                    jac_index.append((i, j))
+                continue
+            for j, ks in sorted(jac_cols.items()):
+                pairs = [(int(S[i, k]), f"_g{k}_{j}") for k in sorted(ks) if S[i, k]]
+                if pairs:
+                    jac.append(f"    _j{i}_{j} = {_combine(pairs)}")
+                    jac_index.append((i, j))
+        self.jac_index = tuple(jac_index)
+
+        rate_syms = syms(self._prop_exprs)
+        self._blocks = {
+            "rates": (rates, rate_syms),
+            "drift": (drift, rate_syms | syms(d.drift for d in spec.diffusions)),
+            "vols": (vols, syms(d.volatility for d in spec.diffusions)),
+            "jac": (jac, syms(tree for plist in prop_partials + diff_drift_partials
+                               for _, tree in plist)),
+        }
+
+    def _kernel_source(self, header, blocks, body, unpack=None, extra=(),
+                       needed=()):
+        needed = set(needed)
+        for name in blocks:
+            needed |= self._blocks[name][1]
+        lines = [header]
+        self._prologue(lines, needed, unpack, extra)
+        for name in blocks:
+            lines.extend(self._blocks[name][0])
+        lines.extend(body)
+        return "\n".join(lines) + "\n"
+
+    def _compile(self, name, source, vector):
+        ns = dict(_VECTOR_NS if vector else _SCALAR_NS)
+        exec(compile(source, f"<model {self.spec.name}: {name}>", "exec"), ns)
+        return ns[name]
 
     def _emit_module(self):
         spec = self.spec
         code = ex.to_python
         resolve = self._resolve
 
-        # --- core: propensities, drift, volatilities, jacobian nonzeros
-        prop_partials = [self._partials(tree) for tree in self._prop_exprs]
-        diff_drift_partials = [self._partials(d.drift) for d in spec.diffusions]
-
-        needed = set()
-        for tree in self._prop_exprs:
-            needed |= tree.free_symbols()
-        for d in spec.diffusions:
-            needed |= d.drift.free_symbols() | d.volatility.free_symbols()
-        for plist in prop_partials + diff_drift_partials:
-            for _, tree in plist:
-                needed |= tree.free_symbols()
-
-        lines = ["def core(x, t, p):"]
-        self._prologue(lines, needed)
-
-        for k, tree in enumerate(self._prop_exprs):
-            lines.append(f"    _a{k} = {code(tree, resolve)}")
-
-        grad_names = {}
-        for k, plist in enumerate(prop_partials):
-            for j, tree in plist:
-                grad_names[(k, j)] = f"_g{k}_{j}"
-                lines.append(f"    _g{k}_{j} = {code(tree, resolve)}")
-
-        def comb(pairs):
-            """Source for a signed integer combination of locals."""
-            terms = []
-            for coef, local in pairs:
-                if coef == 1:
-                    terms.append(f"+ {local}")
-                elif coef == -1:
-                    terms.append(f"- {local}")
-                else:
-                    terms.append(f"+ ({coef})*{local}")
-            s = " ".join(terms)
-            return s.lstrip("+ ") if s.startswith("+ ") else s
-
-        # drift rows
-        drift_locals = []
-        for i in range(self.n_comp):
-            pairs = [
-                (int(self.stoich_full[i, k]), f"_a{k}")
-                for k in range(self.n_react)
-                if self.stoich_full[i, k] != 0
-            ]
-            local = f"_d{i}"
-            lines.append(f"    {local} = {comb(pairs) if pairs else '0.0'}")
-            drift_locals.append(local)
-        for d_i, d in enumerate(spec.diffusions):
-            local = f"_d{self.n_comp + d_i}"
-            lines.append(f"    {local} = {code(d.drift, resolve)}")
-            drift_locals.append(local)
-        for a_i in range(self.n_acc):
-            row = self.n_comp + self.n_diff + a_i
-            pairs = [
-                (1, f"_a{k}")
-                for k in range(self.n_react)
-                if self.stoich_full[row, k] != 0
-            ]
-            local = f"_d{row}"
-            lines.append(f"    {local} = {comb(pairs) if pairs else '0.0'}")
-            drift_locals.append(local)
-
-        vol_locals = []
-        for d_i, d in enumerate(spec.diffusions):
-            local = f"_v{d_i}"
-            lines.append(f"    {local} = {code(d.volatility, resolve)}")
-            vol_locals.append(local)
-
-        # jacobian nonzeros: compartment and accumulator rows combine the
-        # propensity partials, driven rows differentiate their drift formula
-        jac_cols = {}
-        for k, plist in enumerate(prop_partials):
-            for j, _ in plist:
-                jac_cols.setdefault(j, set()).add(k)
-
-        jac_index = []
-        jac_locals = []
-        for i in range(self.nx):
-            if self.n_comp <= i < self.n_comp + self.n_diff:
-                d_i = i - self.n_comp
-                for j, tree in diff_drift_partials[d_i]:
-                    local = f"_j{i}_{j}"
-                    lines.append(f"    {local} = {code(tree, resolve)}")
-                    jac_index.append((i, j))
-                    jac_locals.append(local)
-                continue
-            for j, ks in sorted(jac_cols.items()):
-                pairs = [
-                    (int(self.stoich_full[i, k]), grad_names[(k, j)])
-                    for k in sorted(ks)
-                    if self.stoich_full[i, k] != 0
-                ]
-                if not pairs:
-                    continue
-                local = f"_j{i}_{j}"
-                lines.append(f"    {local} = {comb(pairs)}")
-                jac_index.append((i, j))
-                jac_locals.append(local)
-
-        returns = (
-            [f"_a{k}" for k in range(self.n_react)]
-            + drift_locals
-            + vol_locals
-            + jac_locals
-        )
-        lines.append(f"    return ({', '.join(returns)}{',' if returns else ''})")
-        self.jac_index = tuple(jac_index)
-
         # --- init: state from parameter values
-        lines.append("")
-        lines.append("def init(p):")
+        lines = ["def init(p):"]
         init_needed = set()
         for tree in spec.compartment_initials:
             init_needed |= tree.free_symbols()
@@ -406,47 +455,173 @@ class CompiledModel:
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------
+    # kernels shaped to their callers, compiled on first use
+
+    def _array_kernels(self, name, blocks, values):
+        """(scalar, batch) kernels returning `values` along the last axis."""
+        scalar = self._kernel_source(
+            f"def {name}(x, t, p):", blocks,
+            [f"    return array([{', '.join(values)}])"], unpack="x")
+        batch = self._kernel_source(
+            f"def {name}(x, t, p):", blocks,
+            [f"    out = empty(x.shape[:-1] + ({len(values)},))"]
+            + [f"    out[..., {i}] = {v}" for i, v in enumerate(values)]
+            + ["    return out"])
+        return (_on_floats(self._compile(name, scalar, vector=False)),
+                self._compile(name, batch, vector=True))
+
+    @cached_property
+    def _rates(self):
+        return self._array_kernels(
+            "rates", ("rates",), [f"_a{k}" for k in range(self.n_react)])
+
+    @cached_property
+    def _drift(self):
+        return self._array_kernels(
+            "drift", ("rates", "drift", "vols"),
+            [f"_d{i}" for i in range(self.nx)]
+            + [f"_v{d_i}" for d_i in range(self.n_diff)])
+
+    @cached_property
+    def _jac(self):
+        return self._array_kernels(
+            "jac", ("jac",), [f"_j{i}_{j}" for i, j in self.jac_index])
+
+    @cached_property
+    def sde(self):
+        """sde(x, t, p, dt, xi_demo, xi_env, xi_diff) -> new states.
+
+        One Euler-Maruyama step of a batch x of shape (J, nx), given the
+        standard normals per reaction, per noise group and per driven
+        parameter (None where the model has none).  Each reaction's
+        increment dt*a + sqrt(dt)*(sqrt(a+)*xi + sd*eta*a+) is formed once
+        and added to every column it touches; nothing is clamped.
+        """
+        S = self.stoich_full
+        body = ["    _sq = scalar_sqrt(dt)"]
+        group_of = {}
+        for g_i, (sd_name, members) in enumerate(self.noise_groups):
+            body.append(f"    _w{g_i} = _sq*{_param_local(sd_name)}*xi_env[..., {g_i}]")
+            for k in members:
+                group_of[int(k)] = g_i
+        used = [k for k in range(self.n_react) if S[:, k].any()]
+        for k in used:
+            body.append(f"    _ap{k} = maximum(_a{k}, 0.0)")
+            inc = f"dt*_a{k} + _sq*sqrt(_ap{k})*xi_demo[..., {k}]"
+            if k in group_of:
+                inc += f" + _w{group_of[k]}*_ap{k}"
+            body.append(f"    _i{k} = {inc}")
+        body.append("    out = empty(x.shape)")
+        for i in range(self.nx):
+            if self.n_comp <= i < self.n_comp + self.n_diff:
+                d_i = i - self.n_comp
+                body.append(f"    out[..., {i}] = x[..., {i}] + dt*_d{i}"
+                            f" + _sq*_v{d_i}*xi_diff[..., {d_i}]")
+                continue
+            pairs = [(int(S[i, k]), f"_i{k}") for k in used if S[i, k]]
+            body.append(f"    out[..., {i}] = {_combine([(1, f'x[..., {i}]')] + pairs)}")
+        body.append("    return out")
+        # driven rows only: compartment and accumulator rows come from the
+        # reaction increments above
+        driven = self._blocks["drift"][0][self.n_comp:self.n_comp + self.n_diff]
+        src = self._kernel_source(
+            "def sde(x, t, p, dt, xi_demo, xi_env, xi_diff):", ("rates", "vols"),
+            driven + body,
+            needed={sd for sd, _ in self.noise_groups}
+            | {n for d in self.spec.diffusions for n in d.drift.free_symbols()},
+        )
+        return self._compile("sde", src, vector=True)
+
+    @cached_property
+    def moments(self):
+        """moments(y, t, p) -> dy for one state's moment equations.
+
+        y = [m, upper triangle of C], in the row-major order of
+        `tri_index`; dy = [drift, upper triangle of dC] with
+        dC = J C + C J' + S diag(a+) S' + env + vol^2, written over the
+        Jacobian's nonzeros only.
+        """
+        S = self.stoich_full
+        nx = self.nx
+
+        def c(a, b):
+            return f"_c{min(a, b)}_{max(a, b)}"
+
+        row_nz = {}
+        for i, j in self.jac_index:
+            row_nz.setdefault(i, []).append(j)
+        used = [k for k in range(self.n_react) if S[:, k].any()]
+        body = [f"    _ap{k} = 0.0 if _a{k} < 0.0 else _a{k}" for k in used]
+        env = {}  # (group, column) -> local
+        for g_i, (sd_name, members) in enumerate(self.noise_groups):
+            for i in range(nx):
+                pairs = [(int(S[i, k]), f"_ap{k}") for k in members if S[i, k]]
+                if pairs:
+                    env[g_i, i] = f"_e{g_i}_{i}"
+                    body.append(f"    _e{g_i}_{i} = {_param_local(sd_name)}"
+                                f"*({_combine(pairs)})")
+        outs = [f"_d{i}" for i in range(nx)]
+        for i, j in zip(*self.tri_index):
+            i, j = int(i), int(j)
+            jc = [f"_j{i}_{l}*{c(l, j)}" for l in row_nz.get(i, ())]
+            if i == j:
+                terms = [(1, f"2.0*({' + '.join(jc)})")] if jc else []
+            else:
+                jc += [f"{c(i, l)}*_j{j}_{l}" for l in row_nz.get(j, ())]
+                terms = [(1, t) for t in jc]
+            terms += [(int(S[i, k] * S[j, k]), f"_ap{k}") for k in used
+                      if S[i, k] and S[j, k]]
+            terms += [(1, f"{env[g_i, i]}*{env[g_i, j]}")
+                      for g_i in range(len(self.noise_groups))
+                      if (g_i, i) in env and (g_i, j) in env]
+            if i == j and self.n_comp <= i < self.n_comp + self.n_diff:
+                v = f"_v{i - self.n_comp}"
+                terms.append((1, f"{v}*{v}"))
+            body.append(f"    _dc{i}_{j} = {_combine(terms) if terms else '0.0'}")
+            outs.append(f"_dc{i}_{j}")
+        body.append(f"    return array([{', '.join(outs)}])")
+        extra = [f"_c{i}_{j}" for i, j in zip(*self.tri_index)]
+        src = self._kernel_source(
+            "def moments(y, t, p):", ("rates", "drift", "vols", "jac"), body,
+            unpack="y", extra=extra,
+            needed={sd for sd, _ in self.noise_groups},
+        )
+        return _on_floats(self._compile("moments", src, vector=False))
+
+    # ------------------------------------------------------------------
     # evaluation helpers
 
-    def _split_core(self, raw, lead_shape):
-        m, nx, nd = self.n_react, self.nx, self.n_diff
-        prop = _pack(raw[:m], lead_shape, m)
-        drift = _pack(raw[m : m + nx], lead_shape, nx)
-        vols = _pack(raw[m + nx : m + nx + nd], lead_shape, nd)
-        jac = np.zeros(lead_shape + (nx, nx))
-        for (r, c), v in zip(self.jac_index, raw[m + nx + nd :]):
-            jac[..., r, c] = v
-        return prop, drift, vols, jac
-
     def dynamics(self, x, t, p):
-        """Propensities, drift, volatilities and drift Jacobian at state x.
+        """Propensities, drift, volatilities and dense drift Jacobian at x.
 
-        x may carry leading batch dimensions; parameter values may be arrays
-        broadcasting against them.
+        The reference evaluator, off the hot paths.  x may carry leading
+        batch dimensions; parameter values may be arrays broadcasting
+        against them.
         """
         x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        if lead:
-            raw = self._core_vector(x, t, p)
-        else:
-            raw = self._core_scalar(x, t, p)
-        return self._split_core(raw, lead)
+        drift, vols = self.drift_and_vols(x, t, p)
+        jac = np.zeros(x.shape[:-1] + (self.nx, self.nx))
+        if self.jac_index:
+            rows, cols = zip(*self.jac_index)
+            jac[..., rows, cols] = self._jac[x.ndim > 1](x, t, p)
+        return self.propensities(x, t, p), drift, vols, jac
 
     def propensities(self, x, t, p):
         x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        core = self._core_vector if lead else self._core_scalar
-        raw = core(x, t, p)
-        return _pack(raw[: self.n_react], lead, self.n_react)
+        return self._rates[x.ndim > 1](x, t, p)
+
+    def drift_and_vols(self, x, t, p):
+        """Drift of every state column and volatility of every driven
+        parameter; x may carry leading batch dimensions."""
+        x = np.asarray(x, dtype=float)
+        out = self._drift[x.ndim > 1](x, t, p)
+        return out[..., : self.nx], out[..., self.nx :]
 
     def drift(self, x, t, p):
-        return self.dynamics(x, t, p)[1]
+        return self.drift_and_vols(x, t, p)[0]
 
     def jacobian(self, x, t, p):
         return self.dynamics(x, t, p)[3]
-
-    def volatilities(self, x, t, p):
-        return self.dynamics(x, t, p)[2]
 
     def init_state(self, p, size=None):
         """Initial state from parameter values; accumulator coordinates are 0.
@@ -464,10 +639,6 @@ class CompiledModel:
         for i, v in enumerate(raw):
             out[:, i] = v
         return out
-
-    def group_sds(self, p):
-        """White-noise sd value per noise group, in declaration order."""
-        return [p[sd_name] for sd_name, _ in self.noise_groups]
 
     def env_columns(self, prop, p):
         """Environmental dispersion columns: for each noise group, the
@@ -539,18 +710,7 @@ class CompiledModel:
         return out
 
 
-def _pack(cols, lead_shape, n):
-    out = np.empty(lead_shape + (n,))
-    for i, v in enumerate(cols):
-        out[..., i] = v
-    return out
-
-
 def _pack_scalar(v, lead_shape):
     if lead_shape:
         return np.broadcast_to(np.asarray(v, dtype=float), lead_shape).copy()
     return float(v)
-
-
-def compile_model(spec: ModelSpec) -> CompiledModel:
-    return CompiledModel(spec)

@@ -109,25 +109,13 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
 # ----------------------------------------------------------------------
 # moment filter
 
-def _moment_rates(cm, m, C, t, params):
-    prop, drift, vols, jac = cm.dynamics(m, t, params)
-    q = cm.process_cov_from(prop, vols, params)
-    return drift, jac @ C + C @ jac.T + q
-
-
-def _moment_step(cm, m, C, t, h, params):
-    """RK4 over the coupled mean and covariance equations."""
-    dm1, dc1 = _moment_rates(cm, m, C, t, params)
-    dm2, dc2 = _moment_rates(cm, m + 0.5 * h * dm1, C + 0.5 * h * dc1,
-                             t + 0.5 * h, params)
-    dm3, dc3 = _moment_rates(cm, m + 0.5 * h * dm2, C + 0.5 * h * dc2,
-                             t + 0.5 * h, params)
-    dm4, dc4 = _moment_rates(cm, m + h * dm3, C + h * dc3, t + h, params)
-    m = m + (h / 6.0) * (dm1 + 2 * dm2 + 2 * dm3 + dm4)
-    C = C + (h / 6.0) * (dc1 + 2 * dc2 + 2 * dc3 + dc4)
-    m[cm.comp_slice] = np.clip(m[cm.comp_slice], 0.0, None)
-    m[cm.acc_slice] = np.clip(m[cm.acc_slice], 0.0, None)
-    return m, 0.5 * (C + C.T)
+def _moment_step(moments, y, t, h, params):
+    """RK4 over the flat moment vector [m, upper triangle of C]."""
+    k1 = moments(y, t, params)
+    k2 = moments(y + 0.5 * h * k1, t + 0.5 * h, params)
+    k3 = moments(y + 0.5 * h * k2, t + 0.5 * h, params)
+    k4 = moments(y + h * k3, t + h, params)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _project_psd(C):
@@ -151,8 +139,11 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     """
     if not np.all(np.isfinite(cm.init_state(params))):
         raise FilterError("non-finite initial state")
-    m = cm.init_state(params)
-    C = np.zeros((cm.nx, cm.nx))
+    moments = cm.moments
+    upper = cm.tri_index
+    lower = upper[::-1]
+    flat = np.zeros(cm.nx + len(upper[0]))
+    flat[: cm.nx] = cm.init_state(params)
     n_obs = len(dataset)
     loglik = 0.0
     terms = np.zeros(n_obs)
@@ -168,10 +159,14 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
             h = span / n_sub
             tt = prev_t
             for _ in range(n_sub):
-                m, C = _moment_step(cm, m, C, tt, h, params)
+                flat = _moment_step(moments, flat, tt, h, params)
+                np.maximum(flat[: cm.nx], cm.floor, out=flat[: cm.nx])
                 tt += h
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(C))):
+        if not np.all(np.isfinite(flat)):
             raise FilterError("moments diverged during propagation")
+        m = flat[: cm.nx].copy()
+        C = np.empty((cm.nx, cm.nx))
+        C[upper] = C[lower] = flat[cm.nx :]
         for stream, y in obs:
             o = cm.obs(stream)
             parts, grad = cm.obs_values(stream, m, t, params)
@@ -200,11 +195,10 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
             C = _project_psd(0.5 * (C + C.T))
         means[i] = m
         covs[i] = C
-        m = m.copy()
         m[cm.acc_slice] = 0.0
-        C = C.copy()
         C[cm.acc_slice, :] = 0.0
         C[:, cm.acc_slice] = 0.0
+        flat = np.concatenate([m, C[upper]])
         prev_t = t
     if not np.isfinite(loglik):
         raise FilterError("non-finite log likelihood")

@@ -269,12 +269,6 @@ class ReactionDef:
     noise_group: str | None
     label: str
 
-    def effect_on(self, comp_index):
-        for idx, change in self.effect:
-            if idx == comp_index:
-                return change
-        return 0
-
 
 @dataclass(frozen=True)
 class NoiseGroup:
@@ -337,12 +331,6 @@ class ModelSpec:
 
     def free_parameters(self):
         return ParameterSpace(tuple(p for p in self.parameters if p.free))
-
-    def observation(self, name):
-        for o in self.observations:
-            if o.name == name:
-                return o
-        raise KeyError(name)
 
     def resolve_values(self, values):
         """Merge document values over dirac defaults into a full parameter map.

@@ -58,14 +58,10 @@ def _check_domain(cm, x, where):
         raise DomainError(f"non-finite state during {where}")
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     tol = 1e-6 * scale
-    counts = np.concatenate(
-        [x[..., cm.comp_slice], x[..., cm.acc_slice]], axis=-1
-    )
-    if counts.size and np.min(counts) < -tol:
+    # driven coordinates sit at +inf above their -inf floor
+    if x.size and np.min(x - cm.floor) < -tol:
         raise DomainError(f"negative population during {where}")
-    x[..., cm.comp_slice] = np.clip(x[..., cm.comp_slice], 0.0, None)
-    x[..., cm.acc_slice] = np.clip(x[..., cm.acc_slice], 0.0, None)
-    return x
+    return np.maximum(x, cm.floor, out=x)
 
 
 def integrate_ode(cm, x, t0, t1, params, dt=None):
@@ -91,40 +87,32 @@ def integrate_ode(cm, x, t0, t1, params, dt=None):
 # ----------------------------------------------------------------------
 # diffusion backend
 
-def sde_step(cm, x, t, dt, params, rng, demographic=True, environmental=True):
+def sde_step(cm, x, t, dt, params, rng):
     """One Euler-Maruyama step.
 
     Noise is applied through factor columns so that the increment covariance
     is exactly dt times the assembled dispersion: one standard normal per
     reaction scaled by sqrt(propensity), one per noise group through the
-    group column, one per driven parameter scaled by its volatility.
-    Compartments and accumulators are clamped at zero afterwards.
+    group column, one per driven parameter scaled by its volatility.  The
+    normals are drawn in that order; the model's fused `sde` kernel forms
+    the step.  Compartments and accumulators are clamped at zero afterwards.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
     lead = x.shape[:-1]
-    prop, drift, vols, _ = cm.dynamics(x, t, params)
-    new = x + dt * drift
-    sq = np.sqrt(dt)
-    if demographic and cm.n_react:
-        a = np.clip(prop, 0.0, None)
-        xi = rng.standard_normal(lead + (cm.n_react,))
-        new = new + sq * np.einsum(
-            "ik,...k->...i", cm.stoich_full, np.sqrt(a) * xi
-        )
-    if environmental and cm.noise_groups:
-        cols = cm.env_columns(np.clip(prop, 0.0, None), params)
-        xi = rng.standard_normal(lead + (len(cm.noise_groups),))
-        new = new + sq * np.einsum("...ig,...g->...i", cols, xi)
+    xi_demo = xi_env = xi_diff = None
+    if cm.n_react:
+        xi_demo = rng.standard_normal(lead + (cm.n_react,))
+    if cm.noise_groups:
+        xi_env = rng.standard_normal(lead + (len(cm.noise_groups),))
     if cm.n_diff:
-        xi = rng.standard_normal(lead + (cm.n_diff,))
-        new[..., cm.diff_slice] += sq * vols * xi
-    if not np.all(np.isfinite(new)):
+        xi_diff = rng.standard_normal(lead + (cm.n_diff,))
+    new = cm.sde(x, t, params, dt, xi_demo, xi_env, xi_diff)
+    if not np.isfinite(new).all():
         raise DomainError("non-finite state during diffusion step")
-    new[..., cm.comp_slice] = np.clip(new[..., cm.comp_slice], 0.0, None)
-    new[..., cm.acc_slice] = np.clip(new[..., cm.acc_slice], 0.0, None)
+    np.maximum(new, cm.floor, out=new)
     return new[0] if squeeze else new
 
 
@@ -200,7 +188,7 @@ def psr_step(cm, x, t, dt, params, rng):
 
     new = x + counts @ cm.stoich_full.T
     if cm.n_diff:
-        _, drift, vols, _ = cm.dynamics(x, t, params)
+        drift, vols = cm.drift_and_vols(x, t, params)
         xi = rng.standard_normal(lead + (cm.n_diff,))
         new[..., cm.diff_slice] = (
             x[..., cm.diff_slice]
@@ -235,7 +223,7 @@ def gillespie_interval(cm, x, t0, t1, params, rng, dt_max=None):
         tau = rng.exponential(1.0 / total) if total > 0 else np.inf
         elapsed = min(tau, cap)
         if cm.n_diff:
-            _, drift, vols, _ = cm.dynamics(x, t, params)
+            drift, vols = cm.drift_and_vols(x, t, params)
             xi = rng.standard_normal(cm.n_diff)
             x[cm.diff_slice] += elapsed * drift[cm.diff_slice] + np.sqrt(
                 elapsed

@@ -82,8 +82,8 @@ def local_level_model(**overrides):
     return build(LOCAL_LEVEL, **overrides)
 
 
-def run_ssm(args, stdin_text=None, env_extra=None, cwd=None):
-    """Run `python -m ssm args` in a child process.
+def ssm_env(env_extra=None):
+    """Environment for a `python -m ssm` child process.
 
     The absolute `src` directory goes first on the child's PYTHONPATH, so
     the package is found from any working directory even when the suite
@@ -96,8 +96,13 @@ def run_ssm(args, stdin_text=None, env_extra=None, cwd=None):
     env["SOURCE_DATE_EPOCH"] = "1700000000"
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_ssm(args, stdin_text=None, env_extra=None, cwd=None):
+    """Run `python -m ssm args` in a child process (environment: ssm_env)."""
     return subprocess.run(
         [sys.executable, "-m", "ssm"] + args,
         input=stdin_text, capture_output=True, text=True,
-        env=env, cwd=cwd or ROOT,
+        env=ssm_env(env_extra), cwd=cwd or ROOT,
     )

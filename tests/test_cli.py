@@ -4,12 +4,14 @@ import csv
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import run_ssm as run
+from helpers import ssm_env
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "src" / "ssm" / "models"
@@ -144,6 +146,24 @@ class TestValidation:
 
 
 class TestSimulate:
+    def test_closed_pipe_is_a_clean_exit(self):
+        # `ssm simulate ... | head -1`: far more rows than a pipe buffers,
+        # so the writer meets the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ssm", "simulate", "--model", SIR,
+             "--end", "1", "--trajectories", "5000"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=ssm_env(), cwd=ROOT,
+        )
+        proc.stdin.write(POINT)
+        proc.stdin.close()
+        assert proc.stdout.readline().startswith("trajectory,t,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == ""
+
     def test_csv_shape(self):
         r = run(["simulate", "--model", SIR, "--formalism", "psr",
                  "--end", "4", "--every", "1", "--trajectories", "3",

@@ -1,0 +1,185 @@
+"""Oracle checks of the generated kernels on the four shipped models.
+
+Each kernel is checked against a reference built another way: propensities
+against the expression interpreter, the moment equations against the dense
+reference evaluators, the fused Euler-Maruyama step against its formula, and
+every batch call against the same states evaluated one at a time.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import sir_model
+from ssm.compiled import CompiledModel
+from ssm.model import parse_model
+
+MODELS = Path(__file__).resolve().parent.parent / "src" / "ssm" / "models"
+
+# parameter values the shipped observation files were simulated at
+SETTINGS = {
+    "sir": {"beta": 1.5, "gamma": 1.0},
+    "plague": {"beta0": 2.5},
+    "seir-h1n1": {"beta": 3.0, "rho": 0.35},
+    "dengue-2strain": {"beta1": 2.1, "beta2": 1.9, "xi": 1.7},
+}
+N_STATES = 100
+
+
+def random_states(cm, base_state, n, rng):
+    """Compartments share the population, driven coordinates wander around
+    their start, accumulators take arbitrary nonnegative values."""
+    total = base_state[cm.comp_slice].sum()
+    out = np.empty((n, cm.nx))
+    out[:, cm.comp_slice] = total * rng.dirichlet(np.ones(cm.n_comp), size=n)
+    out[:, cm.diff_slice] = (base_state[cm.diff_slice]
+                             + 0.3 * rng.standard_normal((n, cm.n_diff)))
+    out[:, cm.acc_slice] = rng.uniform(0.0, 50.0, size=(n, cm.n_acc))
+    return out
+
+
+@pytest.fixture(scope="module", params=sorted(SETTINGS))
+def case(request):
+    spec = parse_model((MODELS / f"{request.param}.json").read_text())
+    cm = CompiledModel(spec)
+    p = spec.resolve_values(SETTINGS[request.param])
+    rng = np.random.default_rng(3)
+    states = random_states(cm, cm.init_state(p), N_STATES, rng)
+    times = rng.uniform(0.0, 40.0, size=N_STATES)
+    return cm, p, states, times
+
+
+def interpreter_env(cm, x, t, p):
+    env = dict(p, t=t)
+    env.update(zip(cm.state_names, x))
+    for d, q in zip(cm.spec.diffusions, cm.natural_diffusions(x)):
+        env[d.name] = float(q)
+    return env
+
+
+def test_rates_match_interpreter(case):
+    cm, p, states, times = case
+    spec = cm.spec
+    for x, t in zip(states, times):
+        env = interpreter_env(cm, x, t, p)
+        want = [
+            r.rate.eval(env)
+            * (1.0 if r.source is None else env[spec.compartments[r.source]])
+            for r in spec.reactions
+        ]
+        np.testing.assert_allclose(cm.propensities(x, t, p), want,
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_moments_match_dense_reference(case):
+    cm, p, states, times = case
+    rng = np.random.default_rng(5)
+    upper = cm.tri_index
+    for x, t in zip(states, times):
+        a = rng.standard_normal((cm.nx, cm.nx)) * np.sqrt(np.abs(x) + 1.0)[:, None]
+        C = a @ a.T
+        got = cm.moments(np.concatenate([x, C[upper]]), t, p)
+        prop, drift, vols, jac = cm.dynamics(x, t, p)
+        dC = jac @ C + C @ jac.T + cm.process_cov_from(prop, vols, p)
+        for g, w in ((got[: cm.nx], drift), (got[cm.nx :], dC[upper])):
+            np.testing.assert_allclose(g, w, rtol=1e-10,
+                                       atol=1e-10 * np.abs(w).max())
+
+
+def normals(cm, n, rng):
+    """Standard normals per reaction, noise group and driven parameter."""
+    return tuple(rng.standard_normal((n, k)) if k else None
+                 for k in (cm.n_react, len(cm.noise_groups), cm.n_diff))
+
+
+def test_sde_kernel_matches_reference_formula(case):
+    cm, p, states, times = case
+    rng = np.random.default_rng(7)
+    dt, t = 0.1, float(times[0])
+    xi_demo, xi_env, xi_diff = normals(cm, len(states), rng)
+    got = cm.sde(states, t, p, dt, xi_demo, xi_env, xi_diff)
+
+    prop, drift, vols, _ = cm.dynamics(states, t, p)
+    a = np.clip(prop, 0.0, None)
+    noise = (np.sqrt(a) * xi_demo) @ cm.stoich_full.T
+    if cm.noise_groups:
+        noise += np.einsum("jig,jg->ji", cm.env_columns(a, p), xi_env)
+    if cm.n_diff:
+        noise[:, cm.diff_slice] += vols * xi_diff
+    want = states + dt * drift + np.sqrt(dt) * noise
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def test_batch_calls_match_stacked_single_calls(case):
+    cm, p, states, times = case
+    t = float(times[0])
+    single = np.array([cm.propensities(x, t, p) for x in states])
+    np.testing.assert_allclose(cm.propensities(states, t, p), single,
+                               rtol=1e-13, atol=0.0)
+    drift, vols = cm.drift_and_vols(states, t, p)
+    for i, x in enumerate(states):
+        d1, v1 = cm.drift_and_vols(x, t, p)
+        np.testing.assert_allclose(drift[i], d1, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(vols[i], v1, rtol=1e-13, atol=0.0)
+
+    xis = normals(cm, len(states), np.random.default_rng(9))
+    batch = cm.sde(states, t, p, 0.1, *xis)
+    for i, x in enumerate(states):
+        rows = [None if xi is None else xi[i : i + 1] for xi in xis]
+        one = cm.sde(x[None], t, p, 0.1, *rows)
+        np.testing.assert_allclose(batch[i], one[0], rtol=1e-13, atol=1e-13)
+
+
+def test_scalar_kernels_follow_numpy_arithmetic():
+    # Python float arithmetic would raise on 0/0 and return a complex
+    # number for a negative base to a fractional power; the scalar
+    # kernels must give numpy's nan, like the batch kernels
+    cm = CompiledModel(sir_model(reactions=[
+        {"from": "S", "to": "I", "rate": "beta*I/(S+I)", "accumulators": ["cases"]},
+        {"from": "I", "to": "R", "rate": "gamma*(R-1)^0.5"},
+    ]))
+    p = cm.spec.resolve_values({"beta": 1.5, "gamma": 1.0})
+    n_tri = len(cm.tri_index[0])
+    for x, bad in (([0.0, 0.0, 0.0, 0.0], 0), ([5.0, 1.0, 0.0, 0.0], 1)):
+        x = np.array(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            single = cm.propensities(x, 0.0, p)
+            batch = cm.propensities(x[None], 0.0, p)[0]
+            moments = cm.moments(np.concatenate([x, np.zeros(n_tri)]), 0.0, p)
+        assert single.dtype == np.float64 and moments.dtype == np.float64
+        np.testing.assert_array_equal(single, batch)
+        assert np.isnan(single[bad])
+        assert np.isnan(moments[: cm.n_comp]).any()
+
+
+def test_property_batch_equals_single():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    spec = parse_model((MODELS / "plague.json").read_text())
+    cm = CompiledModel(spec)
+    base = spec.resolve_values(SETTINGS["plague"])
+    names = sorted(base)
+
+    count = st.floats(0.0, 1e4)
+    state = st.tuples(count, count, count, st.floats(-3.0, 3.0), count)
+    factors = st.lists(st.floats(0.5, 2.0), min_size=len(names),
+                       max_size=len(names))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.lists(state, min_size=1, max_size=8), factors,
+                      st.floats(0.0, 100.0))
+    def check(rows, scale, t):
+        p = {n: base[n] * f for n, f in zip(names, scale)}
+        x = np.array(rows, dtype=float)
+        single = np.array([cm.propensities(r, t, p) for r in x])
+        np.testing.assert_allclose(cm.propensities(x, t, p), single,
+                                   rtol=1e-13, atol=0.0)
+        drift, vols = cm.drift_and_vols(x, t, p)
+        for i, r in enumerate(x):
+            d1, v1 = cm.drift_and_vols(r, t, p)
+            np.testing.assert_allclose(drift[i], d1, rtol=1e-13, atol=1e-9)
+            np.testing.assert_allclose(vols[i], v1, rtol=1e-13, atol=0.0)
+
+    check()
