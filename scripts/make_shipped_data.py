@@ -6,6 +6,12 @@ distributions on windowed accumulators.  Seeds are fixed so the files are
 reproducible byte for byte.
 
 Run from the repository root:  python3 scripts/make_shipped_data.py
+
+Do not regenerate sir-data.csv.  It was drawn with the earlier
+one-trajectory-at-a-time jump simulator, whose random stream differs from
+the lockstep simulator's, so this script no longer reproduces it; a new
+file would change the data behind the fit-sir benchmark workload and the
+acceptance criteria.  The Poisson-backend files are still reproduced.
 """
 
 import csv

@@ -99,24 +99,21 @@ def _write_trace(trace, path):
     _log(f"wrote {path}")
 
 
-def _write_paths(result, cm, path):
-    names = (
-        list(cm.state_names[cm.comp_slice])
-        + [d.name for d in cm.spec.diffusions]
-        + list(cm.state_names[cm.acc_slice])
-    )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iteration", "time", *names])
-        for it, traj in result.paths:
-            nat = cm.natural_diffusions(traj)
-            for i, t in enumerate(result.times):
-                row = [it, repr(float(t))]
-                row += [repr(float(v)) for v in traj[i, cm.comp_slice]]
-                row += [repr(float(col[i])) for col in nat]
-                row += [repr(float(v)) for v in traj[i, cm.acc_slice]]
-                w.writerow(row)
-    _log(f"wrote {path}")
+def _write_path_csv(out, cm, label_names, times, labelled):
+    """Write trajectories as CSV: per (label, path) pair one row per
+    instant, holding the label, the time, then compartments, driven
+    parameters on their natural scale and accumulators."""
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow([*label_names, *cm.state_names[cm.comp_slice],
+                *(d.name for d in cm.spec.diffusions),
+                *cm.state_names[cm.acc_slice]])
+    for label, traj in labelled:
+        nat = cm.natural_diffusions(traj)
+        for i, t in enumerate(times):
+            w.writerow([label, repr(float(t)),
+                        *(repr(float(v)) for v in traj[i, cm.comp_slice]),
+                        *(repr(float(col[i])) for col in nat),
+                        *(repr(float(v)) for v in traj[i, cm.acc_slice])])
 
 
 # --- commands -------------------------------------------------------------
@@ -159,21 +156,8 @@ def cmd_simulate(args):
         cm, values, times, formalism=args.formalism, rng=rng,
         trajectories=args.trajectories, dt=args.dt,
     )
-    names = (
-        list(cm.state_names[cm.comp_slice])
-        + [d.name for d in cm.spec.diffusions]
-        + list(cm.state_names[cm.acc_slice])
-    )
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(["trajectory", "t", *names])
-    for j in range(paths.shape[0]):
-        nat = cm.natural_diffusions(paths[j])
-        for i, t in enumerate(times):
-            row = [j, repr(float(t))]
-            row += [repr(float(v)) for v in paths[j, i, cm.comp_slice]]
-            row += [repr(float(col[i])) for col in nat]
-            row += [repr(float(v)) for v in paths[j, i, cm.acc_slice]]
-            w.writerow(row)
+    _write_path_csv(sys.stdout, cm, ("trajectory", "t"), times,
+                    enumerate(paths))
     return 0
 
 
@@ -351,7 +335,10 @@ def cmd_pmcmc(args):
     doc.record_stage("pmcmc", _seed(args), args.iterations)
     _write_trace(res.trace, args.trace)
     if args.paths is not None:
-        _write_paths(res, cm, args.paths)
+        with open(args.paths, "w", newline="") as fh:
+            _write_path_csv(fh, cm, ("iteration", "time"), res.times,
+                            res.paths)
+        _log(f"wrote {args.paths}")
     _log(f"pmcmc: acceptance {res.acceptance_rate:.3f}, posterior mean "
          f"log likelihood {doc.log_likelihood:.6f}")
     _emit(doc)

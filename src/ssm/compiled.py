@@ -142,6 +142,8 @@ class CompiledModel:
             for acc in r.accumulators:
                 full[self.state_names.index(acc), r.index] = 1.0
         self.stoich_full = full
+        # what one firing of each reaction takes from each compartment
+        self.removals = np.maximum(-full[: self.n_comp], 0.0)
 
         self.source_index = tuple(r.source for r in spec.reactions)
         self.reaction_labels = tuple(r.label for r in spec.reactions)
@@ -154,18 +156,11 @@ class CompiledModel:
             else:
                 by_source.setdefault(src, []).append(k)
         # competing exits grouped by the compartment they drain, plus the
-        # absolute-rate reactions and any compartments they may overdraw
+        # absolute-rate reactions
         self.reactions_by_source = tuple(
             (src, tuple(ks)) for src, ks in sorted(by_source.items())
         )
         self.external_reactions = tuple(external)
-        caps = []
-        for k in external:
-            need = tuple(
-                (c, -delta) for c, delta in spec.reactions[k].effect if delta < 0
-            )
-            caps.append(need)
-        self.external_caps = tuple(caps)
 
         # noise groups: (sd parameter name, member reaction indices)
         self.noise_groups = tuple(

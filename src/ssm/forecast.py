@@ -22,24 +22,27 @@ def forecast_table(cm, thetas, t0, times, *, formalism="psr", rng=None,
     """Quantiles of each stream's conditional mean over one simulated
     trajectory per parameter draw.
 
-    Returns (stream names, array of shape (n_times, n_streams, 5))."""
+    The draws become per-row parameter columns and all trajectories advance
+    together as one batch.  Returns (stream names, array of shape
+    (n_times, n_streams, 5))."""
     times = np.asarray(times, dtype=float)
     streams = [o.name for o in cm.observations]
     n = len(thetas)
     if n == 0:
         raise ValueError("forecast needs at least one parameter draw")
+    values = {k: np.array([th[k] for th in thetas], dtype=float)
+              for k in thetas[0]}
+    x = cm.init_state(values, size=n)
     means = np.empty((n, len(times), len(streams)))
-    for j, values in enumerate(thetas):
-        x = cm.init_state(values)
-        t = t0
-        for i, t_next in enumerate(times):
-            x = advance(cm, x, t, t_next, values, rng=rng,
-                        formalism=formalism, dt=dt)
-            for k, obs in enumerate(cm.observations):
-                parts, _ = cm.obs_values(obs.name, x, t_next, values)
-                means[j, i, k] = stream_mean(obs.kind, parts)
-            x[cm.acc_slice] = 0.0
-            t = t_next
+    t = t0
+    for i, t_next in enumerate(times):
+        x = advance(cm, x, t, t_next, values, rng=rng, formalism=formalism,
+                    dt=dt)
+        for k, obs in enumerate(cm.observations):
+            parts, _ = cm.obs_values(obs.name, x, t_next, values)
+            means[:, i, k] = stream_mean(obs.kind, parts)
+        x[:, cm.acc_slice] = 0.0
+        t = t_next
     table = np.quantile(means, QUANTILES, axis=0)   # (5, T, S)
     return streams, np.moveaxis(table, 0, -1)
 

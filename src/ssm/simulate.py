@@ -7,7 +7,8 @@ classic fourth-order Runge-Kutta; the diffusion backend takes Euler-Maruyama
 steps with demographic, environmental and parameter-diffusion noise entering
 through separate factor columns; the Poisson backend draws integer reaction
 counts per time slice with competing exits handled as conditional binomials;
-the jump backend simulates the underlying Markov jump process event by event.
+the jump backend simulates the underlying Markov jump process event by
+event, a whole batch of trajectories in lockstep.
 
 Environmental (white) noise multiplies the rates of the reactions in a noise
 group by the increment of a gamma process with mean dt and variance sd^2 dt.
@@ -142,8 +143,9 @@ def psr_step(cm, x, t, dt, params, rng):
     multinomial over the competing exits: with per-capita rates r_k and
     effective increments d_k, the exit probabilities are
     (1 - exp(-sum r d)) r_k d_k / sum r d, drawn as a cascade of conditional
-    binomials.  Absolute-rate reactions fire Poisson counts, capped so that
-    removals cannot overdraw a compartment.
+    binomials.  Absolute-rate reactions fire Poisson counts, each capped by
+    what is left of the compartments it drains after the exits and earlier
+    removals drawn in the same slice, so no count can go negative.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -178,15 +180,22 @@ def psr_step(cm, x, t, dt, params, rng):
             remaining = remaining - n
             tail = tail - q
 
-    for k, caps in zip(cm.external_reactions, cm.external_caps):
-        lam = prop[..., k] * delta[..., k]
-        n = rng.poisson(lam).astype(np.int64)
-        for comp, per_event in caps:
-            avail = np.floor(x[..., comp] / per_event).astype(np.int64)
-            n = np.minimum(n, avail)
+    for k in cm.external_reactions:
+        n = rng.poisson(prop[..., k] * delta[..., k])
+        drains = cm.removals[:, k] > 0
+        if drains.any():
+            # removals come out of what the exits and the earlier removals
+            # drawn above left behind
+            left = x[..., cm.comp_slice] - counts @ cm.removals.T
+            room = np.floor(left[..., drains] / cm.removals[drains, k])
+            n = np.minimum(n, room.min(axis=-1))
         counts[..., k] = n
 
     new = x + counts @ cm.stoich_full.T
+    # reachable only by a per-capita reaction that drains more than one
+    # member of its source, or another compartment
+    if np.any(new[..., cm.comp_slice] < 0.0):
+        raise DomainError("Poisson step overdrew a compartment")
     if cm.n_diff:
         drift, vols = cm.drift_and_vols(x, t, params)
         xi = rng.standard_normal(lead + (cm.n_diff,))
@@ -195,7 +204,6 @@ def psr_step(cm, x, t, dt, params, rng):
             + dt * drift[..., cm.diff_slice]
             + np.sqrt(dt) * vols * xi
         )
-    new[..., cm.comp_slice] = np.clip(new[..., cm.comp_slice], 0.0, None)
     return new[0] if squeeze else new
 
 
@@ -203,42 +211,61 @@ def psr_step(cm, x, t, dt, params, rng):
 # jump backend
 
 def gillespie_interval(cm, x, t0, t1, params, rng, dt_max=None):
-    """Exact simulation of the jump process over [t0, t1] for one trajectory.
+    """Exact simulation of the jump process over [t0, t1] for a batch of
+    trajectories in lockstep (a single state is a batch of one); parameter
+    values may be per-row columns.
 
-    Rates are frozen at the current state; waiting times beyond dt_max are
-    discarded and the clock advanced by dt_max so that time-varying rates
-    and driven parameters are refreshed at least that often.  Driven
-    parameters move by Euler-Maruyama over each elapsed stretch.
+    Each unfinished row draws, per iteration, one exponential wait and one
+    uniform that picks its reaction, on its own clock.  Rates are frozen at
+    the current state; a wait beyond dt_max is discarded and the clock
+    advanced by dt_max, so time-varying rates and driven parameters are
+    refreshed at least that often.  A reaction that would overdraw a
+    compartment has zero propensity.  Driven parameters move by
+    Euler-Maruyama over each elapsed stretch.
     """
     x = np.array(x, dtype=float, copy=True)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
     if dt_max is None:
         dt_max = (t1 - t0) / SUBSTEPS_PER_INTERVAL
-    t = t0
-    while t < t1 - 1e-12:
-        prop = np.clip(cm.propensities(x, t, params), 0.0, None)
-        if not np.all(np.isfinite(prop)):
+    live = np.arange(x.shape[0] if t1 - t0 > 1e-12 else 0)
+    xa, pa = x, params
+    ta = np.full(len(live), float(t0))
+    jumps = np.vstack([cm.stoich_full.T, np.zeros(cm.nx)])
+    while live.size:
+        prop = np.maximum(cm.propensities(xa, ta, pa), 0.0)
+        prop *= (xa[:, cm.comp_slice, None] >= cm.removals).all(axis=1)
+        cum = prop.cumsum(axis=1)
+        total = cum[:, -1]
+        if not np.isfinite(total).all():
             raise DomainError("non-finite rate during jump simulation")
-        total = float(prop.sum())
-        cap = min(dt_max, t1 - t)
-        tau = rng.exponential(1.0 / total) if total > 0 else np.inf
-        elapsed = min(tau, cap)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = rng.standard_exponential(len(live)) / total
+        u = rng.random(len(live))
+        cap = np.minimum(dt_max, t1 - ta)
+        # a row with nothing left to fire waits out its cap (fmin skips
+        # the nan of a zero exponential over a zero total)
+        elapsed = np.fmin(tau, cap)
         if cm.n_diff:
-            drift, vols = cm.drift_and_vols(x, t, params)
-            xi = rng.standard_normal(cm.n_diff)
-            x[cm.diff_slice] += elapsed * drift[cm.diff_slice] + np.sqrt(
-                elapsed
-            ) * vols * xi
-        t += elapsed
-        if tau >= cap:
-            continue
-        u = rng.random() * total
-        k = int(np.searchsorted(np.cumsum(prop), u))
-        k = min(k, cm.n_react - 1)
-        proposed = x + cm.stoich_full[:, k]
-        if np.min(proposed[cm.comp_slice]) < 0:
-            continue
-        x = proposed
-    return x
+            drift, vols = cm.drift_and_vols(xa, ta, pa)
+            xi = rng.standard_normal((len(live), cm.n_diff))
+            xa[:, cm.diff_slice] += (elapsed[:, None] * drift[:, cm.diff_slice]
+                                     + np.sqrt(elapsed)[:, None] * vols * xi)
+        ta = ta + elapsed
+        # the target stays below the total, so a reaction with zero
+        # propensity is never picked; a row whose wait ran past its cap
+        # picks the empty jump after the last reaction
+        target = np.minimum(u * total, np.nextafter(total, 0.0))
+        target[tau >= cap] = np.inf
+        xa += jumps[(cum <= target[:, None]).sum(axis=1)]
+        done = ta >= t1 - 1e-12
+        if done.any():
+            x[live] = xa
+            keep = ~done
+            live, xa, ta = live[keep], xa[keep], ta[keep]
+            pa = {k: v[live] if np.ndim(v) else v for k, v in params.items()}
+    return x[0] if squeeze else x
 
 
 # ----------------------------------------------------------------------
@@ -259,13 +286,7 @@ def advance(cm, x, t0, t1, params, rng=None, formalism="ode", dt=None):
     if formalism == "ode":
         return integrate_ode(cm, x, t0, t1, params, dt=dt)
     if formalism == "jump":
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return gillespie_interval(cm, x, t0, t1, params, rng, dt_max=dt)
-        out = np.empty_like(x, dtype=float)
-        for j in range(x.shape[0]):
-            out[j] = gillespie_interval(cm, x[j], t0, t1, params, rng, dt_max=dt)
-        return out
+        return gillespie_interval(cm, x, t0, t1, params, rng, dt_max=dt)
     if formalism not in ("sde", "psr"):
         raise ValueError(f"unknown formalism: {formalism!r}")
     n_sub = max(1, int(np.ceil(span / dt - 1e-9)))
@@ -290,18 +311,6 @@ def simulate_paths(cm, params, times, formalism="ode", rng=None,
     times = np.asarray(times, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
-    if formalism == "jump":
-        out = np.empty((trajectories, len(times), cm.nx))
-        streams = rng.spawn(trajectories)
-        for j in range(trajectories):
-            x = cm.init_state(params)
-            out[j, 0] = x
-            for i in range(1, len(times)):
-                x = gillespie_interval(
-                    cm, x, times[i - 1], times[i], params, streams[j], dt_max=dt
-                )
-                out[j, i] = x
-        return out
     x = cm.init_state(params, size=trajectories)
     out = np.empty((trajectories, len(times), cm.nx))
     out[:, 0] = x

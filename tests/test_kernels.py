@@ -6,6 +6,7 @@ reference evaluators, the fused Euler-Maruyama step against its formula, and
 every batch call against the same states evaluated one at a time.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,27 @@ def test_batch_calls_match_stacked_single_calls(case):
         rows = [None if xi is None else xi[i : i + 1] for xi in xis]
         one = cm.sde(x[None], t, p, 0.1, *rows)
         np.testing.assert_allclose(batch[i], one[0], rtol=1e-13, atol=1e-13)
+
+
+def test_batch_calls_take_a_time_per_row():
+    # the lockstep jump simulation passes each row's own clock; plague gets
+    # seasonal forcing on top of its driven transmission rate
+    doc = json.loads((MODELS / "plague.json").read_text())
+    doc["reactions"][1]["rate"] = "beta*(1 + 0.3*sin(2*pi*t/12))*I/N"
+    spec = parse_model(json.dumps(doc))
+    cm = CompiledModel(spec)
+    p = spec.resolve_values(SETTINGS["plague"])
+    rng = np.random.default_rng(11)
+    states = random_states(cm, cm.init_state(p), N_STATES, rng)
+    times = rng.uniform(0.0, 40.0, size=N_STATES)
+    rates = cm.propensities(states, times, p)
+    drift, vols = cm.drift_and_vols(states, times, p)
+    for i, (x, t) in enumerate(zip(states, times)):
+        np.testing.assert_allclose(rates[i], cm.propensities(x, t, p),
+                                   rtol=1e-12, atol=0.0)
+        d1, v1 = cm.drift_and_vols(x, t, p)
+        np.testing.assert_allclose(drift[i], d1, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vols[i], v1, rtol=1e-12, atol=0.0)
 
 
 def test_scalar_kernels_follow_numpy_arithmetic():

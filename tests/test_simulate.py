@@ -42,6 +42,23 @@ DECAY = {
 }
 
 
+# C loses members per capita to D and, at an absolute rate, to outside;
+# the outside removals are counted
+DRAINED = {
+    **DECAY,
+    "compartments": [{"name": "C", "initial": "C0"},
+                     {"name": "D", "initial": "0"}],
+    "parameters": DECAY["parameters"] + [
+        {"name": "kappa", "prior": {"dirac": 5.0}, "role": "fixed"},
+    ],
+    "reactions": [
+        {"from": "C", "to": "D", "rate": "mu"},
+        {"effect": {"C": -1}, "source": "EXTERNAL", "rate": "kappa",
+         "absolute_outflow": True, "accumulators": ["removed"]},
+    ],
+}
+
+
 def compiled(doc, **overrides):
     return CompiledModel(build(doc, **overrides))
 
@@ -412,6 +429,32 @@ class TestPsr:
         assert np.all(x[:, :3].sum(axis=1) == 1000.0)
         assert np.all(x >= 0.0)
 
+    def test_absolute_removal_capped_after_exits(self):
+        # at a coarse dt the per-capita exits and the absolute removals
+        # drawn in one slice together exceed what C holds; capping the
+        # removals against C's content at the start of the slice, then
+        # clamping C at zero, would create members
+        cm = compiled(DRAINED)
+        p = {"C0": 100.0, "mu": 0.5, "kappa": 60.0}
+        rng = np.random.default_rng(53)
+        x = cm.init_state(p, size=500)
+        for i in range(30):
+            x = sim.psr_step(cm, x, float(i), 1.0, p, rng)
+            assert np.all(x >= 0.0)
+            assert np.all(x[:, 0] + x[:, 1] + x[:, 2] == 100.0)
+        assert np.all(x[:, 0] == 0.0)
+
+    def test_overdrawing_exit_is_a_domain_error(self):
+        # each exit takes two members of C, but the cascade draws exits
+        # per member present
+        cm = compiled(DECAY, reactions=[
+            {"effect": {"C": -2}, "source": "C", "rate": "mu"}
+        ])
+        p = {"C0": 1.0, "mu": 50.0}
+        with pytest.raises(DomainError):
+            sim.psr_step(cm, cm.init_state(p), 0.0, 1.0, p,
+                         np.random.default_rng(2))
+
     def test_environmental_noise_inflates_variance(self):
         params = SIR["parameters"] + [
             {"name": "sigma_env", "prior": {"dirac": 0.0}, "role": "fixed"}
@@ -550,6 +593,43 @@ class TestJump:
         assert x[:3].sum() == 1000.0
         assert np.array_equal(x, np.round(x))
         assert x[3] == 990.0 - x[0]
+
+    def test_infeasible_removal_never_fires(self):
+        # three members removed at the absolute rate 5 while any are left:
+        # C(t) = 0 exactly when a rate-5 Poisson process has counted three
+        # events by t
+        from scipy.stats import poisson
+
+        cm = compiled(DRAINED, reactions=[DRAINED["reactions"][1]])
+        p = {"C0": 3.0, "mu": 0.0, "kappa": 5.0}
+        rng = np.random.default_rng(59)
+        n = 2000
+        for t in (0.2, 0.5, 1.0):
+            x = sim.gillespie_interval(cm, cm.init_state(p, size=n), 0.0, t,
+                                       p, rng, dt_max=t)
+            assert np.all(x >= 0.0)
+            assert np.all(x[:, 0] + x[:, 2] == 3.0)
+            want = poisson.sf(2, 5.0 * t)
+            se = np.sqrt(want * (1 - want) / n)
+            assert np.mean(x[:, 0] == 0.0) == pytest.approx(want, abs=5 * se)
+
+    def test_per_row_parameter_columns(self):
+        cm = compiled(DECAY)
+        n, c0 = 2000, 20.0
+        mu = np.tile([0.3, 1.2], n // 2)
+        p = {"C0": c0, "mu": mu}
+        rng = np.random.default_rng(61)
+        x = cm.init_state(p, size=n)
+        t = 0.0
+        for t_next in (0.5, 1.5):
+            x = sim.gillespie_interval(cm, x, t, t_next, p, rng)
+            t = t_next
+            for rate in (0.3, 1.2):
+                rows = mu == rate
+                surv = np.exp(-rate * t)
+                se = np.sqrt(surv * (1 - surv) / (rows.sum() * c0))
+                assert x[rows, 0].mean() / c0 == pytest.approx(
+                    surv, abs=5 * se)
 
     def test_paths_reproducible_by_seed(self):
         cm = compiled_sir()
