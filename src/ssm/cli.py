@@ -161,45 +161,50 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_smc(args):
+def _score(args, stage, run_filter, describe=lambda res: ""):
+    """Score the document's values with one filter run: `run_filter(cm,
+    data, values)` gives the FilterResult, `describe(res)` the tail of the
+    summary line on stderr."""
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
     values = cm.spec.resolve_values(doc.values)
-    rng = np.random.default_rng(_seed(args))
-    res = smc_filter(
-        cm, ds, values, args.t0, rng=rng, n_particles=args.n_particles,
-        formalism=args.formalism, dt=args.dt,
-    )
+    res = run_filter(cm, ds, values)
     doc.log_likelihood = float(res.loglik)
     space = cm.spec.free_parameters()
     if space.dim:
         doc.log_posterior = float(
             res.loglik + space.log_prior_natural(values)
         )
-    doc.record_stage("smc", _seed(args))
-    _log(f"smc: log likelihood {res.loglik:.6f} "
-         f"(J={args.n_particles}, {args.formalism})")
+    doc.record_stage(stage, _seed(args))
+    _log(f"{stage}: log likelihood {res.loglik:.6f}{describe(res)}")
     _emit(doc)
     return 0
+
+
+def cmd_smc(args):
+    def run(cm, ds, values):
+        return smc_filter(
+            cm, ds, values, args.t0, rng=np.random.default_rng(_seed(args)),
+            n_particles=args.n_particles, formalism=args.formalism,
+            dt=args.dt,
+        )
+
+    def describe(res):
+        text = f" (J={args.n_particles}, {args.formalism})"
+        # instants after a filter failure hold no ESS
+        frac = res.ess[np.isfinite(res.ess)] / args.n_particles
+        if frac.size:
+            text += (f", ess fraction min {frac.min():.3f} "
+                     f"mean {frac.mean():.3f}")
+        return text
+
+    return _score(args, "smc", run, describe)
 
 
 def cmd_kalman(args):
-    cm = _load_compiled(args.model)
-    doc = _read_theta(args)
-    ds = _load_data(cm, args)
-    values = cm.spec.resolve_values(doc.values)
-    res = ekf_filter(cm, ds, values, args.t0, dt=args.dt)
-    doc.log_likelihood = float(res.loglik)
-    space = cm.spec.free_parameters()
-    if space.dim:
-        doc.log_posterior = float(
-            res.loglik + space.log_prior_natural(values)
-        )
-    doc.record_stage("kalman", _seed(args))
-    _log(f"kalman: log likelihood {res.loglik:.6f}")
-    _emit(doc)
-    return 0
+    return _score(args, "kalman", lambda cm, ds, values: ekf_filter(
+        cm, ds, values, args.t0, dt=args.dt))
 
 
 def _simplex_common(args, kind, stage):

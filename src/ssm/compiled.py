@@ -161,6 +161,26 @@ class CompiledModel:
             (src, tuple(ks)) for src, ks in sorted(by_source.items())
         )
         self.external_reactions = tuple(external)
+        # the Poisson step's exit plan: the per-capita exits in cascade
+        # order (by source, then as listed), the index of each one's source
+        # in reactions_by_source and its source column; exit_levels holds,
+        # per position within a source (first exits, then second, ...), a
+        # pair (at_level, groups): the indices into the exit arrays of the
+        # exits at that position and the source index of each
+        exits = [(g, k, pos)
+                 for g, (_, ks) in enumerate(self.reactions_by_source)
+                 for pos, k in enumerate(ks)]
+        self.source_columns = np.array(
+            [src for src, _ in self.reactions_by_source], dtype=int)
+        self.exit_groups = np.array([g for g, _, _ in exits], dtype=int)
+        self.exit_reactions = np.array([k for _, k, _ in exits], dtype=int)
+        self.exit_sources = self.source_columns[self.exit_groups]
+        position = np.array([pos for _, _, pos in exits], dtype=int)
+        self.exit_levels = tuple(
+            (np.flatnonzero(position == level),
+             self.exit_groups[position == level])
+            for level in range(position.max(initial=-1) + 1)
+        )
 
         # noise groups: (sd parameter name, member reaction indices)
         self.noise_groups = tuple(

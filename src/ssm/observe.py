@@ -13,7 +13,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 REQUIRED_COLUMNS = ("time", "stream", "value")
 
@@ -129,13 +128,63 @@ class DataSet:
 
 
 # ----------------------------------------------------------------------
+# log factorial, after the cephes `lgam` that scipy's `gammaln` uses: exact
+# for k <= 12, the Stirling series with cephes' coefficients above
+
+_LOG_FACTORIALS = tuple(math.log(math.factorial(k)) for k in range(13))
+_LOG_FACTORIALS_ARRAY = np.array(_LOG_FACTORIALS)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_SERIES = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_SERIES_1000 = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                0.0833333333333333333333)
+
+
+def _series(x, coefficients):
+    """Correction to Stirling's formula at x: a polynomial in 1/x^2, over x."""
+    p = 1.0 / (x * x)
+    out = coefficients[0]
+    for c in coefficients[1:]:
+        out = out * p + c
+    return out / x
+
+
+def log_factorial(k):
+    """log(k!) for integer-valued k >= 0, +inf for k < 0 (the poles of
+    log Gamma(k + 1)); a scalar gives a float, an array an array."""
+    if np.ndim(k) == 0:
+        k = float(k)
+        if k < 0.0:
+            return math.inf
+        if k <= 12.0:
+            return _LOG_FACTORIALS[int(k)]
+        x = k + 1.0
+        q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+        if x > 1e8:
+            return q
+        return q + _series(x, _SERIES_1000 if x >= 1000.0 else _SERIES)
+    k = np.asarray(k, dtype=float)
+    x = np.maximum(k, 12.0) + 1.0
+    q = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI
+    # adding zero leaves q exact above 1e8, where cephes drops the series
+    out = q + np.where(x > 1e8, 0.0, np.where(
+        x >= 1000.0, _series(x, _SERIES_1000), _series(x, _SERIES)))
+    # fmax sends nan to index 0; nan compares false below and gives +inf
+    small = _LOG_FACTORIALS_ARRAY[np.minimum(np.fmax(k, 0.0), 12.0)
+                                  .astype(np.intp)]
+    out = np.where(k <= 12.0, small, out)
+    return np.where(k >= 0.0, out, np.inf)
+
+
+# ----------------------------------------------------------------------
 # measurement log densities; all vectorized over the parameter arguments
 
 def poisson_logpmf(y, mean):
     y = np.asarray(y, dtype=float)
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = y * np.log(mean) - mean - gammaln(y + 1.0)
+        out = y * np.log(mean) - mean - log_factorial(y)
     out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
     out = np.where(mean < 0, -np.inf, out)
     return out if out.shape else float(out)
@@ -164,9 +213,9 @@ def binomial_logpmf(y, trials, prob):
     p_in = np.clip(p, 1e-300, 1.0 - 1e-16)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
-            gammaln(n + 1.0)
-            - gammaln(y + 1.0)
-            - gammaln(n - y + 1.0)
+            log_factorial(n)
+            - log_factorial(y)
+            - log_factorial(n - y)
             + y * np.log(p_in)
             + (n - y) * np.log1p(-p_in)
         )

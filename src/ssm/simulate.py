@@ -143,9 +143,12 @@ def psr_step(cm, x, t, dt, params, rng):
     multinomial over the competing exits: with per-capita rates r_k and
     effective increments d_k, the exit probabilities are
     (1 - exp(-sum r d)) r_k d_k / sum r d, drawn as a cascade of conditional
-    binomials.  Absolute-rate reactions fire Poisson counts, each capped by
-    what is left of the compartments it drains after the exits and earlier
-    removals drawn in the same slice, so no count can go negative.
+    binomials.  The rates and probabilities of all exits are formed at once
+    (sums run over the positions within a source, in listing order); the
+    binomials are drawn exit by exit, source by source.  Absolute-rate
+    reactions fire Poisson counts, each capped by what is left of the
+    compartments it drains after the exits and earlier removals drawn in
+    the same slice, so no count can go negative.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -158,27 +161,32 @@ def psr_step(cm, x, t, dt, params, rng):
     delta = _noise_deltas(cm, dt, params, lead, rng)
     counts = np.zeros(lead + (cm.n_react,))
 
-    for src, ks in cm.reactions_by_source:
-        z = x[..., src]
-        hazard = np.zeros(lead)
-        rd = []
-        for k in ks:
-            r = np.where(z > 0, prop[..., k] / np.where(z > 0, z, 1.0), 0.0)
-            rd.append(r * delta[..., k])
-            hazard += rd[-1]
-        p_leave = -np.expm1(-hazard)
-        safe = np.where(hazard > 0, hazard, 1.0)
-        remaining = np.floor(z).astype(np.int64)
-        tail = np.ones(lead)
-        for k, rdk in zip(ks, rd):
-            q = p_leave * rdk / safe
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.where(tail > 1e-12, q / tail, 0.0)
-            cond = np.clip(cond, 0.0, 1.0)
-            n = rng.binomial(remaining, cond)
-            counts[..., k] = n
-            remaining = remaining - n
-            tail = tail - q
+    exits = cm.exit_reactions
+    z = x[..., cm.exit_sources]
+    occupied = z > 0
+    rd = (np.where(occupied, prop[..., exits] / np.where(occupied, z, 1.0),
+                   0.0)
+          * delta[..., exits])
+    hazard = np.zeros(lead + (len(cm.source_columns),))
+    for at_level, groups in cm.exit_levels:
+        hazard[..., groups] += rd[..., at_level]
+    p_leave = -np.expm1(-hazard)
+    safe = np.where(hazard > 0, hazard, 1.0)
+    q = p_leave[..., cm.exit_groups] * rd / safe[..., cm.exit_groups]
+    # tail: the probability mass not yet assigned when each exit is drawn
+    tail = np.empty_like(q)
+    unassigned = np.ones_like(hazard)
+    for at_level, groups in cm.exit_levels:
+        tail[..., at_level] = unassigned[..., groups]
+        unassigned[..., groups] -= q[..., at_level]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(tail > 1e-12, q / tail, 0.0)
+    cond = np.clip(cond, 0.0, 1.0)
+    remaining = np.floor(x[..., cm.source_columns]).astype(np.int64)
+    for e, (k, g) in enumerate(zip(exits.tolist(), cm.exit_groups.tolist())):
+        n = rng.binomial(remaining[..., g], cond[..., e])
+        counts[..., k] = n
+        remaining[..., g] -= n
 
     for k in cm.external_reactions:
         n = rng.poisson(prop[..., k] * delta[..., k])

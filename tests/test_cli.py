@@ -45,6 +45,21 @@ class TestPlumbing:
         for name in SUBCOMMANDS:
             assert name in r.stdout
 
+    def test_runtime_imports_no_scipy(self):
+        # scipy is a test-only dependency; a stage must start without it
+        code = (
+            "import sys\n"
+            "from ssm.cli import main\n"
+            f"rc = main(['check-data', '--model', {SIR!r}, "
+            f"'--data', {SIR_DATA!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=ssm_env(), cwd=ROOT)
+        assert r.returncode == 0, r.stderr
+
     def test_console_script_installed(self):
         exe = shutil.which("ssm")
         if exe is None:
@@ -143,6 +158,28 @@ class TestValidation:
             r = run(["check-data", "--model", model, "--data", data])
             assert r.returncode == 0, r.stderr
             assert json.loads(r.stdout)["problems"] == []
+
+
+class TestScore:
+    def test_smc_reports_ess_fraction(self):
+        r = run(["smc", "--model", SIR, "--data", SIR_DATA,
+                 "--n-particles", "100", "--seed", "3"], stdin_text=POINT)
+        assert r.returncode == 0, r.stderr
+        words = r.stderr.split()
+        low = float(words[words.index("min") + 1])
+        mean = float(words[words.index("mean") + 1])
+        assert 0.0 < low <= mean <= 1.0
+        assert json.loads(r.stdout)["log_likelihood"] < 0.0
+
+    def test_kalman_and_smc_record_their_stage(self):
+        for argv in (["kalman"], ["smc", "--n-particles", "50"]):
+            stage = argv[0]
+            r = run([*argv, "--model", SIR, "--data", SIR_DATA, "--seed", "3"],
+                    stdin_text=POINT)
+            assert r.returncode == 0, r.stderr
+            doc = json.loads(r.stdout)
+            assert doc["provenance"][-1]["stage"] == stage
+            assert np.isfinite(doc["log_posterior"])
 
 
 class TestSimulate:

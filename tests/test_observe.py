@@ -1,11 +1,63 @@
-"""Measurement densities against frozen values and scipy, data loading."""
+"""Measurement densities and the log factorial against frozen values and
+scipy, data loading."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from helpers import sir_model
 from ssm import observe as ob
+
+
+def assert_close_to_gammaln(got, k):
+    """Within 4e-16 relative or 2 ulp of scipy's gammaln(k + 1), whichever
+    is looser."""
+    ref = scipy.special.gammaln(np.asarray(k, dtype=float) + 1.0)
+    bound = np.maximum(4e-16 * np.abs(ref), 2 * np.spacing(np.abs(ref)))
+    bad = np.abs(np.asarray(got) - ref) > bound
+    assert not bad.any(), np.asarray(k)[bad][:10]
+
+
+class TestLogFactorial:
+    BOUNDARIES = [0, 1, 2, 11, 12, 13, 14, 998, 999, 1000, 1001,
+                  10**8 - 1, 10**8, 10**8 + 1, 10**10]
+
+    def test_array_matches_gammaln_to_a_million(self):
+        k = np.arange(0, 10**6 + 1, dtype=float)
+        assert_close_to_gammaln(ob.log_factorial(k), k)
+
+    def test_scalar_matches_gammaln(self):
+        ks = list(range(0, 5000)) + list(range(10**6 - 1000, 10**6 + 1))
+        got = np.array([ob.log_factorial(float(k)) for k in ks])
+        assert_close_to_gammaln(got, ks)
+
+    def test_branch_boundaries(self):
+        got = [ob.log_factorial(float(k)) for k in self.BOUNDARIES]
+        assert_close_to_gammaln(got, self.BOUNDARIES)
+        k = np.array(self.BOUNDARIES, dtype=float)
+        assert_close_to_gammaln(ob.log_factorial(k), k)
+
+    def test_log_spaced_to_ten_billion(self):
+        k = np.unique(np.round(np.logspace(0, 10, 20001)))
+        assert_close_to_gammaln(ob.log_factorial(k), k)
+        assert_close_to_gammaln([ob.log_factorial(v) for v in k[::20]],
+                                k[::20])
+
+    def test_exact_small_values(self):
+        assert ob.log_factorial(0) == 0.0
+        assert ob.log_factorial(1.0) == 0.0
+        assert ob.log_factorial(5) == math.log(120)
+        assert ob.log_factorial(np.array([3.0]))[0] == math.log(6)
+
+    def test_negative_is_infinite_without_raising(self):
+        with np.errstate(all="raise"):
+            assert ob.log_factorial(-1.0) == np.inf
+            out = ob.log_factorial(np.array([-3.0, -1.0, 0.0, np.nan]))
+        assert list(out[:2]) == [np.inf, np.inf]
+        assert out[2] == 0.0
 
 
 class TestPoisson:
@@ -71,7 +123,13 @@ class TestBinomial:
             )
 
     def test_support_edges(self):
-        assert ob.binomial_logpmf(5, 4, 0.5) == -np.inf
+        with np.errstate(all="raise"):
+            assert ob.binomial_logpmf(5, 4, 0.5) == -np.inf
+            out = ob.binomial_logpmf(np.array([5.0, 7.0, 2.0]),
+                                     np.array([4.0, 3.0, 4.0]), 0.5)
+            assert ob.poisson_logpmf(-1, 2.0) == -np.inf
+        assert list(out[:2]) == [-np.inf, -np.inf]
+        assert out[2] == pytest.approx(scipy.stats.binom.logpmf(2, 4, 0.5))
         assert ob.binomial_logpmf(-1, 4, 0.5) == -np.inf
         assert ob.binomial_logpmf(2.5, 4, 0.5) == -np.inf
         assert ob.binomial_logpmf(0, 4, 0.0) == 0.0

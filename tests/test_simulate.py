@@ -1,11 +1,16 @@
 """Simulation backends against closed forms and distributional oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import SIR, build, sir_model
 from ssm.compiled import CompiledModel, DomainError
+from ssm.model import load_model
 from ssm import simulate as sim
+
+MODELS = Path(__file__).resolve().parent.parent / "src" / "ssm" / "models"
 
 SIR_PARAMS = {"beta": 0.5, "gamma": 0.25, "N": 1000.0, "I0": 10.0}
 
@@ -526,6 +531,268 @@ class TestPsr:
         delta = _noise_deltas(cm, 0.3, dict(SIR_PARAMS, sigma_env=0.0),
                               (16,), np.random.default_rng(1))
         assert np.array_equal(delta, np.full((16, 2), 0.3))
+
+
+# ----------------------------------------------------------------------
+# the Poisson step as a per-source cascade, one source at a time: the
+# reference the vectorised psr_step must reproduce draw for draw
+
+def reference_noise_deltas(cm, dt, params, lead, rng):
+    delta = np.full(lead + (cm.n_react,), float(dt))
+    for sd_name, members in cm.noise_groups:
+        sd = np.broadcast_to(np.asarray(params[sd_name], dtype=float), lead)
+        draw = np.full(lead, float(dt))
+        pos = sd > 0
+        if np.any(pos):
+            var = sd[pos] ** 2
+            draw[pos] = rng.gamma(dt / var, var)
+        delta[..., members] = draw[..., None]
+    return delta
+
+
+def reference_psr_step(cm, x, t, dt, params, rng):
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    lead = x.shape[:-1]
+    prop = np.clip(cm.propensities(x, t, params), 0.0, None)
+    if not np.all(np.isfinite(prop)):
+        raise DomainError("non-finite rate during Poisson step")
+    delta = reference_noise_deltas(cm, dt, params, lead, rng)
+    counts = np.zeros(lead + (cm.n_react,))
+
+    for src, ks in cm.reactions_by_source:
+        z = x[..., src]
+        hazard = np.zeros(lead)
+        rd = []
+        for k in ks:
+            r = np.where(z > 0, prop[..., k] / np.where(z > 0, z, 1.0), 0.0)
+            rd.append(r * delta[..., k])
+            hazard += rd[-1]
+        p_leave = -np.expm1(-hazard)
+        safe = np.where(hazard > 0, hazard, 1.0)
+        remaining = np.floor(z).astype(np.int64)
+        tail = np.ones(lead)
+        for k, rdk in zip(ks, rd):
+            q = p_leave * rdk / safe
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.where(tail > 1e-12, q / tail, 0.0)
+            cond = np.clip(cond, 0.0, 1.0)
+            n = rng.binomial(remaining, cond)
+            counts[..., k] = n
+            remaining = remaining - n
+            tail = tail - q
+
+    for k in cm.external_reactions:
+        n = rng.poisson(prop[..., k] * delta[..., k])
+        drains = cm.removals[:, k] > 0
+        if drains.any():
+            left = x[..., cm.comp_slice] - counts @ cm.removals.T
+            room = np.floor(left[..., drains] / cm.removals[drains, k])
+            n = np.minimum(n, room.min(axis=-1))
+        counts[..., k] = n
+
+    new = x + counts @ cm.stoich_full.T
+    if np.any(new[..., cm.comp_slice] < 0.0):
+        raise DomainError("Poisson step overdrew a compartment")
+    if cm.n_diff:
+        drift, vols = cm.drift_and_vols(x, t, params)
+        xi = rng.standard_normal(lead + (cm.n_diff,))
+        new[..., cm.diff_slice] = (
+            x[..., cm.diff_slice]
+            + dt * drift[..., cm.diff_slice]
+            + np.sqrt(dt) * vols * xi
+        )
+    return new[0] if squeeze else new
+
+
+SHIPPED_VALUES = {
+    "sir": {"beta": 1.5, "gamma": 1.0},
+    "plague": {"beta0": 2.5},
+    "seir-h1n1": {"beta": 3.0, "rho": 0.35},
+    "dengue-2strain": {"beta1": 2.1, "beta2": 1.9, "xi": 1.7},
+}
+
+# C drains per capita to A, B and D (three competing exits), A to B and D
+THREE_EXITS = {
+    **DECAY,
+    "compartments": [{"name": "C", "initial": "C0"},
+                     {"name": "A", "initial": "20"},
+                     {"name": "B", "initial": "0"},
+                     {"name": "D", "initial": "0"}],
+    "reactions": [
+        {"from": "C", "to": "A", "rate": "mu"},
+        {"from": "A", "to": "B", "rate": "0.4"},
+        {"from": "C", "to": "B", "rate": "0.7*A/(A + 5)"},
+        {"from": "A", "to": "D", "rate": "mu*2"},
+        {"from": "C", "to": "D", "rate": "0.05", "accumulators": ["lost"]},
+    ],
+}
+
+
+def noisy_sir():
+    params = SIR["parameters"] + [
+        {"name": "sigma_env", "prior": {"dirac": 0.3}, "role": "fixed"}
+    ]
+    reactions = [
+        {"from": "S", "to": "I", "rate": "beta*I/N",
+         "accumulators": ["cases"],
+         "white_noise": {"group": "transmission", "sd": "sigma_env"}},
+        {"from": "I", "to": "R", "rate": "gamma"},
+    ]
+    return compiled(SIR, parameters=params, reactions=reactions)
+
+
+class RecordingGenerator:
+    """A numpy Generator that records every draw call: the method and each
+    distribution parameter broadcast to the shape of the draws (the
+    arguments of a standard_* method are the shape itself)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            args = [np.array(a) for a in args]
+            out = method(*args, **kwargs)
+            if not name.startswith("standard_"):
+                args = [np.broadcast_to(a, np.shape(out)) for a in args]
+            self.calls.append((name, args))
+            return out
+        return draw
+
+
+class TestPsrMatchesCascade:
+    """The vectorised psr_step against the per-source reference: equal
+    states, the same draws with bit-identical probabilities, and the
+    generator left in the same state."""
+
+    def assert_same_steps(self, cm, x, params, steps=6, dt=0.25, seed=0):
+        rng_new = RecordingGenerator(seed)
+        rng_ref = RecordingGenerator(seed)
+        x_new = x_ref = np.array(x, dtype=float)
+        for i in range(steps):
+            x_new = sim.psr_step(cm, x_new, i * dt, dt, params, rng_new)
+            x_ref = reference_psr_step(cm, x_ref, i * dt, dt, params, rng_ref)
+            assert np.array_equal(x_new, x_ref), f"step {i}"
+        assert len(rng_new.calls) == len(rng_ref.calls)
+        for (name, args), (name_ref, args_ref) in zip(rng_new.calls,
+                                                      rng_ref.calls):
+            assert name == name_ref
+            assert len(args) == len(args_ref)
+            for a, b in zip(args, args_ref):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(a, b), name
+        assert (rng_new.rng.bit_generator.state
+                == rng_ref.rng.bit_generator.state)
+        return x_new
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_VALUES))
+    def test_shipped_models_at_random_states(self, name):
+        cm = CompiledModel(load_model(MODELS / f"{name}.json"))
+        values = cm.spec.resolve_values(SHIPPED_VALUES[name])
+        rng = np.random.default_rng(len(name))
+        x = cm.init_state(values, size=64)
+        x = sim.advance(cm, x, 0.0, 3.0, values, rng=rng, formalism="psr")
+        # empty some compartments, some rows wholly
+        comp = x[:, cm.comp_slice]
+        comp[rng.random(comp.shape) < 0.3] = 0.0
+        comp[:4] = 0.0
+        self.assert_same_steps(cm, x, values, dt=0.1, seed=len(name) + 1)
+
+    def test_single_state(self):
+        cm = compiled_sir()
+        x = cm.init_state(SIR_PARAMS)
+        out = self.assert_same_steps(cm, x, SIR_PARAMS, steps=10)
+        assert out.shape == (cm.nx,)
+
+    def test_three_competing_exits(self):
+        cm = compiled(THREE_EXITS)
+        assert max(len(ks) for _, ks in cm.reactions_by_source) == 3
+        p = {"C0": 300.0, "mu": 0.6}
+        x = cm.init_state(p, size=200)
+        self.assert_same_steps(cm, x, p, steps=12, dt=0.5, seed=4)
+
+    def test_noise_with_positive_and_zero_sd(self):
+        cm = noisy_sir()
+        x = cm.init_state(SIR_PARAMS, size=100)
+        for sd in (0.3, 0.0):
+            p = dict(SIR_PARAMS, sigma_env=sd)
+            self.assert_same_steps(cm, x, p, seed=5)
+
+    def test_per_row_parameter_columns(self):
+        cm = noisy_sir()
+        rng = np.random.default_rng(6)
+        j = 120
+        sd = rng.uniform(0.0, 0.5, j)
+        sd[::3] = 0.0
+        p = dict(SIR_PARAMS, beta=rng.uniform(0.2, 2.0, j),
+                 gamma=rng.uniform(0.1, 0.5, j), sigma_env=sd)
+        x = cm.init_state(p, size=j)
+        self.assert_same_steps(cm, x, p, steps=10, seed=7)
+
+    def test_capped_absolute_removals(self):
+        cm = compiled(DRAINED)
+        p = {"C0": 100.0, "mu": 0.5, "kappa": 60.0}
+        x = cm.init_state(p, size=300)
+        self.assert_same_steps(cm, x, p, steps=8, dt=1.0, seed=53)
+
+
+def random_closed_graph(n_comp, edges, rates, initial):
+    """A closed model over compartments C0..C{n-1} whose per-capita
+    reactions move members along the given edges."""
+    return compiled({
+        "ssm_model": 1,
+        "name": "closed",
+        "compartments": [{"name": f"C{i}", "initial": str(v)}
+                         for i, v in enumerate(initial[:n_comp])],
+        "parameters": [],
+        "reactions": [
+            {"from": f"C{a}", "to": f"C{b}",
+             "rate": f"{r!r}*(1 + C{b})/(1 + C{a} + C{b})"}
+            for (a, b), r in zip(edges, rates)
+        ],
+        "observations": [],
+    })
+
+
+def test_property_closed_graphs_conserve_mass():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 5))
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                              max_size=6, unique=True))
+        rates = draw(st.lists(st.floats(0.05, 3.0), min_size=len(edges),
+                              max_size=len(edges)))
+        initial = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+        return n, edges, rates, initial
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(graphs(), st.floats(0.05, 2.0),
+                      st.integers(0, 2**32 - 1))
+    def check(graph, dt, seed):
+        n, edges, rates, initial = graph
+        cm = random_closed_graph(n, edges, rates, initial)
+        total = float(sum(initial))
+        rng = np.random.default_rng(seed)
+        for formalism in ("psr", "jump"):
+            x = cm.init_state({}, size=6)
+            for i in range(4):
+                x = sim.advance(cm, x, i * dt, (i + 1) * dt, {}, rng=rng,
+                                formalism=formalism, dt=dt / 2)
+                comp = x[:, cm.comp_slice]
+                assert np.all(comp >= 0.0), formalism
+                assert np.all(comp.sum(axis=1) == total), formalism
+
+    check()
 
 
 class TestJump:
