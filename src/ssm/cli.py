@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -21,12 +22,14 @@ import sys
 import numpy as np
 
 from ssm.compiled import CompiledModel, DomainError
-from ssm.filters import FilterError, ekf_filter, ode_loglik, smc_filter
+from ssm.filters import FilterError
+# the benchmark tracer (perfbench/tracer.py) patches these two names here
+from ssm.filters import ekf_filter, smc_filter  # noqa: F401
 from ssm.forecast import forecast_rows
-from ssm.mcmc import Trace, ess, kmcmc_stage, pmcmc_stage
+from ssm.mcmc import BURN_FRACTION, Trace, ess, kmcmc_stage, pmcmc_stage
 from ssm.model import ModelError, load_model
 from ssm.observe import DataError, DataSet
-from ssm.optimize import maximize_stage, mif
+from ssm.optimize import attempt, backend, maximize_stage, mif
 from ssm.simulate import FORMALISMS, simulate_paths
 from ssm.theta import ThetaDocument, ThetaError
 
@@ -79,6 +82,14 @@ def _emit(doc):
 def _update_values(doc, space, values):
     for name in space.names:
         doc.values[name] = float(values[name])
+
+
+def _record_fit(doc, space, values, loglik):
+    """Write the document's log likelihood and the log posterior it gives
+    with the natural-scale prior at `values`; both always come from here so
+    they describe the same values."""
+    doc.log_likelihood = float(loglik)
+    doc.log_posterior = float(loglik + space.log_prior_natural(values))
 
 
 def _proposal_sigma(doc, space, default_sd=0.1):
@@ -161,21 +172,16 @@ def cmd_simulate(args):
     return 0
 
 
-def _score(args, stage, run_filter, describe=lambda res: ""):
-    """Score the document's values with one filter run: `run_filter(cm,
-    data, values)` gives the FilterResult, `describe(res)` the tail of the
-    summary line on stderr."""
+def _score(args, stage, kind, describe=lambda res: "", **options):
+    """Score the document's values with one run of the likelihood backend
+    `kind` (options as for `optimize.backend`); `describe(res)` gives the
+    tail of the summary line on stderr."""
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
     values = cm.spec.resolve_values(doc.values)
-    res = run_filter(cm, ds, values)
-    doc.log_likelihood = float(res.loglik)
-    space = cm.spec.free_parameters()
-    if space.dim:
-        doc.log_posterior = float(
-            res.loglik + space.log_prior_natural(values)
-        )
+    res = backend(cm, ds, args.t0, kind, dt=args.dt, **options)(values)
+    _record_fit(doc, cm.spec.free_parameters(), values, res.loglik)
     doc.record_stage(stage, _seed(args))
     _log(f"{stage}: log likelihood {res.loglik:.6f}{describe(res)}")
     _emit(doc)
@@ -183,13 +189,6 @@ def _score(args, stage, run_filter, describe=lambda res: ""):
 
 
 def cmd_smc(args):
-    def run(cm, ds, values):
-        return smc_filter(
-            cm, ds, values, args.t0, rng=np.random.default_rng(_seed(args)),
-            n_particles=args.n_particles, formalism=args.formalism,
-            dt=args.dt,
-        )
-
     def describe(res):
         text = f" (J={args.n_particles}, {args.formalism})"
         # instants after a filter failure hold no ESS
@@ -199,12 +198,13 @@ def cmd_smc(args):
                      f"mean {frac.mean():.3f}")
         return text
 
-    return _score(args, "smc", run, describe)
+    return _score(args, "smc", "smc", describe,
+                  rng=np.random.default_rng(_seed(args)),
+                  n_particles=args.n_particles, formalism=args.formalism)
 
 
 def cmd_kalman(args):
-    return _score(args, "kalman", lambda cm, ds, values: ekf_filter(
-        cm, ds, values, args.t0, dt=args.dt))
+    return _score(args, "kalman", "ekf")
 
 
 def _simplex_common(args, kind, stage):
@@ -255,10 +255,7 @@ def cmd_mif(args):
         formalism=args.formalism, dt=args.dt,
     )
     _update_values(doc, space, res.values)
-    doc.log_likelihood = float(res.log_likelihood)
-    doc.log_posterior = float(
-        res.log_likelihood + space.log_prior_natural(res.values)
-    )
+    _record_fit(doc, space, res.values, res.log_likelihood)
     doc.record_stage("mif", _seed(args), args.iterations)
     _log(f"mif: log likelihood {res.log_likelihood:.6f} "
          f"({res.failed_iterations} failed pass(es))")
@@ -266,34 +263,40 @@ def cmd_mif(args):
     return 0
 
 
-def cmd_kmcmc(args):
+def _chain(args, stage, run_stage, adapt, kind, **options):
+    """Shared body of kmcmc and pmcmc: run the chain, put its posterior mean
+    and covariance in the document, score the mean with the likelihood
+    backend `kind` (options as for `optimize.backend`) and write the trace.
+    `adapt` is the default of --adapt; None adapts when the document carries
+    no covariance."""
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
     space = cm.spec.free_parameters()
     base = cm.spec.resolve_values(doc.values)
-    sigma0 = _proposal_sigma(doc, space)
-    rng = np.random.default_rng(_seed(args))
-    adapt = True if args.adapt is None else args.adapt
-    res = kmcmc_stage(
-        cm, ds, space, base, args.t0, rng,
-        iterations=args.iterations, sigma0=sigma0, adapt=adapt, dt=args.dt,
+    if args.adapt is not None:
+        adapt = args.adapt
+    elif adapt is None:
+        adapt = doc.covariance_for(space) is None
+    res = run_stage(
+        cm, ds, space, base, args.t0, np.random.default_rng(_seed(args)),
+        iterations=args.iterations, sigma0=_proposal_sigma(doc, space),
+        adapt=adapt, dt=args.dt,
     )
     _update_values(doc, space, res.mean_values)
     doc.set_covariance(space.names, res.covariance)
     values = cm.spec.resolve_values(doc.values)
-    try:
-        doc.log_likelihood = float(
-            ekf_filter(cm, ds, values, args.t0, dt=args.dt).loglik
-        )
-        doc.log_posterior = float(
-            doc.log_likelihood + space.log_prior_natural(values)
-        )
-    except (DomainError, FilterError):
-        doc.log_likelihood = float(res.final_loglik)
-    doc.record_stage("kmcmc", _seed(args), args.iterations)
+    ll, _ = attempt(backend(cm, ds, args.t0, kind, dt=args.dt, **options),
+                    values)
+    _record_fit(doc, space, values, ll)
+    doc.record_stage(stage, _seed(args), args.iterations)
     _write_trace(res.trace, args.trace)
-    kept = res.trace.values[int(0.1 * len(res.trace)):]
+    return cm, doc, space, res
+
+
+def cmd_kmcmc(args):
+    _, doc, space, res = _chain(args, "kmcmc", kmcmc_stage, True, "ekf")
+    kept = res.trace.values[int(BURN_FRACTION * len(res.trace)):]
     min_ess = min(
         ess(kept[:, k]) for k in range(space.dim)
     ) if space.dim and len(kept) > 1 else 0.0
@@ -305,40 +308,14 @@ def cmd_kmcmc(args):
 
 
 def cmd_pmcmc(args):
-    cm = _load_compiled(args.model)
-    doc = _read_theta(args)
-    ds = _load_data(cm, args)
-    space = cm.spec.free_parameters()
-    base = cm.spec.resolve_values(doc.values)
-    sigma0 = _proposal_sigma(doc, space)
-    rng = np.random.default_rng(_seed(args))
-    if args.adapt is None:
-        adapt = doc.covariance_for(space) is None
-    else:
-        adapt = args.adapt
-    res = pmcmc_stage(
-        cm, ds, space, base, args.t0, rng,
-        iterations=args.iterations, sigma0=sigma0,
-        n_particles=args.n_particles, formalism=args.formalism,
-        adapt=adapt, dt=args.dt, keep_paths=args.paths is not None,
+    particles = dict(n_particles=args.n_particles, formalism=args.formalism)
+    stage = functools.partial(pmcmc_stage, keep_paths=args.paths is not None,
+                              **particles)
+    # the posterior mean is scored on a stream of its own
+    cm, doc, _, res = _chain(
+        args, "pmcmc", stage, None, "smc",
+        rng=np.random.default_rng(_seed(args) + 1), **particles,
     )
-    _update_values(doc, space, res.mean_values)
-    doc.set_covariance(space.names, res.covariance)
-    values = cm.spec.resolve_values(doc.values)
-    check_rng = np.random.default_rng(_seed(args) + 1)
-    try:
-        doc.log_likelihood = float(smc_filter(
-            cm, ds, values, args.t0, rng=check_rng,
-            n_particles=args.n_particles, formalism=args.formalism,
-            dt=args.dt,
-        ).loglik)
-        doc.log_posterior = float(
-            doc.log_likelihood + space.log_prior_natural(values)
-        )
-    except (DomainError, FilterError):
-        doc.log_likelihood = float(res.final_loglik)
-    doc.record_stage("pmcmc", _seed(args), args.iterations)
-    _write_trace(res.trace, args.trace)
     if args.paths is not None:
         with open(args.paths, "w", newline="") as fh:
             _write_path_csv(fh, cm, ("iteration", "time"), res.times,

@@ -43,16 +43,25 @@ def systematic_resample(weights, rng):
 
 
 def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
-               formalism="psr", dt=None, return_path=False):
+               formalism="psr", dt=None, return_path=False,
+               after_resample=None, log_weight=None):
     """Bootstrap particle filter with systematic resampling at every
     observation instant.
 
     The likelihood estimate multiplies, per instant, the mean unnormalized
     weight.  If every particle has zero weight the estimate is minus
     infinity and filtering stops early.
+
+    Parameter values may be per-particle columns.  `after_resample(i, idx)`,
+    when given, is called after the resampling at instant i with the
+    ancestor indices; it returns the parameters of the next interval and a
+    per-particle term added to the next instant's log weights, as
+    `log_weight` is to the first instant's.
     """
     j = n_particles
     x = cm.init_state(params, size=j)
+    if not np.all(np.isfinite(x)):
+        raise FilterError("non-finite initial state")
     n_obs = len(dataset)
     loglik = 0.0
     terms = np.full(n_obs, np.nan)
@@ -66,6 +75,8 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         x = advance(cm, x, prev_t, t, params, rng=rng, formalism=formalism,
                     dt=dt)
         logw = np.zeros(j)
+        if log_weight is not None:
+            logw += log_weight
         for stream, y in obs:
             o = cm.obs(stream)
             parts, _ = cm.obs_values(stream, x, t, params)
@@ -90,6 +101,8 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         x[:, cm.acc_slice] = 0.0
         if return_path:
             ancestry.append(idx)
+        if after_resample is not None:
+            params, log_weight = after_resample(i, idx)
         final_weights = norm
         prev_t = t
     path = None

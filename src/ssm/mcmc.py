@@ -20,12 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssm.compiled import DomainError
-from ssm.filters import FilterError, ekf_filter, smc_filter
+from ssm.filters import FilterError
+# the benchmark tracer (perfbench/tracer.py) patches these two names here
+from ssm.filters import ekf_filter, smc_filter  # noqa: F401
+from ssm.optimize import backend, log_posterior
 
 TARGET_ACCEPT = 0.234
 MIX_FIXED = 0.05
-BURN_FLOOR = 200
+BURN_FLOOR = 200        # draws from the fixed component before adapting
+ADAPT_COOLING = 0.999   # per-iteration decay of the step multiplier's rate
+BURN_FRACTION = 0.1     # leading share of a chain left out of its summaries
 
 
 @dataclass
@@ -118,8 +122,7 @@ class ChainResult:
     step_scale: float
 
 
-def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True,
-                   cooling=0.999, burn_floor=BURN_FLOOR):
+def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
     """Metropolis chain over `target(u) -> (loglik, logprior_u, payload)`.
 
     payload travels with the accepted state (the particle chain stores its
@@ -144,7 +147,7 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True,
     acc = np.zeros(iterations, dtype=bool)
     payloads = [None] * iterations
     for i in range(iterations):
-        use_fixed = (not adapt) or count <= burn_floor \
+        use_fixed = (not adapt) or count <= BURN_FLOOR \
             or rng.random() < MIX_FIXED
         if use_fixed:
             chol = chol_fixed
@@ -164,7 +167,7 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True,
         window.append(1.0 if accepted else 0.0)
         if adapt:
             rate = sum(window) / len(window)
-            lam *= np.exp((cooling ** i) * (rate - TARGET_ACCEPT))
+            lam *= np.exp((ADAPT_COOLING ** i) * (rate - TARGET_ACCEPT))
         usum = usum + u
         sq = sq + np.outer(u, u)
         count += 1
@@ -181,9 +184,9 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True,
     )
 
 
-def _finish(space, base_values, chain, burn_fraction=0.1):
+def _finish(space, base_values, chain):
     n = len(chain.loglik)
-    burn = int(np.floor(burn_fraction * n))
+    burn = int(BURN_FRACTION * n)
     kept = chain.unconstrained[burn:]
     mean_u = kept.mean(axis=0)
     cov_u = np.cov(kept.T, ddof=1).reshape(space.dim, space.dim) \
@@ -213,76 +216,43 @@ class McmcResult:
     mean_unconstrained: np.ndarray
     covariance: np.ndarray        # unconstrained scale, after burn-in
     acceptance_rate: float
-    final_loglik: float
     paths: list                   # (iteration, path array) pairs
     times: np.ndarray | None
 
 
-def kmcmc_stage(cm, dataset, space, base_values, t0, rng, *, iterations,
-                sigma0, adapt=True, dt=None, burn_fraction=0.1):
-    """Chain over the moment-filter likelihood."""
-
-    def target(u):
-        with np.errstate(all="ignore"):
-            lp = space.log_prior_unconstrained(u)
-            if not np.isfinite(lp):
-                return -np.inf, lp, None
-            values = dict(base_values)
-            values.update(space.to_natural(u))
-            try:
-                ll = ekf_filter(cm, dataset, values, t0, dt=dt).loglik
-            except (DomainError, FilterError):
-                return -np.inf, lp, None
-        return ll, lp, None
-
+def _chain_stage(space, base_values, run, rng, iterations, sigma0, adapt,
+                 times=None):
+    """Chain over the log posterior with the likelihood backend `run`."""
+    target = log_posterior(space, base_values, run)
     u0 = space.to_unconstrained(base_values)
     chain = adaptive_chain(target, u0, sigma0, rng, iterations, adapt=adapt)
-    trace, mean_values, mean_u, cov_u = _finish(space, base_values, chain,
-                                                burn_fraction)
-    return McmcResult(
-        trace=trace, mean_values=mean_values, mean_unconstrained=mean_u,
-        covariance=cov_u, acceptance_rate=chain.acceptance_rate,
-        final_loglik=float(chain.loglik[-1]), paths=[], times=None,
-    )
-
-
-def pmcmc_stage(cm, dataset, space, base_values, t0, rng, *, iterations,
-                sigma0, n_particles=500, formalism="psr", adapt=False,
-                dt=None, burn_fraction=0.1, keep_paths=True):
-    """Pseudo-marginal chain over the particle-filter estimate.
-
-    The incumbent's estimate is stored, never refreshed; each accepted state
-    carries one trajectory drawn from the filter's ancestry."""
-
-    def target(u):
-        with np.errstate(all="ignore"):
-            lp = space.log_prior_unconstrained(u)
-            if not np.isfinite(lp):
-                return -np.inf, lp, None
-            values = dict(base_values)
-            values.update(space.to_natural(u))
-            try:
-                res = smc_filter(
-                    cm, dataset, values, t0, rng=rng,
-                    n_particles=n_particles, formalism=formalism, dt=dt,
-                    return_path=keep_paths,
-                )
-            except (DomainError, FilterError):
-                return -np.inf, lp, None
-        if not np.isfinite(res.loglik):
-            return -np.inf, lp, None
-        return res.loglik, lp, res.path
-
-    u0 = space.to_unconstrained(base_values)
-    chain = adaptive_chain(target, u0, sigma0, rng, iterations, adapt=adapt)
-    trace, mean_values, mean_u, cov_u = _finish(space, base_values, chain,
-                                                burn_fraction)
+    trace, mean_values, mean_u, cov_u = _finish(space, base_values, chain)
     paths = [
         (i, p) for i, p in enumerate(chain.payloads) if p is not None
     ]
     return McmcResult(
         trace=trace, mean_values=mean_values, mean_unconstrained=mean_u,
         covariance=cov_u, acceptance_rate=chain.acceptance_rate,
-        final_loglik=float(chain.loglik[-1]), paths=paths,
-        times=dataset.times,
+        paths=paths, times=times,
     )
+
+
+def kmcmc_stage(cm, dataset, space, base_values, t0, rng, *, iterations,
+                sigma0, adapt=True, dt=None):
+    """Chain over the moment-filter likelihood."""
+    return _chain_stage(space, base_values,
+                        backend(cm, dataset, t0, "ekf", dt=dt), rng,
+                        iterations, sigma0, adapt)
+
+
+def pmcmc_stage(cm, dataset, space, base_values, t0, rng, *, iterations,
+                sigma0, n_particles=500, formalism="psr", adapt=False,
+                dt=None, keep_paths=True):
+    """Pseudo-marginal chain over the particle-filter estimate.
+
+    The incumbent's estimate is stored, never refreshed; each accepted state
+    carries one trajectory drawn from the filter's ancestry."""
+    run = backend(cm, dataset, t0, "smc", rng=rng, n_particles=n_particles,
+                  formalism=formalism, dt=dt, return_path=keep_paths)
+    return _chain_stage(space, base_values, run, rng, iterations, sigma0,
+                        adapt, times=dataset.times)

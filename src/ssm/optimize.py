@@ -14,10 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssm.compiled import DomainError
-from ssm.filters import FilterError, ekf_filter, ode_loglik, smc_filter, \
-    systematic_resample
-from ssm.observe import stream_loglik
-from ssm.simulate import advance
+from ssm.filters import FilterError, ekf_filter, ode_loglik, smc_filter
+# the benchmark tracer (perfbench/tracer.py) patches these two names here
+from ssm.filters import systematic_resample  # noqa: F401
+from ssm.observe import stream_loglik  # noqa: F401
+
+# variance factor of the regular parameters' perturbation at the initial
+# time of a pass, relative to one unit of time of random walk
+INITIAL_VARIANCE_FACTOR = 2.0
 
 
 @dataclass
@@ -30,12 +34,12 @@ class SimplexResult:
     values: np.ndarray
 
 
-def nelder_mead(f, x0, step=0.1, iterations=300, xtol=1e-5, ftol=0.0):
+def nelder_mead(f, x0, step=0.1, iterations=300, xtol=1e-5):
     """Maximize f by the Nelder-Mead simplex method.
 
     The initial simplex is x0 plus `step` along each coordinate.  Search
-    stops when every vertex is within xtol of the best one, when the value
-    spread is at or below ftol, or after `iterations` reflections.  A
+    stops when every vertex is within xtol of the best one, when all
+    vertices have the same value, or after `iterations` reflections.  A
     constant objective therefore stops before any move, leaving the simplex
     untouched.
     """
@@ -58,7 +62,7 @@ def nelder_mead(f, x0, step=0.1, iterations=300, xtol=1e-5, ftol=0.0):
         finite = g[np.isfinite(g)]
         spread_x = np.max(np.abs(simplex[1:] - simplex[0]))
         spread_f = (finite.max() - finite.min()) if finite.size else np.inf
-        if len(finite) == len(g) and (spread_x <= xtol or spread_f <= ftol):
+        if len(finite) == len(g) and (spread_x <= xtol or spread_f == 0.0):
             converged = True
             break
         if n_iter >= iterations:
@@ -103,56 +107,72 @@ def nelder_mead(f, x0, step=0.1, iterations=300, xtol=1e-5, ftol=0.0):
     )
 
 
-def posterior_objective(cm, dataset, space, base_values, t0,
-                        dt=None, kind="ode"):
-    """Unconstrained-scale log posterior with the likelihood from either the
-    deterministic trajectory or the moment filter.  Invalid regions map to
-    minus infinity so the simplex walks around them."""
+def backend(cm, dataset, t0, kind, *, dt=None, rng=None, n_particles=500,
+            formalism="psr", return_path=False):
+    """The likelihood of one backend as `values -> FilterResult`: the
+    deterministic trajectory ("ode"), the moment filter ("ekf") or the
+    particle filter ("smc", drawing from `rng`)."""
+    if kind == "ode":
+        return lambda values: ode_loglik(cm, dataset, values, t0, dt=dt)
+    if kind == "ekf":
+        return lambda values: ekf_filter(cm, dataset, values, t0, dt=dt)
+    return lambda values: smc_filter(
+        cm, dataset, values, t0, rng=rng, n_particles=n_particles,
+        formalism=formalism, dt=dt, return_path=return_path,
+    )
 
-    def objective(u):
+
+def attempt(run, values):
+    """(log likelihood, path) of the backend `run` at natural-scale values;
+    minus infinity where it fails or gives a non-finite estimate."""
+    try:
         # probing far corners is expected to overflow into the -inf branch
         with np.errstate(all="ignore"):
-            log_prior = space.log_prior_unconstrained(u)
-            if not np.isfinite(log_prior):
-                return -np.inf
+            res = run(values)
+    except (DomainError, FilterError):
+        return -np.inf, None
+    if not np.isfinite(res.loglik):
+        return -np.inf, None
+    return res.loglik, res.path
+
+
+def log_posterior(space, base_values, run):
+    """The target every fitting stage climbs or samples:
+    `u -> (log likelihood, log prior on the unconstrained scale, path)` for
+    the backend `run`.  Invalid regions get a minus-infinity likelihood, so
+    the simplex walks around them and the chain rejects them."""
+
+    def target(u):
+        with np.errstate(all="ignore"):
+            lp = space.log_prior_unconstrained(u)
+            if not np.isfinite(lp):
+                return -np.inf, lp, None
             values = dict(base_values)
             values.update(space.to_natural(u))
-            try:
-                if kind == "ode":
-                    ll = ode_loglik(cm, dataset, values, t0, dt=dt).loglik
-                else:
-                    ll = ekf_filter(cm, dataset, values, t0, dt=dt).loglik
-            except (DomainError, FilterError):
-                return -np.inf
-        if not np.isfinite(ll):
-            return -np.inf
-        return ll + log_prior
+        ll, path = attempt(run, values)
+        return ll, lp, path
 
-    return objective
+    return target
 
 
 def maximize_stage(cm, dataset, space, base_values, t0, kind,
-                   iterations=300, step=0.1, dt=None, xtol=1e-5,
-                   ftol=0.0):
+                   iterations=300, step=0.1, dt=None, xtol=1e-5):
     """Run the simplex on the chosen likelihood backend; returns the merged
     natural-scale values and the likelihood decomposition at the optimum."""
-    objective = posterior_objective(cm, dataset, space, base_values, t0,
-                                    dt=dt, kind=kind)
-    u0 = space.to_unconstrained(base_values)
-    res = nelder_mead(objective, u0, step=step, iterations=iterations,
-                      xtol=xtol, ftol=ftol)
+    target = log_posterior(space, base_values,
+                           backend(cm, dataset, t0, kind, dt=dt))
+
+    def objective(u):
+        ll, lp, _ = target(u)
+        return ll + lp if np.isfinite(ll) else -np.inf
+
+    res = nelder_mead(objective, space.to_unconstrained(base_values),
+                      step=step, iterations=iterations, xtol=xtol)
     values = dict(base_values)
     values.update(space.to_natural(res.x))
-    try:
-        if kind == "ode":
-            ll = ode_loglik(cm, dataset, values, t0, dt=dt).loglik
-        else:
-            ll = ekf_filter(cm, dataset, values, t0, dt=dt).loglik
-    except (DomainError, FilterError):
-        ll = -np.inf
     return {
         "values": values,
-        "log_likelihood": ll,
+        "log_likelihood": target(res.x)[0],
         "log_posterior": res.value,
         "iterations": res.iterations,
         "converged": res.converged,
@@ -172,7 +192,7 @@ class MifResult:
 
 
 def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
-        n_particles=500, iterations=30, cooling=0.975, prior_tempering=2.0,
+        n_particles=500, iterations=30, cooling=0.975,
         ic_time_fraction=0.75, formalism="psr", dt=None):
     """Iterated filtering.
 
@@ -192,7 +212,6 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
     pass.  A pass whose weights all vanish is discarded without cooling.
     """
     names = space.names
-    d = space.dim
     sds = np.array([float(perturbation_sd.get(n, 0.0)) for n in names])
     roles = [p.role for p in space.params]
     reg = np.array([s > 0 and r == "estimated" for s, r in zip(sds, roles)])
@@ -202,30 +221,29 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
     theta = space.to_unconstrained(base_values)
     n_obs = len(dataset)
     t_ic = max(0, min(n_obs - 1, int(round(ic_time_fraction * n_obs)) - 1))
+    final = backend(cm, dataset, t0, "smc", rng=rng, n_particles=n_particles,
+                    formalism=formalism, dt=dt)
 
     def merged(u_vec):
         out = dict(base_values)
         out.update(space.to_natural(u_vec))
         return out
 
-    def final_loglik(u_vec):
-        try:
-            return smc_filter(
-                cm, dataset, merged(u_vec), t0,
-                rng=rng, n_particles=n_particles, formalism=formalism, dt=dt,
-            ).loglik
-        except (DomainError, FilterError):
-            return -np.inf
+    def columns(u):
+        out = dict(base_values)
+        out.update(space.natural_columns(u))
+        return out
 
     theta_trace = [theta.copy()]
     ll_trace = []
     if not np.any(reg | ics) or n_obs == 0:
-        ll = final_loglik(theta)
+        ll = attempt(final, merged(theta))[0]
         return MifResult(merged(theta), ll, np.array(theta_trace),
                          np.array([ll]), 0)
 
     j = n_particles
     n_reg = int(reg.sum())
+    lags = np.diff(dataset.times, prepend=t0)
     completed = 0
     failures = 0
     consecutive_failures = 0
@@ -233,77 +251,54 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
         a_m = cooling ** completed
         u = np.tile(theta, (j, 1))
         u[:, reg] += rng.standard_normal((j, n_reg)) * np.sqrt(
-            prior_tempering * a_m
+            INITIAL_VARIANCE_FACTOR * a_m
         ) * sds[reg]
         u[:, ics] += rng.standard_normal((j, int(ics.sum()))) * np.sqrt(
             a_m
         ) * sds[ics]
+        mean_prev = theta[reg]
+        increment = np.zeros(n_reg)
+        v_first = None
+        ic_estimate = None
+
+        def rejuvenate(i, idx):
+            nonlocal u, mean_prev, increment, v_first, ic_estimate
+            u = u[idx]
+            if i == t_ic:
+                ic_estimate = u[:, ics].mean(axis=0)
+            if n_reg:
+                mean_i = u[:, reg].mean(axis=0)
+                u[:, reg] += rng.standard_normal((j, n_reg)) * np.sqrt(
+                    a_m * lags[i]
+                ) * sds[reg]
+                # the swarm variance is taken after rejuvenation so the
+                # fresh noise keeps it away from singularity even when
+                # resampling has collapsed the selected values
+                sel = u[:, reg]
+                v_i = np.cov(sel.T, ddof=1).reshape(n_reg, n_reg)
+                if v_first is None:
+                    v_first = v_i
+                increment += np.linalg.pinv(v_i) @ (mean_i - mean_prev)
+                mean_prev = mean_i
+            return columns(u), space.log_prior_unconstrained(u) / n_obs
 
         with np.errstate(all="ignore"):
-            params = dict(base_values)
-            params.update(space.natural_columns(u))
             try:
-                x = cm.init_state(params, size=j)
+                ll = smc_filter(
+                    cm, dataset, columns(u), t0, rng=rng, n_particles=j,
+                    formalism=formalism, dt=dt, after_resample=rejuvenate,
+                    log_weight=space.log_prior_unconstrained(u) / n_obs,
+                ).loglik
             except (DomainError, FilterError):
-                x = np.full((j, cm.nx), np.nan)
-            prev_t = t0
-            ll = 0.0
-            mean_prev = theta[reg]
-            increment = np.zeros(n_reg)
-            v_first = None
-            ic_estimate = None
-            ok = bool(np.all(np.isfinite(x)))
-            for i, (t, obs) in enumerate(dataset):
-                if not ok:
-                    break
-                try:
-                    x = advance(cm, x, prev_t, t, params, rng=rng,
-                                formalism=formalism, dt=dt)
-                except (DomainError, FilterError):
-                    ok = False
-                    break
-                logw = space.log_prior_unconstrained(u) / n_obs
-                for stream, y in obs:
-                    o = cm.obs(stream)
-                    parts, _ = cm.obs_values(stream, x, t, params)
-                    logw += stream_loglik(o.kind, parts, y)
-                peak = np.max(logw)
-                if not np.isfinite(peak):
-                    ok = False
-                    break
-                w = np.exp(logw - peak)
-                ll += peak + np.log(w.sum() / j)
-                idx = systematic_resample(w / w.sum(), rng)
-                u = u[idx]
-                x = x[idx]
-                x[:, cm.acc_slice] = 0.0
-                if i == t_ic:
-                    ic_estimate = u[:, ics].mean(axis=0)
-                gap = t - prev_t
-                if n_reg:
-                    mean_i = u[:, reg].mean(axis=0)
-                    u[:, reg] += rng.standard_normal((j, n_reg)) * np.sqrt(
-                        a_m * gap
-                    ) * sds[reg]
-                    # the swarm variance is taken after rejuvenation so the
-                    # fresh noise keeps it away from singularity even when
-                    # resampling has collapsed the selected values
-                    sel = u[:, reg]
-                    v_i = np.cov(sel.T, ddof=1).reshape(n_reg, n_reg)
-                    if v_first is None:
-                        v_first = v_i
-                    increment += np.linalg.pinv(v_i) @ (mean_i - mean_prev)
-                    mean_prev = mean_i
-                params = dict(base_values)
-                params.update(space.natural_columns(u))
-                prev_t = t
+                ll = -np.inf
+        ok = bool(np.isfinite(ll))
         proposal = theta.copy()
         if ok and n_reg:
             delta = v_first @ increment
             # a healthy pass moves by a fraction of the perturbation scale;
             # a pseudo-inverse of a collapsed particle covariance can throw
             # the estimate anywhere, and such a pass is a failed pass
-            limit = 5.0 * np.sqrt(prior_tempering * a_m) * sds[reg]
+            limit = 5.0 * np.sqrt(INITIAL_VARIANCE_FACTOR * a_m) * sds[reg]
             if not np.all(np.isfinite(delta)) or np.any(np.abs(delta) > limit):
                 ok = False
             else:
@@ -325,10 +320,9 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
         completed += 1
         theta_trace.append(theta.copy())
         ll_trace.append(ll)
-    final_ll = final_loglik(theta)
     return MifResult(
         values=merged(theta),
-        log_likelihood=final_ll,
+        log_likelihood=attempt(final, merged(theta))[0],
         theta_trace=np.array(theta_trace),
         loglik_trace=np.array(ll_trace),
         failed_iterations=failures,

@@ -182,6 +182,72 @@ class TestScore:
             assert np.isfinite(doc["log_posterior"])
 
 
+class TestScorePairing:
+    """A stage's log_posterior is its own log_likelihood plus the log prior
+    of the values it emits, never a figure left by an earlier stage."""
+
+    STALE = {"ssm_theta": 1, "values": {"beta": 1.6, "gamma": 1.1},
+             "log_likelihood": -1.0, "log_posterior": 123.0}
+
+    def emitted(self, capsys, tmp_path, argv):
+        from ssm import cli
+
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(self.STALE))
+        assert cli.main([*argv, "--theta", str(theta)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("stage, name, extra", [
+        ("kmcmc", "ekf_filter", ["--dt", "0.5"]),
+        ("pmcmc", "smc_filter", ["--n-particles", "20", "--formalism",
+                                 "sde"]),
+    ])
+    def test_failed_rescoring(self, monkeypatch, capsys, tmp_path, stage,
+                              name, extra):
+        # the filter fails only on the call that rescores the posterior
+        # mean, once the chain has been summarised
+        from ssm import cli, filters, mcmc, optimize
+        from ssm.filters import FilterError
+
+        armed = []
+        finish = mcmc._finish
+
+        def finish_then_arm(*args, **kwargs):
+            armed.append(True)
+            return finish(*args, **kwargs)
+
+        original = getattr(filters, name)
+
+        def failing(*args, **kwargs):
+            if armed:
+                raise FilterError("injected rescoring failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "_finish", finish_then_arm)
+        for module in (cli, mcmc, optimize):
+            monkeypatch.setattr(module, name, failing)
+        doc = self.emitted(capsys, tmp_path, [
+            stage, "--model", SIR, "--data", SIR_DATA, "--iterations", "4",
+            "--trace", str(tmp_path / "trace.csv"), "--seed", "3", *extra])
+        space = cli.load_model(SIR).free_parameters()
+        assert doc["log_posterior"] != self.STALE["log_posterior"]
+        assert doc["log_posterior"] == \
+            doc["log_likelihood"] + space.log_prior_natural(doc["values"])
+
+    def test_model_without_free_parameters(self, capsys, tmp_path):
+        spec = json.loads(Path(SIR).read_text())
+        for p in spec["parameters"]:
+            if p["name"] in self.STALE["values"]:
+                p["prior"] = {"dirac": self.STALE["values"][p["name"]]}
+                p["role"] = "fixed"
+        model = tmp_path / "fixed.json"
+        model.write_text(json.dumps(spec))
+        doc = self.emitted(capsys, tmp_path, [
+            "kalman", "--model", str(model), "--data", SIR_DATA])
+        assert doc["log_likelihood"] != self.STALE["log_likelihood"]
+        assert doc["log_posterior"] == doc["log_likelihood"]
+
+
 class TestSimulate:
     def test_closed_pipe_is_a_clean_exit(self):
         # `ssm simulate ... | head -1`: far more rows than a pipe buffers,

@@ -172,6 +172,84 @@ class TestSmcMechanics:
         assert a == b
 
 
+SIR_P = {"beta": 0.5, "gamma": 0.25, "N": 1000.0, "I0": 10.0}
+SIR_CASES = [3, 4, 6, 9, 11, 15, 14]
+
+
+class TestResampleHook:
+    """The hook that iterated filtering rides on leaves the filter as it is
+    when it changes nothing."""
+
+    J = 200
+
+    def setup_for(self, model):
+        if model == "local_level":
+            cm = CompiledModel(local_level_model())
+            ds = make_dataset(np.arange(1.0, len(LL_DATA) + 1.0),
+                              {"y": LL_DATA})
+            return cm, ds, LL_PARAMS, "sde"
+        cm = CompiledModel(sir_model())
+        ds = make_dataset(np.arange(1.0, len(SIR_CASES) + 1.0),
+                          {"cases_obs": SIR_CASES})
+        return cm, ds, SIR_P, "psr"
+
+    def run(self, model, params=None, **kwargs):
+        cm, ds, p, formalism = self.setup_for(model)
+        rng = np.random.default_rng(11)
+        res = fl.smc_filter(cm, ds, p if params is None else params, t0=0.0,
+                            rng=rng, n_particles=self.J, formalism=formalism,
+                            **kwargs)
+        return res, rng.bit_generator.state
+
+    def assert_same(self, a, b):
+        (ra, sa), (rb, sb) = a, b
+        assert ra.loglik == rb.loglik
+        assert np.array_equal(ra.loglik_terms, rb.loglik_terms)
+        assert np.array_equal(ra.ess, rb.ess)
+        assert np.array_equal(ra.means, rb.means)
+        assert sa == sb
+
+    @pytest.mark.parametrize("model", ["local_level", "sir"])
+    def test_noop_hook_changes_nothing(self, model):
+        _, ds, p, _ = self.setup_for(model)
+        seen = []
+
+        def hook(i, idx):
+            seen.append(i)
+            assert idx.shape == (self.J,)
+            return p, np.zeros(self.J)
+
+        self.assert_same(self.run(model),
+                         self.run(model, after_resample=hook,
+                                  log_weight=np.zeros(self.J)))
+        assert seen == list(range(len(ds)))
+
+    @pytest.mark.parametrize("model", ["local_level", "sir"])
+    def test_parameter_columns_equal_scalars(self, model):
+        _, _, p, _ = self.setup_for(model)
+        columns = {k: np.full(self.J, v) for k, v in p.items()}
+        self.assert_same(self.run(model), self.run(model, params=columns))
+
+    @pytest.mark.parametrize("model", ["local_level", "sir"])
+    def test_constant_log_weight_shifts_each_term(self, model):
+        # a term shared by every particle cancels from the normalised
+        # weights: the draws are the same and each instant gains it once
+        _, ds, p, _ = self.setup_for(model)
+        c = -0.75
+
+        def hook(i, idx):
+            return p, np.full(self.J, c)
+
+        (ra, sa) = self.run(model)
+        (rb, sb) = self.run(model, after_resample=hook,
+                            log_weight=np.full(self.J, c))
+        assert rb.loglik_terms == pytest.approx(ra.loglik_terms + c,
+                                                abs=1e-12)
+        assert rb.loglik == pytest.approx(ra.loglik + c * len(ds), abs=1e-9)
+        assert rb.ess == pytest.approx(ra.ess, rel=1e-12)
+        assert sa == sb
+
+
 INFLOW = {
     "ssm_model": 1,
     "name": "arrivals",

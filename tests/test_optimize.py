@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import local_level_model, sir_model
-from ssm.compiled import CompiledModel
+from ssm.compiled import CompiledModel, DomainError
+from ssm.filters import FilterError
 from ssm import optimize as opt
 from ssm import simulate as sim
 from ssm.observe import DataSet
@@ -152,10 +153,66 @@ class TestTrajectoryStage:
         space = spec.free_parameters()
         ds = make_dataset([1.0], {"cases_obs": [3]})
         base = spec.resolve_values({"beta": 0.5, "gamma": 0.25})
-        objective = opt.posterior_objective(cm, ds, space, base, t0=0.0,
-                                            kind="ode")
+        target = opt.log_posterior(space, base,
+                                   opt.backend(cm, ds, 0.0, "ode"))
+
+        def objective(u):
+            return target(u)[0]
+
         # log scale: a coordinate far outside the prior support
         assert objective(np.array([50.0, 0.0])) == -np.inf
+
+
+BACKENDS = [("ode", "ode_loglik"), ("ekf", "ekf_filter"),
+            ("smc", "smc_filter")]
+
+
+class TestLogPosterior:
+    """The one target behind simplex, kmcmc and pmcmc maps every invalid
+    point to a minus-infinity likelihood, whatever the backend."""
+
+    def target(self, kind):
+        spec = sir_model()
+        cm = CompiledModel(spec)
+        space = spec.free_parameters()
+        ds = make_dataset([1.0, 2.0, 3.0], {"cases_obs": [3, 4, 6]})
+        base = spec.resolve_values({"beta": 0.5, "gamma": 0.25})
+        run = opt.backend(cm, ds, 0.0, kind, rng=np.random.default_rng(4),
+                          n_particles=50)
+        return opt.log_posterior(space, base, run), space
+
+    @pytest.mark.parametrize("kind, name", BACKENDS)
+    def test_valid_point_is_finite(self, kind, name):
+        target, space = self.target(kind)
+        u = np.log([0.5, 0.25])
+        ll, lp, _ = target(u)
+        assert np.isfinite(ll)
+        assert lp == space.log_prior_unconstrained(u)
+
+    @pytest.mark.parametrize("kind, name", BACKENDS)
+    def test_outside_prior_support(self, monkeypatch, kind, name):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("backend called outside the prior support")
+
+        monkeypatch.setattr(opt, name, unreachable)
+        target, _ = self.target(kind)
+        ll, lp, path = target(np.array([50.0, 0.0]))
+        assert ll == -np.inf
+        assert not np.isfinite(lp)
+        assert path is None
+
+    @pytest.mark.parametrize("error", [DomainError, FilterError])
+    @pytest.mark.parametrize("kind, name", BACKENDS)
+    def test_backend_failure(self, monkeypatch, kind, name, error):
+        def failing(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(opt, name, failing)
+        target, _ = self.target(kind)
+        ll, lp, path = target(np.log([0.5, 0.25]))
+        assert ll == -np.inf
+        assert np.isfinite(lp)
+        assert path is None
 
 
 class TestIteratedFiltering:
