@@ -1,10 +1,13 @@
 """Maximization: simplex search and iterated filtering.
 
-Both operate on the unconstrained parameter scale.  The simplex drives a
-deterministic objective (trajectory or moment-filter posterior); iterated
-filtering perturbs parameters particle-wise inside a filter, cooling the
-perturbation between passes, and moves the estimate by covariance-weighted
-increments of the filtered parameter means.
+Both operate on the unconstrained parameter scale and climb the one log
+posterior of `log_posterior`, whose likelihood comes from one of the
+backends of `backend`.  The simplex drives a deterministic objective
+(trajectory or moment-filter posterior).  Iterated filtering is IF2
+(Ionides, Nguyen, Atchade, Stoev & King 2015, PNAS 112:719): it perturbs
+the parameters particle-wise inside the particle filter, through the
+filter's resampling hook, cooling the perturbation between passes, and takes
+the mean of the final filtered parameter swarm as the new estimate.
 """
 
 from __future__ import annotations
@@ -192,27 +195,24 @@ class MifResult:
 
 
 def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
-        n_particles=500, iterations=30, cooling=0.975,
-        ic_time_fraction=0.75, formalism="psr", dt=None):
-    """Iterated filtering.
+        n_particles=500, iterations=30, cooling=0.975, formalism="psr",
+        dt=None):
+    """Iterated filtering by the IF2 update of Ionides, Nguyen, Atchade,
+    Stoev & King (2015, PNAS 112:719).
 
-    Each pass runs a particle filter in which every particle carries its own
-    parameter vector: regular parameters are drawn around the current
-    estimate with variance b * a^(m-1) * sd^2 at the initial time and then
-    random-walk rejuvenated after each resampling with per-gap variance
-    a^(m-1) * gap * sd^2; initial-condition parameters are perturbed at the
-    initial time only.  Weights carry a 1/n power of the prior so that n
-    observations jointly apply it once.  After a pass, the estimate moves by
-
-        theta += V(t_1) * sum_i V(t_i)^+ (mean_i - mean_{i-1})
-
-    over the filtered parameter means, and the initial-condition estimate
-    jumps to its filtered mean at the time fraction `ic_time_fraction`
-    through the record.  The perturbation cools by `cooling` per completed
-    pass.  A pass whose weights all vanish is discarded without cooling.
+    Each pass runs the particle filter with a parameter vector per particle.
+    Regular parameters start from the current estimate with a perturbation
+    of variance b * a^(m-1) * sd^2 (b = INITIAL_VARIANCE_FACTOR) and take a
+    random-walk step of variance a^(m-1) * gap * sd^2 after each resampling
+    but the last; initial-condition parameters are perturbed at the initial
+    time only.  Weights carry a 1/n power of the prior, so that n
+    observations jointly apply it once.  The new estimate is the mean of the
+    filtered parameter swarm at the last instant.  The perturbation cools by
+    `cooling` per completed pass.  A pass whose filter fails or whose
+    weights all vanish is discarded without cooling; ten in a row raise
+    FilterError.
     """
-    names = space.names
-    sds = np.array([float(perturbation_sd.get(n, 0.0)) for n in names])
+    sds = np.array([float(perturbation_sd.get(n, 0.0)) for n in space.names])
     roles = [p.role for p in space.params]
     reg = np.array([s > 0 and r == "estimated" for s, r in zip(sds, roles)])
     ics = np.array(
@@ -220,7 +220,6 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
     )
     theta = space.to_unconstrained(base_values)
     n_obs = len(dataset)
-    t_ic = max(0, min(n_obs - 1, int(round(ic_time_fraction * n_obs)) - 1))
     final = backend(cm, dataset, t0, "smc", rng=rng, n_particles=n_particles,
                     formalism=formalism, dt=dt)
 
@@ -256,30 +255,14 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
         u[:, ics] += rng.standard_normal((j, int(ics.sum()))) * np.sqrt(
             a_m
         ) * sds[ics]
-        mean_prev = theta[reg]
-        increment = np.zeros(n_reg)
-        v_first = None
-        ic_estimate = None
 
         def rejuvenate(i, idx):
-            nonlocal u, mean_prev, increment, v_first, ic_estimate
+            nonlocal u
             u = u[idx]
-            if i == t_ic:
-                ic_estimate = u[:, ics].mean(axis=0)
-            if n_reg:
-                mean_i = u[:, reg].mean(axis=0)
+            if i + 1 < n_obs:
                 u[:, reg] += rng.standard_normal((j, n_reg)) * np.sqrt(
                     a_m * lags[i]
                 ) * sds[reg]
-                # the swarm variance is taken after rejuvenation so the
-                # fresh noise keeps it away from singularity even when
-                # resampling has collapsed the selected values
-                sel = u[:, reg]
-                v_i = np.cov(sel.T, ddof=1).reshape(n_reg, n_reg)
-                if v_first is None:
-                    v_first = v_i
-                increment += np.linalg.pinv(v_i) @ (mean_i - mean_prev)
-                mean_prev = mean_i
             return columns(u), space.log_prior_unconstrained(u) / n_obs
 
         with np.errstate(all="ignore"):
@@ -291,23 +274,9 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
                 ).loglik
             except (DomainError, FilterError):
                 ll = -np.inf
-        ok = bool(np.isfinite(ll))
         proposal = theta.copy()
-        if ok and n_reg:
-            delta = v_first @ increment
-            # a healthy pass moves by a fraction of the perturbation scale;
-            # a pseudo-inverse of a collapsed particle covariance can throw
-            # the estimate anywhere, and such a pass is a failed pass
-            limit = 5.0 * np.sqrt(INITIAL_VARIANCE_FACTOR * a_m) * sds[reg]
-            if not np.all(np.isfinite(delta)) or np.any(np.abs(delta) > limit):
-                ok = False
-            else:
-                proposal[reg] = proposal[reg] + delta
-        if ok and np.any(ics) and ic_estimate is not None:
-            proposal[ics] = ic_estimate
-        if ok and not np.all(np.isfinite(proposal)):
-            ok = False
-        if not ok:
+        proposal[reg | ics] = u[:, reg | ics].mean(axis=0)
+        if not (np.isfinite(ll) and np.all(np.isfinite(proposal))):
             failures += 1
             consecutive_failures += 1
             if consecutive_failures >= 10:
