@@ -207,7 +207,8 @@ def cmd_kalman(args):
     return _score(args, "kalman", "ekf")
 
 
-def _simplex_common(args, kind, stage):
+def cmd_simplex(args, kind, stage):
+    """simplex and ksimplex: the simplex on the likelihood backend `kind`."""
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
@@ -226,14 +227,6 @@ def _simplex_common(args, kind, stage):
          f"{'converged' if out['converged'] else 'not converged'}")
     _emit(doc)
     return 0
-
-
-def cmd_simplex(args):
-    return _simplex_common(args, "ode", "simplex")
-
-
-def cmd_ksimplex(args):
-    return _simplex_common(args, "ekf", "ksimplex")
 
 
 def cmd_mif(args):
@@ -464,9 +457,9 @@ def build_parser():
     _opt_t0(p)
     p.set_defaults(func=cmd_kalman)
 
-    for name, describe in (
-        ("simplex", "maximize the trajectory-matching posterior"),
-        ("ksimplex", "maximize the moment-filter posterior"),
+    for name, kind, describe in (
+        ("simplex", "ode", "maximize the trajectory-matching posterior"),
+        ("ksimplex", "ekf", "maximize the moment-filter posterior"),
     ):
         p = sub.add_parser(name, help=describe)
         _opt_model(p)
@@ -477,8 +470,8 @@ def build_parser():
         p.add_argument("--iterations", type=int, default=300)
         p.add_argument("--step", type=float, default=0.1,
                        help="initial simplex edge on the unconstrained scale")
-        p.set_defaults(func=cmd_simplex if name == "simplex"
-                       else cmd_ksimplex)
+        p.set_defaults(func=functools.partial(cmd_simplex, kind=kind,
+                                              stage=name))
 
     p = sub.add_parser("mif", help="iterated filtering")
     _opt_model(p)

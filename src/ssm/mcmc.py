@@ -115,11 +115,9 @@ def _cholesky(cov):
 class ChainResult:
     unconstrained: np.ndarray
     loglik: np.ndarray
-    logprior_u: np.ndarray
     accepted: np.ndarray
     payloads: list
     acceptance_rate: float
-    step_scale: float
 
 
 def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
@@ -143,7 +141,6 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
     window = deque(maxlen=100)
     us = np.empty((iterations, d))
     lls = np.empty(iterations)
-    lps = np.empty(iterations)
     acc = np.zeros(iterations, dtype=bool)
     payloads = [None] * iterations
     for i in range(iterations):
@@ -173,14 +170,12 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
         count += 1
         us[i] = u
         lls[i] = ll
-        lps[i] = lp
         acc[i] = accepted
         payloads[i] = payload if accepted else None
     return ChainResult(
-        unconstrained=us, loglik=lls, logprior_u=lps, accepted=acc,
+        unconstrained=us, loglik=lls, accepted=acc,
         payloads=payloads,
         acceptance_rate=float(acc.mean()) if iterations else 0.0,
-        step_scale=lam,
     )
 
 
@@ -188,7 +183,6 @@ def _finish(space, base_values, chain):
     n = len(chain.loglik)
     burn = int(BURN_FRACTION * n)
     kept = chain.unconstrained[burn:]
-    mean_u = kept.mean(axis=0)
     cov_u = np.cov(kept.T, ddof=1).reshape(space.dim, space.dim) \
         if len(kept) > 1 else np.zeros((space.dim, space.dim))
     values = np.empty_like(chain.unconstrained)
@@ -206,14 +200,13 @@ def _finish(space, base_values, chain):
         unconstrained=chain.unconstrained, loglik=chain.loglik,
         logprior=logprior_nat, accepted=chain.accepted,
     )
-    return trace, mean_values, mean_u, cov_u
+    return trace, mean_values, cov_u
 
 
 @dataclass
 class McmcResult:
     trace: Trace
     mean_values: dict
-    mean_unconstrained: np.ndarray
     covariance: np.ndarray        # unconstrained scale, after burn-in
     acceptance_rate: float
     paths: list                   # (iteration, path array) pairs
@@ -226,14 +219,13 @@ def _chain_stage(space, base_values, run, rng, iterations, sigma0, adapt,
     target = log_posterior(space, base_values, run)
     u0 = space.to_unconstrained(base_values)
     chain = adaptive_chain(target, u0, sigma0, rng, iterations, adapt=adapt)
-    trace, mean_values, mean_u, cov_u = _finish(space, base_values, chain)
+    trace, mean_values, cov_u = _finish(space, base_values, chain)
     paths = [
         (i, p) for i, p in enumerate(chain.payloads) if p is not None
     ]
     return McmcResult(
-        trace=trace, mean_values=mean_values, mean_unconstrained=mean_u,
-        covariance=cov_u, acceptance_rate=chain.acceptance_rate,
-        paths=paths, times=times,
+        trace=trace, mean_values=mean_values, covariance=cov_u,
+        acceptance_rate=chain.acceptance_rate, paths=paths, times=times,
     )
 
 

@@ -119,10 +119,12 @@ def backend(cm, dataset, t0, kind, *, dt=None, rng=None, n_particles=500,
         return lambda values: ode_loglik(cm, dataset, values, t0, dt=dt)
     if kind == "ekf":
         return lambda values: ekf_filter(cm, dataset, values, t0, dt=dt)
-    return lambda values: smc_filter(
-        cm, dataset, values, t0, rng=rng, n_particles=n_particles,
-        formalism=formalism, dt=dt, return_path=return_path,
-    )
+    if kind == "smc":
+        return lambda values: smc_filter(
+            cm, dataset, values, t0, rng=rng, n_particles=n_particles,
+            formalism=formalism, dt=dt, return_path=return_path,
+        )
+    raise ValueError(f"unknown likelihood backend: {kind!r}")
 
 
 def attempt(run, values):
@@ -213,11 +215,11 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
     FilterError.
     """
     sds = np.array([float(perturbation_sd.get(n, 0.0)) for n in space.names])
-    roles = [p.role for p in space.params]
-    reg = np.array([s > 0 and r == "estimated" for s, r in zip(sds, roles)])
-    ics = np.array(
-        [s > 0 and r == "initial_condition" for s, r in zip(sds, roles)]
-    )
+    moving = sds > 0
+    # regular parameters walk through the record; initial conditions only
+    # take the perturbation at the start
+    walk = moving & np.array([p.role == "estimated" for p in space.params])
+    start_sds = np.where(walk, np.sqrt(INITIAL_VARIANCE_FACTOR), 1.0) * sds
     theta = space.to_unconstrained(base_values)
     n_obs = len(dataset)
     final = backend(cm, dataset, t0, "smc", rng=rng, n_particles=n_particles,
@@ -235,13 +237,12 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
 
     theta_trace = [theta.copy()]
     ll_trace = []
-    if not np.any(reg | ics) or n_obs == 0:
+    if not moving.any() or n_obs == 0:
         ll = attempt(final, merged(theta))[0]
         return MifResult(merged(theta), ll, np.array(theta_trace),
                          np.array([ll]), 0)
 
     j = n_particles
-    n_reg = int(reg.sum())
     lags = np.diff(dataset.times, prepend=t0)
     completed = 0
     failures = 0
@@ -249,20 +250,17 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
     while completed < iterations:
         a_m = cooling ** completed
         u = np.tile(theta, (j, 1))
-        u[:, reg] += rng.standard_normal((j, n_reg)) * np.sqrt(
-            INITIAL_VARIANCE_FACTOR * a_m
-        ) * sds[reg]
-        u[:, ics] += rng.standard_normal((j, int(ics.sum()))) * np.sqrt(
+        u[:, moving] += rng.standard_normal((j, moving.sum())) * np.sqrt(
             a_m
-        ) * sds[ics]
+        ) * start_sds[moving]
 
         def rejuvenate(i, idx):
             nonlocal u
             u = u[idx]
             if i + 1 < n_obs:
-                u[:, reg] += rng.standard_normal((j, n_reg)) * np.sqrt(
+                u[:, walk] += rng.standard_normal((j, walk.sum())) * np.sqrt(
                     a_m * lags[i]
-                ) * sds[reg]
+                ) * sds[walk]
             return columns(u), space.log_prior_unconstrained(u) / n_obs
 
         with np.errstate(all="ignore"):
@@ -275,7 +273,7 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
             except (DomainError, FilterError):
                 ll = -np.inf
         proposal = theta.copy()
-        proposal[reg | ics] = u[:, reg | ics].mean(axis=0)
+        proposal[moving] = u[:, moving].mean(axis=0)
         if not (np.isfinite(ll) and np.all(np.isfinite(proposal))):
             failures += 1
             consecutive_failures += 1

@@ -75,8 +75,13 @@ class ThetaDocument:
                     "'matrix'"
                 )
             order = tuple(cov["order"])
-            matrix = np.asarray(cov["matrix"], dtype=float)
-            if matrix.shape != (len(order), len(order)):
+            try:
+                matrix = np.asarray(cov["matrix"], dtype=float)
+            except (TypeError, ValueError):     # ragged rows, non-numbers
+                matrix = None
+            if matrix is not None and matrix.size == 0:
+                matrix = matrix.reshape(0, 0)   # the empty matrix emits as []
+            if matrix is None or matrix.shape != (len(order), len(order)):
                 raise ThetaError(
                     "theta document: field 'covariance.matrix' shape does "
                     "not match 'covariance.order'"
