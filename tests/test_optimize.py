@@ -181,13 +181,17 @@ class TestLogPosterior:
                           n_particles=50)
         return opt.log_posterior(space, base, run), space
 
-    @pytest.mark.parametrize("kind, name", BACKENDS)
-    def test_valid_point_is_finite(self, kind, name):
+    @pytest.mark.parametrize("kind", [kind for kind, _ in BACKENDS])
+    def test_valid_point_is_finite(self, kind):
         target, space = self.target(kind)
         u = np.log([0.5, 0.25])
         ll, lp, _ = target(u)
         assert np.isfinite(ll)
         assert lp == space.log_prior_unconstrained(u)
+
+    def test_unknown_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="kf"):
+            self.target("kf")
 
     @pytest.mark.parametrize("kind, name", BACKENDS)
     def test_outside_prior_support(self, monkeypatch, kind, name):
