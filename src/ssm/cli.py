@@ -50,6 +50,16 @@ def _load_compiled(path):
     return CompiledModel(load_model(path))
 
 
+def _fit_space(cm):
+    """The free parameters a fitting stage moves; a model with none has
+    nothing to fit."""
+    space = cm.spec.free_parameters()
+    if not space.dim:
+        raise ModelError(f"model '{cm.spec.name}' has no estimated "
+                         f"parameters to fit")
+    return space
+
+
 def _read_theta(args, required=True):
     if args.theta:
         with open(args.theta) as fh:
@@ -212,7 +222,7 @@ def cmd_simplex(args, kind, stage):
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
-    space = cm.spec.free_parameters()
+    space = _fit_space(cm)
     base = cm.spec.resolve_values(doc.values)
     out = maximize_stage(
         cm, ds, space, base, args.t0, kind, iterations=args.iterations,
@@ -233,7 +243,7 @@ def cmd_mif(args):
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
-    space = cm.spec.free_parameters()
+    space = _fit_space(cm)
     base = cm.spec.resolve_values(doc.values)
     if args.perturbation_sd is not None:
         sds = {name: args.perturbation_sd for name in space.names}
@@ -265,7 +275,7 @@ def _chain(args, stage, run_stage, adapt, kind, **options):
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
-    space = cm.spec.free_parameters()
+    space = _fit_space(cm)
     base = cm.spec.resolve_values(doc.values)
     if args.adapt is not None:
         adapt = args.adapt
@@ -323,7 +333,6 @@ def cmd_pmcmc(args):
 def cmd_forecast(args):
     cm = _load_compiled(args.model)
     doc = _read_theta(args, required=False)
-    space = cm.spec.free_parameters()
     rng = np.random.default_rng(_seed(args))
     times = np.arange(args.start + args.every, args.end + 1e-9, args.every)
     if args.trace:

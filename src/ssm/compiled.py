@@ -18,14 +18,21 @@ Each caller gets a kernel shaped to what it needs, generated and compiled the
 first time it is used:
 
     rates    propensities only (Poisson and jump steppers)
-    drift    drift rows and driven-parameter volatilities (RK4, and the
-             driven coordinates of the Poisson and jump steppers)
-    sde      one fused Euler-Maruyama step over a batch of states
-    moments  the time derivative of [mean, upper triangle of covariance]
-             for the moment filter
+    drift    drift rows and driven-parameter volatilities (the driven
+             coordinates of the Poisson and jump steppers)
+    ode      every RK4 substep of one observation interval, for one state
+             or a batch
+    moments  every RK4 substep of one interval of the moment equations,
+             over [mean, upper triangle of covariance], for the moment
+             filter
+    sde      every Euler-Maruyama substep of one interval over a batch of
+             states
 
+The interval kernels hold the loop over substeps, so a stepper makes one
+call per observation interval; `ssm.kernels` writes their source.  The
+scalar kernels return tuples and run on Python floats (see `_on_floats`).
 The reference evaluators (`dynamics`, `jacobian`, `process_cov`) assemble
-dense arrays from the same kernels and a Jacobian kernel; they serve tests,
+dense arrays from the same blocks and a Jacobian kernel; they serve tests,
 not the hot paths.  The initial state and the observation streams are
 compiled when the model is loaded.
 """
@@ -41,24 +48,30 @@ import numpy as np
 from ssm import expr as ex
 from ssm.model import Identity, Log, Logit, ModelSpec
 
+ODE_WHERE = "during deterministic integration"
+
+# the numpy function of each binary operator, for writes into a buffer
+UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
+          "^": "power"}
+
 
 class DomainError(RuntimeError):
     """State or propensity left the valid domain during integration."""
 
 
-def _state_local(name):
+def state_local(name):
     return f"_s_{name}"
 
 
-def _param_local(name):
+def param_local(name):
     return f"_p_{name}"
 
 
-def _natural_local(name):
+def natural_local(name):
     return f"_q_{name}"
 
 
-def _combine(pairs):
+def combine(pairs):
     """Source for a signed integer combination of (coefficient, local)."""
     terms = []
     for coef, local in pairs:
@@ -73,24 +86,45 @@ def _combine(pairs):
 
 
 def _on_floats(kernel):
-    """Wrap a scalar kernel to run on Python floats, several times faster
-    than on numpy scalars.  Python float arithmetic raises on division by
-    zero and on overflow in a power, and takes a negative number to a
-    fractional power as a complex number (a TypeError where it meets a
-    comparison or a math function); in those cases the kernel runs again on
-    numpy scalars, so the result is always numpy's."""
-    def run(x, t, p):
+    """Wrap a scalar kernel, which returns a tuple, to run on Python floats,
+    several times faster than on numpy scalars, and return an array.
+    Python float arithmetic raises on division by zero and on overflow in a
+    power, and takes a negative number to a fractional power as a complex
+    number (a TypeError where it meets a comparison or a math function); in
+    those cases the whole call, for an interval kernel the whole interval,
+    runs again on numpy scalars (the times too), so the result is numpy's."""
+    def run(x, *args):
         try:
-            out = kernel(x.tolist(), t, p)
+            out = np.array(kernel(x.tolist(), *args))
+            if out.dtype.kind == "f":
+                return out
         except (ZeroDivisionError, OverflowError, TypeError):
-            return kernel(x, t, p)
-        return out if out.dtype.kind == "f" else kernel(x, t, p)
+            pass
+        args = [np.float64(a) if type(a) is float else a for a in args]
+        return np.array(kernel(x, *args))
     return run
 
 
-_SCALAR_NS = dict(ex.SCALAR_NAMESPACE, array=np.array)
+def _settle_batch(cols, floor):
+    """After an RK4 substep of a batch: stack the state columns to (nx, J),
+    raise DomainError on a non-finite entry or on one below its floor by
+    more than 1e-6 of the largest magnitude in the batch (at least 1), and
+    clamp at the floor (a column of shape (nx, 1))."""
+    x = np.array(cols)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"non-finite state {ODE_WHERE}")
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    # driven coordinates sit at +inf above their -inf floor
+    if x.size and np.min(x - floor) < -tol:
+        raise DomainError(f"negative population {ODE_WHERE}")
+    return np.maximum(x, floor, out=x)
+
+
+_SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, DomainError=DomainError)
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
-                  scalar_sqrt=math.sqrt)
+                  empty_like=np.empty_like, isfinite=np.isfinite,
+                  all_of=np.logical_and.reduce, scalar_sqrt=math.sqrt,
+                  **{name: getattr(np, name) for name in UFUNCS.values()})
 
 
 @dataclass
@@ -216,13 +250,13 @@ class CompiledModel:
         spec = self.spec
         resolve = {}
         for i, name in enumerate(spec.compartments):
-            resolve[name] = _state_local(name)
+            resolve[name] = state_local(name)
         for d in spec.diffusions:
-            resolve[d.name] = _natural_local(d.name)
+            resolve[d.name] = natural_local(d.name)
         for name in spec.accumulators:
-            resolve[name] = _state_local(name)
+            resolve[name] = state_local(name)
         for p in spec.parameters:
-            resolve[p.name] = _param_local(p.name)
+            resolve[p.name] = param_local(p.name)
         resolve["t"] = "t"
         self._resolve_map = resolve
 
@@ -275,12 +309,13 @@ class CompiledModel:
     # ------------------------------------------------------------------
     # code generation
 
-    def _prologue(self, lines, needed, unpack=None, extra=()):
+    def _prologue(self, lines, needed, unpack=None, extra=(),
+                  read="x[..., {}]"):
         """Bind the needed state columns and parameter values to locals.
 
-        Columns are read as x[..., i]; with `unpack`, the source of a flat
-        sequence, they are unpacked from it in one statement, followed by
-        the `extra` names.
+        Column i is read as `read` formatted with i; with `unpack`, the
+        source of a flat sequence, the columns are unpacked from it in one
+        statement, followed by the `extra` names.
         """
         spec = self.spec
         targets = []
@@ -291,7 +326,7 @@ class CompiledModel:
             elif self.n_comp <= i < self.n_comp + self.n_diff:
                 d = spec.diffusions[i - self.n_comp]
                 u = f"_u{i}"
-                q = _natural_local(d.name)
+                q = natural_local(d.name)
                 if isinstance(d.transform, Identity):
                     naturals.append(f"    {q} = {u}")
                 elif isinstance(d.transform, Log):
@@ -300,11 +335,11 @@ class CompiledModel:
                     naturals.append(f"    {q} = 1.0/(1.0 + exp(-({u})))")
                 targets.append(u)
             else:
-                targets.append(_state_local(name))
+                targets.append(state_local(name))
         if unpack is None:
             for i, local in enumerate(targets):
                 if local != "_":
-                    lines.append(f"    {local} = x[..., {i}]")
+                    lines.append(f"    {local} = {read.format(i)}")
         else:
             names = targets + list(extra)
             if names:
@@ -312,7 +347,7 @@ class CompiledModel:
         lines.extend(naturals)
         for p in spec.parameters:
             if p.name in needed:
-                lines.append(f"    {_param_local(p.name)} = p['{p.name}']")
+                lines.append(f"    {param_local(p.name)} = p['{p.name}']")
 
     def _build_blocks(self):
         """Source lines of the model's intermediate quantities, shared by
@@ -347,7 +382,7 @@ class CompiledModel:
                 drift.append(f"    _d{i} = {code(d.drift)}")
                 continue
             pairs = [(int(S[i, k]), f"_a{k}") for k in range(self.n_react) if S[i, k]]
-            drift.append(f"    _d{i} = {_combine(pairs) if pairs else '0.0'}")
+            drift.append(f"    _d{i} = {combine(pairs) if pairs else '0.0'}")
 
         vols = [f"    _v{d_i} = {code(d.volatility)}"
                 for d_i, d in enumerate(spec.diffusions)]
@@ -372,7 +407,7 @@ class CompiledModel:
             for j, ks in sorted(jac_cols.items()):
                 pairs = [(int(S[i, k]), f"_g{k}_{j}") for k in sorted(ks) if S[i, k]]
                 if pairs:
-                    jac.append(f"    _j{i}_{j} = {_combine(pairs)}")
+                    jac.append(f"    _j{i}_{j} = {combine(pairs)}")
                     jac_index.append((i, j))
         self.jac_index = tuple(jac_index)
 
@@ -397,10 +432,12 @@ class CompiledModel:
         lines.extend(body)
         return "\n".join(lines) + "\n"
 
-    def _compile(self, name, source, vector):
-        ns = dict(_VECTOR_NS if vector else _SCALAR_NS)
+    def _compile(self, name, source, vector, **names):
+        """Namespace of the compiled source, with the math bound for arrays
+        or for floats, plus `names`."""
+        ns = dict(_VECTOR_NS if vector else _SCALAR_NS, **names)
         exec(compile(source, f"<model {self.spec.name}: {name}>", "exec"), ns)
-        return ns[name]
+        return ns
 
     def _emit_module(self):
         spec = self.spec
@@ -416,10 +453,10 @@ class CompiledModel:
             init_needed.add(d.initial_param)
         for p in spec.parameters:
             if p.name in init_needed:
-                lines.append(f"    {_param_local(p.name)} = p['{p.name}']")
+                lines.append(f"    {param_local(p.name)} = p['{p.name}']")
         entries = [code(tree, resolve) for tree in spec.compartment_initials]
         for d in spec.diffusions:
-            v = _param_local(d.initial_param)
+            v = param_local(d.initial_param)
             if isinstance(d.transform, Identity):
                 entries.append(v)
             elif isinstance(d.transform, Log):
@@ -476,14 +513,14 @@ class CompiledModel:
         """(scalar, batch) kernels returning `values` along the last axis."""
         scalar = self._kernel_source(
             f"def {name}(x, t, p):", blocks,
-            [f"    return array([{', '.join(values)}])"], unpack="x")
+            [f"    return ({''.join(v + ', ' for v in values)})"], unpack="x")
         batch = self._kernel_source(
             f"def {name}(x, t, p):", blocks,
             [f"    out = empty(x.shape[:-1] + ({len(values)},))"]
             + [f"    out[..., {i}] = {v}" for i, v in enumerate(values)]
             + ["    return out"])
-        return (_on_floats(self._compile(name, scalar, vector=False)),
-                self._compile(name, batch, vector=True))
+        return (_on_floats(self._compile(name, scalar, vector=False)[name]),
+                self._compile(name, batch, vector=True)[name])
 
     @cached_property
     def _rates(self):
@@ -502,106 +539,61 @@ class CompiledModel:
         return self._array_kernels(
             "jac", ("jac",), [f"_j{i}_{j}" for i, j in self.jac_index])
 
+    # the interval kernels import ssm.kernels, which writes their source,
+    # on first use: processes that step neither ode, moments nor sde never
+    # load it
+
+    @cached_property
+    def _ode_single(self):
+        from ssm import kernels
+        src = kernels.ode_source(self, batch=False)
+        return _on_floats(self._compile("ode", src, vector=False)["ode"])
+
+    @cached_property
+    def _ode_batch(self):
+        from ssm import kernels
+        return self._compile("ode", kernels.ode_source(self, batch=True),
+                             vector=True, settle=_settle_batch,
+                             floor=self.floor[:, None])["ode"]
+
+    def ode(self, x, t, h, n_sub, p):
+        """n_sub RK4 substeps of length h from time t, in one call: x is one
+        state or a batch of shape (J, nx), whose parameter values may be
+        per-row columns.  After each substep the state is clamped at the
+        floor; DomainError if it is not finite or lies below the floor by
+        more than 1e-6 of its largest magnitude (the batch's, for a batch).
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self._ode_single(x, float(t), float(h), n_sub, p)
+        out = self._ode_batch(tuple(x.T), np.float64(t), np.float64(h),
+                              n_sub, p)
+        return np.ascontiguousarray(np.array(out).T)
+
+    @cached_property
+    def _moments(self):
+        from ssm import kernels
+        ns = self._compile("moments", kernels.moments_source(self),
+                           vector=False)
+        return _on_floats(ns["moments"]), _on_floats(ns["interval"])
+
+    def moments(self, y, t, p):
+        """dy for one state's moment equations at y = [m, upper triangle of
+        C] (see `kernels.moments_source`)."""
+        return self._moments[0](np.asarray(y, dtype=float), t, p)
+
+    def moments_interval(self, y, t, h, n_sub, p):
+        """n_sub RK4 substeps of length h of the moment equations from time
+        t, in one call, with the mean clamped at the floor after each."""
+        return self._moments[1](np.asarray(y, dtype=float), float(t),
+                                float(h), n_sub, p)
+
     @cached_property
     def sde(self):
-        """sde(x, t, p, dt, xi_demo, xi_env, xi_diff) -> new states.
-
-        One Euler-Maruyama step of a batch x of shape (J, nx), given the
-        standard normals per reaction, per noise group and per driven
-        parameter (None where the model has none).  Each reaction's
-        increment dt*a + sqrt(dt)*(sqrt(a+)*xi + sd*eta*a+) is formed once
-        and added to every column it touches; nothing is clamped.
-        """
-        S = self.stoich_full
-        body = ["    _sq = scalar_sqrt(dt)"]
-        group_of = {}
-        for g_i, (sd_name, members) in enumerate(self.noise_groups):
-            body.append(f"    _w{g_i} = _sq*{_param_local(sd_name)}*xi_env[..., {g_i}]")
-            for k in members:
-                group_of[int(k)] = g_i
-        used = [k for k in range(self.n_react) if S[:, k].any()]
-        for k in used:
-            body.append(f"    _ap{k} = maximum(_a{k}, 0.0)")
-            inc = f"dt*_a{k} + _sq*sqrt(_ap{k})*xi_demo[..., {k}]"
-            if k in group_of:
-                inc += f" + _w{group_of[k]}*_ap{k}"
-            body.append(f"    _i{k} = {inc}")
-        body.append("    out = empty(x.shape)")
-        for i in range(self.nx):
-            if self.n_comp <= i < self.n_comp + self.n_diff:
-                d_i = i - self.n_comp
-                body.append(f"    out[..., {i}] = x[..., {i}] + dt*_d{i}"
-                            f" + _sq*_v{d_i}*xi_diff[..., {d_i}]")
-                continue
-            pairs = [(int(S[i, k]), f"_i{k}") for k in used if S[i, k]]
-            body.append(f"    out[..., {i}] = {_combine([(1, f'x[..., {i}]')] + pairs)}")
-        body.append("    return out")
-        # driven rows only: compartment and accumulator rows come from the
-        # reaction increments above
-        driven = self._blocks["drift"][0][self.n_comp:self.n_comp + self.n_diff]
-        src = self._kernel_source(
-            "def sde(x, t, p, dt, xi_demo, xi_env, xi_diff):", ("rates", "vols"),
-            driven + body,
-            needed={sd for sd, _ in self.noise_groups}
-            | {n for d in self.spec.diffusions for n in d.drift.free_symbols()},
-        )
-        return self._compile("sde", src, vector=True)
-
-    @cached_property
-    def moments(self):
-        """moments(y, t, p) -> dy for one state's moment equations.
-
-        y = [m, upper triangle of C], in the row-major order of
-        `tri_index`; dy = [drift, upper triangle of dC] with
-        dC = J C + C J' + S diag(a+) S' + env + vol^2, written over the
-        Jacobian's nonzeros only.
-        """
-        S = self.stoich_full
-        nx = self.nx
-
-        def c(a, b):
-            return f"_c{min(a, b)}_{max(a, b)}"
-
-        row_nz = {}
-        for i, j in self.jac_index:
-            row_nz.setdefault(i, []).append(j)
-        used = [k for k in range(self.n_react) if S[:, k].any()]
-        body = [f"    _ap{k} = 0.0 if _a{k} < 0.0 else _a{k}" for k in used]
-        env = {}  # (group, column) -> local
-        for g_i, (sd_name, members) in enumerate(self.noise_groups):
-            for i in range(nx):
-                pairs = [(int(S[i, k]), f"_ap{k}") for k in members if S[i, k]]
-                if pairs:
-                    env[g_i, i] = f"_e{g_i}_{i}"
-                    body.append(f"    _e{g_i}_{i} = {_param_local(sd_name)}"
-                                f"*({_combine(pairs)})")
-        outs = [f"_d{i}" for i in range(nx)]
-        for i, j in zip(*self.tri_index):
-            i, j = int(i), int(j)
-            jc = [f"_j{i}_{l}*{c(l, j)}" for l in row_nz.get(i, ())]
-            if i == j:
-                terms = [(1, f"2.0*({' + '.join(jc)})")] if jc else []
-            else:
-                jc += [f"{c(i, l)}*_j{j}_{l}" for l in row_nz.get(j, ())]
-                terms = [(1, t) for t in jc]
-            terms += [(int(S[i, k] * S[j, k]), f"_ap{k}") for k in used
-                      if S[i, k] and S[j, k]]
-            terms += [(1, f"{env[g_i, i]}*{env[g_i, j]}")
-                      for g_i in range(len(self.noise_groups))
-                      if (g_i, i) in env and (g_i, j) in env]
-            if i == j and self.n_comp <= i < self.n_comp + self.n_diff:
-                v = f"_v{i - self.n_comp}"
-                terms.append((1, f"{v}*{v}"))
-            body.append(f"    _dc{i}_{j} = {_combine(terms) if terms else '0.0'}")
-            outs.append(f"_dc{i}_{j}")
-        body.append(f"    return array([{', '.join(outs)}])")
-        extra = [f"_c{i}_{j}" for i, j in zip(*self.tri_index)]
-        src = self._kernel_source(
-            "def moments(y, t, p):", ("rates", "drift", "vols", "jac"), body,
-            unpack="y", extra=extra,
-            needed={sd for sd, _ in self.noise_groups},
-        )
-        return _on_floats(self._compile("moments", src, vector=False))
+        """The Euler-Maruyama interval kernel (see `kernels.sde_source`)."""
+        from ssm import kernels
+        return self._compile("sde", kernels.sde_source(self), vector=True,
+                             floor=self.floor[:, None])["sde"]
 
     # ------------------------------------------------------------------
     # evaluation helpers

@@ -15,7 +15,7 @@ import numpy as np
 
 from ssm import observe as ob
 from ssm.compiled import DomainError
-from ssm.simulate import advance, integrate_ode
+from ssm.simulate import advance, integrate_ode, substeps
 
 
 class FilterError(RuntimeError):
@@ -122,15 +122,6 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
 # ----------------------------------------------------------------------
 # moment filter
 
-def _moment_step(moments, y, t, h, params):
-    """RK4 over the flat moment vector [m, upper triangle of C]."""
-    k1 = moments(y, t, params)
-    k2 = moments(y + 0.5 * h * k1, t + 0.5 * h, params)
-    k3 = moments(y + 0.5 * h * k2, t + 0.5 * h, params)
-    k4 = moments(y + h * k3, t + h, params)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _project_psd(C):
     vals = np.linalg.eigvalsh(C)
     lo = vals[0]
@@ -146,17 +137,19 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     """Continuous-discrete moment filter.
 
     Between observations the mean follows the drift and the covariance the
-    linearized flow plus process dispersion, integrated jointly by RK4.
+    linearized flow plus process dispersion, integrated jointly by RK4 in
+    one call per interval, the mean clamped at the floor after each
+    substep.
     Each reporting stream then applies a scalar update with the innovation
     variance taken from the stream's observation model.
     """
-    if not np.all(np.isfinite(cm.init_state(params))):
+    x0 = cm.init_state(params)
+    if not np.all(np.isfinite(x0)):
         raise FilterError("non-finite initial state")
-    moments = cm.moments
     upper = cm.tri_index
     lower = upper[::-1]
     flat = np.zeros(cm.nx + len(upper[0]))
-    flat[: cm.nx] = cm.init_state(params)
+    flat[: cm.nx] = x0
     n_obs = len(dataset)
     loglik = 0.0
     terms = np.zeros(n_obs)
@@ -167,14 +160,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     for i, (t, obs) in enumerate(dataset):
         span = t - prev_t
         if span > 0:
-            h_max = span / 10.0 if dt is None else dt
-            n_sub = max(1, int(np.ceil(span / h_max - 1e-9)))
-            h = span / n_sub
-            tt = prev_t
-            for _ in range(n_sub):
-                flat = _moment_step(moments, flat, tt, h, params)
-                np.maximum(flat[: cm.nx], cm.floor, out=flat[: cm.nx])
-                tt += h
+            n_sub, h = substeps(span, dt)
+            flat = cm.moments_interval(flat, prev_t, h, n_sub, params)
         if not np.all(np.isfinite(flat)):
             raise FilterError("moments diverged during propagation")
         m = flat[: cm.nx].copy()

@@ -1,0 +1,248 @@
+"""Source text of the kernels generated for each stepper.
+
+`CompiledModel` (ssm.compiled) holds a model's symbols and the source
+blocks of its intermediate quantities (propensities, drift, volatilities,
+Jacobian nonzeros).  The functions here assemble from them the source of the
+kernels that run every substep of one observation interval, which
+`CompiledModel` compiles on first use:
+
+    ode_source      RK4 over the full state, for Python floats or for
+                    arrays
+    moments_source  the moment equations of the moment filter, and RK4
+                    over [mean, upper triangle of covariance] around them
+    sde_source      Euler-Maruyama over a batch laid out as (nx, J)
+
+Element by element, each kernel takes the operations of one substep at a
+time in numpy in the same order, so its results are those bit for bit.
+Only those steppers need this module, so `CompiledModel` imports it on
+first use.
+"""
+
+from ssm import expr as ex
+from ssm.compiled import ODE_WHERE, UFUNCS, combine, param_local
+
+
+def accumulate(out, first, pairs):
+    """Statements writing `first` plus a signed integer combination of
+    (coefficient, source) pairs into the array `out`, operation by
+    operation in the order of `combine`."""
+    if not pairs:
+        return [f"    {out}[...] = {first}"]
+    lines = []
+    for coef, term in pairs:
+        op = "subtract" if coef == -1 else "add"
+        if coef not in (1, -1):
+            term = f"({coef})*{term}"
+        lines.append(f"    {op}({first}, {term}, out={out})")
+        first = out
+    return lines
+
+
+def rk4_source(name, deriv, size, settle):
+    """Source of `name(y, t, h, n, p)`: n classic RK4 substeps of length h
+    from time t over the locals _y0.._y{size-1}, unpacked from y, with the
+    four stages written out around `deriv(y, t, p)`, which returns a tuple.
+    The arithmetic is that of y + h/6 (k1 + 2 k2 + 2 k3 + k4) on arrays.
+    The `settle` lines run on the locals after each substep; the result is
+    their tuple."""
+    y = [f"_y{i}" for i in range(size)]
+
+    def stage(k, args, t):
+        ks = ", ".join(f"_k{k}_{i}" for i in range(size))
+        return f"        {ks}, = {deriv}(({', '.join(args)},), {t}, p)"
+
+    lines = [
+        f"def {name}(y, t, h, n, p):",
+        f"    {', '.join(y)}, = y",
+        "    _hh = 0.5*h",
+        "    _h6 = h/6.0",
+        "    for _ in range(n):",
+        stage(1, y, "t"),
+        stage(2, [f"{v} + _hh*_k1_{i}" for i, v in enumerate(y)], "t + _hh"),
+        stage(3, [f"{v} + _hh*_k2_{i}" for i, v in enumerate(y)], "t + _hh"),
+        stage(4, [f"{v} + h*_k3_{i}" for i, v in enumerate(y)], "t + h"),
+    ]
+    lines += [f"        {v} = {v} + _h6*(_k1_{i} + 2.0*_k2_{i} + 2.0*_k3_{i}"
+              f" + _k4_{i})" for i, v in enumerate(y)]
+    lines += settle
+    lines += ["        t = t + h", f"    return ({', '.join(y)},)"]
+    return "\n".join(lines) + "\n"
+
+
+def _floored(cm):
+    """State columns with a floor at zero: compartments, accumulators."""
+    return [i for i in range(cm.nx) if cm.floor[i] == 0.0]
+
+
+def ode_source(cm, batch):
+    """Source of `ode(y, t, h, n, p)`, RK4 over the drift of the full
+    state.  After each substep the kernel for one state raises DomainError
+    on a non-finite state or on one below its floor by more than 1e-6 of
+    its largest magnitude (at least 1), then clamps at the floor; the batch
+    kernel leaves that to `settle` on its columns and `floor`."""
+    deriv = cm._kernel_source(
+        "def deriv(x, t, p):", ("rates", "drift"),
+        [f"    return ({', '.join(f'_d{i}' for i in range(cm.nx))},)"],
+        unpack="x")
+    ys = ", ".join(f"_y{i}" for i in range(cm.nx))
+    if batch:
+        return deriv + rk4_source("ode", "deriv", cm.nx,
+                                  [f"        {ys}, = settle(({ys},), floor)"])
+    finite = " and ".join(f"-inf < _y{i} < inf" for i in range(cm.nx))
+    settle = [f"        if not ({finite}):",
+              f"            raise DomainError('non-finite state {ODE_WHERE}')"]
+    floored = _floored(cm)
+    if floored:
+        scale = ", ".join(f"abs(_y{i})" for i in range(cm.nx))
+        below = " or ".join(f"_y{i} < _tol" for i in floored)
+        settle += [f"        _tol = -1e-6*max(1.0, {scale})",
+                   f"        if {below}:",
+                   "            raise DomainError("
+                   f"'negative population {ODE_WHERE}')"]
+        # numpy's maximum(-0.0, 0.0) is 0.0
+        settle += [f"        _y{i} = 0.0 if _y{i} <= 0.0 else _y{i}"
+                   for i in floored]
+    return deriv + rk4_source("ode", "deriv", cm.nx, settle)
+
+
+def moments_source(cm):
+    """Source of `moments(y, t, p) -> dy` for one state's moment equations
+    and of `interval(y, t, h, n, p)`, RK4 around them that clamps the mean
+    at the floor after each substep.
+
+    y = [m, upper triangle of C], in the row-major order of `tri_index`;
+    dy = [drift, upper triangle of dC] with
+    dC = J C + C J' + S diag(a+) S' + env + vol^2, written over the
+    Jacobian's nonzeros only.
+    """
+    S = cm.stoich_full
+
+    def c(a, b):
+        return f"_c{min(a, b)}_{max(a, b)}"
+
+    row_nz = {}
+    for i, j in cm.jac_index:
+        row_nz.setdefault(i, []).append(j)
+    used = [k for k in range(cm.n_react) if S[:, k].any()]
+    body = [f"    _ap{k} = 0.0 if _a{k} < 0.0 else _a{k}" for k in used]
+    env = {}  # (group, column) -> local
+    for g_i, (sd_name, members) in enumerate(cm.noise_groups):
+        for i in range(cm.nx):
+            pairs = [(int(S[i, k]), f"_ap{k}") for k in members if S[i, k]]
+            if pairs:
+                env[g_i, i] = f"_e{g_i}_{i}"
+                body.append(f"    _e{g_i}_{i} = {param_local(sd_name)}"
+                            f"*({combine(pairs)})")
+    outs = [f"_d{i}" for i in range(cm.nx)]
+    for i, j in zip(*cm.tri_index):
+        i, j = int(i), int(j)
+        jc = [f"_j{i}_{l}*{c(l, j)}" for l in row_nz.get(i, ())]
+        if i == j:
+            terms = [(1, f"2.0*({' + '.join(jc)})")] if jc else []
+        else:
+            jc += [f"{c(i, l)}*_j{j}_{l}" for l in row_nz.get(j, ())]
+            terms = [(1, t) for t in jc]
+        terms += [(int(S[i, k] * S[j, k]), f"_ap{k}") for k in used
+                  if S[i, k] and S[j, k]]
+        terms += [(1, f"{env[g_i, i]}*{env[g_i, j]}")
+                  for g_i in range(len(cm.noise_groups))
+                  if (g_i, i) in env and (g_i, j) in env]
+        if i == j and cm.n_comp <= i < cm.n_comp + cm.n_diff:
+            v = f"_v{i - cm.n_comp}"
+            terms.append((1, f"{v}*{v}"))
+        body.append(f"    _dc{i}_{j} = {combine(terms) if terms else '0.0'}")
+        outs.append(f"_dc{i}_{j}")
+    body.append(f"    return ({', '.join(outs)},)")
+    src = cm._kernel_source(
+        "def moments(y, t, p):", ("rates", "drift", "vols", "jac"), body,
+        unpack="y", extra=[f"_c{i}_{j}" for i, j in zip(*cm.tri_index)],
+        needed={sd for sd, _ in cm.noise_groups})
+    return src + rk4_source(
+        "interval", "moments", len(outs),
+        [f"        _y{i} = 0.0 if _y{i} <= 0.0 else _y{i}"
+         for i in _floored(cm)])
+
+
+def sde_source(cm):
+    """Source of `sde(x, t, dt, n, p, xi_demo, xi_env, xi_diff)`: n
+    Euler-Maruyama substeps of length dt from time t, in place on a batch x
+    laid out as (nx, J), one row per state column.
+
+    xi_demo, xi_env and xi_diff hold the standard normals per substep, per
+    reaction, noise group or driven parameter, and per state: shape
+    (n, k, J), None where the model has none.  Each reaction's increment
+    dt*a + sqrt(dt)*(sqrt(a+)*xi + sd*eta*a+) is formed for all reactions
+    at once, in the rows of one buffer, and added to every row of the state
+    it touches.  The new state is checked for finiteness, all rows at once,
+    before it is clamped at the floor.  Returns n, or the index of the first
+    substep whose new state was not finite; x then holds the state before
+    that substep.
+    """
+    S = cm.stoich_full
+    state_names = set(cm.state_names)
+    loop = []
+    # each propensity goes into its row of _A; where the formula reads the
+    # state, its last operation writes there directly
+    for k, tree in enumerate(cm._prop_exprs):
+        if isinstance(tree, ex.BinOp) and tree.free_symbols() & state_names:
+            left = ex.to_python(tree.left, cm._resolve)
+            right = ex.to_python(tree.right, cm._resolve)
+            loop.append(f"    {UFUNCS[tree.op]}({left}, {right}, out=_a{k})")
+        else:
+            loop.append(f"    _a{k}[...] = {ex.to_python(tree, cm._resolve)}")
+    loop += cm._blocks["vols"][0]
+    # driven rows only: compartment and accumulator rows come from the
+    # reaction increments
+    loop += cm._blocks["drift"][0][cm.n_comp:cm.n_comp + cm.n_diff]
+    if cm.n_react:
+        loop += ["    maximum(_A, 0.0, out=_AP)",
+                 "    sqrt(_AP, out=_Q)",
+                 "    multiply(_Q, _sq, out=_Q)",
+                 "    multiply(_Q, xi_demo[_n], out=_Q)",
+                 "    multiply(_A, dt, out=_I)",
+                 "    add(_I, _Q, out=_I)"]
+    for g_i, (sd_name, members) in enumerate(cm.noise_groups):
+        loop.append(f"    _w{g_i} = _sq*{param_local(sd_name)}"
+                    f"*xi_env[_n, {g_i}]")
+        loop += [f"    add(_i{k}, _w{g_i}*_ap{k}, out=_i{k})" for k in members]
+    for i in range(cm.nx):
+        if cm.n_comp <= i < cm.n_comp + cm.n_diff:
+            d_i = i - cm.n_comp
+            pairs = [(1, f"dt*_d{i}"), (1, f"_sq*_v{d_i}*xi_diff[_n, {d_i}]")]
+        else:
+            pairs = [(int(S[i, k]), f"_i{k}")
+                     for k in range(cm.n_react) if S[i, k]]
+        loop += accumulate(f"_o{i}", f"_x{i}", pairs)
+    loop += ["    if not all_of(isfinite(_new, out=_ok), axis=None):",
+             "        return _n",
+             "    maximum(_new, floor, out=x)",
+             "    t = t + dt"]
+
+    needed = ({sd for sd, _ in cm.noise_groups}
+              | {n for d in cm.spec.diffusions for n in d.drift.free_symbols()}
+              | cm._blocks["rates"][1] | cm._blocks["vols"][1])
+    states = needed & state_names
+    head = []
+    cm._prologue(head, states, read="_x{}")
+    lines = ["def sde(x, t, dt, n, p, xi_demo, xi_env, xi_diff):"]
+    cm._prologue(lines, needed - states)
+
+    def views(prefix, buffer, count):
+        names = "".join(f"{prefix}{i}, " for i in range(count))
+        return [f"    {names}= {buffer}"] if count else []
+
+    # buffers for the new state, its finiteness and, a row per reaction,
+    # the propensities, their positive parts, the noise terms and the
+    # increments; the locals are views of their rows
+    lines += ["    _sq = scalar_sqrt(dt)",
+              "    _new = empty(x.shape)",
+              "    _ok = empty(x.shape, bool)",
+              f"    _A = empty(({cm.n_react}, x.shape[1]))",
+              "    _AP, _Q, _I = empty_like(_A), empty_like(_A), empty_like(_A)"]
+    lines += views("_x", "x", cm.nx) + views("_o", "_new", cm.nx)
+    lines += (views("_a", "_A", cm.n_react) + views("_ap", "_AP", cm.n_react)
+              + views("_i", "_I", cm.n_react))
+    lines.append("    for _n in range(n):")
+    lines += ["    " + line for line in head + loop]
+    lines.append("    return n")
+    return "\n".join(lines) + "\n"

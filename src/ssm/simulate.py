@@ -15,6 +15,16 @@ group by the increment of a gamma process with mean dt and variance sd^2 dt.
 The Poisson backend draws those increments explicitly; the diffusion backend
 uses the matching second-moment contribution.  The jump backend keeps rates
 unmodulated between events.
+
+The deterministic and diffusion backends make one call per observation
+interval: `ode_step` and `sde_step` run every substep of the interval in
+the model's generated `ode` and `sde` interval kernels, with the domain
+check and the clamp after each substep.  The diffusion backend draws the
+interval's normals in one call whose values, in order, are those of the
+three draws per substep (per reaction, per noise group, per driven
+parameter) that stepping one substep at a time would make: a seed gives
+the same trajectories either way and leaves the generator in the same
+state.  The Poisson backend steps one substep per call.
 """
 
 from __future__ import annotations
@@ -43,26 +53,24 @@ def assemble_dispersion(cm: CompiledModel, x, t, params,
 
 
 # ----------------------------------------------------------------------
+# substeps
+
+def substeps(span, dt=None):
+    """(n, h): the fewest equal substeps of length h <= dt that cover span,
+    dt=None taking a tenth of the span."""
+    if dt is None:
+        dt = span / SUBSTEPS_PER_INTERVAL
+    n_sub = max(1, int(np.ceil(span / dt - 1e-9)))
+    return n_sub, span / n_sub
+
+
+# ----------------------------------------------------------------------
 # deterministic backend
 
-def ode_step(cm, x, t, dt, params):
-    """One RK4 step of the drift over the full state."""
-    k1 = cm.drift(x, t, params)
-    k2 = cm.drift(x + 0.5 * dt * k1, t + 0.5 * dt, params)
-    k3 = cm.drift(x + 0.5 * dt * k2, t + 0.5 * dt, params)
-    k4 = cm.drift(x + dt * k3, t + dt, params)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _check_domain(cm, x, where):
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"non-finite state during {where}")
-    scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    tol = 1e-6 * scale
-    # driven coordinates sit at +inf above their -inf floor
-    if x.size and np.min(x - cm.floor) < -tol:
-        raise DomainError(f"negative population during {where}")
-    return np.maximum(x, cm.floor, out=x)
+def ode_step(cm, x, t, h, n_sub, params):
+    """n_sub RK4 substeps of the drift over the full state, one call of the
+    model's `ode` interval kernel."""
+    return cm.ode(x, t, h, n_sub, params)
 
 
 def integrate_ode(cm, x, t0, t1, params, dt=None):
@@ -72,49 +80,47 @@ def integrate_ode(cm, x, t0, t1, params, dt=None):
     span = t1 - t0
     if span <= 0:
         return np.array(x, dtype=float, copy=True)
-    if dt is None:
-        dt = span / SUBSTEPS_PER_INTERVAL
-    n_sub = max(1, int(np.ceil(span / dt - 1e-9)))
-    h = span / n_sub
-    x = np.array(x, dtype=float, copy=True)
-    t = t0
-    for _ in range(n_sub):
-        x = ode_step(cm, x, t, h, params)
-        x = _check_domain(cm, x, "deterministic integration")
-        t += h
-    return x
+    n_sub, h = substeps(span, dt)
+    return ode_step(cm, x, t0, h, n_sub, params)
 
 
 # ----------------------------------------------------------------------
 # diffusion backend
 
-def sde_step(cm, x, t, dt, params, rng):
-    """One Euler-Maruyama step.
+def sde_step(cm, x, t, h, n_sub, params, rng):
+    """n_sub Euler-Maruyama substeps of length h, one call of the model's
+    `sde` interval kernel.
 
     Noise is applied through factor columns so that the increment covariance
-    is exactly dt times the assembled dispersion: one standard normal per
+    is exactly h times the assembled dispersion: one standard normal per
     reaction scaled by sqrt(propensity), one per noise group through the
     group column, one per driven parameter scaled by its volatility.  The
-    normals are drawn in that order; the model's fused `sde` kernel forms
-    the step.  Compartments and accumulators are clamped at zero afterwards.
+    interval's normals come from one draw of shape
+    (n_sub, J*(n_react + n_groups + n_diff)): each substep's row holds, in
+    turn, the (J, n_react), (J, n_groups) and (J, n_diff) blocks that three
+    draws per substep would give, so the values and the generator's final
+    state are theirs.  A non-finite state raises DomainError and leaves the
+    generator where those draws would have stopped.  Compartments and
+    accumulators are clamped at zero after every substep.
     """
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    lead = x.shape[:-1]
-    xi_demo = xi_env = xi_diff = None
-    if cm.n_react:
-        xi_demo = rng.standard_normal(lead + (cm.n_react,))
-    if cm.noise_groups:
-        xi_env = rng.standard_normal(lead + (len(cm.noise_groups),))
-    if cm.n_diff:
-        xi_diff = rng.standard_normal(lead + (cm.n_diff,))
-    new = cm.sde(x, t, params, dt, xi_demo, xi_env, xi_diff)
-    if not np.isfinite(new).all():
+    rows = x.reshape(-1, cm.nx)
+    j = len(rows)
+    width = j * (cm.n_react + len(cm.noise_groups) + cm.n_diff)
+    start = rng.bit_generator.state
+    xi = rng.standard_normal((n_sub, width))
+    blocks, at = [], 0
+    for k in (cm.n_react, len(cm.noise_groups), cm.n_diff):
+        block = xi[:, at:at + j * k].reshape(n_sub, j, k)
+        blocks.append(block.transpose(0, 2, 1) if k else None)
+        at += j * k
+    state = rows.T.copy()
+    done = cm.sde(state, t, h, n_sub, params, *blocks)
+    if done < n_sub:
+        rng.bit_generator.state = start
+        rng.standard_normal((done + 1, width))
         raise DomainError("non-finite state during diffusion step")
-    np.maximum(new, cm.floor, out=new)
-    return new[0] if squeeze else new
+    return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
 
 
 # ----------------------------------------------------------------------
@@ -286,24 +292,21 @@ def advance(cm, x, t0, t1, params, rng=None, formalism="ode", dt=None):
     """Advance states from t0 to t1 under the chosen formalism, applying
     substeps of at most dt; dt=None takes a tenth of the interval.  x may
     be a single state or a batch."""
-    span = t1 - t0
-    if span <= 0:
+    if t1 - t0 <= 0:
         return np.array(x, dtype=float, copy=True)
-    if dt is None:
-        dt = span / SUBSTEPS_PER_INTERVAL
     if formalism == "ode":
         return integrate_ode(cm, x, t0, t1, params, dt=dt)
     if formalism == "jump":
         return gillespie_interval(cm, x, t0, t1, params, rng, dt_max=dt)
     if formalism not in ("sde", "psr"):
         raise ValueError(f"unknown formalism: {formalism!r}")
-    n_sub = max(1, int(np.ceil(span / dt - 1e-9)))
-    h = span / n_sub
+    n_sub, h = substeps(t1 - t0, dt)
+    if formalism == "sde":
+        return sde_step(cm, x, t0, h, n_sub, params, rng)
     x = np.array(x, dtype=float, copy=True)
     t = t0
-    step = sde_step if formalism == "sde" else psr_step
     for _ in range(n_sub):
-        x = step(cm, x, t, h, params, rng)
+        x = psr_step(cm, x, t, h, params, rng)
         t += h
     return x
 

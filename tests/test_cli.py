@@ -139,6 +139,24 @@ class TestValidation:
         assert r.returncode == 0
         assert json.loads(r.stdout)["log_likelihood"] == -np.inf
 
+    @pytest.mark.parametrize("stage", ["simplex", "ksimplex", "mif",
+                                       "kmcmc", "pmcmc"])
+    def test_model_without_estimated_parameters(self, tmp_path, stage):
+        # every fitting stage refuses a model with nothing to fit
+        spec = json.loads(Path(SIR).read_text())
+        for p in spec["parameters"]:
+            if p["name"] in ("beta", "gamma"):
+                p["prior"] = {"dirac": 1.5}
+                p["role"] = "fixed"
+        model = tmp_path / "fixed.json"
+        model.write_text(json.dumps(spec))
+        r = run([stage, "--model", str(model), "--data", SIR_DATA,
+                 "--iterations", "3", "--seed", "1"], stdin_text=POINT,
+                cwd=tmp_path)
+        assert r.returncode == 2
+        assert f"error: model '{spec['name']}'" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_check_data_reports_problems(self, tmp_path):
         bad = tmp_path / "d.csv"
         bad.write_text("time,stream,value\n"

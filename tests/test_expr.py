@@ -244,3 +244,134 @@ class TestImmutability:
         doubled = BinOp("*", Const(2.0), base)
         assert base.eval({"x": 1, "y": 2}) == 3
         assert doubled.eval({"x": 1, "y": 2}) == 6
+
+
+# ---------------------------------------------------------------------------
+# properties on random expression trees
+
+SYMBOLS = ("x", "y", "t")
+
+
+def _trees(st, smooth):
+    """Random expression trees over SYMBOLS.  With `smooth`, only
+    differentiable pieces, and every log argument, power base and divisor
+    is kept positive on positive symbol values."""
+    positive_leaf = st.one_of(
+        st.sampled_from([Sym(n) for n in SYMBOLS]),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]).map(Const))
+    if smooth:
+        positive = st.recursive(
+            positive_leaf,
+            lambda p: st.one_of(
+                st.tuples(st.sampled_from("+*/"), p, p).map(
+                    lambda a: BinOp(*a)),
+                st.tuples(p, st.sampled_from([0.5, 2.0, 3.0])).map(
+                    lambda a: BinOp("^", a[0], Const(a[1])))),
+            max_leaves=4)
+
+        def extend(a):
+            return st.one_of(
+                st.tuples(st.sampled_from("+-*"), a, a).map(
+                    lambda v: BinOp(*v)),
+                st.tuples(a, positive).map(lambda v: BinOp("/", *v)),
+                st.tuples(positive, a).map(lambda v: BinOp("^", *v)),
+                a.map(Neg),
+                st.tuples(st.sampled_from(["sin", "cos", "exp"]), a).map(
+                    lambda v: Call(v[0], (v[1],))),
+                positive.map(lambda v: Call("log", (v,))))
+
+        return st.recursive(positive, extend, max_leaves=6)
+
+    def extend(a):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/^"), a, a).map(
+                lambda v: BinOp(*v)),
+            a.map(Neg),
+            st.tuples(st.sampled_from(["sin", "cos", "exp", "log"]), a).map(
+                lambda v: Call(v[0], (v[1],))),
+            st.tuples(st.sampled_from(["min", "max"]), a, a).map(
+                lambda v: Call(v[0], (v[1], v[2]))),
+            st.tuples(st.sampled_from(["<", "<=", ">", ">="]), a, a, a,
+                      a).map(lambda v: Ifelse(*v)))
+
+    return st.recursive(positive_leaf | st.just(Sym("pi")), extend,
+                        max_leaves=8)
+
+
+def _compiled(tree, namespace):
+    source = to_python(tree, lambda n: n)
+    return eval(  # noqa: S307 - trusted, generated from our own AST
+        f"lambda {', '.join(SYMBOLS)}: {source}", dict(namespace))
+
+
+def test_property_generated_code_matches_interpreter():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    values = st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_trees(st, smooth=False), values, values, values)
+    def check(tree, xs, ys, ts):
+        env = {"x": np.array(xs), "y": np.array(ys), "t": np.array(ts)}
+        with np.errstate(all="ignore"):
+            try:
+                want = np.broadcast_to(tree.eval(env), (8,))
+            except (ZeroDivisionError, OverflowError):
+                # on a subtree of constants, which stay Python floats
+                hypothesis.reject()
+            # the array kernels take the interpreter's operations in order
+            got = np.broadcast_to(_compiled(tree, VECTOR_NAMESPACE)(**env),
+                                  (8,))
+        # a negative constant to a fractional constant power is complex
+        # on Python floats, nan on numpy's
+        hypothesis.assume(want.dtype.kind == got.dtype.kind == "f")
+        np.testing.assert_array_equal(got, want)
+        scalar_fn = _compiled(tree, SCALAR_NAMESPACE)
+        for i in range(8):
+            if not np.isfinite(want[i]):
+                continue
+            point = {n: float(v[i]) for n, v in env.items()}
+            try:
+                value = scalar_fn(**point)
+            except (ZeroDivisionError, OverflowError, ValueError, TypeError):
+                continue    # Python floats refuse what numpy would take
+            # math.* and numpy's functions may differ in the last bit
+            assert value == pytest.approx(want[i], rel=1e-9, abs=1e-9)
+
+    check()
+
+
+def test_property_derivatives_match_central_differences():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_trees(st, smooth=True), st.sampled_from(SYMBOLS),
+                      st.tuples(*[st.floats(0.5, 2.0)] * len(SYMBOLS)))
+    def check(tree, wrt, point):
+        # numpy scalars: an overflow is inf, not an exception
+        env = {n: np.float64(v) for n, v in zip(SYMBOLS, point)}
+
+        def f(v):
+            return tree.eval(dict(env, **{wrt: v}))
+
+        with np.errstate(all="ignore"):
+            try:
+                f0 = f(env[wrt])
+                symbolic = differentiate(tree, wrt).eval(env)
+            except (ZeroDivisionError, OverflowError):
+                # on a subtree of constants, which stay Python floats
+                hypothesis.reject()
+            # central differences at h, h/2, h/4, Richardson-extrapolated
+            # to O(h^4) twice: the gap between the two estimates bounds
+            # their error where f turns fast
+            d = [central_difference(f, env[wrt], 1e-4 / 2 ** k)
+                 for k in range(3)]
+        hypothesis.assume(np.isfinite(f0) and abs(f0) < 1e4)
+        hypothesis.assume(np.isfinite(symbolic) and abs(symbolic) < 1e4)
+        coarse = (4.0 * d[1] - d[0]) / 3.0
+        fine = (4.0 * d[2] - d[1]) / 3.0
+        tol = 1e-6 * (1.0 + abs(f0) + abs(symbolic))
+        assert abs(symbolic - fine) <= tol + 10.0 * abs(fine - coarse)
+
+    check()

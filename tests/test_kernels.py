@@ -94,12 +94,21 @@ def normals(cm, n, rng):
                  for k in (cm.n_react, len(cm.noise_groups), cm.n_diff))
 
 
+def sde_substep(cm, states, t, p, dt, xis):
+    """One substep of the sde interval kernel on states of shape (J, nx),
+    given the normals of each kind as (J, k)."""
+    x = states.T.copy()
+    blocks = [None if xi is None else xi.T[None] for xi in xis]
+    assert cm.sde(x, t, dt, 1, p, *blocks) == 1
+    return x.T
+
+
 def test_sde_kernel_matches_reference_formula(case):
     cm, p, states, times = case
     rng = np.random.default_rng(7)
     dt, t = 0.1, float(times[0])
     xi_demo, xi_env, xi_diff = normals(cm, len(states), rng)
-    got = cm.sde(states, t, p, dt, xi_demo, xi_env, xi_diff)
+    got = sde_substep(cm, states, t, p, dt, (xi_demo, xi_env, xi_diff))
 
     prop, drift, vols, _ = cm.dynamics(states, t, p)
     a = np.clip(prop, 0.0, None)
@@ -108,7 +117,8 @@ def test_sde_kernel_matches_reference_formula(case):
         noise += np.einsum("jig,jg->ji", cm.env_columns(a, p), xi_env)
     if cm.n_diff:
         noise[:, cm.diff_slice] += vols * xi_diff
-    want = states + dt * drift + np.sqrt(dt) * noise
+    # the kernel clamps at the floor after the step
+    want = np.maximum(states + dt * drift + np.sqrt(dt) * noise, cm.floor)
     np.testing.assert_allclose(got, want, rtol=1e-12,
                                atol=1e-12 * np.abs(want).max())
 
@@ -126,10 +136,10 @@ def test_batch_calls_match_stacked_single_calls(case):
         np.testing.assert_allclose(vols[i], v1, rtol=1e-13, atol=0.0)
 
     xis = normals(cm, len(states), np.random.default_rng(9))
-    batch = cm.sde(states, t, p, 0.1, *xis)
+    batch = sde_substep(cm, states, t, p, 0.1, xis)
     for i, x in enumerate(states):
         rows = [None if xi is None else xi[i : i + 1] for xi in xis]
-        one = cm.sde(x[None], t, p, 0.1, *rows)
+        one = sde_substep(cm, x[None], t, p, 0.1, rows)
         np.testing.assert_allclose(batch[i], one[0], rtol=1e-13, atol=1e-13)
 
 
