@@ -31,6 +31,7 @@ TRUTH = {
     "dengue-2strain": {"beta1": 2.1, "beta2": 1.9, "xi": 1.7},
 }
 MODELS = tuple(TRUTH)
+FORMALISMS = ("ode", "sde", "psr", "jump")
 
 
 def model_args(name, data=True):
@@ -44,20 +45,26 @@ def commands():
     the paths, relative to the working directory, the command writes."""
     out = []
     for name in MODELS:
-        for formalism in ("ode", "sde"):
+        out.append((f"check-data {name}", ["check-data", *model_args(name)],
+                    None, ()))
+    for name in MODELS:
+        for formalism in FORMALISMS:
+            # the jump process steps event by event: keep its horizon short
+            end = "3" if formalism == "jump" else "30"
             for n in ("1", "5"):
                 out.append((f"simulate {formalism} x{n} {name}",
                             ["simulate", *model_args(name, data=False),
-                             "--formalism", formalism, "--end", "30",
+                             "--formalism", formalism, "--end", end,
                              "--trajectories", n], name, ()))
     for name in MODELS:
         out.append((f"kalman {name}", ["kalman", *model_args(name)], name, ()))
         out.append((f"kalman dt 0.5 {name}",
                     ["kalman", *model_args(name), "--dt", "0.5"], name, ()))
     for name in MODELS:
-        out.append((f"smc sde {name}",
-                    ["smc", *model_args(name), "--formalism", "sde",
-                     "--n-particles", "200"], name, ()))
+        for formalism in ("sde", "psr"):
+            out.append((f"smc {formalism} {name}",
+                        ["smc", *model_args(name), "--formalism", formalism,
+                         "--n-particles", "200"], name, ()))
     sir = model_args("sir")
     out += [
         ("simplex sir", ["simplex", *sir, "--iterations", "20",
@@ -71,7 +78,7 @@ def commands():
                          "--trace", "pmcmc.csv", "--paths", "paths.csv"],
          "prev", ("pmcmc.csv", "paths.csv")),
     ]
-    for formalism in ("ode", "sde"):
+    for formalism in FORMALISMS:
         out.append((f"forecast {formalism} sir",
                     ["forecast", *model_args("sir", data=False),
                      "--formalism", formalism, "--end", "12",

@@ -146,9 +146,9 @@ def cmd_cat(args):
 
 
 def cmd_check_data(args):
-    cm = _load_compiled(args.model)
+    spec = load_model(args.model)
     ds = DataSet.from_csv(args.data)
-    problems = ds.validate(cm.spec)
+    problems = ds.validate(spec)
     counts = {}
     for _, pairs in ds.records:
         for stream, _v in pairs:
@@ -229,8 +229,7 @@ def cmd_simplex(args, kind, stage):
         step=args.step, dt=args.dt,
     )
     _update_values(doc, space, out["values"])
-    doc.log_likelihood = float(out["log_likelihood"])
-    doc.log_posterior = float(out["log_posterior"])
+    _record_fit(doc, space, out["values"], out["log_likelihood"])
     doc.record_stage(stage, _seed(args), out["iterations"])
     _log(f"{stage}: log likelihood {out['log_likelihood']:.6f} after "
          f"{out['iterations']} iteration(s), "

@@ -27,21 +27,24 @@ first time it is used:
              filter
     sde      every Euler-Maruyama substep of one interval over a batch of
              states
+    init     the initial state from parameter values
+    obs      each observation stream's parts and the gradient of its mean,
+             for one state (the moment filter) or a batch
 
 The interval kernels hold the loop over substeps, so a stepper makes one
 call per observation interval; `ssm.kernels` writes their source.  The
-scalar kernels return tuples and run on Python floats (see `_on_floats`).
-The reference evaluators (`dynamics`, `jacobian`, `process_cov`) assemble
-dense arrays from the same blocks and a Jacobian kernel; they serve tests,
-not the hot paths.  The initial state and the observation streams are
-compiled when the model is loaded.
+kernels for one state return tuples and run on Python floats (see
+`_on_floats`).  The `rates`, `drift` and `jac` kernels are batch kernels
+only: a single state goes through them as a batch with no leading
+dimensions.  `dynamics` and `process_cov_from` assemble dense arrays from
+them for tests and for checking the moment equations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -85,23 +88,25 @@ def combine(pairs):
     return s[2:] if s.startswith("+ ") else s
 
 
-def _on_floats(kernel):
+def _on_floats(kernel, on_numpy):
     """Wrap a scalar kernel, which returns a tuple, to run on Python floats,
     several times faster than on numpy scalars, and return an array.
-    Python float arithmetic raises on division by zero and on overflow in a
-    power, and takes a negative number to a fractional power as a complex
-    number (a TypeError where it meets a comparison or a math function); in
-    those cases the whole call, for an interval kernel the whole interval,
-    runs again on numpy scalars (the times too), so the result is numpy's."""
+    Python float arithmetic raises on division by zero, math.exp on
+    overflow and math.log outside its domain, and takes a negative number
+    to a fractional power as a complex number (a TypeError where it meets a
+    comparison or a math function); in those cases the whole call, for an
+    interval kernel the whole interval, runs again on numpy scalars (the
+    times too) through `on_numpy()`, the same kernel compiled against
+    numpy's math functions, so the result is numpy's."""
     def run(x, *args):
         try:
             out = np.array(kernel(x.tolist(), *args))
             if out.dtype.kind == "f":
                 return out
-        except (ZeroDivisionError, OverflowError, TypeError):
+        except (ZeroDivisionError, OverflowError, TypeError, ValueError):
             pass
         args = [np.float64(a) if type(a) is float else a for a in args]
-        return np.array(kernel(x, *args))
+        return np.array(on_numpy()(x, *args))
     return run
 
 
@@ -129,19 +134,19 @@ _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
 
 @dataclass
 class ObsFns:
-    """Compiled pieces of one observation stream.
+    """What one observation stream's generated function `kernel` returns.
 
-    `parts` lists what the generated function returns before the gradient
-    entries: ('mean',) for poisson, ('mean', 'variance') for
-    discretized_normal, ('trials', 'probability') for binomial.
+    `parts` lists the values it returns before the gradient entries:
+    ('mean',) for poisson, ('mean', 'variance') for discretized_normal,
+    ('trials', 'probability') for binomial; `grad_cols` the state columns
+    of the gradient entries.
     """
 
     name: str
     kind: str
     parts: tuple
     grad_cols: tuple
-    scalar: callable
-    vector: callable
+    kernel: str
 
 
 class CompiledModel:
@@ -179,16 +184,13 @@ class CompiledModel:
         # what one firing of each reaction takes from each compartment
         self.removals = np.maximum(-full[: self.n_comp], 0.0)
 
-        self.source_index = tuple(r.source for r in spec.reactions)
-        self.reaction_labels = tuple(r.label for r in spec.reactions)
-
         by_source = {}
         external = []
-        for k, src in enumerate(self.source_index):
-            if src is None:
-                external.append(k)
+        for r in spec.reactions:
+            if r.source is None:
+                external.append(r.index)
             else:
-                by_source.setdefault(src, []).append(k)
+                by_source.setdefault(r.source, []).append(r.index)
         # competing exits grouped by the compartment they drain, plus the
         # absolute-rate reactions
         self.reactions_by_source = tuple(
@@ -222,26 +224,13 @@ class CompiledModel:
         )
 
         self._build_symbols()
-        self._build_propensities()
+        # the propensity of each reaction: per-capita rates times the source
+        self._prop_exprs = [
+            r.rate if r.source is None
+            else ex.mul(r.rate, ex.Sym(spec.compartments[r.source]))
+            for r in spec.reactions]
         self._build_blocks()
-        source = self._emit_module()
-        scalar_ns = dict(ex.SCALAR_NAMESPACE)
-        vector_ns = dict(ex.VECTOR_NAMESPACE)
-        exec(compile(source, f"<model {spec.name}>", "exec"), scalar_ns)
-        exec(compile(source, f"<model {spec.name}>", "exec"), vector_ns)
-        self._init_vector = vector_ns["init"]
-        self.observations = tuple(
-            ObsFns(
-                o.name,
-                o.distribution,
-                self._obs_parts[i],
-                self._obs_grad_cols[i],
-                scalar_ns[f"obs{i}"],
-                vector_ns[f"obs{i}"],
-            )
-            for i, o in enumerate(spec.observations)
-        )
-        self._obs_by_name = {o.name: o for o in self.observations}
+        self._build_observations()
 
     # ------------------------------------------------------------------
     # symbol bookkeeping
@@ -258,7 +247,8 @@ class CompiledModel:
         for p in spec.parameters:
             resolve[p.name] = param_local(p.name)
         resolve["t"] = "t"
-        self._resolve_map = resolve
+        # symbol name -> its local in the generated source
+        self._resolve = resolve.__getitem__
 
         # chain factor d(natural)/d(coordinate) for every state column,
         # written against natural-scale symbols
@@ -279,9 +269,6 @@ class CompiledModel:
             chains.append((name, None))
         self._column_chains = chains
 
-    def _resolve(self, name):
-        return self._resolve_map[name]
-
     def _partials(self, tree):
         """Nonzero (state column, derivative Expr) pairs, chain applied."""
         out = []
@@ -295,16 +282,6 @@ class CompiledModel:
             if d != ex.ZERO:
                 out.append((j, d))
         return out
-
-    def _build_propensities(self):
-        spec = self.spec
-        props = []
-        for r in spec.reactions:
-            if r.source is None:
-                props.append(r.rate)
-            else:
-                props.append(ex.mul(r.rate, ex.Sym(spec.compartments[r.source])))
-        self._prop_exprs = props
 
     # ------------------------------------------------------------------
     # code generation
@@ -439,39 +416,14 @@ class CompiledModel:
         exec(compile(source, f"<model {self.spec.name}: {name}>", "exec"), ns)
         return ns
 
-    def _emit_module(self):
+    def _build_observations(self):
+        """The observation streams' metadata and the source of their
+        kernels, `obs{i}(x, t, p)` returning the parts and then the nonzero
+        entries of the gradient of the observed mean over the state."""
         spec = self.spec
-        code = ex.to_python
-        resolve = self._resolve
-
-        # --- init: state from parameter values
-        lines = ["def init(p):"]
-        init_needed = set()
-        for tree in spec.compartment_initials:
-            init_needed |= tree.free_symbols()
-        for d in spec.diffusions:
-            init_needed.add(d.initial_param)
-        for p in spec.parameters:
-            if p.name in init_needed:
-                lines.append(f"    {param_local(p.name)} = p['{p.name}']")
-        entries = [code(tree, resolve) for tree in spec.compartment_initials]
-        for d in spec.diffusions:
-            v = param_local(d.initial_param)
-            if isinstance(d.transform, Identity):
-                entries.append(v)
-            elif isinstance(d.transform, Log):
-                entries.append(f"log({v})")
-            else:
-                entries.append(f"log(({v})/(1.0 - ({v})))")
-        entries.extend(["0.0"] * self.n_acc)
-        lines.append(f"    return ({', '.join(entries)}{',' if entries else ''})")
-
-        # --- observation streams
-        self._obs_parts = []
-        self._obs_grad_cols = []
+        sources = []
+        observations = []
         for i, o in enumerate(spec.observations):
-            lines.append("")
-            lines.append(f"def obs{i}(x, t, p):")
             if o.distribution == "binomial":
                 parts = ("trials", "probability")
                 part_exprs = [o.trials, o.probability]
@@ -485,59 +437,87 @@ class CompiledModel:
                 part_exprs = [o.mean]
                 mean_expr = o.mean
             grads = self._partials(mean_expr)
-            needed = set()
-            for tree in part_exprs:
-                needed |= tree.free_symbols()
-            for _, tree in grads:
-                needed |= tree.free_symbols()
-            body = []
-            self._prologue(body, needed)
-            outs = []
-            for part_i, tree in enumerate(part_exprs):
-                body.append(f"    _o{part_i} = {code(tree, resolve)}")
-                outs.append(f"_o{part_i}")
-            for j, tree in grads:
-                body.append(f"    _og{j} = {code(tree, resolve)}")
-                outs.append(f"_og{j}")
-            lines.extend(body)
-            lines.append(f"    return ({', '.join(outs)},)")
-            self._obs_parts.append(parts)
-            self._obs_grad_cols.append(tuple(j for j, _ in grads))
-
-        return "\n".join(lines) + "\n"
+            trees = part_exprs + [tree for _, tree in grads]
+            body = [f"    _o{k} = {ex.to_python(tree, self._resolve)}"
+                    for k, tree in enumerate(trees)]
+            body.append(f"    return ({''.join(f'_o{k}, ' for k in range(len(trees)))})")
+            needed = set().union(*(tree.free_symbols() for tree in trees))
+            sources.append(self._kernel_source(
+                f"def obs{i}(x, t, p):", (), body, needed=needed))
+            observations.append(ObsFns(o.name, o.distribution, parts,
+                                       tuple(j for j, _ in grads), f"obs{i}"))
+        self.observations = tuple(observations)
+        self._obs_by_name = {o.name: o for o in observations}
+        self._obs_source = "\n".join(sources)
 
     # ------------------------------------------------------------------
     # kernels shaped to their callers, compiled on first use
 
-    def _array_kernels(self, name, blocks, values):
-        """(scalar, batch) kernels returning `values` along the last axis."""
-        scalar = self._kernel_source(
-            f"def {name}(x, t, p):", blocks,
-            [f"    return ({''.join(v + ', ' for v in values)})"], unpack="x")
-        batch = self._kernel_source(
+    def _array_kernel(self, name, blocks, values):
+        """Batch kernel returning `values` along the last axis; x may have
+        any leading dimensions, none for a single state."""
+        source = self._kernel_source(
             f"def {name}(x, t, p):", blocks,
             [f"    out = empty(x.shape[:-1] + ({len(values)},))"]
             + [f"    out[..., {i}] = {v}" for i, v in enumerate(values)]
             + ["    return out"])
-        return (_on_floats(self._compile(name, scalar, vector=False)[name]),
-                self._compile(name, batch, vector=True)[name])
+        return self._compile(name, source, vector=True)[name]
+
+    def _float_kernels(self, name, source, *functions):
+        """The `functions` of `source` for one state on Python floats, each
+        wrapped by `_on_floats`; the copy against numpy's math functions is
+        compiled only when a call needs it."""
+        ns = self._compile(name, source, vector=False)
+        on_numpy = cache(lambda: self._compile(name, source, vector=False,
+                                               **ex.VECTOR_NAMESPACE))
+        return tuple(_on_floats(ns[fn], lambda fn=fn: on_numpy()[fn])
+                     for fn in functions)
 
     @cached_property
     def _rates(self):
-        return self._array_kernels(
+        return self._array_kernel(
             "rates", ("rates",), [f"_a{k}" for k in range(self.n_react)])
 
     @cached_property
     def _drift(self):
-        return self._array_kernels(
+        return self._array_kernel(
             "drift", ("rates", "drift", "vols"),
             [f"_d{i}" for i in range(self.nx)]
             + [f"_v{d_i}" for d_i in range(self.n_diff)])
 
     @cached_property
     def _jac(self):
-        return self._array_kernels(
+        return self._array_kernel(
             "jac", ("jac",), [f"_j{i}_{j}" for i, j in self.jac_index])
+
+    @cached_property
+    def _init(self):
+        spec = self.spec
+        needed = {d.initial_param for d in spec.diffusions}.union(
+            *(tree.free_symbols() for tree in spec.compartment_initials))
+        entries = [ex.to_python(tree, self._resolve)
+                   for tree in spec.compartment_initials]
+        for d in spec.diffusions:
+            v = param_local(d.initial_param)
+            if isinstance(d.transform, Identity):
+                entries.append(v)
+            elif isinstance(d.transform, Log):
+                entries.append(f"log({v})")
+            else:
+                entries.append(f"log(({v})/(1.0 - ({v})))")
+        entries.extend(["0.0"] * self.n_acc)
+        source = self._kernel_source(
+            "def init(p):", (), [f"    return ({''.join(e + ', ' for e in entries)})"],
+            needed=needed)
+        return self._compile("init", source, vector=True)["init"]
+
+    @cached_property
+    def _obs_single(self):
+        return self._compile("obs", self._obs_source, vector=False)
+
+    @cached_property
+    def _obs_batch(self):
+        return self._compile("obs", self._obs_source, vector=True)
 
     # the interval kernels import ssm.kernels, which writes their source,
     # on first use: processes that step neither ode, moments nor sde never
@@ -546,8 +526,8 @@ class CompiledModel:
     @cached_property
     def _ode_single(self):
         from ssm import kernels
-        src = kernels.ode_source(self, batch=False)
-        return _on_floats(self._compile("ode", src, vector=False)["ode"])
+        return self._float_kernels(
+            "ode", kernels.ode_source(self, batch=False), "ode")[0]
 
     @cached_property
     def _ode_batch(self):
@@ -573,9 +553,8 @@ class CompiledModel:
     @cached_property
     def _moments(self):
         from ssm import kernels
-        ns = self._compile("moments", kernels.moments_source(self),
-                           vector=False)
-        return _on_floats(ns["moments"]), _on_floats(ns["interval"])
+        return self._float_kernels("moments", kernels.moments_source(self),
+                                   "moments", "interval")
 
     def moments(self, y, t, p):
         """dy for one state's moment equations at y = [m, upper triangle of
@@ -601,34 +580,31 @@ class CompiledModel:
     def dynamics(self, x, t, p):
         """Propensities, drift, volatilities and dense drift Jacobian at x.
 
-        The reference evaluator, off the hot paths.  x may carry leading
-        batch dimensions; parameter values may be arrays broadcasting
-        against them.
+        For tests, off the hot paths.  x may carry leading batch
+        dimensions; parameter values may be arrays broadcasting against
+        them.
         """
         x = np.asarray(x, dtype=float)
         drift, vols = self.drift_and_vols(x, t, p)
         jac = np.zeros(x.shape[:-1] + (self.nx, self.nx))
         if self.jac_index:
             rows, cols = zip(*self.jac_index)
-            jac[..., rows, cols] = self._jac[x.ndim > 1](x, t, p)
+            jac[..., rows, cols] = self._jac(x, np.asarray(t, dtype=float), p)
         return self.propensities(x, t, p), drift, vols, jac
 
+    # the batch kernels take the time as an array too, so that a single
+    # state or time follows numpy's arithmetic, as a batch does
+
     def propensities(self, x, t, p):
-        x = np.asarray(x, dtype=float)
-        return self._rates[x.ndim > 1](x, t, p)
+        return self._rates(np.asarray(x, dtype=float),
+                           np.asarray(t, dtype=float), p)
 
     def drift_and_vols(self, x, t, p):
         """Drift of every state column and volatility of every driven
         parameter; x may carry leading batch dimensions."""
-        x = np.asarray(x, dtype=float)
-        out = self._drift[x.ndim > 1](x, t, p)
+        out = self._drift(np.asarray(x, dtype=float),
+                          np.asarray(t, dtype=float), p)
         return out[..., : self.nx], out[..., self.nx :]
-
-    def drift(self, x, t, p):
-        return self.drift_and_vols(x, t, p)[0]
-
-    def jacobian(self, x, t, p):
-        return self.dynamics(x, t, p)[3]
 
     def init_state(self, p, size=None):
         """Initial state from parameter values; accumulator coordinates are 0.
@@ -636,16 +612,10 @@ class CompiledModel:
         With `size`, returns (size, nx); parameter values may then be arrays
         of matching length.
         """
-        raw = self._init_vector(p)
-        if size is None:
-            out = np.empty(self.nx)
-            for i, v in enumerate(raw):
-                out[i] = v
-            return out
-        out = np.empty((size, self.nx))
-        for i, v in enumerate(raw):
+        out = np.empty((1 if size is None else size, self.nx))
+        for i, v in enumerate(self._init(p)):
             out[:, i] = v
-        return out
+        return out[0] if size is None else out
 
     def env_columns(self, prop, p):
         """Environmental dispersion columns: for each noise group, the
@@ -661,12 +631,9 @@ class CompiledModel:
             cols[..., g_i] = acc * sd[..., None]
         return cols
 
-    def process_cov(self, x, t, p, demographic=True, environmental=True):
-        """Full-state instantaneous covariance of the diffusion approximation."""
-        prop, _, vols, _ = self.dynamics(x, t, p)
-        return self.process_cov_from(prop, vols, p, demographic, environmental)
-
     def process_cov_from(self, prop, vols, p, demographic=True, environmental=True):
+        """Full-state instantaneous covariance of the diffusion approximation
+        given the propensities and volatilities (see `dynamics`)."""
         lead = prop.shape[:-1]
         cov = np.zeros(lead + (self.nx, self.nx))
         if demographic and self.n_react:
@@ -687,23 +654,19 @@ class CompiledModel:
         return self._obs_by_name[name]
 
     def obs_values(self, name, x, t, p):
-        """Evaluate one stream; returns (parts dict, grad over state or None).
-
-        The gradient is of the observed mean (trials*probability for a
-        binomial stream) and is only assembled when the state has no batch
-        dimensions, which is the moment-filter case.
+        """Evaluate one stream; returns (parts dict, gradient over the state
+        of the observed mean, trials*probability for a binomial stream).
+        Parts are floats for one state (the moment filter) and arrays over
+        the leading dimensions of a batch.
         """
         o = self._obs_by_name[name]
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
-        fn = o.vector if lead else o.scalar
-        raw = fn(x, t, p)
-        n_parts = len(o.parts)
-        parts = {}
-        for i, part in enumerate(o.parts):
-            parts[part] = _pack_scalar(raw[i], lead)
+        raw = (self._obs_batch if lead else self._obs_single)[o.kernel](x, t, p)
+        parts = {part: np.broadcast_to(np.asarray(v, dtype=float), lead).copy()
+                 if lead else float(v) for part, v in zip(o.parts, raw)}
         grad = np.zeros(lead + (self.nx,))
-        for j, v in zip(o.grad_cols, raw[n_parts:]):
+        for j, v in zip(o.grad_cols, raw[len(o.parts):]):
             grad[..., j] = v
         return parts, grad
 
@@ -715,9 +678,3 @@ class CompiledModel:
             u = x[..., self.n_comp + d_i]
             out.append(np.asarray(d.transform.inverse(u), dtype=float))
         return out
-
-
-def _pack_scalar(v, lead_shape):
-    if lead_shape:
-        return np.broadcast_to(np.asarray(v, dtype=float), lead_shape).copy()
-    return float(v)

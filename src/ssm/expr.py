@@ -69,24 +69,15 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def __str__(self):
-        return _print(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Sym(Expr):
     name: str
 
-    def __str__(self):
-        return _print(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
     operand: Expr
-
-    def __str__(self):
-        return _print(self, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,17 +86,11 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def __str__(self):
-        return _print(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Call(Expr):
     func: str  # sin cos exp log min max
     args: tuple
-
-    def __str__(self):
-        return _print(self, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,9 +103,6 @@ class Ifelse(Expr):
     rhs: Expr
     then: Expr
     orelse: Expr
-
-    def __str__(self):
-        return _print(self, 0)
 
 
 ZERO = Const(0.0)

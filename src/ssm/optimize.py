@@ -163,7 +163,8 @@ def log_posterior(space, base_values, run):
 def maximize_stage(cm, dataset, space, base_values, t0, kind,
                    iterations=300, step=0.1, dt=None, xtol=1e-5):
     """Run the simplex on the chosen likelihood backend; returns the merged
-    natural-scale values and the likelihood decomposition at the optimum."""
+    natural-scale values and the log likelihood at the optimum.  FilterError
+    when the posterior is zero at every initial vertex."""
     target = log_posterior(space, base_values,
                            backend(cm, dataset, t0, kind, dt=dt))
 
@@ -171,14 +172,16 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
         ll, lp, _ = target(u)
         return ll + lp if np.isfinite(ll) else -np.inf
 
-    res = nelder_mead(objective, space.to_unconstrained(base_values),
-                      step=step, iterations=iterations, xtol=xtol)
+    try:
+        res = nelder_mead(objective, space.to_unconstrained(base_values),
+                          step=step, iterations=iterations, xtol=xtol)
+    except ValueError as err:
+        raise FilterError(f"simplex: {err}") from err
     values = dict(base_values)
     values.update(space.to_natural(res.x))
     return {
         "values": values,
         "log_likelihood": target(res.x)[0],
-        "log_posterior": res.value,
         "iterations": res.iterations,
         "converged": res.converged,
     }

@@ -31,25 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ssm.compiled import CompiledModel, DomainError
+from ssm.compiled import DomainError
 
 # dt=None everywhere means one tenth of the interval being advanced
 SUBSTEPS_PER_INTERVAL = 10
-
-
-def assemble_dispersion(cm: CompiledModel, x, t, params,
-                        demographic=True, environmental=True):
-    """Instantaneous covariance of the diffusion approximation, restricted to
-    the compartment block.
-
-    The demographic part sums, over reactions, the outer product of the
-    effect vector weighted by the propensity; the environmental part adds,
-    per noise group, the outer product of the propensity-weighted sum of
-    member effect columns scaled by the squared group sd.
-    """
-    cov = cm.process_cov(x, t, params, demographic=demographic,
-                         environmental=environmental)
-    return cov[..., : cm.n_comp, : cm.n_comp]
 
 
 # ----------------------------------------------------------------------

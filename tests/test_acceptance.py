@@ -441,7 +441,7 @@ def test_criterion_09_derivative_oracle(report):
             ts = rng.uniform(0.0, 40.0, size=100)
             worst = 0.0
             for x, t in zip(states, ts):
-                jac = cm.jacobian(x, t, p)
+                jac = cm.dynamics(x, t, p)[3]
                 grads = {
                     o.name: cm.obs_values(o.name, x, t, p)[1]
                     for o in spec.observations
@@ -451,8 +451,8 @@ def test_criterion_09_derivative_oracle(report):
                     xp, xm = x.copy(), x.copy()
                     xp[j] += h
                     xm[j] -= h
-                    fd_col = (cm.drift(xp, t, p)
-                              - cm.drift(xm, t, p)) / (2.0 * h)
+                    fd_col = (cm.dynamics(xp, t, p)[1]
+                              - cm.dynamics(xm, t, p)[1]) / (2.0 * h)
                     scale = np.maximum(1.0, np.abs(jac[:, j]))
                     worst = max(worst, np.max(
                         np.abs(fd_col - jac[:, j]) / scale))

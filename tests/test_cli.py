@@ -126,6 +126,17 @@ class TestValidation:
                  "--seed", "1"], stdin_text=POINT, cwd=tmp_path)
         assert r.returncode == 1
         assert "zero-density" in r.stderr
+        # beta 50 lies outside its uniform prior: every initial vertex of
+        # the simplex has zero posterior
+        outside = json.dumps({"ssm_theta": 1,
+                              "values": {"beta": 50.0, "gamma": 1.1}})
+        for stage in ("simplex", "ksimplex"):
+            r = run([stage, "--model", SIR, "--data", SIR_DATA,
+                     "--iterations", "10", "--dt", "0.5"],
+                    stdin_text=outside, cwd=tmp_path)
+            assert r.returncode == 1, stage
+            assert r.stderr.startswith("error: "), r.stderr
+            assert "not finite at any initial vertex" in r.stderr
 
     def test_impossible_data_is_minus_infinity(self, tmp_path):
         spec = json.loads(Path(SIR).read_text())
@@ -200,6 +211,19 @@ class TestScore:
             assert np.isfinite(doc["log_posterior"])
 
 
+    def test_overflowing_rate_on_floats_is_scored(self, tmp_path):
+        # exp overflows once t > 5.7; Python floats raise on it, numpy
+        # takes it to inf, which min() then caps at 1
+        spec = json.loads(Path(SIR).read_text())
+        spec["reactions"][0]["rate"] = "beta*min(1, exp(1000*(t - 5)))*I/N"
+        model = tmp_path / "switch.json"
+        model.write_text(json.dumps(spec))
+        r = run(["kalman", "--model", str(model), "--data", SIR_DATA],
+                stdin_text=POINT)
+        assert r.returncode == 0, r.stderr
+        assert np.isfinite(json.loads(r.stdout)["log_likelihood"])
+
+
 class TestScorePairing:
     """A stage's log_posterior is its own log_likelihood plus the log prior
     of the values it emits, never a figure left by an earlier stage."""
@@ -249,6 +273,18 @@ class TestScorePairing:
             "--trace", str(tmp_path / "trace.csv"), "--seed", "3", *extra])
         space = cli.load_model(SIR).free_parameters()
         assert doc["log_posterior"] != self.STALE["log_posterior"]
+        assert doc["log_posterior"] == \
+            doc["log_likelihood"] + space.log_prior_natural(doc["values"])
+
+    @pytest.mark.parametrize("stage", ["simplex", "ksimplex"])
+    def test_simplex_stages(self, capsys, tmp_path, stage):
+        from ssm import cli
+
+        doc = self.emitted(capsys, tmp_path, [
+            stage, "--model", SIR, "--data", SIR_DATA, "--iterations", "3",
+            "--dt", "0.5"])
+        space = cli.load_model(SIR).free_parameters()
+        assert doc["log_likelihood"] != self.STALE["log_likelihood"]
         assert doc["log_posterior"] == \
             doc["log_likelihood"] + space.log_prior_natural(doc["values"])
 

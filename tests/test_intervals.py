@@ -3,8 +3,8 @@
 `simulate.integrate_ode`, `CompiledModel.moments_interval` and
 `simulate.sde_step` run every substep of an observation interval in one
 generated call.  The references below step one substep at a time through
-the model's single-call kernels (`drift`, `moments`, `propensities`,
-`drift_and_vols`), with the domain check, the clamp and the draws of a
+the model's single-call kernels (`drift_and_vols`, `moments`,
+`propensities`), with the domain check, the clamp and the draws of a
 substep written out in numpy.  Both must give equal arrays, raise the same
 errors and leave the generator in the same state.
 """
@@ -48,14 +48,17 @@ def reference_check_domain(cm, x):
 
 
 def reference_ode(cm, x, t0, t1, p, dt=None):
+    def drift(x, t, p):
+        return cm.drift_and_vols(x, t, p)[0]
+
     n_sub, h = sim.substeps(t1 - t0, dt)
     x = np.array(x, dtype=float)
     t = t0
     for _ in range(n_sub):
-        k1 = cm.drift(x, t, p)
-        k2 = cm.drift(x + 0.5 * h * k1, t + 0.5 * h, p)
-        k3 = cm.drift(x + 0.5 * h * k2, t + 0.5 * h, p)
-        k4 = cm.drift(x + h * k3, t + h, p)
+        k1 = drift(x, t, p)
+        k2 = drift(x + 0.5 * h * k1, t + 0.5 * h, p)
+        k3 = drift(x + 0.5 * h * k2, t + 0.5 * h, p)
+        k4 = drift(x + h * k3, t + h, p)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = reference_check_domain(cm, x)
         t += h

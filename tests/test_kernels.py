@@ -1,9 +1,10 @@
 """Oracle checks of the generated kernels on the four shipped models.
 
-Each kernel is checked against a reference built another way: propensities
-against the expression interpreter, the moment equations against the dense
-reference evaluators, the fused Euler-Maruyama step against its formula, and
-every batch call against the same states evaluated one at a time.
+Each kernel is checked against a reference built another way: propensities,
+drift and volatilities against the expression interpreter, the moment
+equations against the dense Jacobian and covariance of `dynamics`, the fused
+Euler-Maruyama step against its formula, and every batch call against the
+same states evaluated one at a time.
 """
 
 import json
@@ -60,17 +61,30 @@ def interpreter_env(cm, x, t, p):
 
 
 def test_rates_match_interpreter(case):
+    # compartment and accumulator rows of the drift are the stoichiometry
+    # times the propensities, driven rows their own formula
     cm, p, states, times = case
     spec = cm.spec
+    want_rates, want_drift, want_vols = [], [], []
     for x, t in zip(states, times):
         env = interpreter_env(cm, x, t, p)
-        want = [
+        rates = np.array([
             r.rate.eval(env)
             * (1.0 if r.source is None else env[spec.compartments[r.source]])
             for r in spec.reactions
-        ]
-        np.testing.assert_allclose(cm.propensities(x, t, p), want,
-                                   rtol=1e-12, atol=0.0)
+        ])
+        drift = cm.stoich_full @ rates
+        drift[cm.diff_slice] = [d.drift.eval(env) for d in spec.diffusions]
+        want_rates.append(rates)
+        want_drift.append(drift)
+        want_vols.append([d.volatility.eval(env) for d in spec.diffusions])
+    want_rates, want_drift = np.array(want_rates), np.array(want_drift)
+    want_vols = np.array(want_vols).reshape(len(states), cm.n_diff)
+    drift, vols = cm.drift_and_vols(states, times, p)
+    for got, want in ((cm.propensities(states, times, p), want_rates),
+                      (drift, want_drift), (vols, want_vols)):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(initial=0))
 
 
 def test_moments_match_dense_reference(case):
@@ -184,6 +198,26 @@ def test_scalar_kernels_follow_numpy_arithmetic():
         np.testing.assert_array_equal(single, batch)
         assert np.isnan(single[bad])
         assert np.isnan(moments[: cm.n_comp]).any()
+
+
+def test_float_kernels_rerun_against_numpy_math():
+    # exp overflows once t > 5.7: math.exp raises, so the whole interval
+    # runs again on numpy scalars with numpy's exp, and min() caps its inf
+    # at 1, as in a batch
+    cm = CompiledModel(sir_model(reactions=[
+        {"from": "S", "to": "I", "rate": "beta*min(1, exp(1000*(t - 5)))*I/N",
+         "accumulators": ["cases"]},
+        {"from": "I", "to": "R", "rate": "gamma"},
+    ]))
+    p = cm.spec.resolve_values({"beta": 1.5, "gamma": 1.0})
+    x = cm.init_state(p)
+    for t in (0.0, 5.0, 6.0):
+        with np.errstate(over="ignore"):
+            single = cm.ode(x, t, 0.1, 10, p)
+            batch = cm.ode(np.stack([x, x]), t, 0.1, 10, p)
+        assert np.isfinite(single).all()
+        assert single.tobytes() == batch[0].tobytes()
+        x = single
 
 
 def test_property_batch_equals_single():

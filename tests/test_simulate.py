@@ -76,7 +76,7 @@ class TestOde:
     def test_sir_drift_hand_values(self):
         cm = compiled_sir()
         x0 = cm.init_state(SIR_PARAMS)
-        drift = cm.drift(x0, 0.0, SIR_PARAMS)
+        drift = cm.dynamics(x0, 0.0, SIR_PARAMS)[1]
         # a_infection = 0.5*10/1000*990 = 4.95, a_recovery = 0.25*10 = 2.5
         assert drift == pytest.approx([-4.95, 2.45, 2.5, 4.95], abs=1e-12)
 
@@ -172,7 +172,8 @@ class TestJacobian:
             lo = x.copy()
             hi[j] += h
             lo[j] -= h
-            out[:, j] = (cm.drift(hi, t, p) - cm.drift(lo, t, p)) / (2 * h)
+            out[:, j] = (cm.dynamics(hi, t, p)[1]
+                         - cm.dynamics(lo, t, p)[1]) / (2 * h)
         return out
 
     def test_sir_jacobian_matches_differences(self):
@@ -180,7 +181,7 @@ class TestJacobian:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = np.abs(rng.normal(scale=200.0, size=cm.nx)) + 5.0
-            jac = cm.jacobian(x, 0.0, SIR_PARAMS)
+            jac = cm.dynamics(x, 0.0, SIR_PARAMS)[3]
             num = self.numeric_jacobian(cm, x, 0.0, SIR_PARAMS)
             assert jac == pytest.approx(num, rel=2e-5, abs=1e-7)
 
@@ -217,7 +218,7 @@ class TestJacobian:
             x = cm.init_state(p)
             x[:3] = np.abs(rng.normal(scale=300.0, size=3)) + 5.0
             x[cm.diff_slice] = rng.normal(scale=0.5)
-            jac = cm.jacobian(x, 0.0, p)
+            jac = cm.dynamics(x, 0.0, p)[3]
             num = TestJacobian.numeric_jacobian(self, cm, x, 0.0, p)
             assert jac == pytest.approx(num, rel=3e-5, abs=1e-7)
 
@@ -228,11 +229,18 @@ class TestJacobian:
         assert grad == pytest.approx([0.0, 0.0, 0.0, 1.0])
 
 
+def dispersion(cm, x, t, p, **kinds):
+    """Compartment block of the diffusion approximation's covariance."""
+    prop, _, vols, _ = cm.dynamics(x, t, p)
+    cov = cm.process_cov_from(prop, vols, p, **kinds)
+    return cov[..., : cm.n_comp, : cm.n_comp]
+
+
 class TestDispersion:
     def test_demographic_reference_matrix(self):
         cm = compiled_sir()
         x0 = cm.init_state(SIR_PARAMS)
-        disp = sim.assemble_dispersion(cm, x0, 0.0, SIR_PARAMS)
+        disp = dispersion(cm, x0, 0.0, SIR_PARAMS)
         a_inf, a_rec = 4.95, 2.5
         expected = np.array([
             [a_inf, -a_inf, 0.0],
@@ -259,7 +267,7 @@ class TestDispersion:
         cm = compiled(SIR, reactions=reactions, parameters=params)
         p = dict(SIR_PARAMS, sigma_env=0.3)
         x0 = cm.init_state(p)
-        disp = sim.assemble_dispersion(cm, x0, 0.0, p)
+        disp = dispersion(cm, x0, 0.0, p)
         a_inf, a_rec, s2 = 4.95, 2.5, 0.09
         l_inf = np.array([-1.0, 1.0, 0.0])
         l_rec = np.array([0.0, -1.0, 1.0])
@@ -269,7 +277,7 @@ class TestDispersion:
             + s2 * a_inf ** 2 * np.outer(l_inf, l_inf)
         )
         assert disp == pytest.approx(expected, abs=1e-10)
-        only_env = sim.assemble_dispersion(cm, x0, 0.0, p, demographic=False)
+        only_env = dispersion(cm, x0, 0.0, p, demographic=False)
         assert only_env == pytest.approx(
             s2 * a_inf ** 2 * np.outer(l_inf, l_inf), abs=1e-10
         )
@@ -292,8 +300,8 @@ class TestDispersion:
         cm = CompiledModel(doc)
         p = dict(SIR_PARAMS, sigma_env=0.25)
         x = np.array([700.0, 150.0, 150.0, 80.0])
-        prop = cm.propensities(x, 0.0, p)
-        full = cm.process_cov(x, 0.0, p)
+        prop, _, vols, _ = cm.dynamics(x, 0.0, p)
+        full = cm.process_cov_from(prop, vols, p)
         manual = np.zeros((cm.nx, cm.nx))
         for k in range(cm.n_react):
             col = cm.stoich_full[:, k]
