@@ -37,6 +37,10 @@ class SimplexResult:
     values: np.ndarray
 
 
+class NoFiniteVertex(ValueError):
+    """The objective is -inf at every vertex of the initial simplex."""
+
+
 def nelder_mead(f, x0, step=0.1, iterations=300, xtol=1e-5):
     """Maximize f by the Nelder-Mead simplex method.
 
@@ -54,7 +58,7 @@ def nelder_mead(f, x0, step=0.1, iterations=300, xtol=1e-5):
         simplex[i + 1, i] += step[i]
     g = np.array([-f(v) for v in simplex])
     if np.all(np.isinf(g)):
-        raise ValueError("objective is not finite at any initial vertex")
+        raise NoFiniteVertex("objective is not finite at any initial vertex")
 
     n_iter = 0
     converged = False
@@ -175,7 +179,7 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
     try:
         res = nelder_mead(objective, space.to_unconstrained(base_values),
                           step=step, iterations=iterations, xtol=xtol)
-    except ValueError as err:
+    except NoFiniteVertex as err:
         raise FilterError(f"simplex: {err}") from err
     values = dict(base_values)
     values.update(space.to_natural(res.x))
