@@ -49,12 +49,10 @@ def commands():
                     None, ()))
     for name in MODELS:
         for formalism in FORMALISMS:
-            # the jump process steps event by event: keep its horizon short
-            end = "3" if formalism == "jump" else "30"
             for n in ("1", "5"):
                 out.append((f"simulate {formalism} x{n} {name}",
                             ["simulate", *model_args(name, data=False),
-                             "--formalism", formalism, "--end", end,
+                             "--formalism", formalism, "--end", "30",
                              "--trajectories", n], name, ()))
     for name in MODELS:
         out.append((f"kalman {name}", ["kalman", *model_args(name)], name, ()))

@@ -7,11 +7,12 @@ reproducible byte for byte.
 
 Run from the repository root:  python3 scripts/make_shipped_data.py
 
-Do not regenerate sir-data.csv.  It was drawn with the earlier
-one-trajectory-at-a-time jump simulator, whose random stream differs from
-the lockstep simulator's, so this script no longer reproduces it; a new
-file would change the data behind the fit-sir benchmark workload and the
-acceptance criteria.  The Poisson-backend files are still reproduced.
+Do not regenerate sir-data.csv.  It was drawn with an earlier jump
+simulator, whose use of the random stream differs from the current one
+(which takes its variates in fixed-size blocks), so this script no longer
+reproduces it; a new file would change the data behind the fit-sir
+benchmark workload and the acceptance criteria.  The Poisson-backend files
+are still reproduced.
 """
 
 import csv

@@ -17,9 +17,9 @@ call.
 Each caller gets a kernel shaped to what it needs, generated and compiled the
 first time it is used:
 
-    rates    propensities only (Poisson and jump steppers)
+    rates    propensities only (the Poisson stepper)
     drift    drift rows and driven-parameter volatilities (the driven
-             coordinates of the Poisson and jump steppers)
+             coordinates of the Poisson stepper)
     ode      every RK4 substep of one observation interval, for one state
              or a batch
     moments  every RK4 substep of one interval of the moment equations,
@@ -27,17 +27,20 @@ first time it is used:
              filter
     sde      every Euler-Maruyama substep of one interval over a batch of
              states
+    jump     every event of one interval of the jump process, for one
+             state
     init     the initial state from parameter values
     obs      each observation stream's parts and the gradient of its mean,
              for one state (the moment filter) or a batch
 
 The interval kernels hold the loop over substeps, so a stepper makes one
-call per observation interval; `ssm.kernels` writes their source.  The
-kernels for one state return tuples and run on Python floats (see
-`_on_floats`).  The `rates`, `drift` and `jac` kernels are batch kernels
-only: a single state goes through them as a batch with no leading
-dimensions.  `dynamics` and `process_cov_from` assemble dense arrays from
-them for tests and for checking the moment equations.
+call per observation interval (jump: per state and interval);
+`ssm.kernels` writes their source.  The kernels for one state return
+tuples and run on Python floats (see `_on_floats`).  The `rates`, `drift`
+and `jac` kernels are batch kernels only: a single state goes through them
+as a batch with no leading dimensions.  `dynamics` and `process_cov_from`
+assemble dense arrays from them for tests and for checking the moment
+equations.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def _settle_batch(cols, floor):
     return np.maximum(x, floor, out=x)
 
 
-_SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, DomainError=DomainError)
+_SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
+                  nextafter=math.nextafter, DomainError=DomainError)
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
                   empty_like=np.empty_like, isfinite=np.isfinite,
                   all_of=np.logical_and.reduce, scalar_sqrt=math.sqrt,
@@ -419,7 +423,8 @@ class CompiledModel:
     def _build_observations(self):
         """The observation streams' metadata and the source of their
         kernels, `obs{i}(x, t, p)` returning the parts and then the nonzero
-        entries of the gradient of the observed mean over the state."""
+        entries of the gradient of the observed mean over the state; x is
+        unpacked, so a batch comes state axis first."""
         spec = self.spec
         sources = []
         observations = []
@@ -443,7 +448,7 @@ class CompiledModel:
             body.append(f"    return ({''.join(f'_o{k}, ' for k in range(len(trees)))})")
             needed = set().union(*(tree.free_symbols() for tree in trees))
             sources.append(self._kernel_source(
-                f"def obs{i}(x, t, p):", (), body, needed=needed))
+                f"def obs{i}(x, t, p):", (), body, unpack="x", needed=needed))
             observations.append(ObsFns(o.name, o.distribution, parts,
                                        tuple(j for j, _ in grads), f"obs{i}"))
         self.observations = tuple(observations)
@@ -463,13 +468,18 @@ class CompiledModel:
             + ["    return out"])
         return self._compile(name, source, vector=True)[name]
 
+    def _float_namespaces(self, name, source):
+        """Namespace of `source` compiled for Python floats, and a function
+        returning it compiled against numpy's math functions, on first
+        call."""
+        ns = self._compile(name, source, vector=False)
+        return ns, cache(lambda: self._compile(name, source, vector=False,
+                                               **ex.VECTOR_NAMESPACE))
+
     def _float_kernels(self, name, source, *functions):
         """The `functions` of `source` for one state on Python floats, each
-        wrapped by `_on_floats`; the copy against numpy's math functions is
-        compiled only when a call needs it."""
-        ns = self._compile(name, source, vector=False)
-        on_numpy = cache(lambda: self._compile(name, source, vector=False,
-                                               **ex.VECTOR_NAMESPACE))
+        wrapped by `_on_floats`."""
+        ns, on_numpy = self._float_namespaces(name, source)
         return tuple(_on_floats(ns[fn], lambda fn=fn: on_numpy()[fn])
                      for fn in functions)
 
@@ -513,15 +523,17 @@ class CompiledModel:
 
     @cached_property
     def _obs_single(self):
-        return self._compile("obs", self._obs_source, vector=False)
+        names = [o.kernel for o in self.observations]
+        return dict(zip(names, self._float_kernels("obs", self._obs_source,
+                                                   *names)))
 
     @cached_property
     def _obs_batch(self):
         return self._compile("obs", self._obs_source, vector=True)
 
     # the interval kernels import ssm.kernels, which writes their source,
-    # on first use: processes that step neither ode, moments nor sde never
-    # load it
+    # on first use: processes that step neither ode, moments, sde nor jump
+    # never load it
 
     @cached_property
     def _ode_single(self):
@@ -573,6 +585,15 @@ class CompiledModel:
         from ssm import kernels
         return self._compile("sde", kernels.sde_source(self), vector=True,
                              floor=self.floor[:, None])["sde"]
+
+    @cached_property
+    def jump(self):
+        """The jump kernel (`kernels.jump_source`) on Python floats, and a
+        function returning it compiled for a rerun on numpy scalars."""
+        from ssm import kernels
+        ns, on_numpy = self._float_namespaces("jump",
+                                              kernels.jump_source(self))
+        return ns["jump"], lambda: on_numpy()["jump"]
 
     # ------------------------------------------------------------------
     # evaluation helpers
@@ -662,7 +683,11 @@ class CompiledModel:
         o = self._obs_by_name[name]
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
-        raw = (self._obs_batch if lead else self._obs_single)[o.kernel](x, t, p)
+        if lead:
+            raw = self._obs_batch[o.kernel](
+                x.transpose(-1, *range(x.ndim - 1)), t, p)
+        else:
+            raw = self._obs_single[o.kernel](x, float(t), p)
         parts = {part: np.broadcast_to(np.asarray(v, dtype=float), lead).copy()
                  if lead else float(v) for part, v in zip(o.parts, raw)}
         grad = np.zeros(lead + (self.nx,))

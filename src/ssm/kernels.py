@@ -11,11 +11,13 @@ kernels that run every substep of one observation interval, which
     moments_source  the moment equations of the moment filter, and RK4
                     over [mean, upper triangle of covariance] around them
     sde_source      Euler-Maruyama over a batch laid out as (nx, J)
+    jump_source     the jump process of one state, event by event, for
+                    Python floats
 
-Element by element, each kernel takes the operations of one substep at a
-time in numpy in the same order, so its results are those bit for bit.
-Only those steppers need this module, so `CompiledModel` imports it on
-first use.
+Element by element, each kernel takes the operations of one substep (one
+event) at a time in numpy in the same order, so its results are those bit
+for bit where the math functions agree.  Only those steppers need this
+module, so `CompiledModel` imports it on first use.
 """
 
 from ssm import expr as ex
@@ -245,4 +247,84 @@ def sde_source(cm):
     lines.append("    for _n in range(n):")
     lines += ["    " + line for line in head + loop]
     lines.append("    return n")
+    return "\n".join(lines) + "\n"
+
+
+def jump_source(cm):
+    """Source of `jump(x, t, t1, dt_max, p, exps, unis, normals)`: the
+    Markov jump process of one state advanced event by event from time t
+    to t1, on Python floats; returns the new state as a tuple.
+
+    At each event the propensities are formed at the current state and
+    time, a negative one clamped at zero and that of a reaction that would
+    overdraw a compartment zeroed by a product (so a non-finite one still
+    makes the total non-finite); DomainError if their total is not finite.
+    The wait is an exponential from `exps` over the total, none when the
+    total is zero.  A wait past the cap min(dt_max, t1 - t) is discarded:
+    the clock moves by the cap and nothing fires.  The driven coordinates
+    move by Euler-Maruyama over the elapsed stretch from the state before
+    the jump, one normal each from `normals`.  When the wait ends within
+    the cap, the first reaction whose cumulative propensity (summed in
+    listing order) exceeds a uniform from `unis` times the total fires; the
+    target is held below the total by nextafter, so a reaction of zero
+    propensity is never picked.  `exps`, `unis` and `normals` are iterators
+    of floats taken with next().
+    """
+    S = cm.stoich_full
+    needed = set(cm._blocks["rates"][1])
+    if cm.n_diff:
+        needed |= cm._blocks["drift"][1] | cm._blocks["vols"][1]
+    states = needed & set(cm.state_names)
+
+    lines = ["def jump(x, t, t1, dt_max, p, exps, unis, normals):",
+             f"    {''.join(f'_y{i}, ' for i in range(cm.nx))}= x"]
+    cm._prologue(lines, needed - states)
+    lines += ["    _end = t1 - 1e-12", "    while t < _end:"]
+    loop = []
+    cm._prologue(loop, states, read="_y{}")
+    loop += cm._blocks["rates"][0]
+    for k in range(cm.n_react):
+        loop.append(f"    _a{k} = 0.0 if _a{k} <= 0.0 else _a{k}")
+        removes = [f"_y{i} >= {float(cm.removals[i, k])!r}"
+                   for i in range(cm.n_comp) if cm.removals[i, k] > 0]
+        if removes:
+            loop.append(f"    _a{k} = _a{k} if {' and '.join(removes)}"
+                        f" else 0.0*_a{k}")
+    # _c{k}: cumulative propensities; the last is the total
+    loop += [f"    _c{k} = {f'_c{k - 1} + ' if k else ''}_a{k}"
+             for k in range(cm.n_react)]
+    total = f"_c{cm.n_react - 1}" if cm.n_react else "0.0"
+    loop += [f"    if not {total} < inf:",
+             "        raise DomainError('non-finite rate during jump "
+             "simulation')",
+             "    _cap = t1 - t",
+             "    if dt_max < _cap:",
+             "        _cap = dt_max",
+             f"    _tau = next(exps)/{total} if {total} > 0.0 else inf",
+             "    _el = _tau if _tau < _cap else _cap"]
+    if cm.n_diff:
+        loop += cm._blocks["drift"][0][cm.n_comp:cm.n_comp + cm.n_diff]
+        loop += cm._blocks["vols"][0]
+        loop.append("    _sq = sqrt(_el)")
+        loop += [f"    _y{i} = _y{i} + (_el*_d{i} + _sq*_v{i - cm.n_comp}"
+                 "*next(normals))"
+                 for i in range(cm.n_comp, cm.n_comp + cm.n_diff)]
+    loop.append("    t = t + _el")
+    if cm.n_react:
+        loop += ["    if _tau < _cap:",
+                 f"        _tg = next(unis)*{total}",
+                 f"        _top = nextafter({total}, 0.0)",
+                 "        if _top < _tg:",
+                 "            _tg = _top"]
+        for k in range(cm.n_react):
+            if k < cm.n_react - 1:
+                loop.append(f"        {'elif' if k else 'if'} _tg < _c{k}:")
+            elif k:
+                loop.append("        else:")
+            indent = " " * (12 if cm.n_react > 1 else 8)
+            moves = [f"{indent}_y{i} += {float(S[i, k])!r}"
+                     for i in range(cm.nx) if S[i, k]]
+            loop += moves or [f"{indent}pass"]
+    lines += ["    " + line for line in loop]
+    lines.append(f"    return ({''.join(f'_y{i}, ' for i in range(cm.nx))})")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ steps with demographic, environmental and parameter-diffusion noise entering
 through separate factor columns; the Poisson backend draws integer reaction
 counts per time slice with competing exits handled as conditional binomials;
 the jump backend simulates the underlying Markov jump process event by
-event, a whole batch of trajectories in lockstep.
+event, one trajectory after another.
 
 Environmental (white) noise multiplies the rates of the reactions in a noise
 group by the increment of a gamma process with mean dt and variance sd^2 dt.
@@ -24,10 +24,15 @@ interval's normals in one call whose values, in order, are those of the
 three draws per substep (per reaction, per noise group, per driven
 parameter) that stepping one substep at a time would make: a seed gives
 the same trajectories either way and leaves the generator in the same
-state.  The Poisson backend steps one substep per call.
+state.  The jump backend makes one call of the generated `jump` kernel
+per trajectory and interval, on Python floats, the trajectories of a batch
+taking their variates from shared streams.  The Poisson backend steps one
+substep per call.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -209,62 +214,69 @@ def psr_step(cm, x, t, dt, params, rng):
 # ----------------------------------------------------------------------
 # jump backend
 
-def gillespie_interval(cm, x, t0, t1, params, rng, dt_max=None):
-    """Exact simulation of the jump process over [t0, t1] for a batch of
-    trajectories in lockstep (a single state is a batch of one); parameter
-    values may be per-row columns.
+# variates drawn per block by each stream of the jump kernel; a block is
+# drawn when the stream runs dry, so it is a constant, not an option
+JUMP_BLOCK = 512
 
-    Each unfinished row draws, per iteration, one exponential wait and one
-    uniform that picks its reaction, on its own clock.  Rates are frozen at
-    the current state; a wait beyond dt_max is discarded and the clock
-    advanced by dt_max, so time-varying rates and driven parameters are
-    refreshed at least that often.  A reaction that would overdraw a
-    compartment has zero propensity.  Driven parameters move by
-    Euler-Maruyama over each elapsed stretch.
+
+def jump_streams(rng):
+    """The exponential, uniform and normal variates the jump kernel takes
+    with next(), as Python floats, each drawn from rng JUMP_BLOCK at a time
+    when its stream runs dry."""
+    return tuple(
+        chain.from_iterable(map(np.ndarray.tolist,
+                                map(draw, repeat(JUMP_BLOCK))))
+        for draw in (rng.standard_exponential, rng.random,
+                     rng.standard_normal))
+
+
+def _jump_rows(kernel, scalar, rows, t0, t1, dt_max, params, rng):
+    """One kernel call per row, with the row's parameter columns, the
+    times and the state converted by `scalar`; the rows share one set of
+    streams.  A complex result is a TypeError."""
+    streams = jump_streams(rng)
+    n = len(rows)
+    p = {k: scalar(v) for k, v in params.items() if not np.ndim(v)}
+    columns = {k: list(map(scalar, np.broadcast_to(v, n)))
+               for k, v in params.items() if np.ndim(v)}
+    times = scalar(t0), scalar(t1), scalar(dt_max)
+    out = []
+    for j, row in enumerate(rows.tolist() if scalar is float else rows):
+        p.update({k: col[j] for k, col in columns.items()})
+        out.append(kernel(row, *times, p, *streams))
+    return np.array(out, dtype=float)
+
+
+def gillespie_interval(cm, x, t0, t1, params, rng, dt_max=None):
+    """Exact simulation of the jump process over [t0, t1] for one state or
+    a batch, one call of the model's `jump` kernel per row (see
+    `kernels.jump_source`); parameter values may be per-row columns.
+
+    Rates are frozen at the current state between events; a wait beyond
+    dt_max is discarded and the clock advanced by dt_max, so time-varying
+    rates and driven parameters are refreshed at least that often.  A
+    reaction that would overdraw a compartment has zero propensity, and a
+    non-finite total raises DomainError.  Driven parameters move by
+    Euler-Maruyama over each elapsed stretch.  The rows run in turn on
+    Python floats, taking their variates from one set of `jump_streams`, so
+    a row's draws depend on the rows before it in the batch.  Where Python
+    float arithmetic raises (or turns complex) in any row, the whole call
+    runs again on numpy scalars from the generator state at entry, so the
+    result is numpy's.
     """
-    x = np.array(x, dtype=float, copy=True)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(-1, cm.nx)
     if dt_max is None:
         dt_max = (t1 - t0) / SUBSTEPS_PER_INTERVAL
-    live = np.arange(x.shape[0] if t1 - t0 > 1e-12 else 0)
-    xa, pa = x, params
-    ta = np.full(len(live), float(t0))
-    jumps = np.vstack([cm.stoich_full.T, np.zeros(cm.nx)])
-    while live.size:
-        prop = np.maximum(cm.propensities(xa, ta, pa), 0.0)
-        prop *= (xa[:, cm.comp_slice, None] >= cm.removals).all(axis=1)
-        cum = prop.cumsum(axis=1)
-        total = cum[:, -1]
-        if not np.isfinite(total).all():
-            raise DomainError("non-finite rate during jump simulation")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = rng.standard_exponential(len(live)) / total
-        u = rng.random(len(live))
-        cap = np.minimum(dt_max, t1 - ta)
-        # a row with nothing left to fire waits out its cap (fmin skips
-        # the nan of a zero exponential over a zero total)
-        elapsed = np.fmin(tau, cap)
-        if cm.n_diff:
-            drift, vols = cm.drift_and_vols(xa, ta, pa)
-            xi = rng.standard_normal((len(live), cm.n_diff))
-            xa[:, cm.diff_slice] += (elapsed[:, None] * drift[:, cm.diff_slice]
-                                     + np.sqrt(elapsed)[:, None] * vols * xi)
-        ta = ta + elapsed
-        # the target stays below the total, so a reaction with zero
-        # propensity is never picked; a row whose wait ran past its cap
-        # picks the empty jump after the last reaction
-        target = np.minimum(u * total, np.nextafter(total, 0.0))
-        target[tau >= cap] = np.inf
-        xa += jumps[(cum <= target[:, None]).sum(axis=1)]
-        done = ta >= t1 - 1e-12
-        if done.any():
-            x[live] = xa
-            keep = ~done
-            live, xa, ta = live[keep], xa[keep], ta[keep]
-            pa = {k: v[live] if np.ndim(v) else v for k, v in params.items()}
-    return x[0] if squeeze else x
+    kernel, on_numpy = cm.jump
+    start = rng.bit_generator.state
+    try:
+        out = _jump_rows(kernel, float, rows, t0, t1, dt_max, params, rng)
+    except (ZeroDivisionError, OverflowError, TypeError, ValueError):
+        rng.bit_generator.state = start
+        out = _jump_rows(on_numpy(), np.float64, rows, t0, t1, dt_max,
+                         params, rng)
+    return out.reshape(x.shape)
 
 
 # ----------------------------------------------------------------------

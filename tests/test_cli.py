@@ -168,6 +168,22 @@ class TestValidation:
         assert f"error: model '{spec['name']}'" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_overflowing_observation_formula(self, tmp_path):
+        # exp overflows on Python floats before t = 5; numpy's exp gives
+        # inf there, and the min makes the mean finite
+        spec = json.loads(Path(SIR).read_text())
+        spec["observations"][0]["mean"] = "rho*inc*min(1, exp(1000*(t - 5)))"
+        model = tmp_path / "overflow.json"
+        model.write_text(json.dumps(spec))
+        r = run(["kalman", "--model", str(model), "--data", SIR_DATA],
+                stdin_text=POINT, cwd=tmp_path)
+        assert "Traceback" not in r.stderr
+        if r.returncode:
+            assert r.returncode in (1, 2)
+            assert "error: " in r.stderr
+        else:
+            assert np.isfinite(json.loads(r.stdout)["log_likelihood"])
+
     def test_check_data_reports_problems(self, tmp_path):
         bad = tmp_path / "d.csv"
         bad.write_text("time,stream,value\n"

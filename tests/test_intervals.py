@@ -2,23 +2,25 @@
 
 `simulate.integrate_ode`, `CompiledModel.moments_interval` and
 `simulate.sde_step` run every substep of an observation interval in one
-generated call.  The references below step one substep at a time through
-the model's single-call kernels (`drift_and_vols`, `moments`,
+generated call, and `simulate.gillespie_interval` every event of one
+state's interval.  The references below step one substep (one event) at a
+time through the model's single-call kernels (`drift_and_vols`, `moments`,
 `propensities`), with the domain check, the clamp and the draws of a
 substep written out in numpy.  Both must give equal arrays, raise the same
 errors and leave the generator in the same state.
 """
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import SIR, build
+from helpers import SIR, build, local_level_model
 from ssm import simulate as sim
 from ssm.compiled import CompiledModel, DomainError
-from ssm.model import load_model
+from ssm.model import load_model, parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "src" / "ssm" / "models"
 
@@ -129,6 +131,55 @@ def reference_sde(cm, x, t0, t1, p, rng, dt=None):
     return rows[0] if x.ndim == 1 else rows
 
 
+def reference_jump_row(cm, x, t, t1, dt_max, p, exps, unis, normals):
+    """One state's jump process, one event at a time: the propensities
+    clamped at zero, those of reactions that would overdraw a compartment
+    zeroed by a product, the check on the total, the wait (none when the
+    total is zero) capped at min(dt_max, t1 - t), Euler-Maruyama on the
+    driven coordinates over the elapsed stretch, and the reaction whose
+    cumulative propensity first exceeds the target."""
+    x = np.array(x, dtype=float)
+    while t < t1 - 1e-12:
+        a = np.maximum(cm.propensities(x, t, p), 0.0)
+        feasible = (x[cm.comp_slice, None] >= cm.removals).all(axis=0)
+        a = np.where(feasible, a, 0.0 * a)
+        cum = np.cumsum(a)
+        total = cum[-1] if cm.n_react else 0.0
+        if not np.isfinite(total):
+            raise DomainError("non-finite rate during jump simulation")
+        tau = next(exps) / total if total > 0.0 else np.inf
+        cap = min(dt_max, t1 - t)
+        elapsed = min(tau, cap)
+        if cm.n_diff:
+            drift, vols = cm.drift_and_vols(x, t, p)
+            xi = np.array([next(normals) for _ in range(cm.n_diff)])
+            x[cm.diff_slice] = x[cm.diff_slice] + (
+                elapsed * drift[cm.diff_slice] + np.sqrt(elapsed) * vols * xi)
+        t = t + elapsed
+        if tau < cap:
+            target = min(next(unis) * total, np.nextafter(total, 0.0))
+            k = int(np.sum(cum <= target))
+            moves = cm.stoich_full[:, k] != 0
+            x[moves] = x[moves] + cm.stoich_full[moves, k]
+    return x
+
+
+def reference_jump(cm, x, t0, t1, p, rng, dt_max=None):
+    """Row after row, on one set of `jump_streams`, each row with its own
+    parameter values."""
+    if dt_max is None:
+        dt_max = (t1 - t0) / sim.SUBSTEPS_PER_INTERVAL
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(-1, cm.nx)
+    streams = sim.jump_streams(rng)
+    out = [reference_jump_row(
+        cm, row, t0, t1, dt_max,
+        {k: np.broadcast_to(v, len(rows))[j] if np.ndim(v) else v
+         for k, v in p.items()}, *streams)
+        for j, row in enumerate(rows)]
+    return np.array(out, dtype=float).reshape(x.shape)
+
+
 # ----------------------------------------------------------------------
 # comparison
 
@@ -168,13 +219,14 @@ def spread(cm, x0, n, rng):
     return x
 
 
-def run_intervals(step, reference, x, *args, **kwargs):
-    """Both steppers over INTERVALS from x; the accumulators reset after
-    each interval as the filters do."""
+def run_intervals(step, reference, x, *args, same=assert_same, **kwargs):
+    """Both steppers over INTERVALS from x, their outcomes compared by
+    `same`; the accumulators reset after each interval as the filters
+    do."""
     for t0, t1 in INTERVALS:
         got = outcome(step, x, t0, t1, *args, **kwargs)
         want = outcome(reference, x, t0, t1, *args, **kwargs)
-        assert_same(got, want)
+        same(got, want)
         if got[0] != "ok":
             return got
         x = got[1].copy()
@@ -237,6 +289,77 @@ def test_sde_matches_substeps(name, dt):
         assert_same_generator(rng, rng_ref)
 
 
+def same_jump(cm):
+    """`assert_same` for jump outcomes, with the driven coordinates to 1e-12
+    relative.  math.exp, which the kernel on Python floats calls, and
+    numpy's exp differ in the last bit on some arguments (about one in
+    twenty with numpy 2.4 on x86-64); the total then moves by an ulp now
+    and then, and with it the clock and a driven coordinate.  The counts
+    must still match exactly."""
+    counts = np.r_[0:cm.n_comp, cm.n_comp + cm.n_diff:cm.nx]
+
+    def same(got, want):
+        if got[0] != "ok" or not cm.n_diff:
+            return assert_same(got, want)
+        assert_same(("ok", got[1][..., counts]), ("ok", want[1][..., counts]))
+        np.testing.assert_allclose(got[1][..., cm.diff_slice],
+                                   want[1][..., cm.diff_slice],
+                                   rtol=1e-12, atol=0.0)
+    return same
+
+
+def integral_spread(cm, x0, n, rng):
+    """`spread` with the compartments rounded to whole members."""
+    x = spread(cm, x0, n, rng)
+    x[:, cm.comp_slice] = np.round(x[:, cm.comp_slice])
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+@pytest.mark.parametrize("dt", DTS)
+def test_jump_matches_events(name, dt):
+    cm, p0 = shipped(name)
+    x0 = cm.init_state(p0)
+    # the batch takes every parameter value as a column, each row's value
+    # moved by up to a tenth
+    scale = np.random.default_rng(7).uniform(0.9, 1.1, (len(p0), 6))
+    columns = {k: v * f for (k, v), f in zip(p0.items(), scale)}
+    for x, p in ((x0, p0),
+                 (integral_spread(cm, x0, 6, np.random.default_rng(8)),
+                  columns)):
+        rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+
+        def step(x, t0, t1):
+            return sim.advance(cm, x, t0, t1, p, rng=rng, formalism="jump",
+                               dt=dt)
+
+        def ref(x, t0, t1):
+            return reference_jump(cm, x, t0, t1, p, rng_ref, dt_max=dt)
+
+        assert run_intervals(step, ref, x, same=same_jump(cm))[0] == "ok"
+        assert_same_generator(rng, rng_ref)
+
+
+# the shipped models with no births or deaths
+CLOSED = {"sir", "seir-h1n1", "dengue-2strain"}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_jump_invariants(name):
+    cm, p = shipped(name)
+    closed = bool((cm.stoich_full[cm.comp_slice].sum(axis=0) == 0).all())
+    assert closed == (name in CLOSED)
+    paths = sim.simulate_paths(cm, p, np.arange(0.0, 4.5, 0.5),
+                               formalism="jump",
+                               rng=np.random.default_rng(10), trajectories=4)
+    counts = paths[..., np.r_[cm.comp_slice, cm.acc_slice]]
+    assert np.array_equal(counts, np.round(counts))
+    assert (counts >= 0.0).all()
+    assert (np.diff(paths[..., cm.acc_slice], axis=1) >= 0.0).all()
+    totals = paths[..., cm.comp_slice].sum(axis=-1)
+    assert (totals == totals[:, :1]).all() == closed
+
+
 # ----------------------------------------------------------------------
 # per-row parameter columns
 
@@ -281,6 +404,34 @@ def test_sde_per_row_parameter_columns():
                                           formalism="sde", dt=dt),
             lambda x, t0, t1: reference_sde(cm, x, t0, t1, p, rng_ref, dt=dt),
             x)[0] == "ok"
+        assert_same_generator(rng, rng_ref)
+
+
+# SIR whose transmission rate is driven, with a drift that reads the time
+# and a compartment and a volatility that reads a compartment
+DRIVEN_SIR = dict(
+    parameters=[p for p in SIR["parameters"] if p["name"] != "beta"] + [
+        {"name": "beta0", "prior": {"dirac": 1.5}, "role": "fixed"}],
+    diffusions=[{"name": "beta", "transform": "log",
+                 "drift": "0.3*(0.5 - I/N) - 0.01*t",
+                 "volatility": "0.1 + I/N", "initial": "beta0"}],
+)
+
+
+def test_jump_per_row_parameter_columns():
+    cm = CompiledModel(build(SIR, **DRIVEN_SIR))
+    rng = np.random.default_rng(11)
+    p = {"N": 1000.0, "I0": 10.0, "beta0": rng.uniform(0.5, 2.5, 12),
+         "gamma": rng.uniform(0.1, 0.5, 12)}
+    x = cm.init_state(p, size=12)
+    for dt in DTS:
+        rng, rng_ref = np.random.default_rng(12), np.random.default_rng(12)
+        assert run_intervals(
+            lambda x, t0, t1: sim.advance(cm, x, t0, t1, p, rng=rng,
+                                          formalism="jump", dt=dt),
+            lambda x, t0, t1: reference_jump(cm, x, t0, t1, p, rng_ref,
+                                             dt_max=dt),
+            x, same=same_jump(cm))[0] == "ok"
         assert_same_generator(rng, rng_ref)
 
 
@@ -424,3 +575,176 @@ def test_moments_clamp_the_mean():
     want = reference_moments(cm, y, 0.0, 1.0, p)
     assert got.tobytes() == want.tobytes()
     assert got[0] == 0.0
+
+
+# ----------------------------------------------------------------------
+# the rules of the jump kernel, one by one
+
+def jump_outcomes(cm, x, t0, t1, p, seed, dt_max=None):
+    """The outcomes of the kernel and the reference from one seed, and
+    their generators."""
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = outcome(sim.gillespie_interval, cm, x, t0, t1, p, rng,
+                  dt_max=dt_max)
+    want = outcome(reference_jump, cm, x, t0, t1, p, rng_ref, dt_max=dt_max)
+    assert_same(got, want)
+    assert_same_generator(rng, rng_ref)
+    return got
+
+
+# C dies out at rate mu and has no members to lose; a driven coordinate
+# moves at a constant drift and volatility
+IDLE = {
+    **DECAY_AT_TWO,
+    "name": "idle",
+    "parameters": DECAY_AT_TWO["parameters"] + [
+        {"name": "lam0", "prior": {"dirac": 1.0}, "role": "fixed"}],
+    "reactions": [{"from": "C", "to": "EXTERNAL", "rate": "mu"}],
+    "diffusions": [{"name": "lam", "transform": "identity", "drift": "0.5",
+                    "volatility": "0.2", "initial": "lam0"}],
+}
+
+
+def test_jump_row_with_nothing_to_fire_waits_out_its_cap():
+    cm = CompiledModel(build(IDLE))
+    p = {"C0": 0.0, "mu": 0.5, "lam0": 1.0}
+    x = cm.init_state(p, size=2)
+    got = jump_outcomes(cm, x, 0.0, 1.0, p, 13, dt_max=0.25)[1]
+    # four stretches of 0.25 per row, one normal each from the first block
+    # of normals; no exponential or uniform is drawn
+    rng = np.random.default_rng(13)
+    xi = rng.standard_normal(sim.JUMP_BLOCK)
+    for row, draws in zip(got, (xi[:4], xi[4:8])):
+        lam = 1.0
+        for v in draws:
+            lam = lam + (0.25 * 0.5 + 0.5 * 0.2 * v)
+        assert row.tolist() == [0.0, lam]
+    rng_kernel = np.random.default_rng(13)
+    sim.gillespie_interval(cm, x, 0.0, 1.0, p, rng_kernel, dt_max=0.25)
+    assert_same_generator(rng_kernel, rng)
+
+
+def test_jump_model_without_reactions():
+    # only the driven coordinate moves, by the cap at a time
+    cm = CompiledModel(local_level_model())
+    p = {"x0": 1.0, "c_drift": 0.3, "q_sd": 0.5, "tau2": 1.0}
+    got = jump_outcomes(cm, cm.init_state(p, size=3), 0.0, 1.0, p, 21)[1]
+    assert len(set(got[:, 0].tolist())) == 3
+
+
+def test_jump_streams_draw_fixed_blocks_when_they_run_dry():
+    rng, rng_ref = np.random.default_rng(14), np.random.default_rng(14)
+    exps, unis, normals = sim.jump_streams(rng)
+    assert_same_generator(rng, rng_ref)
+    first = next(unis)
+    assert first == rng_ref.random(sim.JUMP_BLOCK)[0]
+    assert type(first) is float
+    assert [next(exps) for _ in range(sim.JUMP_BLOCK + 1)] == (
+        rng_ref.standard_exponential(sim.JUMP_BLOCK).tolist()
+        + rng_ref.standard_exponential(sim.JUMP_BLOCK)[:1].tolist())
+    assert_same_generator(rng, rng_ref)
+
+
+# C loses three members at once at a high absolute rate, which never fits
+# in what is left, and one at a time to D
+OVERDRAWN = {
+    **DECAY_AT_TWO,
+    "name": "overdrawn",
+    "compartments": [{"name": "C", "initial": "C0"},
+                     {"name": "D", "initial": "0"}],
+    "reactions": [
+        {"effect": {"C": -3}, "source": "EXTERNAL", "rate": "1000.0",
+         "absolute_outflow": True},
+        {"from": "C", "to": "D", "rate": "mu"}],
+}
+
+
+def test_jump_never_fires_an_infeasible_reaction():
+    cm = CompiledModel(build(OVERDRAWN))
+    p = {"C0": 2.0, "mu": 0.5}
+    x = cm.init_state(p, size=50)
+    got = sim.gillespie_interval(cm, x, 0.0, 20.0, p,
+                                 np.random.default_rng(15))
+    assert (got >= 0.0).all()
+    assert (got.sum(axis=1) == 2.0).all()
+    assert (got[:, 1] > 0.0).any()
+    jump_outcomes(cm, x, 0.0, 20.0, p, 15)
+
+
+def test_jump_target_stays_below_the_total():
+    # a uniform of 1.0 puts the target on the total, where the reaction of
+    # zero propensity listed last would fire
+    cm = CompiledModel(build(OVERDRAWN, compartments=[
+        {"name": "C", "initial": "C0"}, {"name": "A", "initial": "0"},
+        {"name": "B", "initial": "0"}], reactions=[
+        {"from": "C", "to": "A", "rate": "mu"},
+        {"from": "C", "to": "B", "rate": "0*mu"}]))
+    kernel, _ = cm.jump
+    p = {"C0": 5.0, "mu": 0.3}
+    got = kernel([5.0, 0.0, 0.0], 0.0, 1.0, 1.0, p, iter([1e-3, 1e9]),
+                 iter([1.0]), iter([]))
+    assert got == (4.0, 1.0, 0.0)
+
+
+def test_jump_negative_propensity_is_clamped():
+    # above K the birth rate is negative: no births, and the deaths come at
+    # their own rate
+    cm = CompiledModel(build(OVERDRAWN, compartments=[
+        {"name": "C", "initial": "C0"}, {"name": "D", "initial": "0"}],
+        reactions=[{"effect": {"C": 1}, "source": "C", "rate": "mu*(1 - C/5)"},
+                   {"from": "C", "to": "D", "rate": "mu"}]))
+    p = {"C0": 40.0, "mu": 0.5}
+    got = jump_outcomes(cm, cm.init_state(p, size=20), 0.0, 1.0, p, 16)[1]
+    assert (got.sum(axis=1) == 40.0).all()
+
+
+@pytest.mark.parametrize("reactions", [
+    [{"from": "C", "to": "EXTERNAL", "rate": "mu*1e308*10"}],
+    [{"from": "C", "to": "EXTERNAL", "rate": "mu*(1e308*10 - 1e308*10)"}],
+    # C is empty, so this reaction cannot fire; its rate still counts
+    [{"effect": {"C": -1}, "source": "EXTERNAL", "rate": "mu*1e308*10",
+      "absolute_outflow": True}],
+])
+def test_jump_domain_error_on_a_non_finite_rate(reactions):
+    cm = CompiledModel(build(DECAY_AT_TWO, reactions=reactions))
+    p = {"C0": 0.0 if "effect" in reactions[0] else 5.0, "mu": 0.5}
+    for x in (cm.init_state(p), cm.init_state(p, size=3)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = jump_outcomes(cm, x, 0.0, 1.0, p, 17)
+        assert got[:2] == ("error", DomainError)
+        assert "non-finite rate" in got[2]
+
+
+def test_jump_division_by_zero_reruns_on_numpy():
+    # 1/(C - 5) divides by zero when C reaches 5, which Python floats raise
+    # on and numpy takes to inf, and 1/(1/(C - 5)) is then 0: numpy's rate
+    # is finite.  The second row never reaches 5, but the whole call runs
+    # again from the generator state at entry.
+    cm = CompiledModel(build(DECAY_AT_TWO, reactions=[
+        {"from": "C", "to": "EXTERNAL",
+         "rate": "mu*(1 + 1/(1/(C - 5)) - (C - 5))"}]))
+    p = {"C0": np.array([10.0, 3.0]), "mu": 0.5}
+    x = cm.init_state(p, size=2)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        got = jump_outcomes(cm, x, 0.0, 10.0, p, 18)[1]
+    assert got[0, 0] < 5.0
+    kernel, _ = cm.jump
+    streams = sim.jump_streams(np.random.default_rng(18))
+    with pytest.raises(ZeroDivisionError):
+        kernel([10.0], 0.0, 10.0, 1.0, {"mu": 0.5}, *streams)
+
+
+def test_jump_seasonal_forcing():
+    doc = json.loads((MODELS / "plague.json").read_text())
+    doc["reactions"][1]["rate"] = "beta*(1 + 0.3*sin(2*pi*t/12))*I/N"
+    cm = CompiledModel(parse_model(json.dumps(doc)))
+    p = cm.spec.resolve_values(SHIPPED["plague"])
+    x0 = cm.init_state(p)
+    for x in (x0, np.repeat(x0[None], 3, axis=0)):
+        rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
+        assert run_intervals(
+            lambda x, t0, t1: sim.advance(cm, x, t0, t1, p, rng=rng,
+                                          formalism="jump"),
+            lambda x, t0, t1: reference_jump(cm, x, t0, t1, p, rng_ref),
+            x, same=same_jump(cm))[0] == "ok"
+        assert_same_generator(rng, rng_ref)

@@ -169,8 +169,8 @@ def test_batch_calls_match_stacked_single_calls(case):
 
 
 def test_batch_calls_take_a_time_per_row():
-    # the lockstep jump simulation passes each row's own clock; plague gets
-    # seasonal forcing on top of its driven transmission rate
+    # a batch of states may come with a time per row; plague gets seasonal
+    # forcing on top of its driven transmission rate
     doc = json.loads((MODELS / "plague.json").read_text())
     doc["reactions"][1]["rate"] = "beta*(1 + 0.3*sin(2*pi*t/12))*I/N"
     spec = parse_model(json.dumps(doc))
