@@ -91,6 +91,11 @@ def combine(pairs):
     return s[2:] if s.startswith("+ ") else s
 
 
+# what Python float arithmetic raises where numpy's would go on (see
+# `_on_floats`); a complex result is a TypeError
+FLOAT_FAILURES = (ZeroDivisionError, OverflowError, TypeError, ValueError)
+
+
 def _on_floats(kernel, on_numpy):
     """Wrap a scalar kernel, which returns a tuple, to run on Python floats,
     several times faster than on numpy scalars, and return an array.
@@ -106,7 +111,7 @@ def _on_floats(kernel, on_numpy):
             out = np.array(kernel(x.tolist(), *args))
             if out.dtype.kind == "f":
                 return out
-        except (ZeroDivisionError, OverflowError, TypeError, ValueError):
+        except FLOAT_FAILURES:
             pass
         args = [np.float64(a) if type(a) is float else a for a in args]
         return np.array(on_numpy()(x, *args))

@@ -568,8 +568,10 @@ SCALAR_NAMESPACE = {
     "cos": math.cos,
     "exp": math.exp,
     "log": math.log,
-    "minimum": min,
-    "maximum": max,
+    # numpy's rule: a nan in either place is the result, and of two equal
+    # values (0.0 and -0.0) the second
+    "minimum": lambda a, b: a if a < b or a != a else b,
+    "maximum": lambda a, b: a if a > b or a != a else b,
     "where": lambda c, a, b: a if c else b,
 }
 

@@ -36,7 +36,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ssm.compiled import DomainError
+from ssm.compiled import FLOAT_FAILURES, DomainError
 
 # dt=None everywhere means one tenth of the interval being advanced
 SUBSTEPS_PER_INTERVAL = 10
@@ -231,8 +231,8 @@ def jump_streams(rng):
 
 
 def _jump_rows(kernel, scalar, rows, t0, t1, dt_max, params, rng):
-    """One kernel call per row, with the row's parameter columns, the
-    times and the state converted by `scalar`; the rows share one set of
+    """One kernel call per row of `rows`, with the row's parameter columns
+    and the times converted by `scalar`; the rows share one set of
     streams.  A complex result is a TypeError."""
     streams = jump_streams(rng)
     n = len(rows)
@@ -241,7 +241,7 @@ def _jump_rows(kernel, scalar, rows, t0, t1, dt_max, params, rng):
                for k, v in params.items() if np.ndim(v)}
     times = scalar(t0), scalar(t1), scalar(dt_max)
     out = []
-    for j, row in enumerate(rows.tolist() if scalar is float else rows):
+    for j, row in enumerate(rows):
         p.update({k: col[j] for k, col in columns.items()})
         out.append(kernel(row, *times, p, *streams))
     return np.array(out, dtype=float)
@@ -271,8 +271,9 @@ def gillespie_interval(cm, x, t0, t1, params, rng, dt_max=None):
     kernel, on_numpy = cm.jump
     start = rng.bit_generator.state
     try:
-        out = _jump_rows(kernel, float, rows, t0, t1, dt_max, params, rng)
-    except (ZeroDivisionError, OverflowError, TypeError, ValueError):
+        out = _jump_rows(kernel, float, rows.tolist(), t0, t1, dt_max,
+                         params, rng)
+    except FLOAT_FAILURES:
         rng.bit_generator.state = start
         out = _jump_rows(on_numpy(), np.float64, rows, t0, t1, dt_max,
                          params, rng)

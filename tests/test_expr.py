@@ -230,6 +230,16 @@ class TestCodegen:
             point = {n: envs[n][i] for n in names}
             assert stacked[i] == pytest.approx(tree.eval(point), rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["minimum", "maximum"])
+    def test_scalar_min_max_follow_numpy(self, name):
+        # a nan in either place, and which of two equal zeros is kept
+        values = [math.nan, 0.0, -0.0, 1.0, -math.inf]
+        for a in values:
+            for b in values:
+                got = SCALAR_NAMESPACE[name](a, b)
+                want = VECTOR_NAMESPACE[name](np.float64(a), np.float64(b))
+                assert repr(got) == repr(float(want)), (a, b)
+
 
 class TestImmutability:
     def test_nodes_hashable_and_equal_by_value(self):

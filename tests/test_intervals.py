@@ -336,7 +336,7 @@ def test_jump_matches_events(name, dt):
         def ref(x, t0, t1):
             return reference_jump(cm, x, t0, t1, p, rng_ref, dt_max=dt)
 
-        assert run_intervals(step, ref, x, same=same_jump(cm))[0] == "ok"
+        assert run_intervals(step, ref, x)[0] == "ok"
         assert_same_generator(rng, rng_ref)
 
 
@@ -701,6 +701,9 @@ def test_jump_negative_propensity_is_clamped():
 @pytest.mark.parametrize("reactions", [
     [{"from": "C", "to": "EXTERNAL", "rate": "mu*1e308*10"}],
     [{"from": "C", "to": "EXTERNAL", "rate": "mu*(1e308*10 - 1e308*10)"}],
+    # max keeps the nan, as numpy's maximum does
+    [{"from": "C", "to": "EXTERNAL",
+      "rate": "max(0, mu*(1e308*10 - 1e308*10))*C"}],
     # C is empty, so this reaction cannot fire; its rate still counts
     [{"effect": {"C": -1}, "source": "EXTERNAL", "rate": "mu*1e308*10",
       "absolute_outflow": True}],
