@@ -311,11 +311,11 @@ def jump_source(cm):
                  for i in range(cm.n_comp, cm.n_comp + cm.n_diff)]
     loop.append("    t = t + _el")
     if cm.n_react:
+        # below the total, the target is below nextafter(total, 0.0) too
         loop += ["    if _tau < _cap:",
                  f"        _tg = next(unis)*{total}",
-                 f"        _top = nextafter({total}, 0.0)",
-                 "        if _top < _tg:",
-                 "            _tg = _top"]
+                 f"        if not _tg < {total}:",
+                 f"            _tg = nextafter({total}, 0.0)"]
         for k in range(cm.n_react):
             if k < cm.n_react - 1:
                 loop.append(f"        {'elif' if k else 'if'} _tg < _c{k}:")
