@@ -8,11 +8,14 @@ PYTHONPATH, SSM_SEED=7 and a fixed SOURCE_DATE_EPOCH, in a working
 directory of its own; both trees read the models and data shipped in
 CHANGE_SRC.  For every command the script prints one line per output,
 stdout and each `--trace`/`--paths` file: `identical` or `differs`, and
-the exit codes when they are not both 0.  It exits 1 when any output
-differs.  It is a tool for checking that a change keeps a fixed seed's
-bytes, not a test: it asserts nothing about what the bytes are.
+the exit codes when they are not both 0.  The commands on invalid models
+compare their stderr too, up to the message's second colon (`error: model
+schema violation at <path>`).  It exits 1 when any output differs.  It is
+a tool for checking that a change keeps a fixed seed's bytes, not a test:
+it asserts nothing about what the bytes are.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -32,6 +35,18 @@ TRUTH = {
 }
 MODELS = tuple(TRUTH)
 FORMALISMS = ("ode", "sde", "psr", "jump")
+# pseudo file name: the command's stderr up to the message's second colon
+STDERR = "stderr"
+
+
+def invalid_models(models):
+    """The shipped SIR with one schema violation each, by file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    no_rate, bad_effect = copy.deepcopy(sir), copy.deepcopy(sir)
+    del no_rate["reactions"][0]["rate"]
+    bad_effect["reactions"][0]["effect"] = {"S": -1, "I": 0.5}
+    return {"unknown-key": dict(sir, zz_unknown=1), "no-rate": no_rate,
+            "bad-effect": bad_effect}
 
 
 def model_args(name, data=True):
@@ -84,6 +99,16 @@ def commands():
     out.append(("mif sde plague",
                 ["mif", *model_args("plague"), "--formalism", "sde",
                  "--iterations", "2", "--n-particles", "100"], "plague", ()))
+    data = ["--data", "{models}/sir-data.csv"]
+    out += [
+        ("check-data unknown-key", ["check-data", "--model",
+                                    "{work}/unknown-key.json", *data],
+         None, (STDERR,)),
+        ("simulate no-rate", ["simulate", "--model", "{work}/no-rate.json",
+                              "--end", "3"], "sir", (STDERR,)),
+        ("kalman bad-effect", ["kalman", "--model", "{work}/bad-effect.json",
+                               *data], "sir", (STDERR,)),
+    ]
     return out
 
 
@@ -95,6 +120,8 @@ def run_tree(src, models, work):
     for name, values in TRUTH.items():
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
+    for name, doc in invalid_models(models).items():
+        (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}
     prev = b""
     for i, (label, argv, stdin, files) in enumerate(commands()):
@@ -106,14 +133,15 @@ def run_tree(src, models, work):
             data = b""
         else:
             data = (work / f"theta-{stdin}.json").read_bytes()
-        argv = [a.format(models=models) for a in argv]
+        argv = [a.format(models=models, work=work) for a in argv]
         proc = subprocess.run([sys.executable, "-m", "ssm", *argv],
                               input=data, capture_output=True, cwd=cwd,
                               env=env)
         prev = proc.stdout
         codes[label] = proc.returncode
         outputs[label] = [("stdout", proc.stdout)] + [
-            (f, (cwd / f).read_bytes() if (cwd / f).exists() else None)
+            (f, b":".join(proc.stderr.split(b":")[:2]) if f == STDERR
+             else (cwd / f).read_bytes() if (cwd / f).exists() else None)
             for f in files]
     return outputs, codes
 

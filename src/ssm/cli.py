@@ -214,7 +214,13 @@ def cmd_smc(args):
 
 
 def cmd_kalman(args):
-    return _score(args, "kalman", "ekf")
+    def describe(res):
+        r = res.repairs
+        return (f" ({r['updates']} updates; mean clipped {r['mean_clipped']}, "
+                f"variance floored {r['variance_floored']}, psd rounding "
+                f"{r['psd_rounding']}, psd eigen {r['psd_eigen']})")
+
+    return _score(args, "kalman", "ekf", describe)
 
 
 def cmd_simplex(args, kind, stage):

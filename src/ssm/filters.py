@@ -31,6 +31,9 @@ class FilterResult:
     ess: np.ndarray | None = None     # particle filter only
     path: np.ndarray | None = None    # one ancestral trajectory, if requested
     covs: np.ndarray | None = None    # moment filter only
+    # moment filter only: the scalar updates made and, per silent repair,
+    # how many of them it changed
+    repairs: dict | None = None
 
 
 def systematic_resample(weights, rng):
@@ -123,14 +126,18 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
 # moment filter
 
 def _project_psd(C):
+    """C made positive semi-definite, and the repair that did it: None when
+    C already was, "psd_rounding" when its lowest eigenvalue was a
+    rounding-sized negative that a diagonal shift removes, "psd_eigen" when
+    the negative eigenvalues had to be cut to zero."""
     vals = np.linalg.eigvalsh(C)
     lo = vals[0]
     if lo >= 0.0:
-        return C
+        return C, None
     if lo < -1e-8 * max(1.0, abs(vals[-1])):
         vals2, vecs = np.linalg.eigh(C)
-        return (vecs * np.clip(vals2, 0.0, None)) @ vecs.T
-    return C - lo * np.eye(C.shape[0])
+        return (vecs * np.clip(vals2, 0.0, None)) @ vecs.T, "psd_eigen"
+    return C - lo * np.eye(C.shape[0]), "psd_rounding"
 
 
 def ekf_filter(cm, dataset, params, t0, dt=None):
@@ -141,7 +148,11 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     one call per interval, the mean clamped at the floor after each
     substep.
     Each reporting stream then applies a scalar update with the innovation
-    variance taken from the stream's observation model.
+    variance taken from the stream's observation model.  The result's
+    `repairs` counts the updates and, per repair, the updates where it
+    changed something: compartments of the mean clipped at zero, the
+    innovation variance floored at one count, the covariance projected back
+    to positive semi-definite (see _project_psd).
     """
     x0 = cm.init_state(params)
     if not np.all(np.isfinite(x0)):
@@ -157,6 +168,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     covs = np.empty((n_obs, cm.nx, cm.nx))
     prev_t = t0
     eye = np.eye(cm.nx)
+    repairs = dict.fromkeys(("updates", "mean_clipped", "variance_floored",
+                             "psd_rounding", "psd_eigen"), 0)
     for i, (t, obs) in enumerate(dataset):
         span = t - prev_t
         if span > 0:
@@ -181,6 +194,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
             # counts sit on a unit grid: a predictive density narrower than
             # one bin would overstate the probability mass, so the
             # innovation variance is bounded below by one bin
+            repairs["updates"] += 1
+            repairs["variance_floored"] += s < 1.0
             s = max(s, 1.0)
             r_eff = s - hch
             e = y_eff - float(mean)
@@ -189,10 +204,13 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
             terms[i] += contribution
             loglik += contribution
             m = m + k * e
+            repairs["mean_clipped"] += bool(np.any(m[cm.comp_slice] < 0.0))
             m[cm.comp_slice] = np.clip(m[cm.comp_slice], 0.0, None)
             ikh = eye - np.outer(k, grad)
             C = ikh @ C @ ikh.T + np.outer(k, k) * r_eff
-            C = _project_psd(0.5 * (C + C.T))
+            C, repair = _project_psd(0.5 * (C + C.T))
+            if repair:
+                repairs[repair] += 1
         means[i] = m
         covs[i] = C
         m[cm.acc_slice] = 0.0
@@ -204,7 +222,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
         raise FilterError("non-finite log likelihood")
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
-        loglik_terms=terms, covs=covs,
+        loglik_terms=terms, covs=covs, repairs=repairs,
     )
 
 

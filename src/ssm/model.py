@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from ssm import expr as ex
@@ -421,6 +421,84 @@ def _schema():
     return json.loads(text)
 
 
+# draft 7 types: a bool is no number, an integral float is an integer
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _json_equal(a, b):
+    """Equality as JSON Schema's const and enum see it: 1 == 1.0, True != 1."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _violation(value, schema, root, path=()):
+    """The first place where `value` breaks `schema`, as (path, message), or
+    None.  Draft 7, for the keywords model-v1.schema.json uses: type, $ref
+    into definitions, properties, required, additionalProperties, items,
+    minItems, maxItems, enum, anyOf, pattern, const, minLength and
+    min/maxProperties; annotations such as title are ignored."""
+    if "$ref" in schema:  # draft 7 ignores the keywords beside a $ref
+        name = schema["$ref"].removeprefix("#/definitions/")
+        return _violation(value, root["definitions"][name], root, path)
+    if "type" in schema and not _JSON_TYPES[schema["type"]](value):
+        return path, f"{value!r} is not of type {schema['type']!r}"
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_json_equal(value, e)
+                                    for e in schema["enum"]):
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if "anyOf" in schema and all(_violation(value, s, root, path)
+                                 for s in schema["anyOf"]):
+        return path, f"{value!r} is not valid under any of the given schemas"
+    if isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            return path, f"{value!r} is too short"
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            return path, f"{value!r} does not match {schema['pattern']!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", math.inf):
+            return path, f"{value!r} is too long"
+        for i, item in enumerate(value if "items" in schema else ()):
+            found = _violation(item, schema["items"], root, (*path, i))
+            if found:
+                return found
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        if len(value) < schema.get("minProperties", 0):
+            return path, f"{value!r} does not have enough properties"
+        if len(value) > schema.get("maxProperties", math.inf):
+            return path, f"{value!r} has too many properties"
+        known = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = known.get(key, extra)
+            if sub is False:
+                return path, (f"Additional properties are not allowed "
+                              f"({key!r} was unexpected)")
+            found = sub is not True and _violation(item, sub, root,
+                                                   (*path, key))
+            if found:
+                return found
+    return None
+
+
 def _parse_formula(raw, where):
     if isinstance(raw, (int, float)):
         return ex.Const(float(raw))
@@ -472,11 +550,11 @@ def parse_model(text):
     else:
         raw = text
 
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as err:
-        path = "/".join(str(p) for p in err.absolute_path) or "(document root)"
-        raise ModelError(f"model schema violation at {path}: {err.message}") from None
+    schema = _schema()
+    found = _violation(raw, schema, schema)
+    if found:
+        path = "/".join(str(p) for p in found[0]) or "(document root)"
+        raise ModelError(f"model schema violation at {path}: {found[1]}")
 
     name = raw.get("name", "model")
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -60,6 +61,21 @@ class TestPlumbing:
                            text=True, env=ssm_env(), cwd=ROOT)
         assert r.returncode == 0, r.stderr
 
+    def test_runtime_imports_no_jsonschema(self):
+        # the model schema is checked without jsonschema, a test-only
+        # dependency
+        code = (
+            "import sys\n"
+            "import ssm.cli\n"
+            "from ssm.model import parse_model\n"
+            f"parse_model(open({SIR!r}).read())\n"
+            "assert 'jsonschema' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('jsonschema'))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=ssm_env(), cwd=ROOT)
+        assert r.returncode == 0, r.stderr
+
     def test_console_script_installed(self):
         exe = shutil.which("ssm")
         if exe is None:
@@ -107,6 +123,19 @@ class TestValidation:
                  "--every", "1"], stdin_text=POINT)
         assert r.returncode == 2
         assert "rate" in r.stderr
+
+    @pytest.mark.parametrize("command", ["check-data", "kalman"])
+    def test_schema_violation_is_exit_two(self, tmp_path, command):
+        spec = json.loads(Path(SIR).read_text())
+        spec["compartments"][0]["name"] = "1S"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        r = run([command, "--model", str(bad), "--data", SIR_DATA],
+                stdin_text=POINT)
+        assert r.returncode == 2
+        assert r.stderr.startswith(
+            "error: model schema violation at compartments/0/name"), r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_no_theta_on_stdin(self):
         r = run(["smc", "--model", SIR, "--data", SIR_DATA], stdin_text="")
@@ -226,6 +255,26 @@ class TestScore:
             assert doc["provenance"][-1]["stage"] == stage
             assert np.isfinite(doc["log_posterior"])
 
+
+    def test_kalman_reports_filter_repairs(self):
+        # the counts on stderr are the filter's own, for the same values
+        from ssm.compiled import CompiledModel
+        from ssm.filters import ekf_filter
+        from ssm.model import load_model
+        from ssm.observe import DataSet
+
+        r = run(["kalman", "--model", SIR, "--data", SIR_DATA],
+                stdin_text=POINT)
+        assert r.returncode == 0, r.stderr
+        shown = re.search(
+            r"\((\d+) updates; mean clipped (\d+), variance floored (\d+), "
+            r"psd rounding (\d+), psd eigen (\d+)\)", r.stderr)
+        assert shown, r.stderr
+        cm = CompiledModel(load_model(SIR))
+        values = cm.spec.resolve_values(json.loads(POINT)["values"])
+        res = ekf_filter(cm, DataSet.from_csv(SIR_DATA), values, 0.0)
+        assert [int(g) for g in shown.groups()] == list(res.repairs.values())
+        assert "repairs" not in r.stdout
 
     def test_overflowing_rate_on_floats_is_scored(self, tmp_path):
         # exp overflows once t > 5.7; Python floats raise on it, numpy

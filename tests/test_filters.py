@@ -324,6 +324,55 @@ class TestAccumulatorWindows:
         )
 
 
+class TestMomentFilterRepairs:
+    def test_project_psd_names_its_branch(self):
+        psd = np.array([[2.0, 1.0], [1.0, 2.0]])
+        out, repair = fl._project_psd(psd)
+        assert out is psd and repair is None
+        out, repair = fl._project_psd(np.diag([1.0, -1e-12]))
+        assert repair == "psd_rounding"
+        assert out == pytest.approx(np.diag([1.0 + 1e-12, 0.0]), abs=1e-15)
+        out, repair = fl._project_psd(np.diag([1.0, -1.0]))
+        assert repair == "psd_eigen"
+        assert out == pytest.approx(np.diag([1.0, 0.0]), abs=1e-15)
+
+    def test_variance_floor_counted_below_one_count(self):
+        cm = CompiledModel(local_level_model())
+        ds = make_dataset(np.arange(1.0, 16.0), {"y": LL_DATA})
+        # tau2 alone keeps the innovation variance above one count
+        wide = fl.ekf_filter(cm, ds, LL_PARAMS, t0=0.0, dt=0.5).repairs
+        # here every innovation variance is just below one count
+        narrow = fl.ekf_filter(cm, ds, dict(LL_PARAMS, q_sd=0.1, tau2=0.9),
+                               t0=0.0, dt=0.5).repairs
+        assert wide == dict(updates=15, mean_clipped=0, variance_floored=0,
+                            psd_rounding=0, psd_eigen=0)
+        assert narrow == dict(wide, variance_floored=15)
+
+    def test_counts_follow_the_repairs_made(self, monkeypatch):
+        # reports of zero cases in a growing epidemic pull the mean below
+        # zero; the psd counts equal the branches _project_psd took
+        cm = CompiledModel(sir_model())
+        p = {"beta": 2.0, "gamma": 0.3, "N": 1000.0, "I0": 10.0}
+        ds = make_dataset(np.arange(1.0, 26.0), {"cases_obs": [0] * 25})
+        taken = []
+        project = fl._project_psd
+
+        def spy(C):
+            out = project(C)
+            taken.append(out[1])
+            return out
+
+        monkeypatch.setattr(fl, "_project_psd", spy)
+        res = fl.ekf_filter(cm, ds, p, t0=0.0)
+        r = res.repairs
+        assert r["updates"] == len(taken) == 25
+        assert r["psd_rounding"] == taken.count("psd_rounding")
+        assert r["psd_eigen"] == taken.count("psd_eigen")
+        assert 0 < r["mean_clipped"] <= 25
+        assert np.all(res.means[:, cm.comp_slice] >= 0.0)
+        assert fl.ekf_filter(cm, ds, p, t0=0.0).repairs == r
+
+
 class TestMomentFilterOnSir:
     def synthetic(self):
         cm = CompiledModel(sir_model())

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from ssm.model import (
     ScaledLogit,
     Uniform,
     parse_model,
+    _schema,
 )
 
-from helpers import SIR, LOCAL_LEVEL, sir_model, local_level_model
+from helpers import ROOT, SIR, LOCAL_LEVEL, sir_model, local_level_model
+
+SHIPPED = ("sir", "plague", "seir-h1n1", "dengue-2strain")
 
 
 def variant(base, mutate):
@@ -243,6 +247,147 @@ class TestValidation:
         bad = variant(SIR, lambda d: d.__setitem__("population_size", "M"))
         with pytest.raises(ModelError, match="'M'"):
             parse_model(bad)
+
+
+def shipped_model(stem):
+    return json.loads((ROOT / "src" / "ssm" / "models" / f"{stem}.json")
+                      .read_text())
+
+
+def nodes(doc, path=()):
+    """Every (path, value) in a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from nodes(value, (*path, key))
+
+
+WRONG_TYPED = ["x", 7, 2.0, 0.5, True, None, [], {}, [1, 2]]
+BAD_IDENTIFIERS = ["1S", "a-b", "two words", "", "\u00e9", "S\n"]
+WRONG_VERSIONS = [0, 2, 1.0, True, "1", None, [1]]
+
+
+def mutate(doc, rng):
+    """One seeded mutation in place: a value swapped for one of another
+    type, a deleted key, a key unknown where it lands, an emptied array, a
+    string that is no identifier, or another ssm_model marker."""
+    found = list(nodes(doc))
+    kind = rng.choice(("retype", "delete", "unknown", "empty", "identifier",
+                       "version"))
+    dicts = [v for _, v in found if isinstance(v, dict)]
+    if kind == "delete":
+        target = rng.choice([d for d in dicts if d])
+        del target[rng.choice(sorted(target))]
+    elif kind == "unknown":
+        # a key and value from elsewhere in the document, or a new one
+        donor = rng.choice(dicts)
+        key, value = (rng.choice(sorted(donor.items())) if donor
+                      and rng.random() < 0.5 else
+                      ("zz_unknown", rng.choice(WRONG_TYPED + [[0, 1, 2]])))
+        rng.choice(dicts)[key] = copy.deepcopy(value)
+    elif kind == "version":
+        doc["ssm_model"] = rng.choice(WRONG_VERSIONS)
+    else:
+        want = {"retype": object, "empty": list, "identifier": str}[kind]
+        paths = [p for p, v in found if p and isinstance(v, want)]
+        path = rng.choice(paths)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        parent[path[-1]] = (
+            [] if kind == "empty" else
+            rng.choice(BAD_IDENTIFIERS) if kind == "identifier" else
+            rng.choice([v for v in WRONG_TYPED if type(v) is not type(old)]))
+
+
+def schema_verdict(doc):
+    """parse_model's schema verdict on a document: None when the schema
+    accepts it, else the path its message names."""
+    try:
+        parse_model(json.dumps(doc))
+    except ModelError as err:
+        prefix = "model schema violation at "
+        if str(err).startswith(prefix):
+            return str(err)[len(prefix):].split(": ", 1)[0]
+    return None
+
+
+class TestSchemaValidator:
+    # the keywords the validator in ssm.model implements, and the
+    # annotations it ignores
+    KEYWORDS = {"type", "$ref", "definitions", "properties", "required",
+                "additionalProperties", "items", "minItems", "maxItems",
+                "enum", "anyOf", "pattern", "const", "minLength",
+                "minProperties", "maxProperties"}
+    ANNOTATIONS = {"$schema", "$id", "title"}
+
+    def test_schema_uses_only_implemented_keywords(self):
+        def walk(schema, where):
+            assert isinstance(schema, dict), f"{where}: not an object"
+            unknown = set(schema) - self.KEYWORDS - self.ANNOTATIONS
+            assert not unknown, f"{where}: unimplemented {sorted(unknown)}"
+            if "$ref" in schema:
+                assert schema["$ref"].startswith("#/definitions/"), where
+            if "type" in schema:  # one type name, not a list of them
+                assert schema["type"] in {
+                    "object", "array", "string", "boolean", "null",
+                    "number", "integer"}, where
+            for key in ("properties", "definitions"):
+                for name, sub in schema.get(key, {}).items():
+                    walk(sub, f"{where}/{key}/{name}")
+            for key in ("items", "additionalProperties"):
+                if schema.get(key) not in (None, True, False):
+                    walk(schema[key], f"{where}/{key}")
+            for i, sub in enumerate(schema.get("anyOf", ())):
+                walk(sub, f"{where}/anyOf/{i}")
+
+        walk(_schema(), "#")
+
+    @pytest.mark.parametrize("value,ok", [
+        (1, True), (1.0, True), (True, False), ("1", False), (2, False)])
+    def test_version_marker_compares_as_json(self, value, ok):
+        doc = dict(shipped_model("sir"), ssm_model=value)
+        assert (schema_verdict(doc) is None) == ok
+
+    @pytest.mark.parametrize("value,ok", [
+        (-1, True), (1.0, True), (1.5, False), (True, False), ("1", False)])
+    def test_effect_entries_are_integers(self, value, ok):
+        doc = shipped_model("sir")
+        doc["reactions"][0]["effect"] = {"S": value, "I": 1}
+        verdict = schema_verdict(doc)
+        assert verdict is None if ok else verdict == "reactions/0/effect/S"
+
+    @pytest.mark.parametrize("bounds,where", [
+        ([0.05, 5], None), ([0, 5.0], None), ([0.05], ""), ([], ""),
+        ([0.05, 5, 9], ""), ([0.05, True], "/1")])
+    def test_prior_bounds_are_pairs(self, bounds, where):
+        doc = copy.deepcopy(SIR)
+        doc["parameters"][2]["prior"] = {"uniform": bounds}
+        want = None if where is None else "parameters/2/prior/uniform" + where
+        assert schema_verdict(doc) == want
+
+    def test_agrees_with_jsonschema_on_mutants(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft7Validator(_schema())
+        rng = random.Random(20261018)
+        bases = {stem: shipped_model(stem) for stem in SHIPPED}
+        rejected = 0
+        for n in range(2400):
+            doc = copy.deepcopy(bases[SHIPPED[n % len(SHIPPED)]])
+            for _ in range(rng.randint(1, 3)):
+                mutate(doc, rng)
+            doc = json.loads(json.dumps(doc))
+            errors = list(validator.iter_errors(doc))
+            verdict = schema_verdict(doc)
+            assert (verdict is None) == (not errors), (n, doc, errors)
+            if len(errors) == 1:
+                want = "/".join(map(str, errors[0].absolute_path))
+                assert verdict == (want or "(document root)"), (n, doc)
+            rejected += bool(errors)
+        # the mutants exercise both verdicts
+        assert 600 < rejected < 2300, rejected
 
 
 class TestTransforms:
