@@ -99,6 +99,17 @@ def commands():
     out.append(("mif sde plague",
                 ["mif", *model_args("plague"), "--formalism", "sde",
                  "--iterations", "2", "--n-particles", "100"], "plague", ()))
+    # the benchmark's psr commands at their sizes
+    out += [
+        ("mif psr plague", ["mif", *model_args("plague"), "--iterations", "3"],
+         "plague", ()),
+        ("smc psr x500 dengue-2strain",
+         ["smc", *model_args("dengue-2strain"), "--formalism", "psr",
+          "--n-particles", "500"], "dengue-2strain", ()),
+        ("forecast psr x200 sir",
+         ["forecast", *model_args("sir", data=False), "--formalism", "psr",
+          "--end", "12", "--trajectories", "200"], "sir", ()),
+    ]
     data = ["--data", "{models}/sir-data.csv"]
     out += [
         ("check-data unknown-key", ["check-data", "--model",

@@ -218,7 +218,8 @@ def cmd_kalman(args):
         r = res.repairs
         return (f" ({r['updates']} updates; mean clipped {r['mean_clipped']}, "
                 f"variance floored {r['variance_floored']}, psd rounding "
-                f"{r['psd_rounding']}, psd eigen {r['psd_eigen']})")
+                f"{r['psd_rounding']}, psd eigen {r['psd_eigen']}, "
+                f"observation variance floored {r['obs_variance_floored']})")
 
     return _score(args, "kalman", "ekf", describe)
 

@@ -17,7 +17,8 @@ call.
 Each caller gets a kernel shaped to what it needs, generated and compiled the
 first time it is used:
 
-    rates    propensities only (the Poisson stepper)
+    rates    propensities only, once per slice of the Poisson stepper
+             (`simulate.psr_step` loops over an interval's slices in numpy)
     drift    drift rows and driven-parameter volatilities (the driven
              coordinates of the Poisson stepper)
     ode      every RK4 substep of one observation interval, for one state
@@ -226,6 +227,13 @@ class CompiledModel:
              self.exit_groups[position == level])
             for level in range(position.max(initial=-1) + 1)
         )
+        # the binomial calls of a slice: runs of consecutive exits from
+        # different sources, as (exit slice, source slice); a source's next
+        # exit starts a run, as its trials are what the exit before left
+        cuts = [0, *np.flatnonzero(position > 0).tolist(), len(exits)]
+        self.exit_runs = tuple(
+            (slice(a, b), slice(exits[a][0], exits[b - 1][0] + 1))
+            for a, b in zip(cuts, cuts[1:]) if b > a)
 
         # noise groups: (sd parameter name, member reaction indices)
         self.noise_groups = tuple(

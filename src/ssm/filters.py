@@ -152,7 +152,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     `repairs` counts the updates and, per repair, the updates where it
     changed something: compartments of the mean clipped at zero, the
     innovation variance floored at one count, the covariance projected back
-    to positive semi-definite (see _project_psd).
+    to positive semi-definite (see _project_psd); and the updates whose
+    observation variance sat at its floor (`observe.stream_moments`).
     """
     x0 = cm.init_state(params)
     if not np.all(np.isfinite(x0)):
@@ -169,7 +170,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     prev_t = t0
     eye = np.eye(cm.nx)
     repairs = dict.fromkeys(("updates", "mean_clipped", "variance_floored",
-                             "psd_rounding", "psd_eigen"), 0)
+                             "psd_rounding", "psd_eigen",
+                             "obs_variance_floored"), 0)
     for i, (t, obs) in enumerate(dataset):
         span = t - prev_t
         if span > 0:
@@ -184,6 +186,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
             o = cm.obs(stream)
             parts, grad = cm.obs_values(stream, m, t, params)
             mean, var = ob.stream_moments(o.kind, parts)
+            repairs["obs_variance_floored"] += bool(var == ob.VARIANCE_FLOOR)
             y_eff = round(y) if o.kind == "discretized_normal" else y
             hch = float(grad @ C @ grad)
             s = hch + float(var)

@@ -772,6 +772,12 @@ def parse_model(text):
                 f"fall outside the {d.transform.name} domain"
             )
 
+    # the schema's identifier pattern is matched with re.search, whose $
+    # also matches before a final newline
+    bad = sorted(n for n in seen | obs_names | set(groups) if n.endswith("\n"))
+    if bad:
+        raise ModelError(f"name {bad[0]!r} is not an identifier")
+
     pop_param = raw.get("population_size")
     if pop_param is not None and pop_param not in param_names:
         raise ModelError(f"population_size names unknown parameter '{pop_param}'")

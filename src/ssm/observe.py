@@ -237,18 +237,22 @@ def stream_loglik(kind, parts, y):
     raise ValueError(f"unknown observation distribution {kind!r}")
 
 
+VARIANCE_FLOOR = 1e-6
+
+
 def stream_moments(kind, parts):
-    """Observation mean and variance used by the moment filter."""
+    """Observation mean and variance used by the moment filter, the
+    variance floored at VARIANCE_FLOOR."""
     if kind == "poisson":
         mean = np.clip(parts["mean"], 0.0, None)
-        return mean, np.maximum(mean, 1e-6)
+        return mean, np.maximum(mean, VARIANCE_FLOOR)
     if kind == "discretized_normal":
-        return parts["mean"], np.maximum(parts["variance"], 1e-6)
+        return parts["mean"], np.maximum(parts["variance"], VARIANCE_FLOOR)
     if kind == "binomial":
         n = parts["trials"]
         p = np.clip(parts["probability"], 0.0, 1.0)
         mean = n * p
-        return mean, np.maximum(n * p * (1.0 - p), 1e-6)
+        return mean, np.maximum(n * p * (1.0 - p), VARIANCE_FLOOR)
     raise ValueError(f"unknown observation distribution {kind!r}")
 
 

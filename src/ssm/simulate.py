@@ -24,10 +24,13 @@ interval's normals in one call whose values, in order, are those of the
 three draws per substep (per reaction, per noise group, per driven
 parameter) that stepping one substep at a time would make: a seed gives
 the same trajectories either way and leaves the generator in the same
-state.  The jump backend makes one call of the generated `jump` kernel
-per trajectory and interval, on Python floats, the trajectories of a batch
-taking their variates from shared streams.  The Poisson backend steps one
-substep per call.
+state.  The Poisson backend also makes one call per interval, `psr_step`
+looping over the interval's slices in numpy on a state held one row per
+coordinate; within a slice, draws that do not depend on each other share
+a numpy call, with the variates and order of one call per draw.  The jump
+backend makes one call of the generated `jump` kernel per trajectory and
+interval, on Python floats, the trajectories of a batch taking their
+variates from shared streams.
 """
 
 from __future__ import annotations
@@ -116,99 +119,117 @@ def sde_step(cm, x, t, h, n_sub, params, rng):
 # ----------------------------------------------------------------------
 # Poisson backend
 
-def _noise_deltas(cm, dt, params, lead, rng):
-    """Effective per-reaction time increments: dt for quiet reactions, a
-    gamma increment with mean dt and variance sd^2 dt shared across the
-    members of each noise group."""
-    delta = np.full(lead + (cm.n_react,), float(dt))
-    for sd_name, members in cm.noise_groups:
-        sd = np.broadcast_to(np.asarray(params[sd_name], dtype=float), lead)
-        draw = np.full(lead, float(dt))
-        pos = sd > 0
-        if np.any(pos):
-            var = sd[pos] ** 2
-            draw[pos] = rng.gamma(dt / var, var)
-        delta[..., members] = draw[..., None]
-    return delta
+def psr_step(cm, x, t, h, n_sub, params, rng):
+    """n_sub time slices of length h of the Poisson approximation with
+    stochastic rates, in one call, for one state or a batch of shape
+    (J, nx) whose parameter values may be per-row columns.
 
-
-def psr_step(cm, x, t, dt, params, rng):
-    """One time slice of the Poisson approximation with stochastic rates.
-
-    Per source compartment, the members leaving within the slice follow a
+    Per source compartment, the members leaving within a slice follow a
     multinomial over the competing exits: with per-capita rates r_k and
     effective increments d_k, the exit probabilities are
     (1 - exp(-sum r d)) r_k d_k / sum r d, drawn as a cascade of conditional
     binomials.  The rates and probabilities of all exits are formed at once
-    (sums run over the positions within a source, in listing order); the
-    binomials are drawn exit by exit, source by source.  Absolute-rate
-    reactions fire Poisson counts, each capped by what is left of the
-    compartments it drains after the exits and earlier removals drawn in
-    the same slice, so no count can go negative.
+    (sums run over the positions within a source, in listing order).
+    Absolute-rate reactions fire Poisson counts, each capped, in listing
+    order, by what is left of the compartments it drains after the exits
+    and earlier removals of the slice, so no count can go negative.
+
+    A slice draws, in turn: a gamma increment (mean h, variance sd^2 h)
+    per noise group with a positive sd, the exit binomials source by source
+    and exit by exit, the Poisson counts, a normal per driven parameter.
+    Draws whose arguments do not depend on each other share a numpy call
+    (the exits of a run in `cm.exit_runs`, all Poisson counts), with the
+    variates and generator state of one call per draw.
     """
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    lead = x.shape[:-1]
-    prop = np.clip(cm.propensities(x, t, params), 0.0, None)
-    if not np.all(np.isfinite(prop)):
-        raise DomainError("non-finite rate during Poisson step")
-    delta = _noise_deltas(cm, dt, params, lead, rng)
-    counts = np.zeros(lead + (cm.n_react,))
+    state = x.reshape(-1, cm.nx).T.copy()
+    j = state.shape[1]
+    # rows of the slice's counts: exits in cascade order, then the
+    # absolute-rate reactions
+    order = np.r_[cm.exit_reactions, cm.external_reactions].astype(int)
+    n_exit = len(cm.exit_reactions)
+    stoich, removals = cm.stoich_full[:, order], cm.removals[:, order]
+    # per absolute-rate reaction: its row, the compartments it drains, and
+    # what a firing of each row before it and of itself takes from them
+    caps = []
+    for row in range(n_exit, len(order)):
+        drains = np.flatnonzero(removals[:, row] > 0)
+        caps.append((row, drains, removals[drains, :row],
+                     removals[drains, row, None]))
+    delta = np.full((len(order), j), h)
+    # per noise group drawn: its rows, the columns drawn, gamma shape and
+    # scale, and the size of a draw with a scalar sd
+    noises = []
+    rank = np.argsort(order)
+    for sd_name, members in cm.noise_groups:
+        sd = params[sd_name]
+        if np.ndim(sd) == 0:
+            if sd > 0:
+                v = float(sd) * float(sd)
+                noises.append((rank[members], slice(None), h / v, v, j))
+            continue
+        sd = np.broadcast_to(np.asarray(sd, dtype=float), (j,))
+        pos = sd > 0
+        if np.any(pos):
+            var = sd[pos] ** 2
+            noises.append((rank[members, None], pos, h / var, var, None))
+    counts = np.empty((len(order), j))
+    sqrt_h = np.sqrt(h)
+    for _ in range(n_sub):
+        prop = cm.propensities(state.T, t, params).T[order]
+        np.clip(prop, 0.0, None, out=prop)
+        if not np.all(np.isfinite(prop)):
+            raise DomainError("non-finite rate during Poisson step")
+        for rows, pos, shape, scale, size in noises:
+            delta[rows, pos] = rng.gamma(shape, scale, size=size)
 
-    exits = cm.exit_reactions
-    z = x[..., cm.exit_sources]
-    occupied = z > 0
-    rd = (np.where(occupied, prop[..., exits] / np.where(occupied, z, 1.0),
-                   0.0)
-          * delta[..., exits])
-    hazard = np.zeros(lead + (len(cm.source_columns),))
-    for at_level, groups in cm.exit_levels:
-        hazard[..., groups] += rd[..., at_level]
-    p_leave = -np.expm1(-hazard)
-    safe = np.where(hazard > 0, hazard, 1.0)
-    q = p_leave[..., cm.exit_groups] * rd / safe[..., cm.exit_groups]
-    # tail: the probability mass not yet assigned when each exit is drawn
-    tail = np.empty_like(q)
-    unassigned = np.ones_like(hazard)
-    for at_level, groups in cm.exit_levels:
-        tail[..., at_level] = unassigned[..., groups]
-        unassigned[..., groups] -= q[..., at_level]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(tail > 1e-12, q / tail, 0.0)
-    cond = np.clip(cond, 0.0, 1.0)
-    remaining = np.floor(x[..., cm.source_columns]).astype(np.int64)
-    for e, (k, g) in enumerate(zip(exits.tolist(), cm.exit_groups.tolist())):
-        n = rng.binomial(remaining[..., g], cond[..., e])
-        counts[..., k] = n
-        remaining[..., g] -= n
+        z = state[cm.exit_sources]
+        rd = np.divide(prop[:n_exit], z, out=np.zeros_like(z), where=z > 0)
+        rd *= delta[:n_exit]
+        hazard = np.zeros((len(cm.source_columns), j))
+        for at_level, groups in cm.exit_levels:
+            hazard[groups] += rd[at_level]
+        p_leave = -np.expm1(-hazard)
+        safe = np.where(hazard > 0, hazard, 1.0)
+        q = p_leave[cm.exit_groups] * rd / safe[cm.exit_groups]
+        # tail: the probability mass not yet assigned when each exit is
+        # drawn
+        tail = np.empty_like(q)
+        unassigned = np.ones_like(hazard)
+        for at_level, groups in cm.exit_levels:
+            tail[at_level] = unassigned[groups]
+            unassigned[groups] -= q[at_level]
+        cond = np.divide(q, tail, out=np.zeros_like(q), where=tail > 1e-12)
+        np.clip(cond, 0.0, 1.0, out=cond)
+        remaining = np.floor(state[cm.source_columns]).astype(np.int64)
+        for at, groups in cm.exit_runs:
+            n = rng.binomial(remaining[groups], cond[at])
+            counts[at] = n
+            remaining[groups] -= n
 
-    for k in cm.external_reactions:
-        n = rng.poisson(prop[..., k] * delta[..., k])
-        drains = cm.removals[:, k] > 0
-        if drains.any():
-            # removals come out of what the exits and the earlier removals
-            # drawn above left behind
-            left = x[..., cm.comp_slice] - counts @ cm.removals.T
-            room = np.floor(left[..., drains] / cm.removals[drains, k])
-            n = np.minimum(n, room.min(axis=-1))
-        counts[..., k] = n
+        drawn = rng.poisson(prop[n_exit:] * delta[n_exit:]) if caps else ()
+        for (row, drains, before, each), n in zip(caps, drawn):
+            if len(drains):
+                # removals come out of what the exits and the earlier
+                # removals left behind
+                left = state[drains] - before @ counts[:row]
+                n = np.minimum(n, np.floor(left / each).min(axis=0))
+            counts[row] = n
 
-    new = x + counts @ cm.stoich_full.T
-    # reachable only by a per-capita reaction that drains more than one
-    # member of its source, or another compartment
-    if np.any(new[..., cm.comp_slice] < 0.0):
-        raise DomainError("Poisson step overdrew a compartment")
-    if cm.n_diff:
-        drift, vols = cm.drift_and_vols(x, t, params)
-        xi = rng.standard_normal(lead + (cm.n_diff,))
-        new[..., cm.diff_slice] = (
-            x[..., cm.diff_slice]
-            + dt * drift[..., cm.diff_slice]
-            + np.sqrt(dt) * vols * xi
-        )
-    return new[0] if squeeze else new
+        new = state + stoich @ counts
+        # reachable only by a per-capita reaction that drains more than one
+        # member of its source, or another compartment
+        if np.any(new[cm.comp_slice] < 0.0):
+            raise DomainError("Poisson step overdrew a compartment")
+        if cm.n_diff:
+            drift, vols = cm.drift_and_vols(state.T, t, params)
+            xi = rng.standard_normal((j, cm.n_diff)).T
+            new[cm.diff_slice] = (state[cm.diff_slice]
+                                  + h * drift.T[cm.diff_slice]
+                                  + sqrt_h * vols.T * xi)
+        state = new
+        t += h
+    return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
 
 
 # ----------------------------------------------------------------------
@@ -299,14 +320,8 @@ def advance(cm, x, t0, t1, params, rng=None, formalism="ode", dt=None):
     if formalism not in ("sde", "psr"):
         raise ValueError(f"unknown formalism: {formalism!r}")
     n_sub, h = substeps(t1 - t0, dt)
-    if formalism == "sde":
-        return sde_step(cm, x, t0, h, n_sub, params, rng)
-    x = np.array(x, dtype=float, copy=True)
-    t = t0
-    for _ in range(n_sub):
-        x = psr_step(cm, x, t, h, params, rng)
-        t += h
-    return x
+    step = sde_step if formalism == "sde" else psr_step
+    return step(cm, x, t0, h, n_sub, params, rng)
 
 
 def simulate_paths(cm, params, times, formalism="ode", rng=None,

@@ -137,6 +137,19 @@ class TestValidation:
             "error: model schema violation at compartments/0/name"), r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_name_ending_in_newline_is_exit_two(self, tmp_path):
+        # the schema's pattern alone accepts "R\n": its $ matches before a
+        # final newline
+        spec = json.loads(Path(SIR).read_text())
+        spec["compartments"][2]["name"] = spec["reactions"][1]["to"] = "R\n"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        r = run(["check-data", "--model", str(bad), "--data", SIR_DATA])
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: name 'R\\n' is not an "
+                                   "identifier"), r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_no_theta_on_stdin(self):
         r = run(["smc", "--model", SIR, "--data", SIR_DATA], stdin_text="")
         assert r.returncode == 2
@@ -268,7 +281,8 @@ class TestScore:
         assert r.returncode == 0, r.stderr
         shown = re.search(
             r"\((\d+) updates; mean clipped (\d+), variance floored (\d+), "
-            r"psd rounding (\d+), psd eigen (\d+)\)", r.stderr)
+            r"psd rounding (\d+), psd eigen (\d+), observation variance "
+            r"floored (\d+)\)", r.stderr)
         assert shown, r.stderr
         cm = CompiledModel(load_model(SIR))
         values = cm.spec.resolve_values(json.loads(POINT)["values"])

@@ -345,8 +345,19 @@ class TestMomentFilterRepairs:
         narrow = fl.ekf_filter(cm, ds, dict(LL_PARAMS, q_sd=0.1, tau2=0.9),
                                t0=0.0, dt=0.5).repairs
         assert wide == dict(updates=15, mean_clipped=0, variance_floored=0,
-                            psd_rounding=0, psd_eigen=0)
+                            psd_rounding=0, psd_eigen=0,
+                            obs_variance_floored=0)
         assert narrow == dict(wide, variance_floored=15)
+
+    def test_observation_variance_floor_counted(self):
+        # a Poisson stream's variance is its mean, floored: here the mean
+        # is 0 at every instant, or well above the floor
+        cm = CompiledModel(build(INFLOW))
+        ds = make_dataset(np.arange(1.0, 7.0), {"arrivals_obs": [0] * 6})
+        quiet = fl.ekf_filter(cm, ds, {"kappa": 0.0}, t0=0.0).repairs
+        busy = fl.ekf_filter(cm, ds, {"kappa": 12.0}, t0=0.0).repairs
+        assert quiet["obs_variance_floored"] == quiet["updates"] == 6
+        assert busy["obs_variance_floored"] == 0
 
     def test_counts_follow_the_repairs_made(self, monkeypatch):
         # reports of zero cases in a growing epidemic pull the mean below

@@ -391,7 +391,7 @@ class TestPsr:
         n = 40000
         x = cm.init_state(SIR_PARAMS, size=n)
         dt = 0.05
-        stepped = sim.psr_step(cm, x, 0.0, dt, SIR_PARAMS, rng)
+        stepped = sim.psr_step(cm, x, 0.0, dt, 1, SIR_PARAMS, rng)
         new_cases = stepped[:, 3] - x[:, 3]
         recoveries = x[:, 1] - stepped[:, 1] + new_cases
         # exit probability per susceptible 1 - exp(-beta I/N dt)
@@ -427,7 +427,7 @@ class TestPsr:
         rng = np.random.default_rng(23)
         n = 5000
         x = cm.init_state(p, size=n)
-        x = sim.psr_step(cm, x, 0.0, 1.0, p, rng)
+        x = sim.psr_step(cm, x, 0.0, 1.0, 1, p, rng)
         surv = np.exp(-0.5)
         se = np.sqrt(400 * surv * (1 - surv) / n)
         assert x[:, 0].mean() == pytest.approx(400 * surv, abs=5 * se)
@@ -452,7 +452,7 @@ class TestPsr:
         rng = np.random.default_rng(53)
         x = cm.init_state(p, size=500)
         for i in range(30):
-            x = sim.psr_step(cm, x, float(i), 1.0, p, rng)
+            x = sim.psr_step(cm, x, float(i), 1.0, 1, p, rng)
             assert np.all(x >= 0.0)
             assert np.all(x[:, 0] + x[:, 1] + x[:, 2] == 100.0)
         assert np.all(x[:, 0] == 0.0)
@@ -465,7 +465,7 @@ class TestPsr:
         ])
         p = {"C0": 1.0, "mu": 50.0}
         with pytest.raises(DomainError):
-            sim.psr_step(cm, cm.init_state(p), 0.0, 1.0, p,
+            sim.psr_step(cm, cm.init_state(p), 0.0, 1.0, 1, p,
                          np.random.default_rng(2))
 
     def test_environmental_noise_inflates_variance(self):
@@ -494,51 +494,29 @@ class TestPsr:
         assert out[1.0] > 2.0 * out[0.0]
 
     def test_gamma_increment_moments(self):
-        params = SIR["parameters"] + [
-            {"name": "sigma_env", "prior": {"dirac": 0.6}, "role": "fixed"}
-        ]
-        reactions = [
-            {
-                "from": "S",
-                "to": "I",
-                "rate": "beta*I/N",
-                "accumulators": ["cases"],
-                "white_noise": {"group": "transmission", "sd": "sigma_env"},
-            },
-            {"from": "I", "to": "R", "rate": "gamma"},
-        ]
-        cm = compiled(SIR, parameters=params, reactions=reactions)
+        cm = noisy_sir()
         p = dict(SIR_PARAMS, sigma_env=0.6)
-        rng = np.random.default_rng(13)
-        from ssm.simulate import _noise_deltas
-
+        rng = RecordingGenerator(13)
         dt = 0.2
-        delta = _noise_deltas(cm, dt, p, (60000,), rng)
+        delta = slice_increments(cm, cm.init_state(p, size=60000), dt, p, rng)
         assert delta[:, 1] == pytest.approx(np.full(60000, dt))
         draws = delta[:, 0]
         assert draws.mean() == pytest.approx(dt, rel=0.01)
         assert draws.var() == pytest.approx(0.36 * dt, rel=0.03)
 
     def test_zero_sd_noise_collapses_to_dt(self):
-        params = SIR["parameters"] + [
-            {"name": "sigma_env", "prior": {"dirac": 0.0}, "role": "fixed"}
-        ]
-        reactions = [
-            {
-                "from": "S",
-                "to": "I",
-                "rate": "beta*I/N",
-                "accumulators": ["cases"],
-                "white_noise": {"group": "transmission", "sd": "sigma_env"},
-            },
-            {"from": "I", "to": "R", "rate": "gamma"},
-        ]
-        cm = compiled(SIR, parameters=params, reactions=reactions)
-        from ssm.simulate import _noise_deltas
-
-        delta = _noise_deltas(cm, 0.3, dict(SIR_PARAMS, sigma_env=0.0),
-                              (16,), np.random.default_rng(1))
-        assert np.array_equal(delta, np.full((16, 2), 0.3))
+        # no gamma draw, and exit probabilities bit for bit those of the
+        # model without the noise group, whose increments are dt
+        p = dict(SIR_PARAMS, sigma_env=0.0)
+        draws = []
+        for cm in (noisy_sir(), compiled_sir()):
+            rng = RecordingGenerator(1)
+            sim.psr_step(cm, cm.init_state(p, size=16), 0.0, 0.3, 1, p, rng)
+            draws.append(rng.calls)
+        (name, args), = draws[0]
+        (_, quiet), = draws[1]
+        assert name == "binomial"
+        assert all(np.array_equal(a, b) for a, b in zip(args, quiet))
 
 
 # ----------------------------------------------------------------------
@@ -652,6 +630,20 @@ def noisy_sir():
     return compiled(SIR, parameters=params, reactions=reactions)
 
 
+# C drains per capita to D and, at two absolute rates, to outside: the
+# second removal's cap counts what the first removed
+TWO_DRAINS = {
+    **DRAINED,
+    "parameters": DRAINED["parameters"] + [
+        {"name": "lam", "prior": {"dirac": 5.0}, "role": "fixed"},
+    ],
+    "reactions": DRAINED["reactions"] + [
+        {"effect": {"C": -2}, "source": "EXTERNAL", "rate": "lam",
+         "absolute_outflow": True, "accumulators": ["pairs"]},
+    ],
+}
+
+
 class RecordingGenerator:
     """A numpy Generator that records every draw call: the method and each
     distribution parameter broadcast to the shape of the draws (the
@@ -673,24 +665,57 @@ class RecordingGenerator:
             return out
         return draw
 
+    def joined(self):
+        """The recorded calls with consecutive calls of one method joined:
+        (method, the sequence of each distribution parameter, one entry per
+        variate); a standard_* method's sequence holds one 0 per variate."""
+        out = []
+        for name, args in self.calls:
+            if name.startswith("standard_"):
+                args = [np.zeros(int(np.prod(args[0])))]
+            args = [a.ravel() for a in args]
+            if out and out[-1][0] == name:
+                args = [np.concatenate(pair) for pair in zip(out[-1][1], args)]
+                out.pop()
+            out.append((name, args))
+        return out
+
+
+def slice_increments(cm, x, dt, p, rng):
+    """The effective increment of each exit, in cascade order, over one
+    slice from x, read back from the probability its binomial is drawn
+    with: where each source has one exit, that is 1 - exp(-r d) for the
+    exit's per-capita rate r."""
+    sim.psr_step(cm, x, 0.0, dt, 1, p, rng)
+    (_, (_, prob)), = [c for c in rng.calls if c[0] == "binomial"]
+    rate = (cm.propensities(x, 0.0, p)[:, cm.exit_reactions]
+            / x[:, cm.exit_sources])
+    return -np.log1p(-prob.T) / rate
+
 
 class TestPsrMatchesCascade:
-    """The vectorised psr_step against the per-source reference: equal
-    states, the same draws with bit-identical probabilities, and the
+    """psr_step over whole intervals against n_sub slices of the
+    per-source reference: equal states after every interval, the same
+    variates drawn with bit-identical arguments in the same order (joining
+    consecutive calls of one distribution on both sides, since psr_step
+    shares calls between draws that do not depend on each other), and the
     generator left in the same state."""
 
-    def assert_same_steps(self, cm, x, params, steps=6, dt=0.25, seed=0):
+    def assert_same_steps(self, cm, x, params, steps=2, dt=0.25, seed=0,
+                          n_sub=10):
         rng_new = RecordingGenerator(seed)
         rng_ref = RecordingGenerator(seed)
         x_new = x_ref = np.array(x, dtype=float)
         for i in range(steps):
-            x_new = sim.psr_step(cm, x_new, i * dt, dt, params, rng_new)
-            x_ref = reference_psr_step(cm, x_ref, i * dt, dt, params, rng_ref)
-            assert np.array_equal(x_new, x_ref), f"step {i}"
-        assert len(rng_new.calls) == len(rng_ref.calls)
-        for (name, args), (name_ref, args_ref) in zip(rng_new.calls,
-                                                      rng_ref.calls):
-            assert name == name_ref
+            t = t0 = i * n_sub * dt
+            x_new = sim.psr_step(cm, x_new, t0, dt, n_sub, params, rng_new)
+            for _ in range(n_sub):
+                x_ref = reference_psr_step(cm, x_ref, t, dt, params, rng_ref)
+                t += dt
+            assert np.array_equal(x_new, x_ref), f"interval {i}"
+        new, ref = rng_new.joined(), rng_ref.joined()
+        assert [name for name, _ in new] == [name for name, _ in ref]
+        for (name, args), (_, args_ref) in zip(new, ref):
             assert len(args) == len(args_ref)
             for a, b in zip(args, args_ref):
                 assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -712,10 +737,26 @@ class TestPsrMatchesCascade:
         comp[:4] = 0.0
         self.assert_same_steps(cm, x, values, dt=0.1, seed=len(name) + 1)
 
+    @pytest.mark.parametrize("name, binomials, poissons", [
+        ("sir", 1, 0), ("plague", 3, 1), ("seir-h1n1", 1, 0),
+        ("dengue-2strain", 4, 0)])
+    def test_calls_per_slice(self, name, binomials, poissons):
+        # dengue-2strain's 11 exits take 4 calls, one a run of 4 exits
+        cm = CompiledModel(load_model(MODELS / f"{name}.json"))
+        values = cm.spec.resolve_values(SHIPPED_VALUES[name])
+        rng = RecordingGenerator(3)
+        sim.psr_step(cm, cm.init_state(values, size=8), 0.0, 0.1, 1,
+                     values, rng)
+        names = [c for c, _ in rng.calls]
+        assert names.count("binomial") == binomials
+        assert names.count("poisson") == poissons
+        if name == "dengue-2strain":
+            assert max(a.stop - a.start for a, _ in cm.exit_runs) == 4
+
     def test_single_state(self):
         cm = compiled_sir()
         x = cm.init_state(SIR_PARAMS)
-        out = self.assert_same_steps(cm, x, SIR_PARAMS, steps=10)
+        out = self.assert_same_steps(cm, x, SIR_PARAMS)
         assert out.shape == (cm.nx,)
 
     def test_three_competing_exits(self):
@@ -723,7 +764,7 @@ class TestPsrMatchesCascade:
         assert max(len(ks) for _, ks in cm.reactions_by_source) == 3
         p = {"C0": 300.0, "mu": 0.6}
         x = cm.init_state(p, size=200)
-        self.assert_same_steps(cm, x, p, steps=12, dt=0.5, seed=4)
+        self.assert_same_steps(cm, x, p, dt=0.5, seed=4)
 
     def test_noise_with_positive_and_zero_sd(self):
         cm = noisy_sir()
@@ -731,6 +772,14 @@ class TestPsrMatchesCascade:
         for sd in (0.3, 0.0):
             p = dict(SIR_PARAMS, sigma_env=sd)
             self.assert_same_steps(cm, x, p, seed=5)
+
+    @pytest.mark.parametrize("zeros", [slice(None, None, 3), slice(None)])
+    def test_noise_sd_column_with_zeros(self, zeros):
+        cm = noisy_sir()
+        sd = np.random.default_rng(2).uniform(0.0, 0.5, 100)
+        sd[zeros] = 0.0
+        p = dict(SIR_PARAMS, sigma_env=sd)
+        self.assert_same_steps(cm, cm.init_state(p, size=100), p, seed=5)
 
     def test_per_row_parameter_columns(self):
         cm = noisy_sir()
@@ -741,13 +790,22 @@ class TestPsrMatchesCascade:
         p = dict(SIR_PARAMS, beta=rng.uniform(0.2, 2.0, j),
                  gamma=rng.uniform(0.1, 0.5, j), sigma_env=sd)
         x = cm.init_state(p, size=j)
-        self.assert_same_steps(cm, x, p, steps=10, seed=7)
+        self.assert_same_steps(cm, x, p, seed=7)
 
     def test_capped_absolute_removals(self):
         cm = compiled(DRAINED)
         p = {"C0": 100.0, "mu": 0.5, "kappa": 60.0}
         x = cm.init_state(p, size=300)
-        self.assert_same_steps(cm, x, p, steps=8, dt=1.0, seed=53)
+        self.assert_same_steps(cm, x, p, dt=1.0, seed=53)
+
+    def test_interacting_removal_caps(self):
+        # at these rates both removals are often capped in one slice, the
+        # second by what the first left
+        cm = compiled(TWO_DRAINS)
+        p = {"C0": 100.0, "mu": 0.5, "kappa": 40.0, "lam": 30.0}
+        x = cm.init_state(p, size=300)
+        out = self.assert_same_steps(cm, x, p, dt=1.0, seed=11)
+        assert np.all(out[:, 0] >= 0.0)
 
 
 def random_closed_graph(n_comp, edges, rates, initial):
