@@ -158,21 +158,15 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
                      removals[drains, row, None]))
     delta = np.full((len(order), j), h)
     # per noise group drawn: its rows, the columns drawn, gamma shape and
-    # scale, and the size of a draw with a scalar sd
+    # scale
     noises = []
     rank = np.argsort(order)
     for sd_name, members in cm.noise_groups:
-        sd = params[sd_name]
-        if np.ndim(sd) == 0:
-            if sd > 0:
-                v = float(sd) * float(sd)
-                noises.append((rank[members], slice(None), h / v, v, j))
-            continue
-        sd = np.broadcast_to(np.asarray(sd, dtype=float), (j,))
+        sd = np.broadcast_to(np.asarray(params[sd_name], dtype=float), (j,))
         pos = sd > 0
         if np.any(pos):
             var = sd[pos] ** 2
-            noises.append((rank[members, None], pos, h / var, var, None))
+            noises.append((rank[members, None], pos, h / var, var))
     counts = np.empty((len(order), j))
     sqrt_h = np.sqrt(h)
     for _ in range(n_sub):
@@ -180,8 +174,8 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
         np.clip(prop, 0.0, None, out=prop)
         if not np.all(np.isfinite(prop)):
             raise DomainError("non-finite rate during Poisson step")
-        for rows, pos, shape, scale, size in noises:
-            delta[rows, pos] = rng.gamma(shape, scale, size=size)
+        for rows, pos, shape, scale in noises:
+            delta[rows, pos] = rng.gamma(shape, scale)
 
         z = state[cm.exit_sources]
         rd = np.divide(prop[:n_exit], z, out=np.zeros_like(z), where=z > 0)
