@@ -1,6 +1,7 @@
 """Compare the outputs of two source trees on a fixed list of commands.
 
-    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC \
+        [--expect-differ LABEL...]
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  Each
 command runs once per tree as `python3 -m ssm` with that tree first on
@@ -10,11 +11,16 @@ CHANGE_SRC.  For every command the script prints one line per output,
 stdout and each `--trace`/`--paths` file: `identical` or `differs`, and
 the exit codes when they are not both 0.  The commands on invalid models
 compare their stderr too, up to the message's second colon (`error: model
-schema violation at <path>`).  It exits 1 when any output differs.  It is
-a tool for checking that a change keeps a fixed seed's bytes, not a test:
-it asserts nothing about what the bytes are.
+schema violation at <path>`).  It exits 1 when any output differs.  With
+`--expect-differ`, the commands with those labels (as printed, e.g.
+"| kmcmc") are expected to change: it exits 1 when an output of another
+command differs or when a listed command has no output that differs, and 2
+on a label it does not run.  It is a tool for checking that a change keeps
+a fixed seed's bytes, not a test: it asserts nothing about what the bytes
+are.
 """
 
+import argparse
 import copy
 import json
 import os
@@ -158,10 +164,18 @@ def run_tree(src, models, work):
 
 
 def main(argv):
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    parent, change = (Path(a).resolve() for a in argv)
+    parser = argparse.ArgumentParser(
+        description=__doc__.strip().splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--expect-differ", nargs="+", default=[],
+                        metavar="LABEL")
+    args = parser.parse_args(argv)
+    labels = [label for label, _, _, _ in commands()]
+    unknown = sorted(set(args.expect_differ) - set(labels))
+    if unknown:
+        parser.error(f"no command labelled {', '.join(map(repr, unknown))}")
+    parent, change = args.parent.resolve(), args.change.resolve()
     models = change / "ssm" / "models"
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
@@ -170,16 +184,27 @@ def main(argv):
             work.mkdir()
             runs.append(run_tree(src, models, work))
     (old, old_codes), (new, new_codes) = runs
-    differs = 0
-    for label, _, _, _ in commands():
+    differs = unexpected = 0
+    for label in labels:
         codes = (old_codes[label], new_codes[label])
         note = "" if codes == (0, 0) else f" (exit {codes[0]} -> {codes[1]})"
+        changed = 0
         for (name, a), (_, b) in zip(old[label], new[label]):
             same = a is not None and a == b
-            differs += not same
+            changed += not same
             print(f"{'identical' if same else 'differs  '}  {label}: "
                   f"{name}{note}")
+        differs += changed
+        if label in args.expect_differ:
+            unexpected += not changed
+        else:
+            unexpected += changed
     print(f"{differs} output(s) differ")
+    if args.expect_differ:
+        print(f"{unexpected} unexpected: outputs outside "
+              f"{', '.join(args.expect_differ)} that differ, or listed "
+              f"commands without a differing output")
+        return 1 if unexpected else 0
     return 1 if differs else 0
 
 

@@ -303,13 +303,20 @@ def _chain(args, stage, run_stage, adapt, kind, **options):
     return cm, doc, space, res
 
 
+def _stops(res):
+    """The chain's early-rejection counts, for its stderr line."""
+    return (f"early rejections {res.early_rejections} of "
+            f"{len(res.trace)} proposals, filter instants run "
+            f"{res.instants_run} of {res.instants_full}")
+
+
 def cmd_kmcmc(args):
     _, doc, space, res = _chain(args, "kmcmc", kmcmc_stage, True, "ekf")
     kept = res.trace.values[int(BURN_FRACTION * len(res.trace)):]
     min_ess = min(
         ess(kept[:, k]) for k in range(space.dim)
     ) if space.dim and len(kept) > 1 else 0.0
-    _log(f"kmcmc: acceptance {res.acceptance_rate:.3f}, "
+    _log(f"kmcmc: acceptance {res.acceptance_rate:.3f}, {_stops(res)}, "
          f"min ess {min_ess:.1f}, posterior mean log likelihood "
          f"{doc.log_likelihood:.6f}")
     _emit(doc)
@@ -330,8 +337,8 @@ def cmd_pmcmc(args):
             _write_path_csv(fh, cm, ("iteration", "time"), res.times,
                             res.paths)
         _log(f"wrote {args.paths}")
-    _log(f"pmcmc: acceptance {res.acceptance_rate:.3f}, posterior mean "
-         f"log likelihood {doc.log_likelihood:.6f}")
+    _log(f"pmcmc: acceptance {res.acceptance_rate:.3f}, {_stops(res)}, "
+         f"posterior mean log likelihood {doc.log_likelihood:.6f}")
     _emit(doc)
     return 0
 

@@ -5,6 +5,17 @@ instant to the observation time, weight or update against every stream
 reporting at that instant, record the filtered state, then zero the
 accumulator coordinates so each window measures what accumulated since the
 last instant.
+
+The particle and moment filters take an optional `floor`.  Where every
+stream of the model is a count stream (poisson, binomial), each
+per-instant term is the log of a probability, or of a mean of
+probabilities, and so at most 0, and the running sum can only fall.  Once
+it is at or below `floor` the filter stops and returns that sum: an upper
+bound on the full estimate, itself at or below `floor`, since adding a
+non-positive float never raises a float sum.  A chain that rejects every
+estimate at or below its floor takes the same decision from the stopped
+filter as from the full one.  A model with another stream
+(`discretized_normal`, a density that can exceed 1) never stops early.
 """
 
 from __future__ import annotations
@@ -22,6 +33,19 @@ class FilterError(RuntimeError):
     """The filter could not produce a finite, well-defined likelihood."""
 
 
+# streams whose log density is the log of a probability mass, so at most 0
+COUNT_KINDS = ("poisson", "binomial")
+
+
+def _stop_floor(cm, floor):
+    """`floor` where every stream of the model is a count stream, else
+    None: a filter with another stream never stops early."""
+    if floor is None or any(o.kind not in COUNT_KINDS
+                            for o in cm.observations):
+        return None
+    return floor
+
+
 @dataclass
 class FilterResult:
     loglik: float
@@ -31,6 +55,9 @@ class FilterResult:
     ess: np.ndarray | None = None     # particle filter only
     path: np.ndarray | None = None    # one ancestral trajectory, if requested
     covs: np.ndarray | None = None    # moment filter only
+    # particle and moment filters: the instants filtered, all of them
+    # unless the filter stopped early
+    instants: int | None = None
     # moment filter only: the scalar updates made and, per silent repair,
     # how many of them it changed
     repairs: dict | None = None
@@ -47,13 +74,17 @@ def systematic_resample(weights, rng):
 
 def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
                formalism="psr", dt=None, return_path=False,
-               after_resample=None, log_weight=None):
+               after_resample=None, log_weight=None, floor=None):
     """Bootstrap particle filter with systematic resampling at every
     observation instant.
 
     The likelihood estimate multiplies, per instant, the mean unnormalized
     weight.  If every particle has zero weight the estimate is minus
-    infinity and filtering stops early.
+    infinity and filtering stops early.  With a `floor` and only count
+    streams, and without `log_weight` or `after_resample` (whose terms may
+    be positive), it also stops after the first instant whose running log
+    likelihood is at or below `floor`, before resampling, and returns that
+    running sum (see the module docstring); a stopped run draws no path.
 
     Parameter values may be per-particle columns.  `after_resample(i, idx)`,
     when given, is called after the resampling at instant i with the
@@ -62,6 +93,9 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
     `log_weight` is to the first instant's.
     """
     j = n_particles
+    if log_weight is not None or after_resample is not None:
+        floor = None
+    floor = _stop_floor(cm, floor)
     x = cm.init_state(params, size=j)
     if not np.all(np.isfinite(x)):
         raise FilterError("non-finite initial state")
@@ -88,7 +122,7 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         if not np.isfinite(peak):
             return FilterResult(
                 loglik=-np.inf, times=dataset.times, means=means,
-                loglik_terms=terms, ess=ess, path=None,
+                loglik_terms=terms, ess=ess, path=None, instants=i + 1,
             )
         w = np.exp(logw - peak)
         total = w.sum()
@@ -97,6 +131,11 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         norm = w / total
         ess[i] = 1.0 / np.sum(norm ** 2)
         means[i] = norm @ x
+        if floor is not None and loglik <= floor:
+            return FilterResult(
+                loglik=float(loglik), times=dataset.times, means=means,
+                loglik_terms=terms, ess=ess, path=None, instants=i + 1,
+            )
         if return_path:
             history.append(x.copy())
         idx = systematic_resample(norm, rng)
@@ -118,7 +157,7 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
             path[i] = history[i][pick]
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
-        loglik_terms=terms, ess=ess, path=path,
+        loglik_terms=terms, ess=ess, path=path, instants=n_obs,
     )
 
 
@@ -140,7 +179,7 @@ def _project_psd(C):
     return C - lo * np.eye(C.shape[0]), "psd_rounding"
 
 
-def ekf_filter(cm, dataset, params, t0, dt=None):
+def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     """Continuous-discrete moment filter.
 
     Between observations the mean follows the drift and the covariance the
@@ -154,7 +193,14 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     innovation variance floored at one count, the covariance projected back
     to positive semi-definite (see _project_psd); and the updates whose
     observation variance sat at its floor (`observe.stream_moments`).
+
+    With a `floor` and only count streams, whose terms the one-count floor
+    of the innovation variance keeps below 0, it stops after the first
+    instant whose running log likelihood is at or below `floor` and returns
+    that running sum (see the module docstring); the instants it did not
+    reach keep nan means and covariances.
     """
+    floor = _stop_floor(cm, floor)
     x0 = cm.init_state(params)
     if not np.all(np.isfinite(x0)):
         raise FilterError("non-finite initial state")
@@ -165,8 +211,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
     n_obs = len(dataset)
     loglik = 0.0
     terms = np.zeros(n_obs)
-    means = np.empty((n_obs, cm.nx))
-    covs = np.empty((n_obs, cm.nx, cm.nx))
+    means = np.full((n_obs, cm.nx), np.nan)
+    covs = np.full((n_obs, cm.nx, cm.nx), np.nan)
     prev_t = t0
     eye = np.eye(cm.nx)
     repairs = dict.fromkeys(("updates", "mean_clipped", "variance_floored",
@@ -216,6 +262,12 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
                 repairs[repair] += 1
         means[i] = m
         covs[i] = C
+        if floor is not None and loglik <= floor:
+            return FilterResult(
+                loglik=float(loglik), times=dataset.times, means=means,
+                loglik_terms=terms, covs=covs, repairs=repairs,
+                instants=i + 1,
+            )
         m[cm.acc_slice] = 0.0
         C[cm.acc_slice, :] = 0.0
         C[:, cm.acc_slice] = 0.0
@@ -225,7 +277,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None):
         raise FilterError("non-finite log likelihood")
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
-        loglik_terms=terms, covs=covs, repairs=repairs,
+        loglik_terms=terms, covs=covs, repairs=repairs, instants=n_obs,
     )
 
 

@@ -3,13 +3,28 @@
 The proposal is a two-component mixture: a fixed component built from the
 initial covariance guess, and an adapted component scaled by 2.38^2/d around
 the empirical covariance of the whole chain so far (rejection repeats
-included).  A global step multiplier chases a 23.4% acceptance rate with a
-geometrically cooling learning rate, so adaptation provably dies out.
+included), kept as a running mean and sum of squared deviations (Welford's
+update, as in Haario, Saksman & Tamminen 2001, Bernoulli 7:223).  A global
+step multiplier chases a 23.4% acceptance rate with a geometrically cooling
+learning rate, so adaptation provably dies out.
 
 The same engine serves both the moment-filter chain and the particle chain;
 for the latter the incumbent's likelihood estimate is stored and never
 recomputed, which keeps the stationary distribution exact despite the noisy
-estimates.
+estimates (Andrieu & Roberts 2009, Ann. Statist. 37:697).
+
+Each iteration draws, in this order: the mixture uniform (once adapting,
+after BURN_FLOOR draws), the proposal's standard normals, then the
+acceptance uniform u.  u is drawn before the proposal is scored, so the
+target learns the bar its log posterior must exceed,
+`bar = log u + (incumbent log likelihood + log prior)`, and the proposal
+is accepted iff `loglik > bar - logprior`: the Metropolis rule
+`log u < log ratio`.  This allows early rejection (Solonen et al. 2012,
+Bayesian Analysis 7:715): on a model whose streams are all count streams
+every per-instant log likelihood term is at most 0, so a filter whose
+running sum has fallen to `bar - logprior` stops there (`ssm.filters`).
+The stopped estimate is rejected, as the full one would have been, and
+since only accepted estimates are ever stored the chain's law is unchanged.
 """
 
 from __future__ import annotations
@@ -121,22 +136,26 @@ class ChainResult:
 
 
 def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
-    """Metropolis chain over `target(u) -> (loglik, logprior_u, payload)`.
+    """Metropolis chain over `target(u, bar) -> (loglik, logprior_u,
+    payload)`.
 
+    `bar` is None for the starting point and, for a proposal, the log
+    posterior it must exceed; a target may return any log likelihood at or
+    below `bar - logprior_u` for a proposal it can tell will fall short.
     payload travels with the accepted state (the particle chain stores its
     sampled trajectory there).  Proposals with non-finite posterior are
     rejected outright, and the incumbent values are re-recorded.
     """
     u = np.asarray(u0, dtype=float).copy()
     d = u.size
-    ll, lp, payload = target(u)
+    ll, lp, payload = target(u, None)
     if not np.isfinite(ll + lp):
         raise FilterError("chain cannot start from a zero-density point")
     chol_fixed = _cholesky(np.asarray(sigma0, dtype=float))
     lam = 1.0
     opt_scale = 2.38 ** 2 / d
-    usum = u.copy()
-    sq = np.outer(u, u)
+    mean = u.copy()
+    m2 = np.zeros((d, d))   # sum of outer products of deviations from mean
     count = 1
     window = deque(maxlen=100)
     us = np.empty((iterations, d))
@@ -150,24 +169,23 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
             chol = chol_fixed
             scale = lam if adapt else 1.0
         else:
-            emp = sq / count - np.outer(usum, usum) / count ** 2
-            chol = _cholesky(opt_scale * emp)
+            chol = _cholesky(opt_scale * (m2 / count))
             scale = lam
         v = u + scale * (chol @ rng.standard_normal(d))
-        ll_new, lp_new, payload_new = target(v)
-        log_ratio = (ll_new + lp_new) - (ll + lp)
-        accepted = np.isfinite(ll_new + lp_new) and (
-            log_ratio >= 0.0 or np.log(rng.random()) < log_ratio
-        )
+        bar = np.log(rng.random()) + ll + lp
+        ll_new, lp_new, payload_new = target(v, bar)
+        accepted = bool(np.isfinite(ll_new + lp_new)
+                        and ll_new > bar - lp_new)
         if accepted:
             u, ll, lp, payload = v, ll_new, lp_new, payload_new
         window.append(1.0 if accepted else 0.0)
         if adapt:
             rate = sum(window) / len(window)
             lam *= np.exp((ADAPT_COOLING ** i) * (rate - TARGET_ACCEPT))
-        usum = usum + u
-        sq = sq + np.outer(u, u)
         count += 1
+        delta = u - mean
+        mean = mean + delta / count
+        m2 = m2 + np.outer(delta, delta) * ((count - 1) / count)
         us[i] = u
         lls[i] = ll
         acc[i] = accepted
@@ -211,12 +229,28 @@ class McmcResult:
     acceptance_rate: float
     paths: list                   # (iteration, path array) pairs
     times: np.ndarray | None
+    # over the filter runs that returned an estimate: those that stopped
+    # before the last instant, the instants filtered, and the instants
+    # full runs would have filtered
+    early_rejections: int
+    instants_run: int
+    instants_full: int
 
 
-def _chain_stage(space, base_values, run, rng, iterations, sigma0, adapt,
-                 times=None):
-    """Chain over the log posterior with the likelihood backend `run`."""
-    target = log_posterior(space, base_values, run)
+def _chain_stage(space, base_values, run, n_obs, rng, iterations, sigma0,
+                 adapt, times=None):
+    """Chain over the log posterior with the likelihood backend `run` on
+    n_obs instants."""
+    tally = [0, 0, 0]
+
+    def counted(values, floor=None):
+        res = run(values, floor=floor)
+        tally[0] += res.instants < n_obs
+        tally[1] += res.instants
+        tally[2] += n_obs
+        return res
+
+    target = log_posterior(space, base_values, counted)
     u0 = space.to_unconstrained(base_values)
     chain = adaptive_chain(target, u0, sigma0, rng, iterations, adapt=adapt)
     trace, mean_values, cov_u = _finish(space, base_values, chain)
@@ -226,6 +260,8 @@ def _chain_stage(space, base_values, run, rng, iterations, sigma0, adapt,
     return McmcResult(
         trace=trace, mean_values=mean_values, covariance=cov_u,
         acceptance_rate=chain.acceptance_rate, paths=paths, times=times,
+        early_rejections=tally[0], instants_run=tally[1],
+        instants_full=tally[2],
     )
 
 
@@ -233,8 +269,8 @@ def kmcmc_stage(cm, dataset, space, base_values, t0, rng, *, iterations,
                 sigma0, adapt=True, dt=None):
     """Chain over the moment-filter likelihood."""
     return _chain_stage(space, base_values,
-                        backend(cm, dataset, t0, "ekf", dt=dt), rng,
-                        iterations, sigma0, adapt)
+                        backend(cm, dataset, t0, "ekf", dt=dt), len(dataset),
+                        rng, iterations, sigma0, adapt)
 
 
 def pmcmc_stage(cm, dataset, space, base_values, t0, rng, *, iterations,
@@ -246,5 +282,5 @@ def pmcmc_stage(cm, dataset, space, base_values, t0, rng, *, iterations,
     carries one trajectory drawn from the filter's ancestry."""
     run = backend(cm, dataset, t0, "smc", rng=rng, n_particles=n_particles,
                   formalism=formalism, dt=dt, return_path=keep_paths)
-    return _chain_stage(space, base_values, run, rng, iterations, sigma0,
-                        adapt, times=dataset.times)
+    return _chain_stage(space, base_values, run, len(dataset), rng,
+                        iterations, sigma0, adapt, times=dataset.times)

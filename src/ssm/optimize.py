@@ -118,26 +118,30 @@ def backend(cm, dataset, t0, kind, *, dt=None, rng=None, n_particles=500,
             formalism="psr", return_path=False):
     """The likelihood of one backend as `values -> FilterResult`: the
     deterministic trajectory ("ode"), the moment filter ("ekf") or the
-    particle filter ("smc", drawing from `rng`)."""
+    particle filter ("smc", drawing from `rng`).  The two filters also take
+    the `floor` at which they may stop early (`ssm.filters`)."""
     if kind == "ode":
         return lambda values: ode_loglik(cm, dataset, values, t0, dt=dt)
     if kind == "ekf":
-        return lambda values: ekf_filter(cm, dataset, values, t0, dt=dt)
+        return lambda values, floor=None: ekf_filter(
+            cm, dataset, values, t0, dt=dt, floor=floor)
     if kind == "smc":
-        return lambda values: smc_filter(
+        return lambda values, floor=None: smc_filter(
             cm, dataset, values, t0, rng=rng, n_particles=n_particles,
-            formalism=formalism, dt=dt, return_path=return_path,
+            formalism=formalism, dt=dt, return_path=return_path, floor=floor,
         )
     raise ValueError(f"unknown likelihood backend: {kind!r}")
 
 
-def attempt(run, values):
+def attempt(run, values, floor=None):
     """(log likelihood, path) of the backend `run` at natural-scale values;
-    minus infinity where it fails or gives a non-finite estimate."""
+    minus infinity where it fails or gives a non-finite estimate.  A
+    `floor` is passed on to the filter, which may then return a running sum
+    at or below it in place of the full estimate."""
     try:
         # probing far corners is expected to overflow into the -inf branch
         with np.errstate(all="ignore"):
-            res = run(values)
+            res = run(values) if floor is None else run(values, floor=floor)
     except (DomainError, FilterError):
         return -np.inf, None
     if not np.isfinite(res.loglik):
@@ -147,18 +151,21 @@ def attempt(run, values):
 
 def log_posterior(space, base_values, run):
     """The target every fitting stage climbs or samples:
-    `u -> (log likelihood, log prior on the unconstrained scale, path)` for
-    the backend `run`.  Invalid regions get a minus-infinity likelihood, so
-    the simplex walks around them and the chain rejects them."""
+    `(u, bar=None) -> (log likelihood, log prior on the unconstrained
+    scale, path)` for the backend `run`.  Invalid regions get a
+    minus-infinity likelihood, so the simplex walks around them and the
+    chain rejects them.  A chain passes as `bar` the log posterior that a
+    proposal must exceed; the filter may then stop once the likelihood
+    cannot exceed `bar - lp`, returning a value at or below it."""
 
-    def target(u):
+    def target(u, bar=None):
         with np.errstate(all="ignore"):
             lp = space.log_prior_unconstrained(u)
             if not np.isfinite(lp):
                 return -np.inf, lp, None
             values = dict(base_values)
             values.update(space.to_natural(u))
-        ll, path = attempt(run, values)
+        ll, path = attempt(run, values, None if bar is None else bar - lp)
         return ll, lp, path
 
     return target

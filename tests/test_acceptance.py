@@ -212,7 +212,7 @@ def test_criterion_04_adaptive_metropolis(report):
         target_cov = np.array([[1.0, 0.6], [0.6, 0.5]])
         prec = np.linalg.inv(target_cov)
 
-        def target(u):
+        def target(u, bar):
             return float(-0.5 * u @ prec @ u), 0.0, None
 
         res = adaptive_chain(target, np.array([2.0, -2.0]),

@@ -469,6 +469,16 @@ class TestChain:
                   "--trace", str(ptrace)],
                  stdin_text=km.stdout, env_extra=env)
         assert pm.returncode == 0, pm.stderr
+        # the early-rejection counts go to stderr, and only there; the
+        # shipped SIR's 52 instants, one start and n proposals per chain
+        for r, n in ((km, 150), (pm, 60)):
+            m = re.search(r"early rejections (\d+) of (\d+) proposals, "
+                          r"filter instants run (\d+) of (\d+)", r.stderr)
+            assert m, r.stderr
+            stopped, proposals, run_, full = map(int, m.groups())
+            assert proposals == n and full == 52 * (n + 1)
+            assert 0 < stopped < n and run_ < full
+            assert "early" not in r.stdout and "instants" not in r.stdout
 
         doc = json.loads(pm.stdout)
         assert [p["stage"] for p in doc["provenance"]] == [

@@ -1,13 +1,16 @@
 """Filters against exact Gaussian oracles and cross-formalism consistency."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import SIR, build, local_level_model, sir_model
+from helpers import ROOT, SIR, build, local_level_model, sir_model
 from ssm.compiled import CompiledModel
 from ssm import filters as fl
 from ssm import simulate as sim
+from ssm.model import load_model
 from ssm.observe import DataSet, poisson_logpmf
 
 LL_PARAMS = {"x0": 2.0, "c_drift": 0.4, "q_sd": 0.7, "tau2": 1.5}
@@ -435,3 +438,118 @@ class TestMomentFilterOnSir:
         cm, p, ds = self.synthetic()
         with np.errstate(all="ignore"), pytest.raises(fl.FilterError):
             fl.ekf_filter(cm, ds, dict(p, beta=1e200), t0=0.0)
+
+
+# ----------------------------------------------------------------------
+# early stop at a floor
+
+SHIPPED = ROOT / "src" / "ssm" / "models"
+
+
+@pytest.fixture(scope="module")
+def shipped_sir():
+    cm = CompiledModel(load_model(SHIPPED / "sir.json"))
+    ds = DataSet.from_csv(SHIPPED / "sir-data.csv")
+    values = cm.spec.resolve_values({"beta": 1.5, "gamma": 1.0})
+    return cm, ds, values
+
+
+def run_filter(kind, cm, ds, values, **kwargs):
+    """(result, generator state after the run) of one filter at seed 8."""
+    rng = np.random.default_rng(8)
+    if kind == "ekf":
+        res = fl.ekf_filter(cm, ds, values, 0.0, dt=0.5, **kwargs)
+    else:
+        res = fl.smc_filter(cm, ds, values, 0.0, rng, n_particles=100,
+                            formalism="sde", return_path=True, **kwargs)
+    return res, rng.bit_generator.state
+
+
+def assert_same_run(a, b):
+    (ra, sa), (rb, sb) = a, b
+    assert ra.loglik == rb.loglik
+    assert ra.instants == rb.instants
+    for field in ("loglik_terms", "means", "ess", "covs", "path"):
+        x, y = getattr(ra, field), getattr(rb, field)
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_array_equal(x, y)
+    assert sa == sb
+
+
+class TestEarlyStop:
+    """Where every term is a log probability the running sum only falls:
+    a filter given a floor stops at the first instant it reaches the floor
+    and otherwise runs exactly as without one."""
+
+    @pytest.mark.parametrize("kind", ["ekf", "smc"])
+    def test_stops_at_first_instant_at_or_below_floor(self, shipped_sir,
+                                                      kind):
+        cm, ds, values = shipped_sir
+        full = run_filter(kind, cm, ds, values)
+        res_full = full[0]
+        n = len(ds)
+        assert res_full.instants == n
+        # the filters add one term per instant: SIR has one stream
+        running = list(accumulate(res_full.loglik_terms))
+        assert running[-1] == res_full.loglik
+        assert all(b <= a for a, b in zip(running, running[1:]))
+        k = n // 3
+        floors = [running[0], running[k], (running[k] + running[k + 1]) / 2,
+                  running[-2], res_full.loglik, res_full.loglik - 1e-9,
+                  res_full.loglik - 50.0, -np.inf]
+        stopped = 0
+        for floor in floors:
+            got = run_filter(kind, cm, ds, values, floor=floor)
+            res = got[0]
+            if res_full.loglik > floor:
+                assert_same_run(got, full)
+                continue
+            stopped += 1
+            first = next(i for i, r in enumerate(running) if r <= floor)
+            assert res.instants == first + 1
+            assert res.loglik == running[first]
+            assert res_full.loglik <= res.loglik <= floor
+            np.testing.assert_array_equal(res.loglik_terms[:first + 1],
+                                          res_full.loglik_terms[:first + 1])
+            assert res.path is None
+        assert stopped == 5
+
+    @pytest.mark.parametrize("kind", ["ekf", "smc"])
+    def test_discretized_normal_never_stops(self, kind):
+        cm = CompiledModel(local_level_model())
+        ds = make_dataset(np.arange(1.0, len(LL_DATA) + 1.0), {"y": LL_DATA})
+        full = run_filter(kind, cm, ds, LL_PARAMS)
+        assert_same_run(run_filter(kind, cm, ds, LL_PARAMS, floor=np.inf),
+                        full)
+
+    def test_count_and_discretized_normal_streams_never_stop(self):
+        # one non-count stream is enough to keep a filter running
+        doc = dict(SIR, observations=SIR["observations"] + [
+            {"name": "prev_obs", "distribution": "discretized_normal",
+             "mean": "I", "variance": "4"}])
+        cm = CompiledModel(build(doc))
+        times = np.arange(1.0, len(SIR_CASES) + 1.0)
+        ds = make_dataset(times, {"cases_obs": SIR_CASES,
+                                  "prev_obs": [12, 15, 20, 26, 33, 40, 48]})
+        for kind in ("ekf", "smc"):
+            full = run_filter(kind, cm, ds, SIR_P)
+            assert full[0].instants == len(ds)
+            assert_same_run(run_filter(kind, cm, ds, SIR_P, floor=np.inf),
+                            full)
+
+    def test_log_weight_or_hook_never_stops(self, shipped_sir):
+        cm, ds, values = shipped_sir
+        j = 100
+
+        def hook(i, idx):
+            return values, np.zeros(j)
+
+        for extra in ({"log_weight": np.zeros(j)},
+                      {"after_resample": hook},
+                      {"log_weight": np.zeros(j), "after_resample": hook}):
+            full = run_filter("smc", cm, ds, values, **extra)
+            assert full[0].instants == len(ds)
+            assert_same_run(
+                run_filter("smc", cm, ds, values, floor=np.inf, **extra),
+                full)

@@ -10,12 +10,14 @@ and call discipline can be pinned exactly.
 import numpy as np
 import pytest
 
+from ssm import filters
 from ssm.compiled import CompiledModel
 from ssm.filters import FilterError
 from ssm.mcmc import Trace, adaptive_chain, ess, kmcmc_stage, pmcmc_stage
+from ssm.model import load_model
 from ssm.observe import DataSet
 
-from helpers import local_level_model
+from helpers import ROOT, local_level_model
 
 LL_TIMES = np.arange(1.0, 16.0)
 LL_DATA = [3, 3, 4, 6, 5, 7, 8, 8, 10, 9, 11, 13, 12, 14, 15]
@@ -48,7 +50,7 @@ class TestEngine:
     def test_flat_target_always_accepts(self):
         rng = np.random.default_rng(0)
 
-        def target(u):
+        def target(u, bar):
             return 0.0, 0.0, None
 
         res = adaptive_chain(target, np.zeros(2), np.eye(2), rng, 200,
@@ -61,7 +63,7 @@ class TestEngine:
         noise = np.random.default_rng(2)
         calls = [0]
 
-        def target(u):
+        def target(u, bar):
             calls[0] += 1
             return float(noise.normal(0.0, 5.0)), 0.0, None
 
@@ -75,7 +77,7 @@ class TestEngine:
         assert np.array_equal(res.loglik[rejected], res.loglik[rejected - 1])
 
     def test_zero_density_start_raises(self):
-        def target(u):
+        def target(u, bar):
             return -np.inf, 0.0, None
 
         with pytest.raises(FilterError):
@@ -87,7 +89,7 @@ class TestEngine:
         cov = np.array([[1.0, 0.8], [0.8, 1.0]])
         prec = np.linalg.inv(cov)
 
-        def target(u):
+        def target(u, bar):
             return float(-0.5 * u @ prec @ u), 0.0, None
 
         res = adaptive_chain(target, np.array([3.0, -3.0]),
@@ -105,7 +107,7 @@ class TestEngine:
         noise = np.random.default_rng(4)
         counter = [0]
 
-        def target(u):
+        def target(u, bar):
             counter[0] += 1
             return float(noise.normal(0.0, 4.0)), 0.0, counter[0]
 
@@ -116,6 +118,49 @@ class TestEngine:
                 assert res.payloads[i] is not None
             else:
                 assert res.payloads[i] is None
+
+
+def _terms_target(a, b, c, stop):
+    """Target whose log likelihood is the running sum of the non-positive
+    terms -a_k (u_0 - c_k)^2 - b_k; with `stop` it returns the running sum
+    at the first term that takes it to `bar - lp` or below, as a filter
+    given that floor does."""
+    def target(u, bar):
+        lp = -0.5 * float(u @ u)
+        floor = None if bar is None or not stop else bar - lp
+        ll = 0.0
+        for ak, bk, ck in zip(a, b, c):
+            ll += -ak * (u[0] - ck) ** 2 - bk
+            if floor is not None and ll <= floor:
+                break
+        return ll, lp, None
+
+    return target
+
+
+def test_property_early_rejection_keeps_every_decision():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nonneg = st.floats(0.0, 50.0)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.lists(st.tuples(nonneg, nonneg, st.floats(-3, 3)),
+                               min_size=1, max_size=12),
+                      st.integers(1, 2), st.booleans(),
+                      st.integers(0, 2 ** 32 - 1))
+    def check(terms, d, adapt, seed):
+        a, b, c = zip(*terms)
+        runs = [adaptive_chain(_terms_target(a, b, c, stop), np.zeros(d),
+                               np.eye(d), np.random.default_rng(seed), 60,
+                               adapt=adapt)
+                for stop in (False, True)]
+        full, early = runs
+        np.testing.assert_array_equal(early.accepted, full.accepted)
+        np.testing.assert_array_equal(early.unconstrained,
+                                      full.unconstrained)
+        np.testing.assert_array_equal(early.loglik, full.loglik)
+
+    check()
 
 
 class TestEss:
@@ -213,6 +258,49 @@ class TestMomentChain:
         for i in range(1, len(tr)):
             moved = not np.array_equal(tr.values[i], tr.values[i - 1])
             assert moved == bool(tr.accepted[i])
+
+
+class TestEarlyRejection:
+    """A chain whose filters stop at the bar takes every decision of the
+    chain whose filters run to the end."""
+
+    @pytest.fixture(scope="class")
+    def sir(self):
+        models = ROOT / "src" / "ssm" / "models"
+        cm = CompiledModel(load_model(models / "sir.json"))
+        ds = DataSet.from_csv(models / "sir-data.csv")
+        space = cm.spec.free_parameters()
+        base = cm.spec.resolve_values({"beta": 1.5, "gamma": 1.0})
+        return cm, ds, space, base
+
+    def test_kmcmc_trace_unchanged_by_stopping(self, sir, monkeypatch):
+        cm, ds, space, base = sir
+
+        def chain():
+            return kmcmc_stage(cm, ds, space, base, 0.0,
+                               np.random.default_rng(12), iterations=80,
+                               sigma0=np.diag([0.01, 0.01]), dt=0.5)
+
+        early = chain()
+        monkeypatch.setattr(filters, "_stop_floor", lambda cm, floor: None)
+        full = chain()
+        for field in ("values", "loglik", "logprior", "accepted"):
+            np.testing.assert_array_equal(getattr(early.trace, field),
+                                          getattr(full.trace, field))
+        assert full.early_rejections == 0
+        assert full.instants_run == full.instants_full == 81 * len(ds)
+        assert 0 < early.early_rejections <= 80 - early.trace.accepted.sum()
+        assert early.instants_full == full.instants_full
+        assert early.instants_run < early.instants_full
+
+    def test_pmcmc_counts(self, sir):
+        cm, ds, space, base = sir
+        res = pmcmc_stage(cm, ds, space, base, 0.0, np.random.default_rng(4),
+                          iterations=20, sigma0=np.diag([0.01, 0.01]),
+                          n_particles=50, formalism="sde")
+        assert 0 < res.early_rejections <= 20 - res.trace.accepted.sum()
+        assert res.instants_full == 21 * len(ds)
+        assert res.instants_run < res.instants_full
 
 
 class TestParticleChain:
