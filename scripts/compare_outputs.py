@@ -105,17 +105,20 @@ def commands():
     out.append(("mif sde plague",
                 ["mif", *model_args("plague"), "--formalism", "sde",
                  "--iterations", "2", "--n-particles", "100"], "plague", ()))
-    # the benchmark's psr commands at their sizes
-    out += [
-        ("mif psr plague", ["mif", *model_args("plague"), "--iterations", "3"],
-         "plague", ()),
-        ("smc psr x500 dengue-2strain",
-         ["smc", *model_args("dengue-2strain"), "--formalism", "psr",
-          "--n-particles", "500"], "dengue-2strain", ()),
-        ("forecast psr x200 sir",
-         ["forecast", *model_args("sir", data=False), "--formalism", "psr",
-          "--end", "12", "--trajectories", "200"], "sir", ()),
-    ]
+    # the benchmark's psr commands at their sizes, and psr swarms in which
+    # whole compartments and noise groups fade out in every row
+    out.append(("mif psr plague",
+                ["mif", *model_args("plague"), "--iterations", "3"],
+                "plague", ()))
+    for name in ("plague", "seir-h1n1", "dengue-2strain"):
+        out.append((f"smc psr x500 {name}",
+                    ["smc", *model_args(name), "--formalism", "psr",
+                     "--n-particles", "500"], name, ()))
+    for name, end in (("sir", "12"), ("dengue-2strain", "104")):
+        out.append((f"forecast psr x200 {name}",
+                    ["forecast", *model_args(name, data=False),
+                     "--formalism", "psr", "--end", end,
+                     "--trajectories", "200"], name, ()))
     data = ["--data", "{models}/sir-data.csv"]
     out += [
         ("check-data unknown-key", ["check-data", "--model",

@@ -6,8 +6,9 @@ and anything human-readable goes to stderr.  That makes stages chainable:
 
     cat theta.json | ssm ksimplex ... | ssm kmcmc ... | ssm pmcmc ...
 
-Exit codes: 0 on success, 2 for schema or validation problems in models,
-data, or parameter documents, 1 for numerical failures at runtime.
+Exit codes: 0 on success, 2 for schema or validation problems in options,
+models, data, or parameter documents, 1 for numerical failures at runtime
+(an initial state with a negative compartment among them).
 """
 
 from __future__ import annotations
@@ -400,6 +401,24 @@ def cmd_diagnostics(args):
 
 # --- parser ---------------------------------------------------------------
 
+def _checked(convert, ok, what):
+    """An argparse type: the argument through `convert`, rejected (exit 2)
+    unless `ok` holds of the value."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# the sizes, loop counts, substep bounds and grid spacings a run can take
+_SIZE = _checked(int, lambda n: n >= 1, "at least 1")
+_COUNT = _checked(int, lambda n: n >= 0, "at least 0")
+_SPAN = _checked(float, lambda v: v > 0, "greater than 0")
+
+
 def _opt_model(p):
     p.add_argument("--model", required=True, metavar="PATH",
                    help="model definition (JSON)")
@@ -418,7 +437,7 @@ def _opt_theta(p):
 def _opt_run(p):
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: $SSM_SEED, else 0)")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_SPAN, default=None,
                    help="integration substep bound (default: a tenth of "
                         "each inter-observation interval)")
 
@@ -456,9 +475,9 @@ def build_parser():
     _opt_formalism(p, "ode")
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, required=True)
-    p.add_argument("--every", type=float, default=1.0,
+    p.add_argument("--every", type=_SPAN, default=1.0,
                    help="output grid spacing")
-    p.add_argument("--trajectories", type=int, default=1)
+    p.add_argument("--trajectories", type=_SIZE, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("smc", help="particle-filter log likelihood")
@@ -468,7 +487,7 @@ def build_parser():
     _opt_run(p)
     _opt_t0(p)
     _opt_formalism(p, "psr")
-    p.add_argument("--n-particles", type=int, default=500)
+    p.add_argument("--n-particles", type=_SIZE, default=500)
     p.set_defaults(func=cmd_smc)
 
     p = sub.add_parser("kalman", help="moment-filter log likelihood")
@@ -489,7 +508,7 @@ def build_parser():
         _opt_theta(p)
         _opt_run(p)
         _opt_t0(p)
-        p.add_argument("--iterations", type=int, default=300)
+        p.add_argument("--iterations", type=_COUNT, default=300)
         p.add_argument("--step", type=float, default=0.1,
                        help="initial simplex edge on the unconstrained scale")
         p.set_defaults(func=functools.partial(cmd_simplex, kind=kind,
@@ -502,8 +521,8 @@ def build_parser():
     _opt_run(p)
     _opt_t0(p)
     _opt_formalism(p, "psr")
-    p.add_argument("--iterations", type=int, default=30)
-    p.add_argument("--n-particles", type=int, default=500)
+    p.add_argument("--iterations", type=_COUNT, default=30)
+    p.add_argument("--n-particles", type=_SIZE, default=500)
     p.add_argument("--cooling", type=float, default=0.975)
     p.add_argument("--perturbation-sd", type=float, default=None,
                    help="random-walk intensity per square root of unit "
@@ -517,7 +536,7 @@ def build_parser():
     _opt_theta(p)
     _opt_run(p)
     _opt_t0(p)
-    p.add_argument("--iterations", type=int, default=10000)
+    p.add_argument("--iterations", type=_COUNT, default=10000)
     p.add_argument("--trace", default="trace.csv", metavar="PATH")
     p.add_argument("--adapt", action=argparse.BooleanOptionalAction,
                    default=None, help="adapt the proposal (default: on)")
@@ -531,8 +550,8 @@ def build_parser():
     _opt_run(p)
     _opt_t0(p)
     _opt_formalism(p, "psr")
-    p.add_argument("--iterations", type=int, default=5000)
-    p.add_argument("--n-particles", type=int, default=500)
+    p.add_argument("--iterations", type=_COUNT, default=5000)
+    p.add_argument("--n-particles", type=_SIZE, default=500)
     p.add_argument("--trace", default="trace.csv", metavar="PATH")
     p.add_argument("--paths", default=None, metavar="PATH",
                    help="write accepted state trajectories to this CSV")
@@ -550,8 +569,8 @@ def build_parser():
     _opt_formalism(p, "psr")
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, required=True)
-    p.add_argument("--every", type=float, default=1.0)
-    p.add_argument("--trajectories", type=int, default=200)
+    p.add_argument("--every", type=_SPAN, default=1.0)
+    p.add_argument("--trajectories", type=_SIZE, default=200)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="sample parameter draws from this chain trace")
     p.add_argument("--burn", type=float, default=0.1)

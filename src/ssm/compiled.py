@@ -207,33 +207,21 @@ class CompiledModel:
             (src, tuple(ks)) for src, ks in sorted(by_source.items())
         )
         self.external_reactions = tuple(external)
-        # the Poisson step's exit plan: the per-capita exits in cascade
-        # order (by source, then as listed), the index of each one's source
-        # in reactions_by_source and its source column; exit_levels holds,
-        # per position within a source (first exits, then second, ...), a
-        # pair (at_level, groups): the indices into the exit arrays of the
-        # exits at that position and the source index of each
-        exits = [(g, k, pos)
-                 for g, (_, ks) in enumerate(self.reactions_by_source)
-                 for pos, k in enumerate(ks)]
+        # the Poisson step's rows: the per-capita exits in cascade order
+        # (by source, then as listed), with the index of each one's source
+        # in reactions_by_source and its source column, then the
+        # absolute-rate reactions; psr_plans caches the step's work per set
+        # of live rows (`simulate.psr_plan`)
+        exits = [(g, k) for g, (_, ks) in enumerate(self.reactions_by_source)
+                 for k in ks]
         self.source_columns = np.array(
             [src for src, _ in self.reactions_by_source], dtype=int)
-        self.exit_groups = np.array([g for g, _, _ in exits], dtype=int)
-        self.exit_reactions = np.array([k for _, k, _ in exits], dtype=int)
+        self.exit_groups = np.array([g for g, _ in exits], dtype=int)
+        self.exit_reactions = np.array([k for _, k in exits], dtype=int)
         self.exit_sources = self.source_columns[self.exit_groups]
-        position = np.array([pos for _, _, pos in exits], dtype=int)
-        self.exit_levels = tuple(
-            (np.flatnonzero(position == level),
-             self.exit_groups[position == level])
-            for level in range(position.max(initial=-1) + 1)
-        )
-        # the binomial calls of a slice: runs of consecutive exits from
-        # different sources, as (exit slice, source slice); a source's next
-        # exit starts a run, as its trials are what the exit before left
-        cuts = [0, *np.flatnonzero(position > 0).tolist(), len(exits)]
-        self.exit_runs = tuple(
-            (slice(a, b), slice(exits[a][0], exits[b - 1][0] + 1))
-            for a, b in zip(cuts, cuts[1:]) if b > a)
+        self.step_order = np.array(
+            [*self.exit_reactions, *external], dtype=int)
+        self.psr_plans = {}
 
         # noise groups: (sd parameter name, member reaction indices)
         self.noise_groups = tuple(
@@ -644,11 +632,16 @@ class CompiledModel:
         """Initial state from parameter values; accumulator coordinates are 0.
 
         With `size`, returns (size, nx); parameter values may then be arrays
-        of matching length.
+        of matching length.  A compartment that starts below zero is a
+        DomainError.
         """
         out = np.empty((1 if size is None else size, self.nx))
         for i, v in enumerate(self._init(p)):
             out[:, i] = v
+        below = np.any(out[:, self.comp_slice] < 0.0, axis=0)
+        if below.any():
+            raise DomainError(f"initial {self.state_names[below.argmax()]} "
+                              f"is negative")
         return out[0] if size is None else out
 
     def env_columns(self, prop, p):

@@ -27,7 +27,11 @@ the same trajectories either way and leaves the generator in the same
 state.  The Poisson backend also makes one call per interval, `psr_step`
 looping over the interval's slices in numpy on a state held one row per
 coordinate; within a slice, draws that do not depend on each other share
-a numpy call, with the variates and order of one call per draw.  The jump
+a numpy call, with the variates and order of one call per draw.  A slice
+works only on the reactions that some row of the batch can fire, through
+a plan cached per set of such reactions: the others would draw nothing,
+so the variates are those of the full slice, except that a noise group
+none of whose members can fire draws no gamma increments.  The jump
 backend makes one call of the generated `jump` kernel per trajectory and
 interval, on Python floats, the trajectories of a batch taking their
 variates from shared streams.
@@ -36,6 +40,7 @@ variates from shared streams.
 from __future__ import annotations
 
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +124,78 @@ def sde_step(cm, x, t, h, n_sub, params, rng):
 # ----------------------------------------------------------------------
 # Poisson backend
 
+class PsrPlan(NamedTuple):
+    """The work of a Poisson slice with a given set of live rows, indexing
+    the step's rows (`CompiledModel.step_order`)."""
+    rows: object            # the live rows (a slice where consecutive)
+    n_exit: int             # how many of them are per-capita exits
+    exit_sources: object    # the state column of each live exit's source
+    sources: object         # the state columns of sources with a live exit
+    exit_groups: object     # the index in `sources` of each exit's source
+    # per position within a source among the live exits (first exits, then
+    # second, ...): the indices of the exits there and of their sources
+    levels: tuple
+    # the binomial calls: runs of consecutive live exits from different
+    # sources, as (exits, sources); a source's next exit starts a run, as
+    # its trials are what the exit before left
+    runs: tuple
+    # per live absolute-rate reaction: its index among the live rows, the
+    # compartments it drains, and what a firing of each live row before it
+    # and of itself takes from them
+    caps: tuple
+    stoich: np.ndarray      # the stoichiometry columns of the live rows
+    noisy: tuple            # per noise group: is a member live?
+
+
+def _span(idx):
+    """An increasing run of distinct indices as a slice where it has no
+    gaps, else as it is."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _build_plan(cm, live):
+    rows = np.flatnonzero(live)
+    reactions = cm.step_order[rows]
+    exits = rows[rows < len(cm.exit_reactions)]
+    n_exit = len(exits)
+    groups = cm.exit_groups[exits]
+    live_groups, at_source = np.unique(groups, return_inverse=True)
+    position = np.arange(n_exit) - np.searchsorted(groups, groups)
+    levels = tuple(
+        (np.flatnonzero(position == level), at_source[position == level])
+        for level in range(position.max(initial=-1) + 1))
+    cuts = [0, *np.flatnonzero(position > 0).tolist(), n_exit]
+    runs = tuple((slice(a, b), _span(at_source[a:b]))
+                 for a, b in zip(cuts, cuts[1:]) if b > a)
+    removals = cm.removals[:, reactions]
+    caps = []
+    for row in range(n_exit, len(rows)):
+        drains = np.flatnonzero(removals[:, row] > 0)
+        caps.append((row, drains, removals[drains, :row],
+                     removals[drains, row, None]))
+    fires = np.zeros(cm.n_react, dtype=bool)
+    fires[reactions] = True
+    return PsrPlan(
+        rows=_span(rows), n_exit=n_exit, exit_sources=cm.exit_sources[exits],
+        sources=cm.source_columns[live_groups], exit_groups=at_source,
+        levels=levels, runs=runs, caps=tuple(caps),
+        stoich=cm.stoich_full[:, reactions],
+        noisy=tuple(bool(fires[members].any())
+                    for _, members in cm.noise_groups))
+
+
+def psr_plan(cm, live):
+    """The `PsrPlan` of a slice whose live rows, in the step's order, are
+    the booleans `live`, built once per model and set."""
+    key = live.tobytes()
+    plan = cm.psr_plans.get(key)
+    if plan is None:
+        plan = cm.psr_plans[key] = _build_plan(cm, live)
+    return plan
+
+
 def psr_step(cm, x, t, h, n_sub, params, rng):
     """n_sub time slices of length h of the Poisson approximation with
     stochastic rates, in one call, for one state or a batch of shape
@@ -138,70 +215,78 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     per noise group with a positive sd, the exit binomials source by source
     and exit by exit, the Poisson counts, a normal per driven parameter.
     Draws whose arguments do not depend on each other share a numpy call
-    (the exits of a run in `cm.exit_runs`, all Poisson counts), with the
-    variates and generator state of one call per draw.
+    (the exits of a run, all Poisson counts), with the variates and
+    generator state of one call per draw.
+
+    A slice works only on its live rows: the reactions whose clipped
+    propensity is positive in at least one row of the batch (an empty
+    source and a zero rate both give 0), through the cached `psr_plan` of
+    that set.  A dead reaction's binomial has a zero probability and its
+    Poisson count a zero mean, which numpy answers with 0 without drawing,
+    and it adds or subtracts only zeros in the hazard and tail sums and
+    the count update, all exact; so skipping it leaves every variate, its
+    arguments, the order of the draws and the generator's state as they
+    would be with it.  A noise group none of whose member reactions is
+    live draws no gamma increments: they would multiply zero rates only,
+    so the counts and the law of the process are those with the draw, but
+    the later variates of a seed shift.
     """
     x = np.asarray(x, dtype=float)
     state = x.reshape(-1, cm.nx).T.copy()
     j = state.shape[1]
-    # rows of the slice's counts: exits in cascade order, then the
-    # absolute-rate reactions
-    order = np.r_[cm.exit_reactions, cm.external_reactions].astype(int)
-    n_exit = len(cm.exit_reactions)
-    stoich, removals = cm.stoich_full[:, order], cm.removals[:, order]
-    # per absolute-rate reaction: its row, the compartments it drains, and
-    # what a firing of each row before it and of itself takes from them
-    caps = []
-    for row in range(n_exit, len(order)):
-        drains = np.flatnonzero(removals[:, row] > 0)
-        caps.append((row, drains, removals[drains, :row],
-                     removals[drains, row, None]))
+    order = cm.step_order
     delta = np.full((len(order), j), h)
-    # per noise group drawn: its rows, the columns drawn, gamma shape and
-    # scale
+    # per noise group drawn: its index, rows, the columns drawn, gamma
+    # shape and scale
     noises = []
     rank = np.argsort(order)
-    for sd_name, members in cm.noise_groups:
+    for g, (sd_name, members) in enumerate(cm.noise_groups):
         sd = np.broadcast_to(np.asarray(params[sd_name], dtype=float), (j,))
         pos = sd > 0
         if np.any(pos):
             var = sd[pos] ** 2
-            noises.append((rank[members, None], pos, h / var, var))
+            noises.append((g, rank[members, None], pos, h / var, var))
     counts = np.empty((len(order), j))
     sqrt_h = np.sqrt(h)
     for _ in range(n_sub):
         prop = cm.propensities(state.T, t, params).T[order]
-        np.clip(prop, 0.0, None, out=prop)
-        if not np.all(np.isfinite(prop)):
+        np.maximum(prop, 0.0, out=prop)
+        if not np.isfinite(prop).all():
             raise DomainError("non-finite rate during Poisson step")
-        for rows, pos, shape, scale in noises:
-            delta[rows, pos] = rng.gamma(shape, scale)
+        plan = psr_plan(cm, prop.any(axis=1))
+        for g, rows, pos, shape, scale in noises:
+            if plan.noisy[g]:
+                delta[rows, pos] = rng.gamma(shape, scale)
+        # from here on, the live rows only
+        prop, d = prop[plan.rows], delta[plan.rows]
+        n_exit = plan.n_exit
 
-        z = state[cm.exit_sources]
-        rd = np.divide(prop[:n_exit], z, out=np.zeros_like(z), where=z > 0)
-        rd *= delta[:n_exit]
-        hazard = np.zeros((len(cm.source_columns), j))
-        for at_level, groups in cm.exit_levels:
+        z = state[plan.exit_sources]
+        rd = np.divide(prop[:n_exit], z, out=np.zeros(z.shape), where=z > 0)
+        rd *= d[:n_exit]
+        hazard = np.zeros((len(plan.sources), j))
+        for at_level, groups in plan.levels:
             hazard[groups] += rd[at_level]
         p_leave = -np.expm1(-hazard)
         safe = np.where(hazard > 0, hazard, 1.0)
-        q = p_leave[cm.exit_groups] * rd / safe[cm.exit_groups]
+        q = p_leave[plan.exit_groups] * rd / safe[plan.exit_groups]
         # tail: the probability mass not yet assigned when each exit is
         # drawn
         tail = np.empty_like(q)
-        unassigned = np.ones_like(hazard)
-        for at_level, groups in cm.exit_levels:
+        unassigned = np.ones(hazard.shape)
+        for at_level, groups in plan.levels:
             tail[at_level] = unassigned[groups]
             unassigned[groups] -= q[at_level]
-        cond = np.divide(q, tail, out=np.zeros_like(q), where=tail > 1e-12)
+        cond = np.divide(q, tail, out=np.zeros(q.shape), where=tail > 1e-12)
         np.clip(cond, 0.0, 1.0, out=cond)
-        remaining = np.floor(state[cm.source_columns]).astype(np.int64)
-        for at, groups in cm.exit_runs:
+        remaining = np.floor(state[plan.sources]).astype(np.int64)
+        for at, groups in plan.runs:
             n = rng.binomial(remaining[groups], cond[at])
             counts[at] = n
             remaining[groups] -= n
 
-        drawn = rng.poisson(prop[n_exit:] * delta[n_exit:]) if caps else ()
+        caps = plan.caps
+        drawn = rng.poisson(prop[n_exit:] * d[n_exit:]) if caps else ()
         for (row, drains, before, each), n in zip(caps, drawn):
             if len(drains):
                 # removals come out of what the exits and the earlier
@@ -210,10 +295,10 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
                 n = np.minimum(n, np.floor(left / each).min(axis=0))
             counts[row] = n
 
-        new = state + stoich @ counts
+        new = state + plan.stoich @ counts[:len(prop)]
         # reachable only by a per-capita reaction that drains more than one
         # member of its source, or another compartment
-        if np.any(new[cm.comp_slice] < 0.0):
+        if (new[cm.comp_slice] < 0.0).any():
             raise DomainError("Poisson step overdrew a compartment")
         if cm.n_diff:
             drift, vols = cm.drift_and_vols(state.T, t, params)

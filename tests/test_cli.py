@@ -226,6 +226,52 @@ class TestValidation:
         else:
             assert np.isfinite(json.loads(r.stdout)["log_likelihood"])
 
+    @pytest.mark.parametrize("argv", [
+        *(["simulate", "--formalism", f, "--end", "3"] for f in
+          ("ode", "sde", "psr", "jump")),
+        ["smc", "--formalism", "psr", "--n-particles", "20",
+         "--data", SIR_DATA],
+        ["kalman", "--data", SIR_DATA]])
+    def test_negative_initial_compartment_is_exit_one(self, tmp_path, argv):
+        # -0.0 is no negative count
+        spec = json.loads(Path(SIR).read_text())
+        i0, = (p for p in spec["parameters"] if p["name"] == "I0")
+        model = tmp_path / "negative.json"
+        for value, code in ((-0.0, 0), (-5, 1)):
+            i0["prior"] = {"dirac": value}
+            model.write_text(json.dumps(spec))
+            r = run([*argv, "--model", str(model)], stdin_text=POINT)
+            assert r.returncode == code, r.stderr
+        assert r.stderr == "error: initial I is negative\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["smc", "--n-particles", "0"], ["smc", "--n-particles", "-3"],
+        ["mif", "--n-particles", "0"], ["pmcmc", "--n-particles", "0"],
+        ["forecast", "--trajectories", "0"],
+        ["simulate", "--trajectories", "0"],
+        ["kmcmc", "--iterations", "-2"], ["simplex", "--iterations", "-1"],
+        ["smc", "--dt", "0"], ["smc", "--dt", "-1"],
+        ["simulate", "--dt", "nan"], ["simulate", "--every", "0"],
+        ["forecast", "--every", "-1"]])
+    def test_sizes_and_steps_out_of_range_are_exit_two(self, argv):
+        command, option, value = argv
+        bound = {"--n-particles": "at least 1", "--trajectories": "at least 1",
+                 "--iterations": "at least 0", "--dt": "greater than 0",
+                 "--every": "greater than 0"}
+        where = (["--end", "3"] if command in ("simulate", "forecast")
+                 else ["--data", SIR_DATA])
+        r = run([*argv, "--model", SIR, *where], stdin_text=POINT)
+        assert r.returncode == 2
+        errors = [line for line in r.stderr.splitlines() if "error:" in line]
+        assert errors == [f"ssm {command}: error: argument {option}: must "
+                          f"be {bound[option]}, got {value}"]
+
+    def test_zero_iterations_stay_valid(self):
+        r = run(["simplex", "--model", SIR, "--data", SIR_DATA,
+                 "--iterations", "0", "--dt", "0.5"], stdin_text=POINT)
+        assert r.returncode == 0, r.stderr
+        assert "after 0 iteration(s)" in r.stderr
+
     def test_check_data_reports_problems(self, tmp_path):
         bad = tmp_path / "d.csv"
         bad.write_text("time,stream,value\n"

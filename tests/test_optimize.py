@@ -205,6 +205,16 @@ class TestLogPosterior:
         assert not np.isfinite(lp)
         assert path is None
 
+    @pytest.mark.parametrize("kind", [kind for kind, _ in BACKENDS])
+    def test_negative_initial_compartment(self, kind):
+        # a chain that proposes such a point rejects it
+        spec = sir_model()
+        ds = make_dataset([1.0, 2.0, 3.0], {"cases_obs": [3, 4, 6]})
+        run = opt.backend(CompiledModel(spec), ds, 0.0, kind,
+                          rng=np.random.default_rng(4), n_particles=50)
+        values = spec.resolve_values({"beta": 0.5, "gamma": 0.25})
+        assert opt.attempt(run, dict(values, I0=-5.0)) == (-np.inf, None)
+
     @pytest.mark.parametrize("error", [DomainError, FilterError])
     @pytest.mark.parametrize("kind, name", BACKENDS)
     def test_backend_failure(self, monkeypatch, kind, name, error):

@@ -523,20 +523,25 @@ class TestPsr:
 # the Poisson step as a per-source cascade, one source at a time: the
 # reference the vectorised psr_step must reproduce draw for draw
 
-def reference_noise_deltas(cm, dt, params, lead, rng):
+def reference_noise_deltas(cm, dt, params, lead, rng, prop, dead_rng=None):
+    """Per reaction, its effective increment: a gamma draw for a group
+    with a positive sd, unless no member has a positive propensity in any
+    row; such a group draws from dead_rng when one is given, else not at
+    all."""
     delta = np.full(lead + (cm.n_react,), float(dt))
     for sd_name, members in cm.noise_groups:
         sd = np.broadcast_to(np.asarray(params[sd_name], dtype=float), lead)
         draw = np.full(lead, float(dt))
         pos = sd > 0
-        if np.any(pos):
+        source = rng if np.any(prop[..., members] > 0) else dead_rng
+        if np.any(pos) and source is not None:
             var = sd[pos] ** 2
-            draw[pos] = rng.gamma(dt / var, var)
+            draw[pos] = source.gamma(dt / var, var)
         delta[..., members] = draw[..., None]
     return delta
 
 
-def reference_psr_step(cm, x, t, dt, params, rng):
+def reference_psr_step(cm, x, t, dt, params, rng, dead_rng=None):
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
@@ -545,7 +550,7 @@ def reference_psr_step(cm, x, t, dt, params, rng):
     prop = np.clip(cm.propensities(x, t, params), 0.0, None)
     if not np.all(np.isfinite(prop)):
         raise DomainError("non-finite rate during Poisson step")
-    delta = reference_noise_deltas(cm, dt, params, lead, rng)
+    delta = reference_noise_deltas(cm, dt, params, lead, rng, prop, dead_rng)
     counts = np.zeros(lead + (cm.n_react,))
 
     for src, ks in cm.reactions_by_source:
@@ -647,11 +652,13 @@ TWO_DRAINS = {
 class RecordingGenerator:
     """A numpy Generator that records every draw call: the method and each
     distribution parameter broadcast to the shape of the draws (the
-    arguments of a standard_* method are the shape itself)."""
+    arguments of a standard_* method are the shape itself), and in
+    `variates` the values drawn."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.calls = []
+        self.variates = []
 
     def __getattr__(self, name):
         method = getattr(self.rng, name)
@@ -662,18 +669,27 @@ class RecordingGenerator:
             if not name.startswith("standard_"):
                 args = [np.broadcast_to(a, np.shape(out)) for a in args]
             self.calls.append((name, args))
+            self.variates.append(out)
             return out
         return draw
 
     def joined(self):
         """The recorded calls with consecutive calls of one method joined:
         (method, the sequence of each distribution parameter, one entry per
-        variate); a standard_* method's sequence holds one 0 per variate."""
+        variate); a standard_* method's sequence holds one 0 per variate.
+        Binomial entries with n = 0 or p = 0 and Poisson entries with mean
+        0, which numpy answers with 0 without drawing, are left out, and a
+        call left with none is dropped before the joining."""
         out = []
         for name, args in self.calls:
             if name.startswith("standard_"):
                 args = [np.zeros(int(np.prod(args[0])))]
             args = [a.ravel() for a in args]
+            if name in ("binomial", "poisson"):
+                drawing = np.all([a != 0 for a in args], axis=0)
+                if not drawing.any():
+                    continue
+                args = [a[drawing] for a in args]
             if out and out[-1][0] == name:
                 args = [np.concatenate(pair) for pair in zip(out[-1][1], args)]
                 out.pop()
@@ -698,8 +714,10 @@ class TestPsrMatchesCascade:
     per-source reference: equal states after every interval, the same
     variates drawn with bit-identical arguments in the same order (joining
     consecutive calls of one distribution on both sides, since psr_step
-    shares calls between draws that do not depend on each other), and the
-    generator left in the same state."""
+    shares calls between draws that do not depend on each other, and
+    leaving out on both sides the entries numpy answers without drawing,
+    which psr_step skips for reactions no row can fire), and the generator
+    left in the same state."""
 
     def assert_same_steps(self, cm, x, params, steps=2, dt=0.25, seed=0,
                           n_sub=10):
@@ -741,17 +759,40 @@ class TestPsrMatchesCascade:
         ("sir", 1, 0), ("plague", 3, 1), ("seir-h1n1", 1, 0),
         ("dengue-2strain", 4, 0)])
     def test_calls_per_slice(self, name, binomials, poissons):
-        # dengue-2strain's 11 exits take 4 calls, one a run of 4 exits
+        # with every compartment populated, dengue-2strain's 11 exits take
+        # 4 calls, one a run of 4 exits; at the initial state its R1, R2,
+        # I12, I21 and Rboth are empty, and so is plague's R, and the exits
+        # they drain are not drawn: dengue-2strain's 4 live exits take 2
+        # calls, and plague's last call holds I's second exit alone
         cm = CompiledModel(load_model(MODELS / f"{name}.json"))
         values = cm.spec.resolve_values(SHIPPED_VALUES[name])
-        rng = RecordingGenerator(3)
-        sim.psr_step(cm, cm.init_state(values, size=8), 0.0, 0.1, 1,
-                     values, rng)
-        names = [c for c, _ in rng.calls]
-        assert names.count("binomial") == binomials
-        assert names.count("poisson") == poissons
+        x0 = cm.init_state(values, size=8)
+        full = x0.copy()
+        full[:, cm.comp_slice] += 5.0
+        initial = {"sir": 1, "plague": 3, "seir-h1n1": 1,
+                   "dengue-2strain": 2}[name]
+        for x, want in ((full, binomials), (x0, initial)):
+            rng = RecordingGenerator(3)
+            sim.psr_step(cm, x, 0.0, 0.1, 1, values, rng)
+            names = [c for c, _ in rng.calls]
+            assert names.count("binomial") == want
+            assert names.count("poisson") == poissons
         if name == "dengue-2strain":
-            assert max(a.stop - a.start for a, _ in cm.exit_runs) == 4
+            plan = sim.psr_plan(cm, np.ones(len(cm.step_order), dtype=bool))
+            assert max(a.stop - a.start for a, _ in plan.runs) == 4
+
+    def test_runs_recut_among_live_exits(self):
+        # with I1 and I21 empty in every row, strain 1 infects no one: S's
+        # and R2's first exits are dead, and their second exits join the
+        # runs before them, so the 7 live exits take 2 calls, not 3
+        cm = CompiledModel(load_model(MODELS / "dengue-2strain.json"))
+        values = cm.spec.resolve_values(SHIPPED_VALUES["dengue-2strain"])
+        x = cm.init_state(values, size=8)
+        x[:, cm.comp_slice] += 5.0
+        x[:, [cm.state_names.index("I1"), cm.state_names.index("I21")]] = 0.0
+        rng = RecordingGenerator(3)
+        sim.psr_step(cm, x, 0.0, 0.1, 1, values, rng)
+        assert [c for c, _ in rng.calls].count("binomial") == 2
 
     def test_single_state(self):
         cm = compiled_sir()
@@ -806,6 +847,108 @@ class TestPsrMatchesCascade:
         x = cm.init_state(p, size=300)
         out = self.assert_same_steps(cm, x, p, dt=1.0, seed=11)
         assert np.all(out[:, 0] >= 0.0)
+
+
+    def test_plans_switch_within_an_interval(self):
+        # C's three members leave within a few slices in every row, and
+        # its exits stop being drawn halfway through the call
+        cm = compiled(THREE_EXITS)
+        p = {"C0": 3.0, "mu": 6.0}
+        self.assert_same_steps(cm, cm.init_state(p, size=50), p, steps=1,
+                               dt=0.25, seed=9)
+        assert len(cm.psr_plans) >= 2
+
+    def test_dead_noise_group_draws_no_gamma(self):
+        # I is empty in every row: neither the infection, the noise group's
+        # only member, nor the recovery can fire, and the waning R -> S
+        # is the one live exit
+        cm = compiled(SIR, parameters=SIR["parameters"] + [
+            {"name": "sigma_env", "prior": {"dirac": 0.3}, "role": "fixed"}
+        ], reactions=[
+            {"from": "S", "to": "I", "rate": "beta*I/N",
+             "accumulators": ["cases"],
+             "white_noise": {"group": "transmission", "sd": "sigma_env"}},
+            {"from": "I", "to": "R", "rate": "gamma"},
+            {"from": "R", "to": "S", "rate": "gamma"},
+        ])
+        p = dict(SIR_PARAMS, sigma_env=np.linspace(0.0, 0.5, 40))
+        x = cm.init_state(p, size=40)
+        x[:, 0], x[:, 1], x[:, 2] = 700.0, 0.0, 300.0
+        rng, rng_ref = RecordingGenerator(4), RecordingGenerator(4)
+        dead = RecordingGenerator(5)
+        got = sim.psr_step(cm, x, 0.0, 0.2, 5, p, rng)
+        want = x
+        for i in range(5):
+            want = reference_psr_step(cm, want, 0.2 * i, 0.2, p, rng_ref,
+                                      dead_rng=dead)
+        assert np.array_equal(got, want)
+        assert [c for c, _ in dead.calls] == ["gamma"] * 5
+        assert "gamma" not in [c for c, _ in rng.calls]
+        for recorded in (rng, rng_ref):
+            assert {c for c, _ in recorded.calls} == {"binomial"}
+        drawn = []
+        for recorded in (rng, rng_ref):
+            trials, prob, n = (
+                np.concatenate([a.ravel() for a in parts])
+                for parts in zip(*[(*args, v) for (_, args), v
+                                   in zip(recorded.calls, recorded.variates)]))
+            drawing = (trials != 0) & (prob != 0)
+            drawn.append((trials[drawing], prob[drawing], n[drawing]))
+        for a, b in zip(*drawn):
+            assert np.array_equal(a, b)
+        assert (rng.rng.bit_generator.state
+                == rng_ref.rng.bit_generator.state)
+
+    def test_property_matches_reference_as_rows_die(self):
+        # compartments empty in every row, or holding a few members that
+        # fast exits drain within a few slices, so that plans switch
+        # inside one call
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        shipped = {}
+
+        def shipped_model(name):
+            if name not in shipped:
+                cm = CompiledModel(load_model(MODELS / f"{name}.json"))
+                shipped[name] = cm, cm.spec.resolve_values(
+                    SHIPPED_VALUES[name])
+            return shipped[name]
+
+        @st.composite
+        def cases(draw):
+            seed = draw(st.integers(0, 2**32 - 1))
+            dt = draw(st.floats(0.05, 1.0))
+            if draw(st.booleans()):
+                name = draw(st.sampled_from(sorted(SHIPPED_VALUES)))
+                cm, values = shipped_model(name)
+                x = cm.init_state(values, size=8)
+                rng = np.random.default_rng(seed)
+                for c in range(cm.n_comp):
+                    kind = draw(st.sampled_from(("keep", "empty", "few")))
+                    if kind == "empty":
+                        x[:, c] = 0.0
+                    elif kind == "few":
+                        x[:, c] = rng.integers(0, 4, len(x))
+                return cm, x, values, dt, seed
+            n = draw(st.integers(2, 5))
+            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+            edges = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                  max_size=6, unique=True))
+            rates = draw(st.lists(
+                st.floats(0.05, 3.0) | st.floats(10.0, 60.0),
+                min_size=len(edges), max_size=len(edges)))
+            initial = draw(st.lists(st.integers(0, 3) | st.integers(0, 60),
+                                    min_size=n, max_size=n))
+            cm = random_closed_graph(n, edges, rates, initial)
+            return cm, cm.init_state({}, size=6), {}, dt, seed
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            cm, x, values, dt, seed = case
+            self.assert_same_steps(cm, x, values, dt=dt, seed=seed, n_sub=5)
+
+        check()
 
 
 def random_closed_graph(n_comp, edges, rates, initial):
