@@ -1,10 +1,19 @@
 """Command-line front end.
 
-Every fitting tool follows the same pipe protocol: a parameter document
-arrives on stdin (or via --theta), the updated document leaves on stdout,
-and anything human-readable goes to stderr.  That makes stages chainable:
+Every document stage (`smc`, `kalman`, `simplex`, `ksimplex`, `mif`,
+`kmcmc`, `pmcmc`) keeps one pipe protocol, written once in `_stage`: a
+parameter document arrives on stdin (or via --theta), and the same document
+leaves on stdout with the stage's values, the `log_likelihood` of those
+values, their `log_posterior` (that likelihood plus the natural-scale log
+prior) and one more `provenance` entry; keys the stage does not know pass
+through.  Anything human-readable goes to stderr, one summary line per
+stage.  That makes stages chainable:
 
     cat theta.json | ssm ksimplex ... | ssm kmcmc ... | ssm pmcmc ...
+
+A chain that keeps no rows after burn-in (`--iterations 0`) passes its
+incoming values on, and one that keeps fewer than two its incoming
+covariance.
 
 Exit codes: 0 on success, 2 for schema or validation problems in options,
 models, data, or parameter documents, 1 for numerical failures at runtime
@@ -90,19 +99,6 @@ def _emit(doc):
     sys.stdout.write(doc.to_json())
 
 
-def _update_values(doc, space, values):
-    for name in space.names:
-        doc.values[name] = float(values[name])
-
-
-def _record_fit(doc, space, values, loglik):
-    """Write the document's log likelihood and the log posterior it gives
-    with the natural-scale prior at `values`; both always come from here so
-    they describe the same values."""
-    doc.log_likelihood = float(loglik)
-    doc.log_posterior = float(loglik + space.log_prior_natural(values))
-
-
 def _proposal_sigma(doc, space, default_sd=0.1):
     """Fixed proposal component: the document's covariance when it covers the
     free parameters (scaled by the usual 2.38^2/d rule), otherwise a diagonal
@@ -114,11 +110,6 @@ def _proposal_sigma(doc, space, default_sd=0.1):
         sds = {n: doc.perturbation_sd.get(n, default_sd) for n in space.names}
         return space.perturbation_matrix(sds)
     return np.diag(np.full(space.dim, default_sd ** 2))
-
-
-def _write_trace(trace, path):
-    trace.to_csv(path)
-    _log(f"wrote {path}")
 
 
 def _write_path_csv(out, cm, label_names, times, labelled):
@@ -183,165 +174,171 @@ def cmd_simulate(args):
     return 0
 
 
-def _score(args, stage, kind, describe=lambda res: "", **options):
-    """Score the document's values with one run of the likelihood backend
-    `kind` (options as for `optimize.backend`); `describe(res)` gives the
-    tail of the summary line on stderr."""
+def _stage(args, stage, run, fit=True):
+    """The pipe protocol of every document stage.  Load the model, the
+    document and the data; `run(cm, dataset, space, base, doc)` returns the
+    values to emit, their log likelihood, the iteration count to record
+    (None for none) and the summary line's text after the stage name.  The
+    document then carries those values, their log likelihood and log
+    posterior, and one more provenance entry.  `fit` stages refuse a model
+    without free parameters."""
     cm = _load_compiled(args.model)
     doc = _read_theta(args)
     ds = _load_data(cm, args)
-    values = cm.spec.resolve_values(doc.values)
-    res = backend(cm, ds, args.t0, kind, dt=args.dt, **options)(values)
-    _record_fit(doc, cm.spec.free_parameters(), values, res.loglik)
-    doc.record_stage(stage, _seed(args))
-    _log(f"{stage}: log likelihood {res.loglik:.6f}{describe(res)}")
+    space = _fit_space(cm) if fit else cm.spec.free_parameters()
+    base = cm.spec.resolve_values(doc.values)
+    values, loglik, iterations, summary = run(cm, ds, space, base, doc)
+    for name in space.names:
+        doc.values[name] = float(values[name])
+    # both from the same values: the natural-scale prior, not the
+    # unconstrained one a fitting stage climbs
+    doc.log_likelihood = float(loglik)
+    doc.log_posterior = float(loglik + space.log_prior_natural(values))
+    doc.record_stage(stage, _seed(args), iterations)
+    _log(f"{stage}: {summary}")
     _emit(doc)
     return 0
 
 
 def cmd_smc(args):
-    def describe(res):
-        text = f" (J={args.n_particles}, {args.formalism})"
+    def run(cm, ds, space, base, doc):
+        res = backend(cm, ds, args.t0, "smc", dt=args.dt,
+                      rng=np.random.default_rng(_seed(args)),
+                      n_particles=args.n_particles,
+                      formalism=args.formalism)(base)
+        text = (f"log likelihood {res.loglik:.6f} (J={args.n_particles}, "
+                f"{args.formalism})")
         # instants after a filter failure hold no ESS
         frac = res.ess[np.isfinite(res.ess)] / args.n_particles
         if frac.size:
             text += (f", ess fraction min {frac.min():.3f} "
                      f"mean {frac.mean():.3f}")
-        return text
+        return base, res.loglik, None, text
 
-    return _score(args, "smc", "smc", describe,
-                  rng=np.random.default_rng(_seed(args)),
-                  n_particles=args.n_particles, formalism=args.formalism)
+    return _stage(args, "smc", run, fit=False)
 
 
 def cmd_kalman(args):
-    def describe(res):
+    def run(cm, ds, space, base, doc):
+        res = backend(cm, ds, args.t0, "ekf", dt=args.dt)(base)
         r = res.repairs
-        return (f" ({r['updates']} updates; mean clipped {r['mean_clipped']}, "
-                f"variance floored {r['variance_floored']}, psd rounding "
-                f"{r['psd_rounding']}, psd eigen {r['psd_eigen']}, "
-                f"observation variance floored {r['obs_variance_floored']})")
+        return base, res.loglik, None, (
+            f"log likelihood {res.loglik:.6f} ({r['updates']} updates; "
+            f"mean clipped {r['mean_clipped']}, variance floored "
+            f"{r['variance_floored']}, psd rounding {r['psd_rounding']}, "
+            f"psd eigen {r['psd_eigen']}, observation variance floored "
+            f"{r['obs_variance_floored']})")
 
-    return _score(args, "kalman", "ekf", describe)
+    return _stage(args, "kalman", run, fit=False)
 
 
 def cmd_simplex(args, kind, stage):
     """simplex and ksimplex: the simplex on the likelihood backend `kind`."""
-    cm = _load_compiled(args.model)
-    doc = _read_theta(args)
-    ds = _load_data(cm, args)
-    space = _fit_space(cm)
-    base = cm.spec.resolve_values(doc.values)
-    out = maximize_stage(
-        cm, ds, space, base, args.t0, kind, iterations=args.iterations,
-        step=args.step, dt=args.dt,
-    )
-    _update_values(doc, space, out["values"])
-    _record_fit(doc, space, out["values"], out["log_likelihood"])
-    doc.record_stage(stage, _seed(args), out["iterations"])
-    _log(f"{stage}: log likelihood {out['log_likelihood']:.6f} after "
-         f"{out['iterations']} iteration(s), "
-         f"{'converged' if out['converged'] else 'not converged'}")
-    _emit(doc)
-    return 0
+    def run(cm, ds, space, base, doc):
+        out = maximize_stage(
+            cm, ds, space, base, args.t0, kind, iterations=args.iterations,
+            step=args.step, dt=args.dt,
+        )
+        ll, n = out["log_likelihood"], out["iterations"]
+        return out["values"], ll, n, (
+            f"log likelihood {ll:.6f} after {n} iteration(s), "
+            f"{'converged' if out['converged'] else 'not converged'}")
+
+    return _stage(args, stage, run)
 
 
 def cmd_mif(args):
-    cm = _load_compiled(args.model)
-    doc = _read_theta(args)
-    ds = _load_data(cm, args)
-    space = _fit_space(cm)
-    base = cm.spec.resolve_values(doc.values)
-    if args.perturbation_sd is not None:
-        sds = {name: args.perturbation_sd for name in space.names}
-    else:
-        sds = {name: doc.perturbation_sd.get(name, 0.02)
-               for name in space.names}
-    rng = np.random.default_rng(_seed(args))
-    res = mif(
-        cm, ds, space, base, args.t0, rng,
-        perturbation_sd=sds, n_particles=args.n_particles,
-        iterations=args.iterations, cooling=args.cooling,
-        formalism=args.formalism, dt=args.dt,
-    )
-    _update_values(doc, space, res.values)
-    _record_fit(doc, space, res.values, res.log_likelihood)
-    doc.record_stage("mif", _seed(args), args.iterations)
-    _log(f"mif: log likelihood {res.log_likelihood:.6f} "
-         f"({res.failed_iterations} failed pass(es))")
-    _emit(doc)
-    return 0
+    def run(cm, ds, space, base, doc):
+        if args.perturbation_sd is not None:
+            sds = {name: args.perturbation_sd for name in space.names}
+        else:
+            sds = {name: doc.perturbation_sd.get(name, 0.02)
+                   for name in space.names}
+        res = mif(
+            cm, ds, space, base, args.t0, np.random.default_rng(_seed(args)),
+            perturbation_sd=sds, n_particles=args.n_particles,
+            iterations=args.iterations, cooling=args.cooling,
+            formalism=args.formalism, dt=args.dt,
+        )
+        ll = res.log_likelihood
+        return res.values, ll, args.iterations, (
+            f"log likelihood {ll:.6f} ({res.failed_iterations} failed "
+            f"pass(es))")
+
+    return _stage(args, "mif", run)
 
 
-def _chain(args, stage, run_stage, adapt, kind, **options):
-    """Shared body of kmcmc and pmcmc: run the chain, put its posterior mean
-    and covariance in the document, score the mean with the likelihood
-    backend `kind` (options as for `optimize.backend`) and write the trace.
-    `adapt` is the default of --adapt; None adapts when the document carries
-    no covariance."""
-    cm = _load_compiled(args.model)
-    doc = _read_theta(args)
-    ds = _load_data(cm, args)
-    space = _fit_space(cm)
-    base = cm.spec.resolve_values(doc.values)
-    if args.adapt is not None:
-        adapt = args.adapt
-    elif adapt is None:
-        adapt = doc.covariance_for(space) is None
-    res = run_stage(
-        cm, ds, space, base, args.t0, np.random.default_rng(_seed(args)),
-        iterations=args.iterations, sigma0=_proposal_sigma(doc, space),
-        adapt=adapt, dt=args.dt,
-    )
-    _update_values(doc, space, res.mean_values)
-    doc.set_covariance(space.names, res.covariance)
-    values = cm.spec.resolve_values(doc.values)
-    ll, _ = attempt(backend(cm, ds, args.t0, kind, dt=args.dt, **options),
-                    values)
-    _record_fit(doc, space, values, ll)
-    doc.record_stage(stage, _seed(args), args.iterations)
-    _write_trace(res.trace, args.trace)
-    return cm, doc, space, res
+def _chain(args, sampler, adapt, kind, report, **options):
+    """The run of kmcmc and pmcmc: the chain `sampler` from the document's
+    values, whose posterior mean is emitted and scored once more with the
+    likelihood backend `kind` (options as for `optimize.backend`).  A chain
+    that keeps no rows after burn-in emits the incoming values, and one
+    that keeps fewer than two leaves the incoming covariance.  `adapt` is
+    the default of --adapt; None adapts when the document carries no
+    covariance.  `report(cm, space, res)` runs once the trace is written
+    and gives the summary's text after the early-rejection counts."""
+    def run(cm, ds, space, base, doc):
+        on = args.adapt
+        if on is None:
+            on = doc.covariance_for(space) is None if adapt is None else adapt
+        res = sampler(
+            cm, ds, space, base, args.t0, np.random.default_rng(_seed(args)),
+            iterations=args.iterations, sigma0=_proposal_sigma(doc, space),
+            adapt=on, dt=args.dt,
+        )
+        if res.covariance is not None:
+            doc.set_covariance(space.names, res.covariance)
+        ll, _ = attempt(backend(cm, ds, args.t0, kind, dt=args.dt, **options),
+                        res.mean_values)
+        res.trace.to_csv(args.trace)
+        _log(f"wrote {args.trace}")
+        return res.mean_values, ll, args.iterations, (
+            f"acceptance {res.acceptance_rate:.3f}, early rejections "
+            f"{res.early_rejections} of {len(res.trace)} proposals, filter "
+            f"instants run {res.instants_run} of {res.instants_full}"
+            f"{report(cm, space, res)}, posterior mean log likelihood "
+            f"{ll:.6f}")
 
-
-def _stops(res):
-    """The chain's early-rejection counts, for its stderr line."""
-    return (f"early rejections {res.early_rejections} of "
-            f"{len(res.trace)} proposals, filter instants run "
-            f"{res.instants_run} of {res.instants_full}")
+    return run
 
 
 def cmd_kmcmc(args):
-    _, doc, space, res = _chain(args, "kmcmc", kmcmc_stage, True, "ekf")
-    kept = res.trace.values[int(BURN_FRACTION * len(res.trace)):]
-    min_ess = min(
-        ess(kept[:, k]) for k in range(space.dim)
-    ) if space.dim and len(kept) > 1 else 0.0
-    _log(f"kmcmc: acceptance {res.acceptance_rate:.3f}, {_stops(res)}, "
-         f"min ess {min_ess:.1f}, posterior mean log likelihood "
-         f"{doc.log_likelihood:.6f}")
-    _emit(doc)
-    return 0
+    def report(cm, space, res):
+        kept = res.trace.values[int(BURN_FRACTION * len(res.trace)):]
+        min_ess = min(ess(kept[:, k]) for k in range(space.dim)) \
+            if len(kept) > 1 else 0.0
+        return f", min ess {min_ess:.1f}"
+
+    return _stage(args, "kmcmc",
+                  _chain(args, kmcmc_stage, True, "ekf", report))
 
 
 def cmd_pmcmc(args):
+    def report(cm, space, res):
+        if args.paths is not None:
+            with open(args.paths, "w", newline="") as fh:
+                _write_path_csv(fh, cm, ("iteration", "time"), res.times,
+                                res.paths)
+            _log(f"wrote {args.paths}")
+        return ""
+
     particles = dict(n_particles=args.n_particles, formalism=args.formalism)
-    stage = functools.partial(pmcmc_stage, keep_paths=args.paths is not None,
-                              **particles)
+    sampler = functools.partial(pmcmc_stage,
+                                keep_paths=args.paths is not None, **particles)
     # the posterior mean is scored on a stream of its own
-    cm, doc, _, res = _chain(
-        args, "pmcmc", stage, None, "smc",
-        rng=np.random.default_rng(_seed(args) + 1), **particles,
-    )
-    if args.paths is not None:
-        with open(args.paths, "w", newline="") as fh:
-            _write_path_csv(fh, cm, ("iteration", "time"), res.times,
-                            res.paths)
-        _log(f"wrote {args.paths}")
-    _log(f"pmcmc: acceptance {res.acceptance_rate:.3f}, {_stops(res)}, "
-         f"posterior mean log likelihood {doc.log_likelihood:.6f}")
-    _emit(doc)
-    return 0
+    return _stage(args, "pmcmc", _chain(
+        args, sampler, None, "smc", report,
+        rng=np.random.default_rng(_seed(args) + 1), **particles))
+
+
+def _burned(args):
+    """The chain trace at --trace and its rows after the --burn share."""
+    trace = Trace.from_csv(args.trace)
+    burn = int(args.burn * len(trace))
+    kept = trace.values[burn:]
+    if not len(kept):
+        raise DataError(f"{args.trace}: no rows left after burn-in")
+    return trace, burn, kept
 
 
 def cmd_forecast(args):
@@ -350,11 +347,7 @@ def cmd_forecast(args):
     rng = np.random.default_rng(_seed(args))
     times = np.arange(args.start + args.every, args.end + 1e-9, args.every)
     if args.trace:
-        trace = Trace.from_csv(args.trace)
-        burn = int(args.burn * len(trace))
-        kept = trace.values[burn:]
-        if not len(kept):
-            raise DataError(f"{args.trace}: no rows left after burn-in")
+        trace, _, kept = _burned(args)
         picks = rng.integers(0, len(kept), size=args.trajectories)
         thetas = []
         for i in picks:
@@ -377,14 +370,11 @@ def cmd_forecast(args):
 
 
 def cmd_diagnostics(args):
-    trace = Trace.from_csv(args.trace)
-    n = len(trace)
-    burn = int(args.burn * n)
-    kept = trace.values[burn:]
+    trace, burn, kept = _burned(args)
     out = {
-        "iterations": n,
+        "iterations": len(trace),
         "burn": burn,
-        "acceptance_rate": float(trace.accepted.mean()) if n else 0.0,
+        "acceptance_rate": float(trace.accepted.mean()),
         "ess": {
             name: float(ess(kept[:, k]))
             for k, name in enumerate(trace.names)
@@ -393,7 +383,7 @@ def cmd_diagnostics(args):
             name: float(kept[:, k].mean())
             for k, name in enumerate(trace.names)
         },
-        "log_likelihood_max": float(trace.loglik.max()) if n else None,
+        "log_likelihood_max": float(trace.loglik.max()),
     }
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0
@@ -413,10 +403,12 @@ def _checked(convert, ok, what):
     return parse
 
 
-# the sizes, loop counts, substep bounds and grid spacings a run can take
+# the sizes, loop counts, substep bounds, grid spacings and burn-in shares
+# a run can take
 _SIZE = _checked(int, lambda n: n >= 1, "at least 1")
 _COUNT = _checked(int, lambda n: n >= 0, "at least 0")
 _SPAN = _checked(float, lambda v: v > 0, "greater than 0")
+_SHARE = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 def _opt_model(p):
@@ -442,13 +434,38 @@ def _opt_run(p):
                         "each inter-observation interval)")
 
 
-def _opt_t0(p):
-    p.add_argument("--t0", type=float, default=0.0,
-                   help="initial time of the state process")
-
-
 def _opt_formalism(p, default):
     p.add_argument("--formalism", choices=FORMALISMS, default=default)
+
+
+def _document_stage(sub, name, help, formalism=None):
+    """A subcommand of the pipe protocol: a document and the data in, the
+    document out (`_stage`)."""
+    p = sub.add_parser(name, help=help)
+    _opt_model(p)
+    _opt_data(p)
+    _opt_theta(p)
+    _opt_run(p)
+    p.add_argument("--t0", type=float, default=0.0,
+                   help="initial time of the state process")
+    if formalism:
+        _opt_formalism(p, formalism)
+    return p
+
+
+def _grid_command(sub, name, help, formalism, every_help=None):
+    """simulate and forecast: a document in, rows on a time grid out."""
+    p = sub.add_parser(name, help=help)
+    _opt_model(p)
+    _opt_theta(p)
+    _opt_run(p)
+    _opt_formalism(p, formalism)
+    p.add_argument("--start", type=float, default=0.0)
+    p.add_argument("--end", type=float, required=True)
+    p.add_argument("--every", type=_SPAN, default=1.0, help=every_help)
+    # --end is checked against --start once both are parsed (`main`)
+    p.set_defaults(grid=p)
+    return p
 
 
 def build_parser():
@@ -468,59 +485,30 @@ def build_parser():
     _opt_data(p)
     p.set_defaults(func=cmd_check_data)
 
-    p = sub.add_parser("simulate", help="simulate trajectories to CSV")
-    _opt_model(p)
-    _opt_theta(p)
-    _opt_run(p)
-    _opt_formalism(p, "ode")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--end", type=float, required=True)
-    p.add_argument("--every", type=_SPAN, default=1.0,
-                   help="output grid spacing")
+    p = _grid_command(sub, "simulate", "simulate trajectories to CSV", "ode",
+                      every_help="output grid spacing")
     p.add_argument("--trajectories", type=_SIZE, default=1)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("smc", help="particle-filter log likelihood")
-    _opt_model(p)
-    _opt_data(p)
-    _opt_theta(p)
-    _opt_run(p)
-    _opt_t0(p)
-    _opt_formalism(p, "psr")
+    p = _document_stage(sub, "smc", "particle-filter log likelihood", "psr")
     p.add_argument("--n-particles", type=_SIZE, default=500)
     p.set_defaults(func=cmd_smc)
 
-    p = sub.add_parser("kalman", help="moment-filter log likelihood")
-    _opt_model(p)
-    _opt_data(p)
-    _opt_theta(p)
-    _opt_run(p)
-    _opt_t0(p)
+    p = _document_stage(sub, "kalman", "moment-filter log likelihood")
     p.set_defaults(func=cmd_kalman)
 
     for name, kind, describe in (
         ("simplex", "ode", "maximize the trajectory-matching posterior"),
         ("ksimplex", "ekf", "maximize the moment-filter posterior"),
     ):
-        p = sub.add_parser(name, help=describe)
-        _opt_model(p)
-        _opt_data(p)
-        _opt_theta(p)
-        _opt_run(p)
-        _opt_t0(p)
+        p = _document_stage(sub, name, describe)
         p.add_argument("--iterations", type=_COUNT, default=300)
         p.add_argument("--step", type=float, default=0.1,
                        help="initial simplex edge on the unconstrained scale")
         p.set_defaults(func=functools.partial(cmd_simplex, kind=kind,
                                               stage=name))
 
-    p = sub.add_parser("mif", help="iterated filtering")
-    _opt_model(p)
-    _opt_data(p)
-    _opt_theta(p)
-    _opt_run(p)
-    _opt_t0(p)
-    _opt_formalism(p, "psr")
+    p = _document_stage(sub, "mif", "iterated filtering", "psr")
     p.add_argument("--iterations", type=_COUNT, default=30)
     p.add_argument("--n-particles", type=_SIZE, default=500)
     p.add_argument("--cooling", type=float, default=0.975)
@@ -530,26 +518,16 @@ def build_parser():
                         "document's perturbation_sd map, else 0.02)")
     p.set_defaults(func=cmd_mif)
 
-    p = sub.add_parser("kmcmc", help="chain over the moment-filter posterior")
-    _opt_model(p)
-    _opt_data(p)
-    _opt_theta(p)
-    _opt_run(p)
-    _opt_t0(p)
+    p = _document_stage(sub, "kmcmc",
+                        "chain over the moment-filter posterior")
     p.add_argument("--iterations", type=_COUNT, default=10000)
     p.add_argument("--trace", default="trace.csv", metavar="PATH")
     p.add_argument("--adapt", action=argparse.BooleanOptionalAction,
                    default=None, help="adapt the proposal (default: on)")
     p.set_defaults(func=cmd_kmcmc)
 
-    p = sub.add_parser("pmcmc", help="pseudo-marginal chain over the "
-                                     "particle-filter posterior")
-    _opt_model(p)
-    _opt_data(p)
-    _opt_theta(p)
-    _opt_run(p)
-    _opt_t0(p)
-    _opt_formalism(p, "psr")
+    p = _document_stage(sub, "pmcmc", "pseudo-marginal chain over the "
+                                      "particle-filter posterior", "psr")
     p.add_argument("--iterations", type=_COUNT, default=5000)
     p.add_argument("--n-particles", type=_SIZE, default=500)
     p.add_argument("--trace", default="trace.csv", metavar="PATH")
@@ -561,24 +539,17 @@ def build_parser():
                         "document carries a covariance, else on)")
     p.set_defaults(func=cmd_pmcmc)
 
-    p = sub.add_parser("forecast", help="quantile ribbons of the observation "
-                                        "mean")
-    _opt_model(p)
-    _opt_theta(p)
-    _opt_run(p)
-    _opt_formalism(p, "psr")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--end", type=float, required=True)
-    p.add_argument("--every", type=_SPAN, default=1.0)
+    p = _grid_command(sub, "forecast", "quantile ribbons of the observation "
+                                       "mean", "psr")
     p.add_argument("--trajectories", type=_SIZE, default=200)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="sample parameter draws from this chain trace")
-    p.add_argument("--burn", type=float, default=0.1)
+    p.add_argument("--burn", type=_SHARE, default=0.1)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("diagnostics", help="chain summaries as JSON")
     p.add_argument("--trace", required=True, metavar="PATH")
-    p.add_argument("--burn", type=float, default=0.1)
+    p.add_argument("--burn", type=_SHARE, default=0.1)
     p.set_defaults(func=cmd_diagnostics)
 
     return parser
@@ -587,6 +558,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    grid = getattr(args, "grid", None)
+    if grid is not None and not args.end >= args.start:
+        grid.error(f"argument --end: must be at least --start, got "
+                   f"{args.end:g}")
     try:
         return args.func(args)
     except (ModelError, ThetaError, DataError) as err:

@@ -206,7 +206,6 @@ class CompiledModel:
         self.reactions_by_source = tuple(
             (src, tuple(ks)) for src, ks in sorted(by_source.items())
         )
-        self.external_reactions = tuple(external)
         # the Poisson step's rows: the per-capita exits in cascade order
         # (by source, then as listed), with the index of each one's source
         # in reactions_by_source and its source column, then the

@@ -49,10 +49,6 @@ class Expr:
         """Evaluate with `env` mapping symbol names to numbers or arrays."""
         return _eval(self, env)
 
-    def diff(self, name):
-        """Symbolic derivative with respect to `name`, in simplified form."""
-        return differentiate(self, name)
-
     def free_symbols(self):
         out = set()
         _collect_symbols(self, out)
@@ -60,9 +56,6 @@ class Expr:
 
     def __str__(self):
         return _print(self, 0)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,7 +51,6 @@ BURN_FRACTION = 0.1     # leading share of a chain left out of its summaries
 class Trace:
     names: tuple
     values: np.ndarray          # (n, d) natural scale
-    unconstrained: np.ndarray   # (n, d)
     loglik: np.ndarray
     logprior: np.ndarray        # natural-scale prior density
     accepted: np.ndarray
@@ -84,11 +83,12 @@ class Trace:
                 raise ValueError(f"{path}: not a chain trace")
             names = tuple(header[1:-3])
             rows = [row for row in r if row]
-        values = np.array([[float(v) for v in row[1:-3]] for row in rows])
+        values = np.array([[float(v) for v in row[1:-3]] for row in rows]
+                          ).reshape(len(rows), len(names))
         loglik = np.array([float(row[-3]) for row in rows])
         logprior = np.array([float(row[-2]) for row in rows])
         accepted = np.array([bool(int(row[-1])) for row in rows])
-        return cls(names, values, None, loglik, logprior, accepted)
+        return cls(names, values, loglik, logprior, accepted)
 
 
 def ess(series):
@@ -202,7 +202,7 @@ def _finish(space, base_values, chain):
     burn = int(BURN_FRACTION * n)
     kept = chain.unconstrained[burn:]
     cov_u = np.cov(kept.T, ddof=1).reshape(space.dim, space.dim) \
-        if len(kept) > 1 else np.zeros((space.dim, space.dim))
+        if len(kept) > 1 else None
     values = np.empty_like(chain.unconstrained)
     logprior_nat = np.empty(n)
     for i in range(n):
@@ -210,12 +210,11 @@ def _finish(space, base_values, chain):
         values[i] = [nat[name] for name in space.names]
         logprior_nat[i] = space.log_prior_natural(nat)
     mean_values = dict(base_values)
-    kept_vals = values[burn:]
-    for k, name in enumerate(space.names):
-        mean_values[name] = float(kept_vals[:, k].mean())
+    if len(kept):
+        for k, name in enumerate(space.names):
+            mean_values[name] = float(values[burn:, k].mean())
     trace = Trace(
-        names=space.names, values=values,
-        unconstrained=chain.unconstrained, loglik=chain.loglik,
+        names=space.names, values=values, loglik=chain.loglik,
         logprior=logprior_nat, accepted=chain.accepted,
     )
     return trace, mean_values, cov_u
@@ -224,8 +223,8 @@ def _finish(space, base_values, chain):
 @dataclass
 class McmcResult:
     trace: Trace
-    mean_values: dict
-    covariance: np.ndarray        # unconstrained scale, after burn-in
+    mean_values: dict             # after burn-in; base values if none kept
+    covariance: np.ndarray | None  # unconstrained; None below 2 kept rows
     acceptance_rate: float
     paths: list                   # (iteration, path array) pairs
     times: np.ndarray | None

@@ -149,9 +149,6 @@ class Uniform:
         inside = (x >= self.low) & (x <= self.high)
         return np.where(inside, -math.log(self.high - self.low), -np.inf)
 
-    def sample(self, rng):
-        return rng.uniform(self.low, self.high)
-
     def support(self):
         return (self.low, self.high)
 
@@ -169,9 +166,6 @@ class Normal:
     def log_density_array(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
         return -0.5 * (z * z + _LOG_2PI) - math.log(self.sd)
-
-    def sample(self, rng):
-        return rng.normal(self.mean, self.sd)
 
     def support(self):
         return (-math.inf, math.inf)
@@ -197,9 +191,6 @@ class LogNormal:
             out = -0.5 * (z * z + _LOG_2PI) - math.log(self.sd_log) - lx
         return np.where(x > 0, out, -np.inf)
 
-    def sample(self, rng):
-        return float(rng.lognormal(self.mean_log, self.sd_log))
-
     def support(self):
         return (0.0, math.inf)
 
@@ -214,9 +205,6 @@ class Dirac:
 
     def log_density_array(self, x):
         return np.where(np.asarray(x) == self.value, 0.0, -np.inf)
-
-    def sample(self, rng):
-        return self.value
 
     def support(self):
         return (self.value, self.value)
@@ -266,8 +254,6 @@ class ReactionDef:
     source: int | None  # compartment index, None for EXTERNAL
     rate: ex.Expr
     accumulators: tuple
-    noise_group: str | None
-    label: str
 
 
 @dataclass(frozen=True)
@@ -307,23 +293,11 @@ class ModelSpec:
     diffusions: tuple
     observations: tuple
     accumulators: tuple
-    population_size_param: str | None
     stoichiometry: np.ndarray = field(repr=False)  # (compartments, reactions)
-    conserves_population: bool = False
-
-    @property
-    def n_compartments(self):
-        return len(self.compartments)
 
     @property
     def n_reactions(self):
         return len(self.reactions)
-
-    def parameter(self, name):
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
     @property
     def parameter_names(self):
@@ -363,9 +337,6 @@ class ParameterSpace:
         self.names = tuple(p.name for p in self.params)
         self.dim = len(self.params)
 
-    def initial_condition_names(self):
-        return tuple(p.name for p in self.params if p.role == "initial_condition")
-
     def to_unconstrained(self, values):
         return np.array(
             [float(p.transform.forward(values[p.name])) for p in self.params]
@@ -379,12 +350,6 @@ class ParameterSpace:
 
     def log_prior_natural(self, values):
         return sum(p.prior.log_density(values[p.name]) for p in self.params)
-
-    def log_jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        return sum(
-            float(p.transform.log_jacobian(u[i])) for i, p in enumerate(self.params)
-        )
 
     def perturbation_matrix(self, sds):
         """Diagonal covariance on the unconstrained scale from per-parameter
@@ -693,7 +658,6 @@ def parse_model(text):
                 accumulators.append(a)
                 seen.add(a)
 
-        group_name = None
         wn = r.get("white_noise")
         if wn:
             group_name = wn["group"]
@@ -714,8 +678,6 @@ def parse_model(text):
                 source=source,
                 rate=rate,
                 accumulators=accs,
-                noise_group=group_name,
-                label=label,
             )
         )
 
@@ -786,9 +748,6 @@ def parse_model(text):
     for r in reactions:
         for idx, change in r.effect:
             stoich[idx, r.index] = change
-    conserves = bool(
-        len(reactions) > 0 and np.all(stoich.sum(axis=0) == 0)
-    )
 
     return ModelSpec(
         name=name,
@@ -800,9 +759,7 @@ def parse_model(text):
         diffusions=tuple(diffusions),
         observations=tuple(observations),
         accumulators=tuple(accumulators),
-        population_size_param=pop_param,
         stoichiometry=stoich,
-        conserves_population=conserves,
     )
 
 

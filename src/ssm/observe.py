@@ -46,15 +46,6 @@ class DataSet:
     def __iter__(self):
         return iter(self.records)
 
-    @property
-    def streams(self):
-        out = []
-        for _, obs in self.records:
-            for stream, _ in obs:
-                if stream not in out:
-                    out.append(stream)
-        return out
-
     @classmethod
     def from_csv(cls, path):
         with open(path, newline="") as fh:

@@ -206,7 +206,6 @@ class MifResult:
     values: dict
     log_likelihood: float
     theta_trace: np.ndarray       # (iterations+1, dim) unconstrained
-    loglik_trace: np.ndarray
     failed_iterations: int
 
 
@@ -250,11 +249,9 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
         return out
 
     theta_trace = [theta.copy()]
-    ll_trace = []
     if not moving.any() or n_obs == 0:
         ll = attempt(final, merged(theta))[0]
-        return MifResult(merged(theta), ll, np.array(theta_trace),
-                         np.array([ll]), 0)
+        return MifResult(merged(theta), ll, np.array(theta_trace), 0)
 
     j = n_particles
     lags = np.diff(dataset.times, prepend=t0)
@@ -300,11 +297,9 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
         theta = proposal
         completed += 1
         theta_trace.append(theta.copy())
-        ll_trace.append(ll)
     return MifResult(
         values=merged(theta),
         log_likelihood=attempt(final, merged(theta))[0],
         theta_trace=np.array(theta_trace),
-        loglik_trace=np.array(ll_trace),
         failed_iterations=failures,
     )

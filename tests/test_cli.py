@@ -252,15 +252,22 @@ class TestValidation:
         ["kmcmc", "--iterations", "-2"], ["simplex", "--iterations", "-1"],
         ["smc", "--dt", "0"], ["smc", "--dt", "-1"],
         ["simulate", "--dt", "nan"], ["simulate", "--every", "0"],
-        ["forecast", "--every", "-1"]])
+        ["forecast", "--every", "-1"],
+        ["simulate", "--end", "-1"], ["forecast", "--end", "-0.5"],
+        ["forecast", "--burn", "-1"], ["forecast", "--burn", "1"],
+        ["diagnostics", "--burn", "1.5"], ["diagnostics", "--burn", "nan"]])
     def test_sizes_and_steps_out_of_range_are_exit_two(self, argv):
         command, option, value = argv
         bound = {"--n-particles": "at least 1", "--trajectories": "at least 1",
                  "--iterations": "at least 0", "--dt": "greater than 0",
-                 "--every": "greater than 0"}
-        where = (["--end", "3"] if command in ("simulate", "forecast")
-                 else ["--data", SIR_DATA])
-        r = run([*argv, "--model", SIR, *where], stdin_text=POINT)
+                 "--every": "greater than 0", "--end": "at least --start",
+                 "--burn": "in [0, 1)"}
+        where = {"simulate": ["--model", SIR, "--end", "3"],
+                 "forecast": ["--model", SIR, "--end", "3"],
+                 "diagnostics": ["--trace", "trace.csv"]}.get(
+            command, ["--model", SIR, "--data", SIR_DATA])
+        # the option comes last, so it overrides a default in `where`
+        r = run([command, *where, option, value], stdin_text=POINT)
         assert r.returncode == 2
         errors = [line for line in r.stderr.splitlines() if "error:" in line]
         assert errors == [f"ssm {command}: error: argument {option}: must "
@@ -356,11 +363,11 @@ class TestScorePairing:
     STALE = {"ssm_theta": 1, "values": {"beta": 1.6, "gamma": 1.1},
              "log_likelihood": -1.0, "log_posterior": 123.0}
 
-    def emitted(self, capsys, tmp_path, argv):
+    def emitted(self, capsys, tmp_path, argv, incoming=None):
         from ssm import cli
 
         theta = tmp_path / "theta.json"
-        theta.write_text(json.dumps(self.STALE))
+        theta.write_text(json.dumps(incoming or self.STALE))
         assert cli.main([*argv, "--theta", str(theta)]) == 0
         return json.loads(capsys.readouterr().out)
 
@@ -401,13 +408,34 @@ class TestScorePairing:
         assert doc["log_posterior"] == \
             doc["log_likelihood"] + space.log_prior_natural(doc["values"])
 
-    @pytest.mark.parametrize("stage", ["simplex", "ksimplex"])
-    def test_simplex_stages(self, capsys, tmp_path, stage):
+    SMALL = {"smc": ["--n-particles", "20"], "kalman": [],
+             "simplex": ["--iterations", "3", "--dt", "0.5"],
+             "ksimplex": ["--iterations", "3", "--dt", "0.5"],
+             "mif": ["--iterations", "1", "--n-particles", "20"],
+             "kmcmc": ["--iterations", "4", "--dt", "0.5"],
+             "pmcmc": ["--iterations", "4", "--n-particles", "20"]}
+
+    @pytest.mark.parametrize("stage", SMALL)
+    def test_every_stage(self, capsys, tmp_path, stage):
+        # the protocol: unknown keys pass through, provenance grows by one
+        # entry for this stage, and the two figures describe the values
+        # emitted
         from ssm import cli
 
+        earlier = {"stage": "earlier", "seed": 1,
+                   "timestamp": "2020-01-01T00:00:00Z"}
+        incoming = dict(self.STALE, zz_unknown={"kept": [1, 2]},
+                        provenance=[earlier])
+        chains = ["--trace", str(tmp_path / "trace.csv")] \
+            if stage in ("kmcmc", "pmcmc") else []
         doc = self.emitted(capsys, tmp_path, [
-            stage, "--model", SIR, "--data", SIR_DATA, "--iterations", "3",
-            "--dt", "0.5"])
+            stage, "--model", SIR, "--data", SIR_DATA, "--seed", "5",
+            *self.SMALL[stage], *chains], incoming)
+        assert doc["zz_unknown"] == {"kept": [1, 2]}
+        assert doc["provenance"][0] == earlier
+        entry, = doc["provenance"][1:]
+        assert (entry["stage"], entry["seed"]) == (stage, 5)
+        assert ("iterations" in entry) == (stage not in ("smc", "kalman"))
         space = cli.load_model(SIR).free_parameters()
         assert doc["log_likelihood"] != self.STALE["log_likelihood"]
         assert doc["log_posterior"] == \
@@ -576,6 +604,52 @@ class TestChain:
         assert r2.returncode == 0, r2.stderr
         made = {p.name for p in without_dir.iterdir()}
         assert made == {"trace.csv"}
+
+    @pytest.mark.parametrize("stage", ["kmcmc", "pmcmc"])
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_short_chain_keeps_the_pipe_valid(self, tmp_path, stage,
+                                              iterations):
+        # no kept row: the incoming values; fewer than two: the incoming
+        # covariance; either way scored and strict JSON
+        from ssm.model import load_model
+
+        cov = [[0.01, 0.002], [0.002, 0.02]]
+        incoming = json.dumps({"ssm_theta": 1,
+                               "values": {"beta": 1.6, "gamma": 1.1},
+                               "covariance": {"order": ["beta", "gamma"],
+                                              "matrix": cov}})
+        trace = tmp_path / "trace.csv"
+        r = run([stage, "--model", SIR, "--data", SIR_DATA, "--seed", "4",
+                 "--iterations", str(iterations), "--trace", str(trace),
+                 *{"kmcmc": ["--dt", "0.5"],
+                   "pmcmc": ["--n-particles", "20"]}[stage]],
+                stdin_text=incoming)
+        assert r.returncode == 0, r.stderr
+        assert "Warning" not in r.stderr
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        doc = json.loads(r.stdout, parse_constant=reject)
+        assert doc["covariance"] == {"order": ["beta", "gamma"],
+                                     "matrix": cov}
+        assert all(np.isfinite(v) for v in doc["values"].values())
+        if iterations == 0:
+            assert doc["values"] == {"beta": 1.6, "gamma": 1.1}
+        space = load_model(SIR).free_parameters()
+        assert doc["log_posterior"] == \
+            doc["log_likelihood"] + space.log_prior_natural(doc["values"])
+        assert doc["provenance"][-1]["iterations"] == iterations
+        assert len(trace.read_text().splitlines()) == 1 + iterations
+
+    def test_diagnostics_of_an_empty_trace(self, tmp_path):
+        # a zero-iteration chain writes the header alone
+        trace = tmp_path / "t.csv"
+        trace.write_text("iteration,beta,gamma,log_likelihood,log_prior,"
+                         "accepted\n")
+        r = run(["diagnostics", "--trace", str(trace), "--burn", "0"])
+        assert r.returncode == 2
+        assert r.stderr == f"error: {trace}: no rows left after burn-in\n"
 
     def test_diagnostics_shape(self, tmp_path):
         trace = tmp_path / "t.csv"

@@ -194,7 +194,7 @@ class TestTrace:
         names = ("beta", "gamma")
         values = np.array([[1.5, 0.5], [1.5, 0.5], [1.7, 0.4]])
         tr = Trace(
-            names=names, values=values, unconstrained=np.log(values),
+            names=names, values=values,
             loglik=np.array([-10.0, -10.0, -9.5]),
             logprior=np.array([-2.0, -2.0, -1.9]),
             accepted=np.array([True, False, True]),
@@ -209,6 +209,15 @@ class TestTrace:
         assert np.array_equal(back.loglik, tr.loglik)
         assert np.array_equal(back.logprior, tr.logprior)
         assert np.array_equal(back.accepted, tr.accepted)
+
+    def test_header_only_trace_has_one_column_per_name(self, tmp_path):
+        # what a chain of zero iterations writes
+        path = tmp_path / "trace.csv"
+        path.write_text("iteration,beta,gamma,log_likelihood,log_prior,"
+                        "accepted\n")
+        back = Trace.from_csv(path)
+        assert back.values.shape == (0, 2)
+        assert len(back) == 0
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "x.csv"

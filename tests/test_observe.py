@@ -182,7 +182,6 @@ class TestDataSet:
         ds = ob.DataSet.from_csv(p)
         assert list(ds.times) == [1.0, 2.0, 3.0]
         assert ds.records[1] == (2.0, (("cases_obs", 7.0), ("deaths_obs", 1.0)))
-        assert ds.streams == ["cases_obs", "deaths_obs"]
 
     def test_unsorted_input_is_ordered(self, tmp_path):
         p = self.write(

@@ -272,4 +272,3 @@ class TestIteratedFiltering:
     def test_trace_shapes(self):
         res = self.run_mif(iterations=8)
         assert res.theta_trace.shape == (9, 2)
-        assert res.loglik_trace.shape == (8,)

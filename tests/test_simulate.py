@@ -575,7 +575,7 @@ def reference_psr_step(cm, x, t, dt, params, rng, dead_rng=None):
             remaining = remaining - n
             tail = tail - q
 
-    for k in cm.external_reactions:
+    for k in (r.index for r in cm.spec.reactions if r.source is None):
         n = rng.poisson(prop[..., k] * delta[..., k])
         drains = cm.removals[:, k] > 0
         if drains.any():
