@@ -54,6 +54,7 @@ import numpy as np
 
 from ssm import expr as ex
 from ssm.model import Identity, Log, Logit, ModelSpec
+from ssm.observe import PARTS, mean_formula
 
 ODE_WHERE = "during deterministic integration"
 
@@ -146,10 +147,9 @@ _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
 class ObsFns:
     """What one observation stream's generated function `kernel` returns.
 
-    `parts` lists the values it returns before the gradient entries:
-    ('mean',) for poisson, ('mean', 'variance') for discretized_normal,
-    ('trials', 'probability') for binomial; `grad_cols` the state columns
-    of the gradient entries.
+    `parts` names the values it returns before the gradient entries, the
+    law's `observe.PARTS`; `grad_cols` the state columns of the gradient
+    entries of `observe.mean_formula`.
     """
 
     name: str
@@ -429,27 +429,16 @@ class CompiledModel:
         sources = []
         observations = []
         for i, o in enumerate(spec.observations):
-            if o.distribution == "binomial":
-                parts = ("trials", "probability")
-                part_exprs = [o.trials, o.probability]
-                mean_expr = ex.mul(o.trials, o.probability)
-            elif o.distribution == "discretized_normal":
-                parts = ("mean", "variance")
-                part_exprs = [o.mean, o.variance]
-                mean_expr = o.mean
-            else:
-                parts = ("mean",)
-                part_exprs = [o.mean]
-                mean_expr = o.mean
-            grads = self._partials(mean_expr)
-            trees = part_exprs + [tree for _, tree in grads]
+            grads = self._partials(mean_formula(o.distribution, o.parts))
+            trees = [*o.parts, *(tree for _, tree in grads)]
             body = [f"    _o{k} = {ex.to_python(tree, self._resolve)}"
                     for k, tree in enumerate(trees)]
             body.append(f"    return ({''.join(f'_o{k}, ' for k in range(len(trees)))})")
             needed = set().union(*(tree.free_symbols() for tree in trees))
             sources.append(self._kernel_source(
                 f"def obs{i}(x, t, p):", (), body, unpack="x", needed=needed))
-            observations.append(ObsFns(o.name, o.distribution, parts,
+            observations.append(ObsFns(o.name, o.distribution,
+                                       PARTS[o.distribution],
                                        tuple(j for j, _ in grads), f"obs{i}"))
         self.observations = tuple(observations)
         self._obs_by_name = {o.name: o for o in observations}
@@ -681,7 +670,7 @@ class CompiledModel:
 
     def obs_values(self, name, x, t, p):
         """Evaluate one stream; returns (parts dict, gradient over the state
-        of the observed mean, trials*probability for a binomial stream).
+        of the observed mean, `observe.mean_formula`).
         Parts are floats for one state (the moment filter) and arrays over
         the leading dimensions of a batch.
         """

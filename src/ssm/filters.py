@@ -7,15 +7,15 @@ accumulator coordinates so each window measures what accumulated since the
 last instant.
 
 The particle and moment filters take an optional `floor`.  Where every
-stream of the model is a count stream (poisson, binomial), each
+stream of the model follows a count law (`observe.COUNT_KINDS`), each
 per-instant term is the log of a probability, or of a mean of
 probabilities, and so at most 0, and the running sum can only fall.  Once
 it is at or below `floor` the filter stops and returns that sum: an upper
 bound on the full estimate, itself at or below `floor`, since adding a
 non-positive float never raises a float sum.  A chain that rejects every
 estimate at or below its floor takes the same decision from the stopped
-filter as from the full one.  A model with another stream
-(`discretized_normal`, a density that can exceed 1) never stops early.
+filter as from the full one.  A model with a stream of another law (a
+density, such as the discretized normal's, can exceed 1) never stops early.
 """
 
 from __future__ import annotations
@@ -33,14 +33,10 @@ class FilterError(RuntimeError):
     """The filter could not produce a finite, well-defined likelihood."""
 
 
-# streams whose log density is the log of a probability mass, so at most 0
-COUNT_KINDS = ("poisson", "binomial")
-
-
 def _stop_floor(cm, floor):
     """`floor` where every stream of the model is a count stream, else
     None: a filter with another stream never stops early."""
-    if floor is None or any(o.kind not in COUNT_KINDS
+    if floor is None or any(o.kind not in ob.COUNT_KINDS
                             for o in cm.observations):
         return None
     return floor
@@ -233,7 +229,6 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
             parts, grad = cm.obs_values(stream, m, t, params)
             mean, var = ob.stream_moments(o.kind, parts)
             repairs["obs_variance_floored"] += bool(var == ob.VARIANCE_FLOOR)
-            y_eff = round(y) if o.kind == "discretized_normal" else y
             hch = float(grad @ C @ grad)
             s = hch + float(var)
             if not np.isfinite(s):
@@ -247,7 +242,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
             repairs["variance_floored"] += s < 1.0
             s = max(s, 1.0)
             r_eff = s - hch
-            e = y_eff - float(mean)
+            # every law lives on the integers; count data already are
+            e = round(y) - float(mean)
             k = (C @ grad) / s
             contribution = -0.5 * (np.log(2.0 * np.pi * s) + e * e / s)
             terms[i] += contribution

@@ -19,6 +19,7 @@ from importlib import resources
 import numpy as np
 
 from ssm import expr as ex
+from ssm.observe import PARTS
 
 EXTERNAL = "EXTERNAL"
 
@@ -275,11 +276,8 @@ class DiffusionDef:
 @dataclass(frozen=True)
 class ObservationDef:
     name: str
-    distribution: str  # poisson | discretized_normal | binomial
-    mean: ex.Expr | None
-    variance: ex.Expr | None
-    trials: ex.Expr | None
-    probability: ex.Expr | None
+    distribution: str  # a key of observe.PARTS
+    parts: tuple       # the law's formulas, in observe.PARTS order
 
 
 @dataclass(frozen=True)
@@ -694,28 +692,14 @@ def parse_model(text):
             raise ModelError(f"duplicate observation stream '{o['name']}'")
         obs_names.add(o["name"])
         dist = o["distribution"]
-        mean = variance = trials = probability = None
         where = f"observation '{o['name']}'"
-        if dist == "binomial":
-            if "trials" not in o or "probability" not in o:
-                raise ModelError(f"{where}: binomial needs 'trials' and 'probability'")
-            trials = _parse_formula(o["trials"], where)
-            probability = _parse_formula(o["probability"], where)
-            _check_symbols(trials, obs_symbols, where, condition_symbols)
-            _check_symbols(probability, obs_symbols, where, condition_symbols)
-        else:
-            if "mean" not in o:
-                raise ModelError(f"{where}: needs a 'mean' formula")
-            mean = _parse_formula(o["mean"], where)
-            _check_symbols(mean, obs_symbols, where, condition_symbols)
-            if dist == "discretized_normal":
-                if "variance" not in o:
-                    raise ModelError(f"{where}: discretized_normal needs 'variance'")
-                variance = _parse_formula(o["variance"], where)
-                _check_symbols(variance, obs_symbols, where, condition_symbols)
-        observations.append(
-            ObservationDef(o["name"], dist, mean, variance, trials, probability)
-        )
+        parts = []
+        for part in PARTS[dist]:
+            if part not in o:
+                raise ModelError(f"{where}: {dist} needs '{part}'")
+            parts.append(_parse_formula(o[part], where))
+            _check_symbols(parts[-1], obs_symbols, where, condition_symbols)
+        observations.append(ObservationDef(o["name"], dist, tuple(parts)))
 
     # --- cross checks
     for tree, where in zip(comp_initials, comp_names):

@@ -14,6 +14,21 @@ import math
 
 import numpy as np
 
+from ssm import expr as ex
+
+# the formulas each law reads, in the order its stream's kernel returns them
+PARTS = {"poisson": ("mean",), "discretized_normal": ("mean", "variance"),
+         "binomial": ("trials", "probability")}
+# laws whose log density is that of a probability mass, so at most 0: their
+# data are non-negative integers, and filters over them may stop early
+COUNT_KINDS = ("poisson", "binomial")
+
+
+def mean_formula(kind, parts):
+    """The observed mean, a formula of the law's parts in PARTS order."""
+    return ex.mul(*parts) if kind == "binomial" else parts[0]
+
+
 REQUIRED_COLUMNS = ("time", "stream", "value")
 
 
@@ -103,8 +118,7 @@ class DataSet:
                         f"t={t:g}: duplicate observation for stream {stream!r}"
                     )
                 seen.add((t, stream))
-                dist = known[stream]
-                if dist in ("poisson", "binomial"):
+                if known[stream] in COUNT_KINDS:
                     if value < 0:
                         problems.append(
                             f"t={t:g}: {stream} is a count stream but value "
