@@ -54,6 +54,22 @@ def invalid_models(models):
             "bad-effect": bad_effect}
 
 
+# the shipped SIR's stream under each of the other observation laws
+LAWS = {
+    "sir-binomial": {"name": "cases", "distribution": "binomial",
+                     "trials": "inc", "probability": "rho"},
+    "sir-normal": {"name": "cases", "distribution": "discretized_normal",
+                   "mean": "rho*inc", "variance": "1 + rho*inc"},
+}
+
+
+def law_models(models):
+    """The shipped SIR with its stream under each law of LAWS, by file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    return {name: dict(sir, observations=[stream])
+            for name, stream in LAWS.items()}
+
+
 def model_args(name, data=True):
     args = ["--model", f"{{models}}/{name}.json"]
     return args + ["--data", f"{{models}}/{name}-data.csv"] if data else args
@@ -128,6 +144,18 @@ def commands():
         ("kalman bad-effect", ["kalman", "--model", "{work}/bad-effect.json",
                                *data], "sir", ()),
     ]
+    for name in LAWS:
+        model = ["--model", f"{{work}}/{name}.json"]
+        out += [
+            (f"kalman {name}", ["kalman", *model, *data], "sir", ()),
+            (f"smc psr {name}", ["smc", *model, *data, "--formalism", "psr",
+                                 "--n-particles", "200"], "sir", ()),
+            (f"kmcmc {name}", ["kmcmc", *model, *data, "--iterations", "60",
+                               "--dt", "0.5", "--trace", "kmcmc.csv"],
+             "sir", ("kmcmc.csv",)),
+            (f"forecast {name}", ["forecast", *model, "--end", "12",
+                                  "--trajectories", "20"], "sir", ()),
+        ]
     return out
 
 
@@ -142,7 +170,7 @@ def run_tree(src, models, work):
     for name, values in TRUTH.items():
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
-    for name, doc in invalid_models(models).items():
+    for name, doc in {**invalid_models(models), **law_models(models)}.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}
     prev = b""

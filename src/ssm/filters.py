@@ -242,7 +242,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
             repairs["variance_floored"] += s < 1.0
             s = max(s, 1.0)
             r_eff = s - hch
-            # every law lives on the integers; count data already are
+            # every law's data lie on the integers (count data are checked)
             e = round(y) - float(mean)
             k = (C @ grad) / s
             contribution = -0.5 * (np.log(2.0 * np.pi * s) + e * e / s)

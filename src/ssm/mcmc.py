@@ -38,6 +38,7 @@ import numpy as np
 from ssm.filters import FilterError
 # the benchmark tracer (perfbench/tracer.py) patches these two names here
 from ssm.filters import ekf_filter, smc_filter  # noqa: F401
+from ssm.observe import DataError
 from ssm.optimize import backend, log_posterior
 
 TARGET_ACCEPT = 0.234
@@ -74,21 +75,28 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path):
+        """Read what `to_csv` writes; any other file is a DataError."""
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
+            header = next(r, [])
             if header[:1] != ["iteration"] or header[-3:] != [
                 "log_likelihood", "log_prior", "accepted"
             ]:
-                raise ValueError(f"{path}: not a chain trace")
-            names = tuple(header[1:-3])
-            rows = [row for row in r if row]
-        values = np.array([[float(v) for v in row[1:-3]] for row in rows]
-                          ).reshape(len(rows), len(names))
-        loglik = np.array([float(row[-3]) for row in rows])
-        logprior = np.array([float(row[-2]) for row in rows])
-        accepted = np.array([bool(int(row[-1])) for row in rows])
-        return cls(names, values, loglik, logprior, accepted)
+                raise DataError(f"{path}: not a chain trace")
+            rows = []
+            for row in filter(None, r):
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{r.line_num}: expected "
+                                    f"{len(header)} cells, got {len(row)}")
+                try:
+                    rows.append([*map(float, row[1:-1]), int(row[-1])])
+                except ValueError:
+                    raise DataError(f"{path}:{r.line_num}: a cell is not "
+                                    f"a number") from None
+        cells = np.array(rows, dtype=float).reshape(len(rows),
+                                                    len(header) - 1)
+        return cls(tuple(header[1:-3]), cells[:, :-3], cells[:, -3],
+                   cells[:, -2], cells[:, -1] != 0)
 
 
 def ess(series):

@@ -693,6 +693,9 @@ def parse_model(text):
         obs_names.add(o["name"])
         dist = o["distribution"]
         where = f"observation '{o['name']}'"
+        foreign = sorted(set(o) - {"name", "distribution", *PARTS[dist]})
+        if foreign:
+            raise ModelError(f"{where}: {dist} reads no '{foreign[0]}'")
         parts = []
         for part in PARTS[dist]:
             if part not in o:

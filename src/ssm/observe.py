@@ -1,4 +1,8 @@
-"""Observed data handling and measurement densities.
+"""Observed data handling, the observation laws and their densities.
+
+This is the only module that knows the observation laws.  `PARTS`,
+`COUNT_KINDS` and `mean_formula` declare them; the model parser, the
+compiled kernels, the filters and `DataSet.validate` read them there.
 
 Data arrives as a long-format CSV with columns time, stream, value; several
 streams may report at the same instant and a stream may skip instants.  Rows

@@ -651,6 +651,25 @@ class TestChain:
         assert r.returncode == 2
         assert r.stderr == f"error: {trace}: no rows left after burn-in\n"
 
+    @pytest.mark.parametrize("text, problem", [
+        ("time,stream\n1,cases\n", ": not a chain trace"),
+        ("iteration,beta,log_likelihood,log_prior,accepted\n"
+         "0,1.5,-100.0,x,1\n", ":2: a cell is not a number"),
+        ("iteration,beta,log_likelihood,log_prior,accepted\n"
+         "0,1.5,-100.0,-2.5,1\n0,1.5,-100.0,1\n",
+         ":3: expected 5 cells, got 4"),
+    ], ids=["header", "non-numeric", "short-row"])
+    @pytest.mark.parametrize("command", ["diagnostics", "forecast"])
+    def test_bad_trace_is_exit_two(self, tmp_path, command, text, problem):
+        trace = tmp_path / "t.csv"
+        trace.write_text(text)
+        extra = (["--model", SIR, "--end", "3"] if command == "forecast"
+                 else [])
+        r = run([command, *extra, "--trace", str(trace)], stdin_text=POINT)
+        assert r.returncode == 2
+        assert r.stderr == f"error: {trace}{problem}\n"
+        assert "Traceback" not in r.stderr
+
     def test_diagnostics_shape(self, tmp_path):
         trace = tmp_path / "t.csv"
         with open(trace, "w", newline="") as fh:

@@ -20,10 +20,12 @@ from ssm.model import (
     parse_model,
     _schema,
 )
+from ssm.observe import PARTS
 
 from helpers import ROOT, SIR, LOCAL_LEVEL, sir_model, local_level_model
 
 SHIPPED = ("sir", "plague", "seir-h1n1", "dengue-2strain")
+ALL_PARTS = {part for parts in PARTS.values() for part in parts}
 
 
 def variant(base, mutate):
@@ -246,6 +248,27 @@ class TestValidation:
         with pytest.raises(ModelError, match="'M'"):
             parse_model(bad)
 
+    @pytest.mark.parametrize("law", sorted(PARTS))
+    def test_stream_reads_exactly_its_laws_formulas(self, law):
+        stream = {"name": "obs", "distribution": law,
+                  **dict.fromkeys(PARTS[law], "cases")}
+
+        def with_stream(extra=(), drop=None):
+            doc = dict(stream, **dict.fromkeys(extra, "1"))
+            doc.pop(drop, None)
+            return variant(SIR, lambda d: d.__setitem__("observations", [doc]))
+
+        assert len(parse_model(with_stream()).observations[0].parts) == len(
+            PARTS[law])
+        foreign = min(ALL_PARTS - set(PARTS[law]))
+        with pytest.raises(ModelError,
+                           match=f"'obs': {law} reads no '{foreign}'"):
+            parse_model(with_stream(extra=[foreign]))
+        for part in PARTS[law]:
+            with pytest.raises(ModelError,
+                               match=f"'obs': {law} needs '{part}'"):
+                parse_model(with_stream(drop=part))
+
 
 def shipped_model(stem):
     return json.loads((ROOT / "src" / "ssm" / "models" / f"{stem}.json")
@@ -313,6 +336,13 @@ def schema_verdict(doc):
 
 
 class TestSchemaValidator:
+    def test_observation_laws_are_the_declared_ones(self):
+        stream = _schema()["properties"]["observations"]["items"]
+        assert sorted(stream["properties"]["distribution"]["enum"]) == sorted(
+            PARTS)
+        assert set(stream["properties"]) == {"name", "distribution",
+                                             *ALL_PARTS}
+
     # the keywords the validator in ssm.model implements, and the
     # annotations it ignores
     KEYWORDS = {"type", "$ref", "definitions", "properties", "required",

@@ -164,6 +164,36 @@ class TestMoments:
         ) == pytest.approx(2.0)
 
 
+def test_property_count_laws_are_probability_masses():
+    # early rejection in the chains is exact only while every count law's
+    # log density is at most 0 (`ssm.filters`)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # each part's domain, its edges drawn often; trials need not be integers
+    domains = {
+        "mean": st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+        "trials": st.one_of(st.sampled_from([0.0, 2.5, 3.5]),
+                            st.floats(0.0, 1e6)),
+        "probability": st.one_of(st.sampled_from([0.0, 1.0]),
+                                 st.floats(0.0, 1.0)),
+    }
+    streams = st.sampled_from(ob.COUNT_KINDS).flatmap(
+        lambda kind: st.tuples(st.just(kind), st.fixed_dictionaries(
+            {part: domains[part] for part in ob.PARTS[kind]})))
+    counts = st.one_of(st.integers(0, 20), st.integers(0, 10**6))
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(streams, counts)
+    @hypothesis.example(("poisson", {"mean": 0.0}), 0)
+    @hypothesis.example(("binomial", {"trials": 2.5, "probability": 1.0}), 3)
+    @hypothesis.example(("binomial", {"trials": 3.4, "probability": 0.0}), 0)
+    def check(stream, y):
+        kind, parts = stream
+        assert ob.stream_loglik(kind, parts, float(y)) <= 0.0
+
+    check()
+
+
 class TestDataSet:
     def write(self, tmp_path, text):
         p = tmp_path / "data.csv"
