@@ -250,24 +250,21 @@ class TestValidation:
 
     @pytest.mark.parametrize("law", sorted(PARTS))
     def test_stream_reads_exactly_its_laws_formulas(self, law):
-        stream = {"name": "obs", "distribution": law,
-                  **dict.fromkeys(PARTS[law], "cases")}
+        def parsed(stream):
+            return parse_model(variant(
+                SIR, lambda d: d.__setitem__("observations", [stream])))
 
-        def with_stream(extra=(), drop=None):
-            doc = dict(stream, **dict.fromkeys(extra, "1"))
-            doc.pop(drop, None)
-            return variant(SIR, lambda d: d.__setitem__("observations", [doc]))
-
-        assert len(parse_model(with_stream()).observations[0].parts) == len(
-            PARTS[law])
+        ok = {"name": "obs", "distribution": law,
+              **dict.fromkeys(PARTS[law], "cases")}
+        assert len(parsed(ok).observations[0].parts) == len(PARTS[law])
         foreign = min(ALL_PARTS - set(PARTS[law]))
         with pytest.raises(ModelError,
                            match=f"'obs': {law} reads no '{foreign}'"):
-            parse_model(with_stream(extra=[foreign]))
+            parsed(dict(ok, **{foreign: "1"}))
         for part in PARTS[law]:
             with pytest.raises(ModelError,
                                match=f"'obs': {law} needs '{part}'"):
-                parse_model(with_stream(drop=part))
+                parsed({k: v for k, v in ok.items() if k != part})
 
 
 def shipped_model(stem):
