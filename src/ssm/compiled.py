@@ -27,7 +27,8 @@ first time it is used:
              over [mean, upper triangle of covariance], for the moment
              filter
     sde      every Euler-Maruyama substep of one interval over a batch of
-             states
+             states, reading the interval's normals as one array laid out
+             (substep, noise row, state)
     jump     every event of one interval of the jump process, for one
              state
     init     the initial state from parameter values

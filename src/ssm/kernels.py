@@ -166,19 +166,18 @@ def moments_source(cm):
 
 
 def sde_source(cm):
-    """Source of `sde(x, t, dt, n, p, xi_demo, xi_env, xi_diff)`: n
-    Euler-Maruyama substeps of length dt from time t, in place on a batch x
-    laid out as (nx, J), one row per state column.
+    """Source of `sde(x, t, dt, n, p, xi)`: n Euler-Maruyama substeps of
+    length dt from time t, in place on a batch x laid out as (nx, J), one
+    row per state column.
 
-    xi_demo, xi_env and xi_diff hold the standard normals per substep, per
-    reaction, noise group or driven parameter, and per state: shape
-    (n, k, J), None where the model has none.  Each reaction's increment
-    dt*a + sqrt(dt)*(sqrt(a+)*xi + sd*eta*a+) is formed for all reactions
-    at once, in the rows of one buffer, and added to every row of the state
-    it touches.  The new state is checked for finiteness, all rows at once,
-    before it is clamped at the floor.  Returns n, or the index of the first
-    substep whose new state was not finite; x then holds the state before
-    that substep.
+    xi holds the interval's standard normals, shape (n, K, J): per substep,
+    one row per reaction, then per noise group, then per driven parameter.
+    Each reaction's increment dt*a + sqrt(dt)*(sqrt(a+)*xi + sd*eta*a+) is
+    formed for all reactions at once, in the rows of one buffer, and added
+    to every row of the state it touches.  The new state is checked for
+    finiteness, all rows at once, before it is clamped at the floor.
+    Returns n, or the index of the first substep whose new state was not
+    finite; x then holds the state before that substep.
     """
     S = cm.stoich_full
     state_names = set(cm.state_names)
@@ -200,17 +199,19 @@ def sde_source(cm):
         loop += ["    maximum(_A, 0.0, out=_AP)",
                  "    sqrt(_AP, out=_Q)",
                  "    multiply(_Q, _sq, out=_Q)",
-                 "    multiply(_Q, xi_demo[_n], out=_Q)",
+                 f"    multiply(_Q, xi[_n, :{cm.n_react}], out=_Q)",
                  "    multiply(_A, dt, out=_I)",
                  "    add(_I, _Q, out=_I)"]
     for g_i, (sd_name, members) in enumerate(cm.noise_groups):
         loop.append(f"    _w{g_i} = _sq*{param_local(sd_name)}"
-                    f"*xi_env[_n, {g_i}]")
+                    f"*xi[_n, {cm.n_react + g_i}]")
         loop += [f"    add(_i{k}, _w{g_i}*_ap{k}, out=_i{k})" for k in members]
+    groups_end = cm.n_react + len(cm.noise_groups)
     for i in range(cm.nx):
         if cm.n_comp <= i < cm.n_comp + cm.n_diff:
             d_i = i - cm.n_comp
-            pairs = [(1, f"dt*_d{i}"), (1, f"_sq*_v{d_i}*xi_diff[_n, {d_i}]")]
+            pairs = [(1, f"dt*_d{i}"),
+                     (1, f"_sq*_v{d_i}*xi[_n, {groups_end + d_i}]")]
         else:
             pairs = [(int(S[i, k]), f"_i{k}")
                      for k in range(cm.n_react) if S[i, k]]
@@ -226,7 +227,7 @@ def sde_source(cm):
     states = needed & state_names
     head = []
     cm._prologue(head, states, read="_x{}")
-    lines = ["def sde(x, t, dt, n, p, xi_demo, xi_env, xi_diff):"]
+    lines = ["def sde(x, t, dt, n, p, xi):"]
     cm._prologue(lines, needed - states)
 
     def views(prefix, buffer, count):

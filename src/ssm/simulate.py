@@ -20,21 +20,18 @@ The deterministic and diffusion backends make one call per observation
 interval: `ode_step` and `sde_step` run every substep of the interval in
 the model's generated `ode` and `sde` interval kernels, with the domain
 check and the clamp after each substep.  The diffusion backend draws the
-interval's normals in one call whose values, in order, are those of the
-three draws per substep (per reaction, per noise group, per driven
-parameter) that stepping one substep at a time would make: a seed gives
-the same trajectories either way and leaves the generator in the same
-state.  The Poisson backend also makes one call per interval, `psr_step`
-looping over the interval's slices in numpy on a state held one row per
-coordinate; within a slice, draws that do not depend on each other share
-a numpy call, with the variates and order of one call per draw.  A slice
-works only on the reactions that some row of the batch can fire, through
-a plan cached per set of such reactions: the others would draw nothing,
-so the variates are those of the full slice, except that a noise group
-none of whose members can fire draws no gamma increments.  The jump
-backend makes one call of the generated `jump` kernel per trajectory and
-interval, on Python floats, the trajectories of a batch taking their
-variates from shared streams.
+interval's normals in one call, in the (substep, noise row, state) layout
+its kernel reads.  The Poisson backend also makes one call per interval,
+`psr_step` looping over the interval's slices in numpy on a state held
+one row per coordinate; within a slice, draws that do not depend on each
+other share a numpy call, with the variates and order of one call per
+draw.  A slice works only on the reactions that some row of the batch can
+fire, through a plan cached per set of such reactions: the others would
+draw nothing, so the variates are those of the full slice, except that a
+noise group none of whose members can fire draws no gamma increments.
+The jump backend makes one call of the generated `jump` kernel per
+trajectory and interval, on Python floats, the trajectories of a batch
+taking their variates from shared streams.
 """
 
 from __future__ import annotations
@@ -93,30 +90,17 @@ def sde_step(cm, x, t, h, n_sub, params, rng):
     is exactly h times the assembled dispersion: one standard normal per
     reaction scaled by sqrt(propensity), one per noise group through the
     group column, one per driven parameter scaled by its volatility.  The
-    interval's normals come from one draw of shape
-    (n_sub, J*(n_react + n_groups + n_diff)): each substep's row holds, in
-    turn, the (J, n_react), (J, n_groups) and (J, n_diff) blocks that three
-    draws per substep would give, so the values and the generator's final
-    state are theirs.  A non-finite state raises DomainError and leaves the
-    generator where those draws would have stopped.  Compartments and
+    interval's normals come from one draw of shape (n_sub, K, J), the
+    layout the kernel reads: per substep, K rows (reactions, noise groups,
+    driven parameters) of one normal per state of the batch.  A non-finite
+    state raises DomainError, the whole draw taken.  Compartments and
     accumulators are clamped at zero after every substep.
     """
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, cm.nx)
-    j = len(rows)
-    width = j * (cm.n_react + len(cm.noise_groups) + cm.n_diff)
-    start = rng.bit_generator.state
-    xi = rng.standard_normal((n_sub, width))
-    blocks, at = [], 0
-    for k in (cm.n_react, len(cm.noise_groups), cm.n_diff):
-        block = xi[:, at:at + j * k].reshape(n_sub, j, k)
-        blocks.append(block.transpose(0, 2, 1) if k else None)
-        at += j * k
-    state = rows.T.copy()
-    done = cm.sde(state, t, h, n_sub, params, *blocks)
-    if done < n_sub:
-        rng.bit_generator.state = start
-        rng.standard_normal((done + 1, width))
+    state = x.reshape(-1, cm.nx).T.copy()
+    k = cm.n_react + len(cm.noise_groups) + cm.n_diff
+    xi = rng.standard_normal((n_sub, k, state.shape[1]))
+    if cm.sde(state, t, h, n_sub, params, xi) < n_sub:
         raise DomainError("non-finite state during diffusion step")
     return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
 
@@ -302,7 +286,7 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
             raise DomainError("Poisson step overdrew a compartment")
         if cm.n_diff:
             drift, vols = cm.drift_and_vols(state.T, t, params)
-            xi = rng.standard_normal((j, cm.n_diff)).T
+            xi = rng.standard_normal((cm.n_diff, j))
             new[cm.diff_slice] = (state[cm.diff_slice]
                                   + h * drift.T[cm.diff_slice]
                                   + sqrt_h * vols.T * xi)

@@ -35,6 +35,23 @@ SIR = {
     ],
 }
 
+# overrides of SIR whose transmission and recovery rates are both driven,
+# the transmission with white noise: the diffusion steppers draw every kind
+# of normal, two of them per driven parameter row
+TWO_DRIVEN_SIR = dict(
+    parameters=SIR["parameters"] + [
+        {"name": "sigma_env", "prior": {"dirac": 0.3}, "role": "fixed"}],
+    diffusions=[{"name": f"{name}_t", "transform": "log",
+                 "drift": "0.1 - 0.01*t", "volatility": "0.2",
+                 "initial": name} for name in ("beta", "gamma")],
+    reactions=[
+        {"from": "S", "to": "I", "rate": "beta_t*I/N",
+         "accumulators": ["cases"],
+         "white_noise": {"group": "transmission", "sd": "sigma_env"}},
+        {"from": "I", "to": "R", "rate": "gamma_t"},
+    ],
+)
+
 # local-level model: a drifting random walk observed through gaussian noise,
 # linear in every coordinate so exact filters exist for cross-checks
 LOCAL_LEVEL = {

@@ -7,7 +7,8 @@ state's interval.  The references below step one substep (one event) at a
 time through the model's single-call kernels (`drift_and_vols`, `moments`,
 `propensities`), with the domain check, the clamp and the draws of a
 substep written out in numpy.  Both must give equal arrays, raise the same
-errors and leave the generator in the same state.
+errors and, but for the diffusion stepper after an error, leave the
+generator in the same state.
 """
 
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import SIR, build, local_level_model
+from helpers import SIR, TWO_DRIVEN_SIR, build, local_level_model
 from ssm import simulate as sim
 from ssm.compiled import CompiledModel, DomainError
 from ssm.model import load_model, parse_model
@@ -83,13 +84,13 @@ def reference_moments(cm, y, t0, t1, p, dt=None):
 
 
 def reference_sde_substep(cm, x, t, dt, p, rng):
-    """One Euler-Maruyama substep of a (J, nx) batch: three draws, the
-    increments reaction by reaction, the check, then the clamp."""
-    j = len(x)
-    xi_demo = rng.standard_normal((j, cm.n_react)) if cm.n_react else None
-    xi_env = (rng.standard_normal((j, len(cm.noise_groups)))
-              if cm.noise_groups else None)
-    xi_diff = rng.standard_normal((j, cm.n_diff)) if cm.n_diff else None
+    """One Euler-Maruyama substep of a (J, nx) batch: one (K, J) draw whose
+    rows are the reactions, the noise groups and the driven parameters in
+    turn, the increments reaction by reaction, the check, then the clamp."""
+    n_groups = len(cm.noise_groups)
+    xi = rng.standard_normal((cm.n_react + n_groups + cm.n_diff, len(x))).T
+    xi_demo, xi_env, xi_diff = np.split(
+        xi, [cm.n_react, cm.n_react + n_groups], axis=1)
     sq = math.sqrt(dt)
     a = cm.propensities(x, t, p)
     drift, vols = cm.drift_and_vols(x, t, p)
@@ -407,6 +408,22 @@ def test_sde_per_row_parameter_columns():
         assert_same_generator(rng, rng_ref)
 
 
+def test_sde_two_driven_parameters():
+    cm = CompiledModel(build(SIR, **TWO_DRIVEN_SIR))
+    assert (cm.n_react, len(cm.noise_groups), cm.n_diff) == (2, 1, 2)
+    p = {"N": 1000.0, "I0": 10.0, "beta": 1.5, "gamma": 0.5,
+         "sigma_env": 0.3}
+    x = spread(cm, cm.init_state(p), 32, np.random.default_rng(13))
+    for dt in DTS:
+        rng, rng_ref = np.random.default_rng(14), np.random.default_rng(14)
+        assert run_intervals(
+            lambda x, t0, t1: sim.advance(cm, x, t0, t1, p, rng=rng,
+                                          formalism="sde", dt=dt),
+            lambda x, t0, t1: reference_sde(cm, x, t0, t1, p, rng_ref, dt=dt),
+            x)[0] == "ok"
+        assert_same_generator(rng, rng_ref)
+
+
 # SIR whose transmission rate is driven, with a drift that reads the time
 # and a compartment and a volatility that reads a compartment
 DRIVEN_SIR = dict(
@@ -507,7 +524,10 @@ def test_sde_domain_error_on_a_clamped_infinity(rows):
         want = outcome(reference_sde, cm, x, 0.0, 1.0, p, rng_ref)
     assert got[0] == "error" and "non-finite" in got[2]
     assert_same(got, want)
-    # the draws stop after the failing substep, as one substep at a time
+    # the whole interval's block is drawn, the substeps after the failing
+    # one included
+    rng_ref = np.random.default_rng(seed)
+    rng_ref.standard_normal((10, cm.n_react, 1 if rows is None else rows))
     assert_same_generator(rng, rng_ref)
 
 

@@ -117,10 +117,11 @@ def normals(cm, n, rng):
 
 def sde_substep(cm, states, t, p, dt, xis):
     """One substep of the sde interval kernel on states of shape (J, nx),
-    given the normals of each kind as (J, k)."""
+    given the normals of each kind as (J, k), passed on as one (1, K, J)
+    array."""
     x = states.T.copy()
-    blocks = [None if xi is None else xi.T[None] for xi in xis]
-    assert cm.sde(x, t, dt, 1, p, *blocks) == 1
+    xi = np.concatenate([xi.T for xi in xis if xi is not None])[None]
+    assert cm.sde(x, t, dt, 1, p, xi) == 1
     return x.T
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import SIR, build, sir_model
+from helpers import SIR, TWO_DRIVEN_SIR, build, sir_model
 from ssm.compiled import CompiledModel, DomainError
 from ssm.model import load_model
 from ssm import simulate as sim
@@ -589,7 +589,8 @@ def reference_psr_step(cm, x, t, dt, params, rng, dead_rng=None):
         raise DomainError("Poisson step overdrew a compartment")
     if cm.n_diff:
         drift, vols = cm.drift_and_vols(x, t, params)
-        xi = rng.standard_normal(lead + (cm.n_diff,))
+        # one row of normals per driven parameter
+        xi = np.moveaxis(rng.standard_normal((cm.n_diff,) + lead), 0, -1)
         new[..., cm.diff_slice] = (
             x[..., cm.diff_slice]
             + dt * drift[..., cm.diff_slice]
@@ -832,6 +833,12 @@ class TestPsrMatchesCascade:
                  gamma=rng.uniform(0.1, 0.5, j), sigma_env=sd)
         x = cm.init_state(p, size=j)
         self.assert_same_steps(cm, x, p, seed=7)
+
+    def test_two_driven_parameters(self):
+        cm = compiled(SIR, **TWO_DRIVEN_SIR)
+        assert cm.n_diff == 2
+        p = dict(SIR_PARAMS, sigma_env=0.3)
+        self.assert_same_steps(cm, cm.init_state(p, size=50), p, seed=12)
 
     def test_capped_absolute_removals(self):
         cm = compiled(DRAINED)
