@@ -70,6 +70,20 @@ def law_models(models):
             for name, stream in LAWS.items()}
 
 
+def driven_models(models):
+    """The shipped SIR with both rates driven, so that the steppers draw for
+    two driven parameters, by file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    reactions = copy.deepcopy(sir["reactions"])
+    reactions[0]["rate"] = "beta_t*I/N"
+    reactions[1]["rate"] = "gamma_t"
+    diffusions = [{"name": f"{name}_t", "transform": "log",
+                   "volatility": "0.2", "initial": name}
+                  for name in ("beta", "gamma")]
+    return {"sir-driven": dict(sir, diffusions=diffusions,
+                               reactions=reactions)}
+
+
 def model_args(name, data=True):
     args = ["--model", f"{{models}}/{name}.json"]
     return args + ["--data", f"{{models}}/{name}-data.csv"] if data else args
@@ -156,6 +170,16 @@ def commands():
             (f"forecast {name}", ["forecast", *model, "--end", "12",
                                   "--trajectories", "20"], "sir", ()),
         ]
+    driven = ["--model", "{work}/sir-driven.json"]
+    for formalism in ("sde", "psr"):
+        out += [
+            (f"simulate {formalism} x5 sir-driven",
+             ["simulate", *driven, "--formalism", formalism, "--end", "30",
+              "--trajectories", "5"], "sir", ()),
+            (f"smc {formalism} sir-driven",
+             ["smc", *driven, *data, "--formalism", formalism,
+              "--n-particles", "200"], "sir", ()),
+        ]
     return out
 
 
@@ -170,7 +194,8 @@ def run_tree(src, models, work):
     for name, values in TRUTH.items():
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
-    for name, doc in {**invalid_models(models), **law_models(models)}.items():
+    for name, doc in {**invalid_models(models), **law_models(models),
+                      **driven_models(models)}.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}
     prev = b""

@@ -92,6 +92,9 @@ def _load_data(cm, args):
         for p in problems:
             _log(f"{args.data}: {p}")
         raise DataError(f"{args.data}: {len(problems)} validation problem(s)")
+    if len(ds) and ds.times[0] < args.t0:
+        raise DataError(f"{args.data}: the first observation, at "
+                        f"t={ds.times[0]:g}, precedes --t0 {args.t0:g}")
     return ds
 
 
@@ -403,12 +406,13 @@ def _checked(convert, ok, what):
     return parse
 
 
-# the sizes, loop counts, substep bounds, grid spacings and burn-in shares
-# a run can take
+# the sizes, loop counts, substep bounds, grid spacings, burn-in shares and
+# initial times a run can take
 _SIZE = _checked(int, lambda n: n >= 1, "at least 1")
 _COUNT = _checked(int, lambda n: n >= 0, "at least 0")
 _SPAN = _checked(float, lambda v: v > 0, "greater than 0")
 _SHARE = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_TIME = _checked(float, np.isfinite, "finite")
 
 
 def _opt_model(p):
@@ -446,7 +450,7 @@ def _document_stage(sub, name, help, formalism=None):
     _opt_data(p)
     _opt_theta(p)
     _opt_run(p)
-    p.add_argument("--t0", type=float, default=0.0,
+    p.add_argument("--t0", type=_TIME, default=0.0,
                    help="initial time of the state process")
     if formalism:
         _opt_formalism(p, formalism)

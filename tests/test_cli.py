@@ -255,13 +255,14 @@ class TestValidation:
         ["forecast", "--every", "-1"],
         ["simulate", "--end", "-1"], ["forecast", "--end", "-0.5"],
         ["forecast", "--burn", "-1"], ["forecast", "--burn", "1"],
-        ["diagnostics", "--burn", "1.5"], ["diagnostics", "--burn", "nan"]])
+        ["diagnostics", "--burn", "1.5"], ["diagnostics", "--burn", "nan"],
+        ["kalman", "--t0", "nan"], ["mif", "--t0", "inf"]])
     def test_sizes_and_steps_out_of_range_are_exit_two(self, argv):
         command, option, value = argv
         bound = {"--n-particles": "at least 1", "--trajectories": "at least 1",
                  "--iterations": "at least 0", "--dt": "greater than 0",
                  "--every": "greater than 0", "--end": "at least --start",
-                 "--burn": "in [0, 1)"}
+                 "--burn": "in [0, 1)", "--t0": "finite"}
         where = {"simulate": ["--model", SIR, "--end", "3"],
                  "forecast": ["--model", SIR, "--end", "3"],
                  "diagnostics": ["--trace", "trace.csv"]}.get(
@@ -278,6 +279,22 @@ class TestValidation:
                  "--iterations", "0", "--dt", "0.5"], stdin_text=POINT)
         assert r.returncode == 0, r.stderr
         assert "after 0 iteration(s)" in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["kalman"], ["smc", "--formalism", "sde"], ["simplex"], ["mif"]])
+    def test_t0_after_the_first_observation_is_exit_two(self, argv):
+        # the shipped SIR data start at t = 1
+        r = run([*argv, "--model", SIR, "--data", SIR_DATA, "--t0", "30"],
+                stdin_text=POINT, env_extra={"SSM_SEED": "3"})
+        assert r.returncode == 2
+        assert r.stderr == (f"error: {SIR_DATA}: the first observation, at "
+                            "t=1, precedes --t0 30\n")
+        assert "Traceback" not in r.stderr
+
+    def test_t0_at_the_first_observation_stays_valid(self):
+        r = run(["kalman", "--model", SIR, "--data", SIR_DATA, "--t0", "1"],
+                stdin_text=POINT)
+        assert r.returncode == 0, r.stderr
 
     def test_check_data_reports_problems(self, tmp_path):
         bad = tmp_path / "d.csv"
