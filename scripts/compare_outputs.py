@@ -125,6 +125,10 @@ def commands():
                          "--n-particles", "100", "--iterations", "40",
                          "--trace", "pmcmc.csv", "--paths", "paths.csv"],
          "prev", ("pmcmc.csv", "paths.csv")),
+        # the moment filter's stopping rule on a second model's counts
+        ("kmcmc plague", ["kmcmc", *model_args("plague"), "--iterations",
+                          "100", "--dt", "0.5", "--trace", "kmcmc.csv"],
+         "plague", ("kmcmc.csv",)),
     ]
     for formalism in FORMALISMS:
         out.append((f"forecast {formalism} sir",

@@ -140,7 +140,7 @@ _SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
                   nextafter=math.nextafter, DomainError=DomainError)
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
                   empty_like=np.empty_like, isfinite=np.isfinite,
-                  all_of=np.logical_and.reduce, scalar_sqrt=math.sqrt,
+                  scalar_sqrt=math.sqrt,
                   **{name: getattr(np, name) for name in UFUNCS.values()})
 
 
@@ -673,7 +673,7 @@ class CompiledModel:
         """Evaluate one stream; returns (parts dict, gradient over the state
         of the observed mean, `observe.mean_formula`).
         Parts are floats for one state (the moment filter) and arrays over
-        the leading dimensions of a batch.
+        the leading dimensions of a batch, whose gradient is None.
         """
         o = self._obs_by_name[name]
         x = np.asarray(x, dtype=float)
@@ -681,14 +681,18 @@ class CompiledModel:
         if lead:
             raw = self._obs_batch[o.kernel](
                 x.transpose(-1, *range(x.ndim - 1)), t, p)
-        else:
-            raw = self._obs_single[o.kernel](x, float(t), p)
-        parts = {part: np.broadcast_to(np.asarray(v, dtype=float), lead).copy()
-                 if lead else float(v) for part, v in zip(o.parts, raw)}
-        grad = np.zeros(lead + (self.nx,))
+            # a fresh array of the batch's shape is the kernel's own; a
+            # view of the state or a parameter value is copied out
+            return {part: v if type(v) is np.ndarray and v.base is None
+                    and v.shape == lead and v.dtype == float
+                    else np.broadcast_to(np.asarray(v, dtype=float),
+                                         lead).copy()
+                    for part, v in zip(o.parts, raw)}, None
+        raw = self._obs_single[o.kernel](x, float(t), p)
+        grad = np.zeros(self.nx)
         for j, v in zip(o.grad_cols, raw[len(o.parts):]):
-            grad[..., j] = v
-        return parts, grad
+            grad[j] = v
+        return {part: float(v) for part, v in zip(o.parts, raw)}, grad
 
     def natural_diffusions(self, x):
         """Natural-scale values of the driven parameters for reporting."""

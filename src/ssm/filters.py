@@ -8,18 +8,24 @@ last instant.
 
 The particle and moment filters take an optional `floor`.  Where every
 stream of the model follows a count law (`observe.COUNT_KINDS`), each
-per-instant term is the log of a probability, or of a mean of
-probabilities, and so at most 0, and the running sum can only fall.  Once
-it is at or below `floor` the filter stops and returns that sum: an upper
-bound on the full estimate, itself at or below `floor`, since adding a
-non-positive float never raises a float sum.  A chain that rejects every
+term the filter adds has a ceiling, and so the estimate has a bound: the
+running sum plus the ceiling of each term still to come.  Once that bound
+is at or below `floor` the filter stops and returns it: an upper bound on
+the full estimate, itself at or below `floor`.  A chain that rejects every
 estimate at or below its floor takes the same decision from the stopped
-filter as from the full one.  A model with a stream of another law (a
-density, such as the discretized normal's, can exceed 1) never stops early.
+filter as from the full one.  The particle filter's terms are logs of
+means of probabilities, so its ceiling per term is 0 and it stops once
+its running sum is at or below `floor` (adding a non-positive float never
+raises a float sum).  The moment filter floors each innovation variance
+at one count, so each of its updates adds at most -log(2 pi)/2, and its
+bound falls by that much per update still to come (see `_ceiling`).  A
+model with a stream of another law (a density, such as the discretized
+normal's, can exceed 1) never stops early.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +48,29 @@ def _stop_floor(cm, floor):
     return floor
 
 
+# the most one update of the moment filter can add on a count stream: the
+# filter's term at the floored innovation variance of one count and no
+# error, taken four ulps toward zero against a log that rounds out of order
+UPDATE_CEILING = -0.5 * float(np.log(2.0 * np.pi * 1.0))
+for _ in range(4):
+    UPDATE_CEILING = math.nextafter(UPDATE_CEILING, 0.0)
+
+
+def _ceiling(running, k):
+    """An upper bound on the float sum `running` reaches after k more
+    additions of terms each at most UPDATE_CEILING; `running` for k = 0.
+
+    Float addition is monotone, so that sum is at most the float sum of
+    `running` and k copies of the ceiling, which lies within
+    k * 2^-53 * (|running| + k |UPDATE_CEILING|) of the exact one; the
+    margin adds four such units for the roundings of this expression."""
+    if not k:
+        return running
+    c = UPDATE_CEILING
+    return running + k * c + (k + 4) * 2.0 ** -53 * (abs(running)
+                                                    + k * abs(c))
+
+
 @dataclass
 class FilterResult:
     loglik: float
@@ -52,7 +81,8 @@ class FilterResult:
     path: np.ndarray | None = None    # one ancestral trajectory, if requested
     covs: np.ndarray | None = None    # moment filter only
     # particle and moment filters: the instants filtered, all of them
-    # unless the filter stopped early
+    # unless the filter stopped early (a run stopped at the last instant,
+    # where no term is left to bound, reports all of them)
     instants: int | None = None
     # moment filter only: the scalar updates made and, per silent repair,
     # how many of them it changed
@@ -114,7 +144,7 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
             o = cm.obs(stream)
             parts, _ = cm.obs_values(stream, x, t, params)
             logw += ob.stream_loglik(o.kind, parts, y)
-        peak = np.max(logw)
+        peak = logw.max()
         if not np.isfinite(peak):
             return FilterResult(
                 loglik=-np.inf, times=dataset.times, means=means,
@@ -125,7 +155,7 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         terms[i] = peak + np.log(total / j)
         loglik += terms[i]
         norm = w / total
-        ess[i] = 1.0 / np.sum(norm ** 2)
+        ess[i] = 1.0 / (norm ** 2).sum()
         means[i] = norm @ x
         if floor is not None and loglik <= floor:
             return FilterResult(
@@ -191,10 +221,14 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     observation variance sat at its floor (`observe.stream_moments`).
 
     With a `floor` and only count streams, whose terms the one-count floor
-    of the innovation variance keeps below 0, it stops after the first
-    instant whose running log likelihood is at or below `floor` and returns
-    that running sum (see the module docstring); the instants it did not
-    reach keep nan means and covariances.
+    of the innovation variance keeps at or below UPDATE_CEILING, it stops
+    after the first instant where the running log likelihood plus that
+    ceiling for each update still to come (with a rounding margin,
+    `_ceiling`) is at or below `floor`, and returns that bound (see the
+    module docstring); the instants it did not reach keep nan means and
+    covariances.  A likelihood that counted the mass of the one-count bin
+    in place of the density at its centre (ROADMAP item 2) would have
+    terms at most 0, and this ceiling would go back to 0.
     """
     floor = _stop_floor(cm, floor)
     x0 = cm.init_state(params)
@@ -205,6 +239,8 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     flat = np.zeros(cm.nx + len(upper[0]))
     flat[: cm.nx] = x0
     n_obs = len(dataset)
+    # the updates still to come after the current instant
+    left = sum(len(obs) for _, obs in dataset)
     loglik = 0.0
     terms = np.zeros(n_obs)
     means = np.full((n_obs, cm.nx), np.nan)
@@ -219,7 +255,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
         if span > 0:
             n_sub, h = substeps(span, dt)
             flat = cm.moments_interval(flat, prev_t, h, n_sub, params)
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise FilterError("moments diverged during propagation")
         m = flat[: cm.nx].copy()
         C = np.empty((cm.nx, cm.nx))
@@ -249,18 +285,20 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
             terms[i] += contribution
             loglik += contribution
             m = m + k * e
-            repairs["mean_clipped"] += bool(np.any(m[cm.comp_slice] < 0.0))
-            m[cm.comp_slice] = np.clip(m[cm.comp_slice], 0.0, None)
-            ikh = eye - np.outer(k, grad)
-            C = ikh @ C @ ikh.T + np.outer(k, k) * r_eff
+            comps = m[cm.comp_slice]
+            repairs["mean_clipped"] += bool((comps < 0.0).any())
+            np.maximum(comps, 0.0, out=comps)
+            ikh = eye - k[:, None] * grad
+            C = ikh @ C @ ikh.T + k[:, None] * k * r_eff
             C, repair = _project_psd(0.5 * (C + C.T))
             if repair:
                 repairs[repair] += 1
         means[i] = m
         covs[i] = C
-        if floor is not None and loglik <= floor:
+        left -= len(obs)
+        if floor is not None and (bound := _ceiling(loglik, left)) <= floor:
             return FilterResult(
-                loglik=float(loglik), times=dataset.times, means=means,
+                loglik=float(bound), times=dataset.times, means=means,
                 loglik_terms=terms, covs=covs, repairs=repairs,
                 instants=i + 1,
             )

@@ -165,6 +165,28 @@ def moments_source(cm):
          for i in _floored(cm)])
 
 
+def in_row(cm, tree, out, state_names):
+    """Statements leaving the value of the operation `tree` in the array
+    `out`, operation by operation as `ex.to_python` orders them: an operand
+    that is itself an operation on the state, other than a power (numpy's
+    `**` takes shortcuts that `power` does not), is formed in `out` first
+    and the operation writes over it, so no intermediate array is made."""
+    def formed(node):
+        return (isinstance(node, ex.BinOp) and node.op != "^"
+                and node.free_symbols() & state_names)
+
+    fn = UFUNCS[tree.op]
+    left, right = (ex.to_python(node, cm._resolve)
+                   for node in (tree.left, tree.right))
+    if formed(tree.left):
+        return (in_row(cm, tree.left, out, state_names)
+                + [f"    {fn}({out}, {right}, out={out})"])
+    if formed(tree.right):
+        return (in_row(cm, tree.right, out, state_names)
+                + [f"    {fn}({left}, {out}, out={out})"])
+    return [f"    {fn}({left}, {right}, out={out})"]
+
+
 def sde_source(cm):
     """Source of `sde(x, t, dt, n, p, xi)`: n Euler-Maruyama substeps of
     length dt from time t, in place on a batch x laid out as (nx, J), one
@@ -183,12 +205,10 @@ def sde_source(cm):
     state_names = set(cm.state_names)
     loop = []
     # each propensity goes into its row of _A; where the formula reads the
-    # state, its last operation writes there directly
+    # state, its operations write there directly
     for k, tree in enumerate(cm._prop_exprs):
         if isinstance(tree, ex.BinOp) and tree.free_symbols() & state_names:
-            left = ex.to_python(tree.left, cm._resolve)
-            right = ex.to_python(tree.right, cm._resolve)
-            loop.append(f"    {UFUNCS[tree.op]}({left}, {right}, out=_a{k})")
+            loop += in_row(cm, tree, f"_a{k}", state_names)
         else:
             loop.append(f"    _a{k}[...] = {ex.to_python(tree, cm._resolve)}")
     loop += cm._blocks["vols"][0]
@@ -216,9 +236,12 @@ def sde_source(cm):
             pairs = [(int(S[i, k]), f"_i{k}")
                      for k in range(cm.n_react) if S[i, k]]
         loop += accumulate(f"_o{i}", f"_x{i}", pairs)
-    loop += ["    if not all_of(isfinite(_new, out=_ok), axis=None):",
+    # without driven rows every row is clamped at zero, a scalar floor
+    floor = "floor" if cm.n_diff else "0.0"
+    loop += ["    isfinite(_new, out=_ok)",
+             "    if not _ok.all():",
              "        return _n",
-             "    maximum(_new, floor, out=x)",
+             f"    maximum(_new, {floor}, out=x)",
              "    t = t + dt"]
 
     needed = ({sd for sd, _ in cm.noise_groups}

@@ -21,10 +21,13 @@ target learns the bar its log posterior must exceed,
 is accepted iff `loglik > bar - logprior`: the Metropolis rule
 `log u < log ratio`.  This allows early rejection (Solonen et al. 2012,
 Bayesian Analysis 7:715): on a model whose streams are all count streams
-every per-instant log likelihood term is at most 0, so a filter whose
-running sum has fallen to `bar - logprior` stops there (`ssm.filters`).
-The stopped estimate is rejected, as the full one would have been, and
-since only accepted estimates are ever stored the chain's law is unchanged.
+every term a filter adds has a ceiling (0 for the particle filter's
+per-instant terms, -log(2 pi)/2 for each of the moment filter's updates),
+so a filter stops once its running sum plus the ceiling of every term
+still to come has fallen to `bar - logprior`, and returns that bound
+(`ssm.filters`).  The stopped estimate is rejected, as the full one would
+have been, and since only accepted estimates are ever stored the chain's
+law is unchanged.
 """
 
 from __future__ import annotations

@@ -190,6 +190,18 @@ def log_factorial(k):
 # measurement log densities; all vectorized over the parameter arguments
 
 def poisson_logpmf(y, mean):
+    if (isinstance(y, (int, float)) and 0.0 <= y <= 2.0 ** 53
+            and isinstance(mean, np.ndarray) and mean.dtype == float
+            and mean.ndim and mean.size
+            and mean.min() > 0.0 and mean.max() < math.inf):
+        # a particle filter's positive finite means at one count a float
+        # holds exactly: the general formula's operations, in place, none
+        # of them invalid or overflowing
+        out = np.log(mean)
+        out *= float(y)
+        out -= mean
+        out -= log_factorial(y)
+        return out
     y = np.asarray(y, dtype=float)
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -253,7 +265,7 @@ def stream_moments(kind, parts):
     """Observation mean and variance used by the moment filter, the
     variance floored at VARIANCE_FLOOR."""
     if kind == "poisson":
-        mean = np.clip(parts["mean"], 0.0, None)
+        mean = np.maximum(parts["mean"], 0.0)
         return mean, np.maximum(mean, VARIANCE_FLOOR)
     if kind == "discretized_normal":
         return parts["mean"], np.maximum(parts["variance"], VARIANCE_FLOOR)

@@ -136,8 +136,8 @@ def backend(cm, dataset, t0, kind, *, dt=None, rng=None, n_particles=500,
 def attempt(run, values, floor=None):
     """(log likelihood, path) of the backend `run` at natural-scale values;
     minus infinity where it fails or gives a non-finite estimate.  A
-    `floor` is passed on to the filter, which may then return a running sum
-    at or below it in place of the full estimate."""
+    `floor` is passed on to the filter, which may then return a bound on
+    the estimate, at or below the floor, in place of the estimate."""
     try:
         # probing far corners is expected to overflow into the -inf branch
         with np.errstate(all="ignore"):

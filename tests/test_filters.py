@@ -478,9 +478,11 @@ def assert_same_run(a, b):
 
 
 class TestEarlyStop:
-    """Where every term is a log probability the running sum only falls:
-    a filter given a floor stops at the first instant it reaches the floor
-    and otherwise runs exactly as without one."""
+    """Where every term is a log probability the running sum only falls,
+    and each term of the moment filter is at most -log(2 pi)/2: a filter
+    given a floor stops at the first instant where the running sum plus
+    that ceiling per term still to come reaches the floor, and otherwise
+    runs exactly as without one."""
 
     @pytest.mark.parametrize("kind", ["ekf", "smc"])
     def test_stops_at_first_instant_at_or_below_floor(self, shipped_sir,
@@ -494,6 +496,9 @@ class TestEarlyStop:
         running = list(accumulate(res_full.loglik_terms))
         assert running[-1] == res_full.loglik
         assert all(b <= a for a, b in zip(running, running[1:]))
+        # the ceiling of each term still to come
+        c = fl.UPDATE_CEILING if kind == "ekf" else 0.0
+        bounds = [r + (n - 1 - i) * c for i, r in enumerate(running)]
         k = n // 3
         floors = [running[0], running[k], (running[k] + running[k + 1]) / 2,
                   running[-2], res_full.loglik, res_full.loglik - 1e-9,
@@ -506,14 +511,64 @@ class TestEarlyStop:
                 assert_same_run(got, full)
                 continue
             stopped += 1
-            first = next(i for i, r in enumerate(running) if r <= floor)
+            first = next(i for i, b in enumerate(bounds) if b <= floor)
             assert res.instants == first + 1
-            assert res.loglik == running[first]
+            if kind == "smc":
+                assert res.loglik == running[first]
+            else:
+                assert res.loglik >= bounds[first]
             assert res_full.loglik <= res.loglik <= floor
             np.testing.assert_array_equal(res.loglik_terms[:first + 1],
                                           res_full.loglik_terms[:first + 1])
             assert res.path is None
         assert stopped == 5
+
+    def test_update_ceiling_bounds_the_filter_term(self):
+        # the moment filter's term at the floored innovation variance and
+        # no error, the most an update can add, lies a few ulps below it
+        top = -0.5 * (np.log(2.0 * np.pi * 1.0) + 0.0)
+        assert 0.0 < fl.UPDATE_CEILING - top <= 8 * abs(np.spacing(top))
+
+    @pytest.mark.parametrize("running", [0.0, -1e-3, -0.5, -118.78,
+                                         -3.7e4, -2.0e9])
+    def test_ceiling_bounds_every_float_sum_of_terms_at_most_it(self,
+                                                                running):
+        # float addition is monotone: terms at the ceiling itself give the
+        # largest float sum any k terms can reach
+        rng = np.random.default_rng(2)
+        for k in (0, 1, 2, 3, 7, 52, 1000):
+            bound = fl._ceiling(running, k)
+            for terms in (np.full(k, fl.UPDATE_CEILING),
+                          fl.UPDATE_CEILING - rng.exponential(size=k)):
+                total = running
+                for term in terms:
+                    total += term
+                assert total <= bound
+            assert bound <= running + k * fl.UPDATE_CEILING + 1e-9 * (
+                1.0 + abs(running))
+
+    def test_moment_filter_stops_iff_the_full_estimate_is_at_the_floor(
+            self, shipped_sir):
+        cm, ds, values = shipped_sir
+        full = run_filter("ekf", cm, ds, values)
+        res_full = full[0]
+        n = len(ds)
+        running = list(accumulate(res_full.loglik_terms))
+        c = -0.5 * np.log(2.0 * np.pi)
+        # (floor, whether the filter must stop before the last instant)
+        cases = [(res_full.loglik + d, False) for d in (0.0, 1e-9, -1e-9)]
+        cases += [(running[i] + (n - 1 - i) * c, i < n - 2)
+                  for i in (0, 1, n // 4, n // 2, n - 2, n - 1)]
+        # only the floor just below the full estimate lets it run through
+        assert sum(res_full.loglik > floor for floor, _ in cases) == 1
+        for floor, early in cases:
+            got = run_filter("ekf", cm, ds, values, floor=floor)
+            res = got[0]
+            if res_full.loglik <= floor:
+                assert res_full.loglik <= res.loglik <= floor
+                assert res.instants < n or not early
+            else:
+                assert_same_run(got, full)
 
     @pytest.mark.parametrize("kind", ["ekf", "smc"])
     def test_discretized_normal_never_stops(self, kind):

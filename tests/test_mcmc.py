@@ -10,7 +10,7 @@ and call discipline can be pinned exactly.
 import numpy as np
 import pytest
 
-from ssm import filters
+from ssm import filters, mcmc
 from ssm.compiled import CompiledModel
 from ssm.filters import FilterError
 from ssm.mcmc import Trace, adaptive_chain, ess, kmcmc_stage, pmcmc_stage
@@ -301,6 +301,37 @@ class TestEarlyRejection:
         assert 0 < early.early_rejections <= 80 - early.trace.accepted.sum()
         assert early.instants_full == full.instants_full
         assert early.instants_run < early.instants_full
+
+    def test_kmcmc_chain_exact_with_the_moment_filter_ceiling(
+            self, sir, monkeypatch):
+        # the same chain through the backend as shipped and through one
+        # that drops the floor, so that every filter runs to the end
+        cm, ds, space, base = sir
+        chains = []
+
+        def recorded(*args, **kwargs):
+            chains.append(adaptive_chain(*args, **kwargs))
+            return chains[-1]
+
+        def run_through(values, floor=None):
+            return shipped(values)
+
+        def chain():
+            return kmcmc_stage(cm, ds, space, base, 0.0,
+                               np.random.default_rng(5), iterations=200,
+                               sigma0=np.diag([0.01, 0.01]), dt=0.5)
+
+        monkeypatch.setattr(mcmc, "adaptive_chain", recorded)
+        early = chain()
+        shipped = mcmc.backend(cm, ds, 0.0, "ekf", dt=0.5)
+        monkeypatch.setattr(mcmc, "backend", lambda *a, **k: run_through)
+        full = chain()
+        for field in ("unconstrained", "loglik", "accepted"):
+            np.testing.assert_array_equal(getattr(chains[0], field),
+                                          getattr(chains[1], field))
+        assert full.instants_run == full.instants_full
+        assert early.instants_run < full.instants_run
+        assert early.early_rejections > 0
 
     def test_pmcmc_counts(self, sir):
         cm, ds, space, base = sir

@@ -91,6 +91,48 @@ class TestPoisson:
         assert out[2] == -np.inf
 
 
+def general_poisson_logpmf(y, mean):
+    """The Poisson log mass as the general formula forms it, masked where
+    the mean is not positive."""
+    y = np.asarray(y, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = y * np.log(mean) - mean - ob.log_factorial(y)
+    out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
+    return np.where(mean < 0, -np.inf, out)
+
+
+class TestPoissonOverMeans:
+    """A swarm of positive finite means at one count takes a shorter path,
+    which must give the general formula's bits."""
+
+    SPECIAL = [0.0, -0.0, -3.0, np.nan, np.inf, -np.inf, 1e-300, 1e300]
+
+    @pytest.mark.parametrize("y", [0, 1, 12, 13, 1e6])
+    def test_bit_identical_to_the_general_formula(self, y):
+        rng = np.random.default_rng(int(y) % 97)
+        positive = rng.lognormal(2.0, 3.0, size=500)
+        cases = [positive, np.array([1e-300, 1e300, 1.0]),
+                 np.array(self.SPECIAL)]
+        cases += [np.append(positive[:20], v) for v in self.SPECIAL]
+        cases += [positive.reshape(20, 25)]
+        for means in cases:
+            # positive finite means take no operation that warns
+            lean = np.all((means > 0) & (means < np.inf))
+            with np.errstate(all="raise" if lean else "warn"):
+                got = ob.poisson_logpmf(y, means)
+            want = general_poisson_logpmf(y, means)
+            assert got.shape == means.shape
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
+    def test_leaves_the_means_alone(self):
+        means = np.array([0.5, 3.0, 40.0])
+        kept = means.copy()
+        ob.poisson_logpmf(12, means)
+        np.testing.assert_array_equal(means, kept)
+
+
 class TestDiscretizedNormal:
     def test_rounds_to_nearest_integer(self):
         a = ob.discretized_normal_logpdf(3.4, 2.0, 4.0)

@@ -228,6 +228,28 @@ class TestJacobian:
         _, grad = cm.obs_values("cases_obs", x, 0.0, SIR_PARAMS)
         assert grad == pytest.approx([0.0, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("stream", [
+        {"name": "cases_obs", "distribution": "poisson", "mean": "cases"},
+        {"name": "cases_obs", "distribution": "poisson",
+         "mean": "gamma*cases"},
+        {"name": "cases_obs", "distribution": "binomial",
+         "trials": "cases", "probability": "gamma"}])
+    def test_batch_observation_parts_without_gradient(self, stream):
+        # a batch gives each row's parts of one state, as arrays of its
+        # own (not views of the state), and no gradient
+        cm = CompiledModel(build(dict(SIR, observations=[stream])))
+        rng = np.random.default_rng(3)
+        xs = np.round(np.abs(rng.normal(scale=300.0, size=(6, cm.nx))))
+        parts, grad = cm.obs_values("cases_obs", xs, 0.0, SIR_PARAMS)
+        assert grad is None
+        for j, x in enumerate(xs):
+            single, _ = cm.obs_values("cases_obs", x, 0.0, SIR_PARAMS)
+            assert parts.keys() == single.keys()
+            for name, v in single.items():
+                assert parts[name].shape == (6,)
+                assert parts[name].flags.owndata
+                assert parts[name][j] == v
+
 
 def dispersion(cm, x, t, p, **kinds):
     """Compartment block of the diffusion approximation's covariance."""
