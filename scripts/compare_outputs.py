@@ -91,8 +91,11 @@ def model_args(name, data=True):
 
 def commands():
     """(label, argv, stdin, files): stdin names a theta file written from
-    TRUTH, "prev" for the previous command's stdout, or None; files are
-    the paths, relative to the working directory, the command writes."""
+    TRUTH, "prev" for the previous command's stdout, "tap" for the stdout
+    of the last command that is no tap, run in that command's working
+    directory so that it reads the files written there, or None; files
+    are the paths, relative to the working directory, the command
+    writes."""
     out = []
     for name in MODELS:
         out.append((f"check-data {name}", ["check-data", *model_args(name)],
@@ -121,6 +124,12 @@ def commands():
                         "--dt", "0.5"], "prev", ()),
         ("| kmcmc", ["kmcmc", *sir, "--iterations", "100", "--dt", "0.5",
                      "--trace", "kmcmc.csv"], "prev", ("kmcmc.csv",)),
+        # the benchmark's forecast, drawing from a chain trace
+        ("| forecast --trace", ["forecast", *model_args("sir", data=False),
+                                "--formalism", "psr", "--end", "12",
+                                "--trajectories", "200", "--trace",
+                                "kmcmc.csv"], "tap", ()),
+        ("| diagnostics", ["diagnostics", "--trace", "kmcmc.csv"], "tap", ()),
         ("| pmcmc sde", ["pmcmc", *sir, "--formalism", "sde",
                          "--n-particles", "100", "--iterations", "40",
                          "--trace", "pmcmc.csv", "--paths", "paths.csv"],
@@ -204,9 +213,10 @@ def run_tree(src, models, work):
     outputs, codes = {}, {}
     prev = b""
     for i, (label, argv, stdin, files) in enumerate(commands()):
-        cwd = work / f"{i:02d}"
-        cwd.mkdir()
-        if stdin == "prev":
+        if stdin != "tap":
+            cwd = work / f"{i:02d}"
+            cwd.mkdir()
+        if stdin in ("prev", "tap"):
             data = prev
         elif stdin is None:
             data = b""
@@ -216,7 +226,8 @@ def run_tree(src, models, work):
         proc = subprocess.run([sys.executable, "-m", "ssm", *argv],
                               input=data, capture_output=True, cwd=cwd,
                               env=env)
-        prev = proc.stdout
+        if stdin != "tap":
+            prev = proc.stdout
         codes[label] = proc.returncode
         stderr = proc.stderr
         for path, token in tokens:

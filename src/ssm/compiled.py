@@ -19,8 +19,8 @@ first time it is used:
 
     rates    propensities only, once per slice of the Poisson stepper
              (`simulate.psr_step` loops over an interval's slices in numpy)
-    drift    drift rows and driven-parameter volatilities (the driven
-             coordinates of the Poisson stepper)
+    drift    drift rows and driven-parameter volatilities
+    driven   the same, driven rows only (the Poisson stepper's)
     ode      every RK4 substep of one observation interval, for one state
              or a batch
     moments  every RK4 substep of one interval of the moment equations,
@@ -38,18 +38,18 @@ first time it is used:
 The interval kernels hold the loop over substeps, so a stepper makes one
 call per observation interval (jump: per state and interval);
 `ssm.kernels` writes their source.  The kernels for one state return
-tuples and run on Python floats (see `_on_floats`).  The `rates`, `drift`
-and `jac` kernels are batch kernels only: a single state goes through them
-as a batch with no leading dimensions.  `dynamics` and `process_cov_from`
-assemble dense arrays from them for tests and for checking the moment
-equations.
+tuples and run on Python floats (see `_on_floats`).  The `rates`, `drift`,
+`driven` and `jac` kernels are batch kernels only: a single state goes
+through them as a batch with no leading dimensions.  `dynamics` and
+`process_cov_from` assemble dense arrays from them for tests and for
+checking the moment equations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,12 @@ ODE_WHERE = "during deterministic integration"
 # the numpy function of each binary operator, for writes into a buffer
 UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
           "^": "power"}
+
+
+# the source of a driven parameter's transform, natural value to
+# coordinate, and of its inverse
+TRANSFORMS = {Identity: ("{}", "{}"), Log: ("log({})", "exp({})"),
+              Logit: ("log(({0})/(1.0 - ({0})))", "1.0/(1.0 + exp(-({0})))")}
 
 
 class DomainError(RuntimeError):
@@ -144,8 +150,7 @@ _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
                   **{name: getattr(np, name) for name in UFUNCS.values()})
 
 
-@dataclass
-class ObsFns:
+class ObsFns(NamedTuple):
     """What one observation stream's generated function `kernel` returns.
 
     `parts` names the values it returns before the gradient entries, the
@@ -165,13 +170,12 @@ class CompiledModel:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        comp = list(spec.compartments)
-        diff = [d.name for d in spec.diffusions]
-        accs = list(spec.accumulators)
-        self.state_names = tuple(comp + diff + accs)
-        self.n_comp = len(comp)
-        self.n_diff = len(diff)
-        self.n_acc = len(accs)
+        self.state_names = (*spec.compartments,
+                            *(d.name for d in spec.diffusions),
+                            *spec.accumulators)
+        self.n_comp = len(spec.compartments)
+        self.n_diff = len(spec.diffusions)
+        self.n_acc = len(spec.accumulators)
         self.nx = len(self.state_names)
         self.n_react = spec.n_reactions
         self.comp_slice = slice(0, self.n_comp)
@@ -196,12 +200,9 @@ class CompiledModel:
         self.removals = np.maximum(-full[: self.n_comp], 0.0)
 
         by_source = {}
-        external = []
         for r in spec.reactions:
-            if r.source is None:
-                external.append(r.index)
-            else:
-                by_source.setdefault(r.source, []).append(r.index)
+            by_source.setdefault(r.source, []).append(r.index)
+        external = by_source.pop(None, [])
         # competing exits grouped by the compartment they drain, plus the
         # absolute-rate reactions
         self.reactions_by_source = tuple(
@@ -242,24 +243,18 @@ class CompiledModel:
 
     def _build_symbols(self):
         spec = self.spec
-        resolve = {}
-        for i, name in enumerate(spec.compartments):
-            resolve[name] = state_local(name)
-        for d in spec.diffusions:
-            resolve[d.name] = natural_local(d.name)
-        for name in spec.accumulators:
-            resolve[name] = state_local(name)
-        for p in spec.parameters:
-            resolve[p.name] = param_local(p.name)
-        resolve["t"] = "t"
         # symbol name -> its local in the generated source
+        resolve = {name: state_local(name)
+                   for name in (*spec.compartments, *spec.accumulators)}
+        resolve.update({d.name: natural_local(d.name)
+                        for d in spec.diffusions})
+        resolve.update({p.name: param_local(p.name) for p in spec.parameters},
+                       t="t")
         self._resolve = resolve.__getitem__
 
         # chain factor d(natural)/d(coordinate) for every state column,
         # written against natural-scale symbols
-        chains = []
-        for name in spec.compartments:
-            chains.append((name, None))
+        chains = [(name, None) for name in spec.compartments]
         for d in spec.diffusions:
             q = ex.Sym(d.name)
             if isinstance(d.transform, Identity):
@@ -270,9 +265,8 @@ class CompiledModel:
                 chains.append((d.name, ex.mul(q, ex.sub(ex.ONE, q))))
             else:
                 raise ValueError(f"unsupported transform on driven parameter {d.name}")
-        for name in spec.accumulators:
-            chains.append((name, None))
-        self._column_chains = chains
+        self._column_chains = chains + [(name, None)
+                                        for name in spec.accumulators]
 
     def _partials(self, tree):
         """Nonzero (state column, derivative Expr) pairs, chain applied."""
@@ -308,13 +302,9 @@ class CompiledModel:
             elif self.n_comp <= i < self.n_comp + self.n_diff:
                 d = spec.diffusions[i - self.n_comp]
                 u = f"_u{i}"
-                q = natural_local(d.name)
-                if isinstance(d.transform, Identity):
-                    naturals.append(f"    {q} = {u}")
-                elif isinstance(d.transform, Log):
-                    naturals.append(f"    {q} = exp({u})")
-                else:  # logit
-                    naturals.append(f"    {q} = 1.0/(1.0 + exp(-({u})))")
+                inverse = TRANSFORMS[type(d.transform)][1]
+                naturals.append(f"    {natural_local(d.name)} = "
+                                f"{inverse.format(u)}")
                 targets.append(u)
             else:
                 targets.append(state_local(name))
@@ -337,6 +327,7 @@ class CompiledModel:
 
             rates   _a{k}     propensity of reaction k
             drift   _d{i}     drift of state column i
+            driven  _d{i}     the same, driven columns only
             vols    _v{d}     volatility of driven parameter d
             jac     _j{i}_{j} Jacobian nonzero, after its propensity
                               partials _g{k}_{j}
@@ -348,10 +339,7 @@ class CompiledModel:
             return ex.to_python(tree, self._resolve)
 
         def syms(trees):
-            out = set()
-            for tree in trees:
-                out |= tree.free_symbols()
-            return out
+            return set().union(*(tree.free_symbols() for tree in trees))
 
         rates = [f"    _a{k} = {code(tree)}" for k, tree in enumerate(self._prop_exprs)]
 
@@ -359,12 +347,11 @@ class CompiledModel:
         # evaluate their own drift formula
         drift = []
         for i in range(self.nx):
-            if self.n_comp <= i < self.n_comp + self.n_diff:
-                d = spec.diffusions[i - self.n_comp]
-                drift.append(f"    _d{i} = {code(d.drift)}")
-                continue
             pairs = [(int(S[i, k]), f"_a{k}") for k in range(self.n_react) if S[i, k]]
-            drift.append(f"    _d{i} = {combine(pairs) if pairs else '0.0'}")
+            drift.append(f"    _d{i} = {combine(pairs) or '0.0'}")
+        drift[self.diff_slice] = driven = [
+            f"    _d{i} = {code(d.drift)}"
+            for i, d in enumerate(spec.diffusions, self.n_comp)]
 
         vols = [f"    _v{d_i} = {code(d.volatility)}"
                 for d_i, d in enumerate(spec.diffusions)]
@@ -394,9 +381,11 @@ class CompiledModel:
         self.jac_index = tuple(jac_index)
 
         rate_syms = syms(self._prop_exprs)
+        driven_syms = syms(d.drift for d in spec.diffusions)
         self._blocks = {
             "rates": (rates, rate_syms),
-            "drift": (drift, rate_syms | syms(d.drift for d in spec.diffusions)),
+            "drift": (drift, rate_syms | driven_syms),
+            "driven": (driven, driven_syms),
             "vols": (vols, syms(d.volatility for d in spec.diffusions)),
             "jac": (jac, syms(tree for plist in prop_partials + diff_drift_partials
                                for _, tree in plist)),
@@ -486,6 +475,13 @@ class CompiledModel:
             + [f"_v{d_i}" for d_i in range(self.n_diff)])
 
     @cached_property
+    def driven(self):
+        return self._array_kernel(
+            "driven", ("driven", "vols"),
+            [f"_d{i}" for i in range(self.nx)[self.diff_slice]]
+            + [f"_v{d_i}" for d_i in range(self.n_diff)])
+
+    @cached_property
     def _jac(self):
         return self._array_kernel(
             "jac", ("jac",), [f"_j{i}_{j}" for i, j in self.jac_index])
@@ -497,15 +493,10 @@ class CompiledModel:
             *(tree.free_symbols() for tree in spec.compartment_initials))
         entries = [ex.to_python(tree, self._resolve)
                    for tree in spec.compartment_initials]
-        for d in spec.diffusions:
-            v = param_local(d.initial_param)
-            if isinstance(d.transform, Identity):
-                entries.append(v)
-            elif isinstance(d.transform, Log):
-                entries.append(f"log({v})")
-            else:
-                entries.append(f"log(({v})/(1.0 - ({v})))")
-        entries.extend(["0.0"] * self.n_acc)
+        # a driven coordinate starts at the transform of its initial value
+        entries += [TRANSFORMS[type(d.transform)][0].format(
+            param_local(d.initial_param)) for d in spec.diffusions]
+        entries += ["0.0"] * self.n_acc
         source = self._kernel_source(
             "def init(p):", (), [f"    return ({''.join(e + ', ' for e in entries)})"],
             needed=needed)
@@ -697,8 +688,5 @@ class CompiledModel:
     def natural_diffusions(self, x):
         """Natural-scale values of the driven parameters for reporting."""
         x = np.asarray(x, dtype=float)
-        out = []
-        for d_i, d in enumerate(self.spec.diffusions):
-            u = x[..., self.n_comp + d_i]
-            out.append(np.asarray(d.transform.inverse(u), dtype=float))
-        return out
+        return [np.asarray(d.transform.inverse(x[..., i]), dtype=float)
+                for i, d in enumerate(self.spec.diffusions, self.n_comp)]

@@ -22,7 +22,6 @@ rate formulas).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +40,39 @@ class ExprError(ValueError):
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are immutable and hashable."""
+    """Base class for expression nodes.  Nodes are immutable and hashable;
+    a node class lists its fields, in constructor order, in `__slots__`, and
+    two nodes are equal when they have the same class and equal fields."""
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields "
+                            f"{', '.join(self.__slots__)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), *self._fields()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def eval(self, env):
         """Evaluate with `env` mapping symbol names to numbers or arrays."""
@@ -58,44 +87,31 @@ class Expr:
         return _print(self, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
 class Sym(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True, slots=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: one of + - * / ^
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    func: str  # sin cos exp log min max
-    args: tuple
+    __slots__ = ("func", "args")  # func: sin cos exp log min max
 
 
-@dataclass(frozen=True, slots=True)
 class Ifelse(Expr):
     """Branch on a comparison; used for time-conditional rates and for the
     derivatives of min/max."""
 
-    comparator: str
-    lhs: Expr
-    rhs: Expr
-    then: Expr
-    orelse: Expr
+    __slots__ = ("comparator", "lhs", "rhs", "then", "orelse")
 
 
 ZERO = Const(0.0)

@@ -26,7 +26,7 @@ normal's, can exceed 1) never stops early.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ def _ceiling(running, k):
                                                     + k * abs(c))
 
 
-@dataclass
-class FilterResult:
+class FilterResult(NamedTuple):
     loglik: float
     times: np.ndarray
     means: np.ndarray                 # filtered means, before accumulator reset

@@ -43,8 +43,35 @@ def forecast_table(cm, thetas, t0, times, *, formalism="psr", rng=None,
             means[:, i, k] = stream_mean(obs.kind, parts)
         x[:, cm.acc_slice] = 0.0
         t = t_next
-    table = np.quantile(means, QUANTILES, axis=0)   # (5, T, S)
-    return streams, np.moveaxis(table, 0, -1)
+    return streams, np.moveaxis(quantiles(means), 0, -1)
+
+
+def quantiles(a):
+    """np.quantile(a, QUANTILES, axis=0), bit for bit, without the
+    numpy.ma import its np.unique call makes.
+
+    numpy's `linear` method: the virtual index (n - 1) q, its floor and
+    the next index, clipped to the last row, taken from `a` partitioned
+    along axis 0 at numpy's own kth (so that equal values of either sign
+    land where np.quantile puts them), the two neighbours blended by
+    numpy's lerp, and a column holding a NaN giving NaN."""
+    n = len(a)
+    q = np.array(QUANTILES)
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    t = (virtual - below).reshape(-1, *[1] * (a.ndim - 1))
+    arr = a.copy()
+    arr.partition(sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    lo, hi = arr[below], arr[above]
+    diff = hi - lo
+    out = lo + diff * t
+    np.subtract(hi, diff * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, arr[-1], where=np.isnan(arr[-1]))
+    return out
 
 
 def forecast_rows(cm, thetas, t0, times, *, formalism="psr", rng=None,

@@ -214,7 +214,7 @@ def sde_source(cm):
     loop += cm._blocks["vols"][0]
     # driven rows only: compartment and accumulator rows come from the
     # reaction increments
-    loop += cm._blocks["drift"][0][cm.n_comp:cm.n_comp + cm.n_diff]
+    loop += cm._blocks["driven"][0]
     if cm.n_react:
         loop += ["    maximum(_A, 0.0, out=_AP)",
                  "    sqrt(_AP, out=_Q)",
@@ -297,7 +297,7 @@ def jump_source(cm):
     S = cm.stoich_full
     needed = set(cm._blocks["rates"][1])
     if cm.n_diff:
-        needed |= cm._blocks["drift"][1] | cm._blocks["vols"][1]
+        needed |= cm._blocks["driven"][1] | cm._blocks["vols"][1]
     states = needed & set(cm.state_names)
 
     lines = ["def jump(x, t, t1, dt_max, p, exps, unis, normals):",
@@ -327,8 +327,7 @@ def jump_source(cm):
              f"    _tau = next(exps)/{total} if {total} > 0.0 else inf",
              "    _el = _tau if _tau < _cap else _cap"]
     if cm.n_diff:
-        loop += cm._blocks["drift"][0][cm.n_comp:cm.n_comp + cm.n_diff]
-        loop += cm._blocks["vols"][0]
+        loop += cm._blocks["driven"][0] + cm._blocks["vols"][0]
         loop.append("    _sq = sqrt(_el)")
         loop += [f"    _y{i} = _y{i} + (_el*_d{i} + _sq*_v{i - cm.n_comp}"
                  "*next(normals))"

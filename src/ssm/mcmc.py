@@ -33,8 +33,9 @@ law is unchanged.
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,13 +52,19 @@ ADAPT_COOLING = 0.999   # per-iteration decay of the step multiplier's rate
 BURN_FRACTION = 0.1     # leading share of a chain left out of its summaries
 
 
-@dataclass
 class Trace:
-    names: tuple
-    values: np.ndarray          # (n, d) natural scale
-    loglik: np.ndarray
-    logprior: np.ndarray        # natural-scale prior density
-    accepted: np.ndarray
+    """A chain's rows: per iteration the parameter values on the natural
+    scale, (n, d), the log likelihood, the natural-scale log prior and
+    whether the proposal was accepted."""
+
+    __slots__ = ("names", "values", "loglik", "logprior", "accepted")
+
+    def __init__(self, names, values, loglik, logprior, accepted):
+        self.names = names
+        self.values = values
+        self.loglik = loglik
+        self.logprior = logprior
+        self.accepted = accepted
 
     def __len__(self):
         return len(self.loglik)
@@ -96,6 +103,11 @@ class Trace:
                 except ValueError:
                     raise DataError(f"{path}:{r.line_num}: a cell is not "
                                     f"a number") from None
+                # a chain that starts at an invalid point writes -inf as
+                # its log likelihood, never as a parameter value
+                if not all(map(math.isfinite, rows[-1][:-3])):
+                    raise DataError(f"{path}:{r.line_num}: a parameter "
+                                    f"value is not finite")
         cells = np.array(rows, dtype=float).reshape(len(rows),
                                                     len(header) - 1)
         return cls(tuple(header[1:-3]), cells[:, :-3], cells[:, -3],
@@ -137,8 +149,7 @@ def _cholesky(cov):
     raise FilterError("proposal covariance is not positive definite")
 
 
-@dataclass
-class ChainResult:
+class ChainResult(NamedTuple):
     unconstrained: np.ndarray
     loglik: np.ndarray
     accepted: np.ndarray
@@ -231,8 +242,7 @@ def _finish(space, base_values, chain):
     return trace, mean_values, cov_u
 
 
-@dataclass
-class McmcResult:
+class McmcResult(NamedTuple):
     trace: Trace
     mean_values: dict             # after burn-in; base values if none kept
     covariance: np.ndarray | None  # unconstrained; None below 2 kept rows

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class ModelError(ValueError):
 # ---------------------------------------------------------------------------
 # parameter transforms
 
-@dataclass(frozen=True)
 class Identity:
     name = "identity"
 
@@ -55,7 +54,6 @@ class Identity:
         return (-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class Log:
     name = "log"
 
@@ -72,7 +70,6 @@ class Log:
         return (0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Logit:
     name = "logit"
 
@@ -91,8 +88,7 @@ class Logit:
         return (0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ScaledLogit:
+class ScaledLogit(NamedTuple):
     low: float
     high: float
     name = "scaled_logit"
@@ -134,8 +130,7 @@ def _parse_transform(raw):
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(NamedTuple):
     low: float
     high: float
     name = "uniform"
@@ -154,8 +149,7 @@ class Uniform:
         return (self.low, self.high)
 
 
-@dataclass(frozen=True)
-class Normal:
+class Normal(NamedTuple):
     mean: float
     sd: float
     name = "normal"
@@ -172,8 +166,7 @@ class Normal:
         return (-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class LogNormal:
+class LogNormal(NamedTuple):
     mean_log: float
     sd_log: float
     name = "lognormal"
@@ -196,8 +189,7 @@ class LogNormal:
         return (0.0, math.inf)
 
 
-@dataclass(frozen=True)
-class Dirac:
+class Dirac(NamedTuple):
     value: float
     name = "dirac"
 
@@ -236,8 +228,7 @@ def _parse_prior(raw):
 # ---------------------------------------------------------------------------
 # definition records
 
-@dataclass(frozen=True)
-class ParameterDef:
+class ParameterDef(NamedTuple):
     name: str
     prior: object
     transform: object
@@ -248,8 +239,7 @@ class ParameterDef:
         return self.role in ("estimated", "initial_condition")
 
 
-@dataclass(frozen=True)
-class ReactionDef:
+class ReactionDef(NamedTuple):
     index: int
     effect: tuple  # pairs (compartment index, integer change)
     source: int | None  # compartment index, None for EXTERNAL
@@ -257,15 +247,13 @@ class ReactionDef:
     accumulators: tuple
 
 
-@dataclass(frozen=True)
-class NoiseGroup:
+class NoiseGroup(NamedTuple):
     name: str
     sd_param: str
     members: tuple  # reaction indices
 
 
-@dataclass(frozen=True)
-class DiffusionDef:
+class DiffusionDef(NamedTuple):
     name: str
     transform: object  # transform linking natural quantity to the driven coordinate
     drift: ex.Expr
@@ -273,15 +261,13 @@ class DiffusionDef:
     initial_param: str
 
 
-@dataclass(frozen=True)
-class ObservationDef:
+class ObservationDef(NamedTuple):
     name: str
     distribution: str  # a key of observe.PARTS
     parts: tuple       # the law's formulas, in observe.PARTS order
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     name: str
     compartments: tuple
     compartment_initials: tuple
@@ -291,7 +277,7 @@ class ModelSpec:
     diffusions: tuple
     observations: tuple
     accumulators: tuple
-    stoichiometry: np.ndarray = field(repr=False)  # (compartments, reactions)
+    stoichiometry: np.ndarray  # (compartments, reactions)
 
     @property
     def n_reactions(self):

@@ -12,7 +12,7 @@ the mean of the final filtered parameter swarm as the new estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from ssm.observe import stream_loglik  # noqa: F401
 INITIAL_VARIANCE_FACTOR = 2.0
 
 
-@dataclass
-class SimplexResult:
+class SimplexResult(NamedTuple):
     x: np.ndarray
     value: float
     iterations: int
@@ -201,8 +200,7 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
 # ----------------------------------------------------------------------
 # iterated filtering
 
-@dataclass
-class MifResult:
+class MifResult(NamedTuple):
     values: dict
     log_likelihood: float
     theta_trace: np.ndarray       # (iterations+1, dim) unconstrained

@@ -285,11 +285,12 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
         if (new[cm.comp_slice] < 0.0).any():
             raise DomainError("Poisson step overdrew a compartment")
         if cm.n_diff:
-            drift, vols = cm.drift_and_vols(state.T, t, params)
+            drift_vols = cm.driven(state.T, np.asarray(t, dtype=float),
+                                   params).T
             xi = rng.standard_normal((cm.n_diff, j))
             new[cm.diff_slice] = (state[cm.diff_slice]
-                                  + h * drift.T[cm.diff_slice]
-                                  + sqrt_h * vols.T * xi)
+                                  + h * drift_vols[:cm.n_diff]
+                                  + sqrt_h * drift_vols[cm.n_diff:] * xi)
         state = new
         t += h
     return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)

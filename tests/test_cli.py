@@ -61,6 +61,26 @@ class TestPlumbing:
                            text=True, env=ssm_env(), cwd=ROOT)
         assert r.returncode == 0, r.stderr
 
+    def test_stages_import_no_numpy_ma_nor_dataclasses(self, tmp_path):
+        # both cost a stage start-up time: numpy.ma through np.quantile,
+        # dataclasses through building record classes
+        code = (
+            "import sys\n"
+            "from ssm.cli import main\n"
+            f"rc = main(['forecast', '--model', {SIR!r}, '--end', '3', "
+            "'--trajectories', '20'])\n"
+            "assert rc == 0, rc\n"
+            f"rc = main(['check-data', '--model', {SIR!r}, "
+            f"'--data', {SIR_DATA!r}])\n"
+            "assert rc == 0, rc\n"
+            "loaded = sorted({'numpy.ma', 'dataclasses'} & set(sys.modules))\n"
+            "assert not loaded, loaded\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=ssm_env(), cwd=tmp_path,
+                           input=POINT)
+        assert r.returncode == 0, r.stderr
+
     def test_runtime_imports_no_jsonschema(self):
         # the model schema is checked without jsonschema, a test-only
         # dependency
@@ -675,7 +695,12 @@ class TestChain:
         ("iteration,beta,log_likelihood,log_prior,accepted\n"
          "0,1.5,-100.0,-2.5,1\n0,1.5,-100.0,1\n",
          ":3: expected 5 cells, got 4"),
-    ], ids=["header", "non-numeric", "short-row"])
+        ("iteration,beta,log_likelihood,log_prior,accepted\n"
+         "0,nan,-100.0,-2.5,1\n", ":2: a parameter value is not finite"),
+        ("iteration,beta,log_likelihood,log_prior,accepted\n"
+         "0,1.5,-inf,-2.5,1\n1,-inf,-100.0,-2.5,1\n",
+         ":3: a parameter value is not finite"),
+    ], ids=["header", "non-numeric", "short-row", "nan", "inf"])
     @pytest.mark.parametrize("command", ["diagnostics", "forecast"])
     def test_bad_trace_is_exit_two(self, tmp_path, command, text, problem):
         trace = tmp_path / "t.csv"

@@ -249,6 +249,30 @@ class TestImmutability:
         assert hash(a) == hash(b)
         assert a is not b
 
+    def test_equality_and_hash_depend_on_the_node_type(self):
+        assert Const(1.0) != Sym("x")
+        # equal fields, different node types
+        assert Const("x") != Sym("x")
+        assert Neg(Sym("x")) != Call("exp", (Sym("x"),))
+        assert hash(parse("exp(-x)^2")) == hash(parse("exp((-x))^2"))
+        assert len({parse("a + b"), parse("a+b"), parse("b + a")}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        node = BinOp("+", Sym("x"), Const(1.0))
+        with pytest.raises(AttributeError):
+            node.op = "-"
+        with pytest.raises(AttributeError):
+            del node.left
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        assert node == BinOp("+", Sym("x"), Const(1.0))
+
+    def test_constructor_takes_every_field(self):
+        with pytest.raises(TypeError):
+            BinOp("+", Sym("x"))
+        assert repr(Ifelse("<", Sym("t"), Const(1.0), Sym("a"), Sym("b"))) \
+            == "Ifelse('<', Sym('t'), Const(1.0), Sym('a'), Sym('b'))"
+
     def test_shared_subtrees_safe(self):
         base = parse("x + y")
         doubled = BinOp("*", Const(2.0), base)

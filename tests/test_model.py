@@ -539,3 +539,32 @@ class TestPriors:
         ref = scipy_stats.lognorm(s=0.5, scale=math.exp(-1.0))
         for x in (0.1, 0.37, 1.2):
             assert pr.log_density(x) == pytest.approx(ref.logpdf(x), rel=1e-12)
+
+
+class TestRecords:
+    """The contract of the record classes that the code relies on."""
+
+    def test_fields_cannot_be_assigned(self):
+        m = sir_model()
+        for record, field in ((m, "name"), (m.parameters[0], "prior"),
+                              (m.reactions[0], "rate"),
+                              (Uniform(0.0, 1.0), "low"),
+                              (ScaledLogit(0.0, 2.0), "high")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_class_constants_beside_fields(self):
+        assert (Uniform(2.0, 4.0).name, Dirac(1.0).name) == ("uniform",
+                                                               "dirac")
+        assert ScaledLogit(0.0, 2.0).name == "scaled_logit"
+        assert [t.name for t in (Identity(), Log(), Logit())] == [
+            "identity", "log", "logit"]
+        assert Uniform(low=2.0, high=4.0) == Uniform(2.0, 4.0)
+
+    def test_defaults_hold(self):
+        from ssm.filters import FilterResult
+
+        res = FilterResult(-1.5, np.zeros(2), np.zeros((2, 3)), np.zeros(2))
+        assert res.loglik == -1.5
+        assert (res.ess, res.path, res.covs, res.instants,
+                res.repairs) == (None,) * 5
