@@ -22,6 +22,7 @@ rate formulas).
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,12 +47,19 @@ class Expr:
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # the slots' own setters, which an assignment cannot reach, and
+        # one getter of every field
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
+        cls._key = staticmethod(attrgetter(*cls.__slots__))
+
     def __init__(self, *fields):
-        if len(fields) != len(self.__slots__):
+        if len(fields) != len(self._setters):
             raise TypeError(f"{type(self).__name__} takes fields "
                             f"{', '.join(self.__slots__)}")
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, fields):
+            set_field(self, value)
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -63,10 +71,13 @@ class Expr:
         raise AttributeError(f"cannot delete field '{name}'")
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
+        # in a 1-tuple, so that a field is compared as in a tuple: the same
+        # object (a nan constant) equals itself
+        return (type(other) is type(self)
+                and (self._key(self),) == (other._key(other),))
 
     def __hash__(self):
-        return hash((type(self), *self._fields()))
+        return hash((type(self), self._key(self)))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"

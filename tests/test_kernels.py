@@ -104,6 +104,11 @@ def test_rates_match_interpreter(case):
     scale = np.abs(want_rates).max(axis=1, initial=0.0)[:, None]
     err = np.abs(drift - want_drift)
     assert (err <= 1e-12 * (np.abs(want_drift) + scale)).all(), err.max()
+    # the Poisson stepper's kernel evaluates the driven rows' formulas alone
+    driven = cm.driven(states, times, p)
+    np.testing.assert_array_equal(driven[:, :cm.n_diff],
+                                  drift[:, cm.diff_slice])
+    np.testing.assert_array_equal(driven[:, cm.n_diff:], vols)
 
 
 def test_moments_match_dense_reference(case):
