@@ -82,9 +82,6 @@ class Expr:
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
-    def __reduce__(self):
-        return type(self), self._fields()
-
     def eval(self, env):
         """Evaluate with `env` mapping symbol names to numbers or arrays."""
         return _eval(self, env)
