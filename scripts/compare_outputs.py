@@ -41,6 +41,8 @@ TRUTH = {
     "dengue-2strain": {"beta1": 2.1, "beta2": 1.9, "xi": 1.7},
 }
 MODELS = tuple(TRUTH)
+# the sir-priors variant (`prior_models`) also estimates rho
+PRIORS_TRUTH = dict(TRUTH["sir"], rho=0.5)
 FORMALISMS = ("ode", "sde", "psr", "jump")
 
 
@@ -70,6 +72,22 @@ def law_models(models):
             for name, stream in LAWS.items()}
 
 
+def prior_models(models):
+    """The shipped SIR under a normal prior on the identity scale and
+    uniform priors through scaled_logit and logit, with rho estimated, by
+    file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    priors = {
+        "beta": {"prior": {"normal": [1.5, 0.3]}, "transform": "identity"},
+        "gamma": {"prior": {"uniform": [0.3, 3.0]},
+                  "transform": {"scaled_logit": [0.3, 3.0]}},
+        "rho": {"prior": {"uniform": [0.05, 0.95]}, "transform": "logit"},
+    }
+    parameters = [dict(p, role="estimated", **priors[p["name"]])
+                  if p["name"] in priors else p for p in sir["parameters"]]
+    return {"sir-priors": dict(sir, parameters=parameters)}
+
+
 def driven_models(models):
     """The shipped SIR with both rates driven, so that the steppers draw for
     two driven parameters, by file stem."""
@@ -91,11 +109,11 @@ def model_args(name, data=True):
 
 def commands():
     """(label, argv, stdin, files): stdin names a theta file written from
-    TRUTH, "prev" for the previous command's stdout, "tap" for the stdout
-    of the last command that is no tap, run in that command's working
-    directory so that it reads the files written there, or None; files
-    are the paths, relative to the working directory, the command
-    writes."""
+    TRUTH (PRIORS_TRUTH for sir-priors), "prev" for the previous command's
+    stdout, "tap" for the stdout of the last command that is no tap, run in
+    that command's working directory so that it reads the files written
+    there, or None; files are the paths, relative to the working
+    directory, the command writes."""
     out = []
     for name in MODELS:
         out.append((f"check-data {name}", ["check-data", *model_args(name)],
@@ -183,6 +201,15 @@ def commands():
             (f"forecast {name}", ["forecast", *model, "--end", "12",
                                   "--trajectories", "20"], "sir", ()),
         ]
+    priors = ["--model", "{work}/sir-priors.json", *data]
+    out += [
+        ("kalman sir-priors", ["kalman", *priors], "sir-priors", ()),
+        ("kmcmc sir-priors", ["kmcmc", *priors, "--iterations", "60",
+                              "--dt", "0.5", "--trace", "kmcmc.csv"],
+         "sir-priors", ("kmcmc.csv",)),
+        ("mif sir-priors", ["mif", *priors, "--iterations", "2",
+                            "--n-particles", "100"], "sir-priors", ()),
+    ]
     driven = ["--model", "{work}/sir-driven.json"]
     for formalism in ("sde", "psr"):
         out += [
@@ -204,10 +231,11 @@ def run_tree(src, models, work):
         (work, "{work}"))]
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                SSM_SEED=SEED, SOURCE_DATE_EPOCH=EPOCH)
-    for name, values in TRUTH.items():
+    for name, values in {**TRUTH, "sir-priors": PRIORS_TRUTH}.items():
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
     for name, doc in {**invalid_models(models), **law_models(models),
+                      **prior_models(models),
                       **driven_models(models)}.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}

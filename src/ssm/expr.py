@@ -14,6 +14,9 @@ functions are sin, cos, exp, log (natural), min, max and the time-conditional
 `ifelse(a < b, x, y)` whose comparison accepts `<`, `<=`, `>`, `>=`.  The name
 `pi` is a built-in constant, not a free symbol.
 
+A tree is evaluated by `Expr.eval`, the reference interpreter, and printed
+only as code by `to_python`; a node's repr (and str) is positional.
+
 Evaluation is total on the declared domain of a model (division by zero or
 log of a nonpositive value is the caller's responsibility, as usual for
 rate formulas).
@@ -61,9 +64,6 @@ class Expr:
         for set_field, value in zip(self._setters, fields):
             set_field(self, value)
 
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field '{name}'")
 
@@ -80,7 +80,8 @@ class Expr:
         return hash((type(self), self._key(self)))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+        fields = (repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
     def eval(self, env):
         """Evaluate with `env` mapping symbol names to numbers or arrays."""
@@ -90,9 +91,6 @@ class Expr:
         out = set()
         _collect_symbols(self, out)
         return out
-
-    def __str__(self):
-        return _print(self, 0)
 
 
 class Const(Expr):
@@ -292,47 +290,6 @@ def parse(text):
     if not text.strip():
         raise ExprError("empty formula")
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# printing (minimal parentheses, round-trips through parse)
-
-# precedence levels: add 1, mul 2, pow 3, unary 4, atom 5
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _print(node, parent_prec):
-    if isinstance(node, Const):
-        v = node.value
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _print(node.operand, 4)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > 3 else text
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            # right associative; left operand needs parens at equal precedence
-            left = _print(node.left, prec + 1)
-            right = _print(node.right, prec)
-        else:
-            left = _print(node.left, prec)
-            right = _print(node.right, prec + 1)
-        text = f"{left} {node.op} {right}" if prec == 1 else f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec else text
-    if isinstance(node, Call):
-        args = ", ".join(_print(a, 0) for a in node.args)
-        return f"{node.func}({args})"
-    if isinstance(node, Ifelse):
-        return (
-            f"ifelse({_print(node.lhs, 0)} {node.comparator} {_print(node.rhs, 0)}, "
-            f"{_print(node.then, 0)}, {_print(node.orelse, 0)})"
-        )
-    raise TypeError(f"not an Expr node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

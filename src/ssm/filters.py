@@ -32,7 +32,7 @@ import numpy as np
 
 from ssm import observe as ob
 from ssm.compiled import DomainError
-from ssm.simulate import advance, integrate_ode, substeps
+from ssm.simulate import advance, substeps
 
 
 class FilterError(RuntimeError):
@@ -326,7 +326,7 @@ def ode_loglik(cm, dataset, params, t0, dt=None):
     means = np.empty((n_obs, cm.nx))
     prev_t = t0
     for i, (t, obs) in enumerate(dataset):
-        x = integrate_ode(cm, x, prev_t, t, params, dt=dt)
+        x = advance(cm, x, prev_t, t, params, dt=dt)
         for stream, y in obs:
             o = cm.obs(stream)
             parts, _ = cm.obs_values(stream, x, t, params)

@@ -220,24 +220,19 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
 
 
 def _finish(space, base_values, chain):
-    n = len(chain.loglik)
-    burn = int(BURN_FRACTION * n)
+    burn = int(BURN_FRACTION * len(chain.loglik))
     kept = chain.unconstrained[burn:]
     cov_u = np.cov(kept.T, ddof=1).reshape(space.dim, space.dim) \
         if len(kept) > 1 else None
-    values = np.empty_like(chain.unconstrained)
-    logprior_nat = np.empty(n)
-    for i in range(n):
-        nat = space.to_natural(chain.unconstrained[i])
-        values[i] = [nat[name] for name in space.names]
-        logprior_nat[i] = space.log_prior_natural(nat)
+    nat = space.natural_columns(chain.unconstrained)
+    values = np.column_stack([nat[name] for name in space.names])
     mean_values = dict(base_values)
     if len(kept):
         for k, name in enumerate(space.names):
             mean_values[name] = float(values[burn:, k].mean())
     trace = Trace(
         names=space.names, values=values, loglik=chain.loglik,
-        logprior=logprior_nat, accepted=chain.accepted,
+        logprior=space.log_prior_natural(nat), accepted=chain.accepted,
     )
     return trace, mean_values, cov_u
 

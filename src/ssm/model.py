@@ -125,9 +125,15 @@ def _parse_transform(raw):
 
 
 # ---------------------------------------------------------------------------
-# priors
+# priors: `log_density(x)` is the natural-scale log density of a value, a
+# float for a float and an array for a column, -inf outside the support
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _shaped(out):
+    """A float for a float argument, the array for a column."""
+    return out if out.ndim else float(out)
 
 
 class Uniform(NamedTuple):
@@ -136,14 +142,9 @@ class Uniform(NamedTuple):
     name = "uniform"
 
     def log_density(self, x):
-        if self.low <= x <= self.high:
-            return -math.log(self.high - self.low)
-        return -math.inf
-
-    def log_density_array(self, x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= self.low) & (x <= self.high)
-        return np.where(inside, -math.log(self.high - self.low), -np.inf)
+        return _shaped(np.where((x >= self.low) & (x <= self.high),
+                                -math.log(self.high - self.low), -np.inf))
 
     def support(self):
         return (self.low, self.high)
@@ -155,12 +156,8 @@ class Normal(NamedTuple):
     name = "normal"
 
     def log_density(self, x):
-        z = (x - self.mean) / self.sd
-        return -0.5 * (z * z + _LOG_2PI) - math.log(self.sd)
-
-    def log_density_array(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        return -0.5 * (z * z + _LOG_2PI) - math.log(self.sd)
+        return _shaped(-0.5 * (z * z + _LOG_2PI) - math.log(self.sd))
 
     def support(self):
         return (-math.inf, math.inf)
@@ -172,18 +169,12 @@ class LogNormal(NamedTuple):
     name = "lognormal"
 
     def log_density(self, x):
-        if x <= 0.0:
-            return -math.inf
-        z = (math.log(x) - self.mean_log) / self.sd_log
-        return -0.5 * (z * z + _LOG_2PI) - math.log(self.sd_log) - math.log(x)
-
-    def log_density_array(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(np.where(x > 0, x, 1.0))
             z = (lx - self.mean_log) / self.sd_log
             out = -0.5 * (z * z + _LOG_2PI) - math.log(self.sd_log) - lx
-        return np.where(x > 0, out, -np.inf)
+        return _shaped(np.where(x > 0, out, -np.inf))
 
     def support(self):
         return (0.0, math.inf)
@@ -194,10 +185,7 @@ class Dirac(NamedTuple):
     name = "dirac"
 
     def log_density(self, x):
-        return 0.0 if x == self.value else -math.inf
-
-    def log_density_array(self, x):
-        return np.where(np.asarray(x) == self.value, 0.0, -np.inf)
+        return _shaped(np.where(np.asarray(x) == self.value, 0.0, -np.inf))
 
     def support(self):
         return (self.value, self.value)
@@ -327,12 +315,11 @@ class ParameterSpace:
         )
 
     def to_natural(self, u):
-        u = np.asarray(u, dtype=float)
-        return {
-            p.name: float(p.transform.inverse(u[i])) for i, p in enumerate(self.params)
-        }
+        """natural_columns of one unconstrained vector, as floats."""
+        return {name: float(v) for name, v in self.natural_columns(u).items()}
 
     def log_prior_natural(self, values):
+        """Natural-scale log prior of a value or a column per parameter."""
         return sum(p.prior.log_density(values[p.name]) for p in self.params)
 
     def perturbation_matrix(self, sds):
@@ -358,7 +345,7 @@ class ParameterSpace:
         for i, p in enumerate(self.params):
             ui = u[..., i]
             nat = p.transform.inverse(ui)
-            out = out + p.prior.log_density_array(nat) + p.transform.log_jacobian(ui)
+            out = out + p.prior.log_density(nat) + p.transform.log_jacobian(ui)
         return out if out.shape else float(out)
 
 

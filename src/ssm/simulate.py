@@ -68,17 +68,6 @@ def ode_step(cm, x, t, h, n_sub, params):
     return cm.ode(x, t, h, n_sub, params)
 
 
-def integrate_ode(cm, x, t0, t1, params, dt=None):
-    """Advance the deterministic system from t0 to t1 in substeps of at most
-    dt, landing exactly on t1.  Raises DomainError if the state leaves the
-    admissible region by more than integration tolerance."""
-    span = t1 - t0
-    if span <= 0:
-        return np.array(x, dtype=float, copy=True)
-    n_sub, h = substeps(span, dt)
-    return ode_step(cm, x, t0, h, n_sub, params)
-
-
 # ----------------------------------------------------------------------
 # diffusion backend
 
@@ -372,18 +361,19 @@ FORMALISMS = ("ode", "sde", "psr", "jump")
 
 
 def advance(cm, x, t0, t1, params, rng=None, formalism="ode", dt=None):
-    """Advance states from t0 to t1 under the chosen formalism, applying
-    substeps of at most dt; dt=None takes a tenth of the interval.  x may
-    be a single state or a batch."""
+    """Advance states, one or a batch, from t0 to t1 under the chosen
+    formalism: ode, sde and psr in `substeps` of at most dt (dt=None takes
+    a tenth of the interval), jump with rates refreshed at least every dt.
+    Raises DomainError when a state leaves the admissible region."""
     if t1 - t0 <= 0:
         return np.array(x, dtype=float, copy=True)
-    if formalism == "ode":
-        return integrate_ode(cm, x, t0, t1, params, dt=dt)
     if formalism == "jump":
         return gillespie_interval(cm, x, t0, t1, params, rng, dt_max=dt)
-    if formalism not in ("sde", "psr"):
+    if formalism not in FORMALISMS:
         raise ValueError(f"unknown formalism: {formalism!r}")
     n_sub, h = substeps(t1 - t0, dt)
+    if formalism == "ode":
+        return ode_step(cm, x, t0, h, n_sub, params)
     step = sde_step if formalism == "sde" else psr_step
     return step(cm, x, t0, h, n_sub, params, rng)
 

@@ -52,6 +52,23 @@ TWO_DRIVEN_SIR = dict(
     ],
 )
 
+# overrides of SIR under every prior kind and transform: a normal prior on
+# the identity scale, uniform priors through scaled_logit and logit, and a
+# lognormal one through log
+SIR_PRIORS = dict(
+    parameters=SIR["parameters"][:2] + [
+        {"name": "beta", "prior": {"normal": [1.5, 0.3]},
+         "transform": "identity"},
+        {"name": "gamma", "prior": {"uniform": [0.3, 3.0]},
+         "transform": {"scaled_logit": [0.3, 3.0]}},
+        {"name": "rho", "prior": {"uniform": [0.05, 0.95]},
+         "transform": "logit"},
+        {"name": "kappa", "prior": {"lognormal": [-1.0, 0.5]},
+         "transform": "log"}],
+    observations=[{"name": "cases_obs", "distribution": "poisson",
+                   "mean": "rho*kappa*cases"}],
+)
+
 # local-level model: a drifting random walk observed through gaussian noise,
 # linear in every coordinate so exact filters exist for cross-checks
 LOCAL_LEVEL = {

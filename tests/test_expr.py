@@ -1,4 +1,5 @@
-"""Formula grammar: parsing, printing, evaluation and symbolic derivatives."""
+"""Formula grammar: parsing, evaluation, symbolic derivatives and code
+generation."""
 
 import math
 
@@ -79,41 +80,6 @@ class TestParsing:
             parse("a + b)")
 
 
-class TestPrinting:
-    ROUND_TRIP = [
-        "beta*I/N",
-        "r0*(1+e_amp*sin(2*pi*(t/365+phi)))*mu_d",
-        "-x^2",
-        "a - (b - c)",
-        "(a + b)*c",
-        "2^3^2",
-        "ifelse(t < 10, 1, 0.5)",
-        "min(x, max(y, z))",
-        "a/(b*c)",
-    ]
-
-    @pytest.mark.parametrize("text", ROUND_TRIP)
-    def test_print_parse_identity(self, text):
-        tree = parse(text)
-        assert parse(str(tree)) == tree
-
-    def test_print_matches_input_modulo_whitespace(self):
-        canonical = str(parse("beta * I / N"))
-        assert canonical.replace(" ", "") == "beta*I/N"
-
-    def test_random_eval_agreement(self):
-        rng = np.random.default_rng(11)
-        for text in self.ROUND_TRIP:
-            tree = parse(text)
-            reparsed = parse(str(tree))
-            names = sorted(tree.free_symbols())
-            for _ in range(20):
-                env = {n: float(rng.uniform(0.2, 3.0)) for n in names}
-                assert reparsed.eval(env) == pytest.approx(
-                    tree.eval(env), rel=1e-12, abs=1e-12
-                )
-
-
 class TestDerivatives:
     def test_linear_rate_in_state(self):
         d = differentiate(parse("beta*I/N"), "I")
@@ -181,15 +147,26 @@ class TestDerivatives:
             assert symbolic == pytest.approx(numeric, rel=2e-6, abs=2e-6)
 
     def test_derivative_closed_under_grammar(self):
-        # every derivative is again printable and reparseable
+        # every derivative is again a tree the code generator compiles, and
+        # the compiled code computes what the interpreter does, bit for bit
+        rng = np.random.default_rng(5)
+        env = {"x": rng.uniform(0.5, 3.0, 64), "y": rng.uniform(0.5, 3.0, 64),
+               "t": rng.uniform(0.0, 10.0, 64)}
         for text in (
             "x^y",
             "min(x, y)",
             "ifelse(t < 5, x^2, x)",
             "log(x)*exp(y)",
+            "sin(x)/cos(x*y) - x^3",
         ):
             d = differentiate(parse(text), "x")
-            assert parse(str(d)) == d
+            source = to_python(d, lambda n: f"env[{n!r}]")
+            compiled = eval(  # noqa: S307 - trusted, generated from our AST
+                f"lambda env: {source}", dict(VECTOR_NAMESPACE))
+            got = np.broadcast_to(np.asarray(compiled(env), dtype=float), 64)
+            want = np.broadcast_to(np.asarray(d.eval(env), dtype=float), 64)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                text
 
     def test_ifelse_branchwise(self):
         d = differentiate(parse("ifelse(t < 5, x^2, 3*x)"), "x")

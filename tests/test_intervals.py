@@ -1,6 +1,6 @@
 """The interval kernels against per-substep references.
 
-`simulate.integrate_ode`, `CompiledModel.moments_interval` and
+`simulate.ode_step`, `CompiledModel.moments_interval` and
 `simulate.sde_step` run every substep of an observation interval in one
 generated call, and `simulate.gillespie_interval` every event of one
 state's interval.  The references below step one substep (one event) at a
@@ -246,7 +246,7 @@ def test_ode_matches_substeps(name, dt):
     batch = spread(cm, x0, 16, np.random.default_rng(1))
 
     def step(x, t0, t1):
-        return sim.integrate_ode(cm, x, t0, t1, p, dt=dt)
+        return sim.advance(cm, x, t0, t1, p, formalism="ode", dt=dt)
 
     def ref(x, t0, t1):
         return reference_ode(cm, x, t0, t1, p, dt=dt)
@@ -389,7 +389,8 @@ def test_ode_per_row_parameter_columns():
     x = cm.init_state(p, size=40)
     for dt in DTS:
         assert run_intervals(
-            lambda x, t0, t1: sim.integrate_ode(cm, x, t0, t1, p, dt=dt),
+            lambda x, t0, t1: sim.advance(cm, x, t0, t1, p, formalism="ode",
+                                          dt=dt),
             lambda x, t0, t1: reference_ode(cm, x, t0, t1, p, dt=dt),
             x)[0] == "ok"
 
@@ -479,7 +480,7 @@ def test_division_by_zero_mid_interval_takes_numpys_result():
     x = cm.init_state(p)
     # ten substeps of 0.25 from 1.0: the stages of the fifth meet t == 2
     with pytest.warns(RuntimeWarning, match="divide by zero"):
-        got = sim.integrate_ode(cm, x, 1.0, 3.5, p)
+        got = sim.advance(cm, x, 1.0, 3.5, p, formalism="ode")
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         want = reference_ode(cm, x, 1.0, 3.5, p)
     np.testing.assert_array_equal(got, want)
@@ -537,7 +538,8 @@ def test_ode_domain_errors_match():
          "absolute_outflow": True}]))
     p = {"C0": 500.0, "mu": 0.5}
     for x in (cm.init_state(p), cm.init_state(p, size=3)):
-        got = outcome(sim.integrate_ode, cm, x, 0.0, 20.0, p, dt=0.25)
+        got = outcome(sim.advance, cm, x, 0.0, 20.0, p, formalism="ode",
+                      dt=0.25)
         assert got[0] == "error" and "negative population" in got[2]
         assert_same(got, outcome(reference_ode, cm, x, 0.0, 20.0, p, dt=0.25))
     # the rate overflows to inf at t == 0.5 (on numpy scalars: times come
@@ -548,7 +550,7 @@ def test_ode_domain_errors_match():
     t0, t1 = np.float64(0.0), np.float64(1.0)
     for x in (cm.init_state(p), cm.init_state(p, size=2)):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = outcome(sim.integrate_ode, cm, x, t0, t1, p)
+            got = outcome(sim.advance, cm, x, t0, t1, p, formalism="ode")
             want = outcome(reference_ode, cm, x, t0, t1, p)
         assert got[0] == "error" and "non-finite" in got[2]
         assert_same(got, want)
@@ -576,7 +578,7 @@ def test_ode_tolerance_and_clamp(d, ok):
     p = {"C0": 1.0, "mu": 0.5}
     x = np.array([1.0, d])
     for x in (x, np.array([x, [1.0, 0.0]])):
-        got = outcome(sim.integrate_ode, cm, x, 0.0, 1.0, p)
+        got = outcome(sim.advance, cm, x, 0.0, 1.0, p, formalism="ode")
         assert_same(got, outcome(reference_ode, cm, x, 0.0, 1.0, p))
         assert (got[0] == "ok") == ok
         if ok:

@@ -17,7 +17,7 @@ from ssm.mcmc import Trace, adaptive_chain, ess, kmcmc_stage, pmcmc_stage
 from ssm.model import load_model
 from ssm.observe import DataSet
 
-from helpers import ROOT, local_level_model
+from helpers import ROOT, SIR_PRIORS, local_level_model, sir_model
 
 LL_TIMES = np.arange(1.0, 16.0)
 LL_DATA = [3, 3, 4, 6, 5, 7, 8, 8, 10, 9, 11, 13, 12, 14, 15]
@@ -384,3 +384,23 @@ class TestParticleChain:
             runs.append(res)
         assert np.array_equal(runs[0].trace.values, runs[1].trace.values)
         assert np.array_equal(runs[0].trace.loglik, runs[1].trace.loglik)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 50])
+def test_finish_maps_the_chain_as_each_row_maps(rows):
+    # one batch through natural_columns and log_prior_natural, bit for bit
+    # what to_natural and log_prior_natural give row by row
+    space = sir_model(**SIR_PRIORS).free_parameters()
+    u = np.random.default_rng(rows).normal(0.0, 2.0, (rows, space.dim))
+    chain = mcmc.ChainResult(u, np.zeros(rows), np.ones(rows, dtype=bool),
+                             [None] * rows, 1.0)
+    trace, _, _ = mcmc._finish(space, {}, chain)
+    per_row = [space.to_natural(row) for row in u]
+    values = np.array([[nat[name] for name in space.names]
+                       for nat in per_row]).reshape(rows, space.dim)
+    logprior = np.array([space.log_prior_natural(nat) for nat in per_row])
+    assert trace.values.shape == (rows, space.dim)
+    assert trace.logprior.shape == (rows,)
+    assert np.array_equal(trace.values.view(np.int64), values.view(np.int64))
+    assert np.array_equal(trace.logprior.view(np.int64),
+                          logprior.view(np.int64))

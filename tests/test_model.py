@@ -14,7 +14,9 @@ from ssm.model import (
     Identity,
     Log,
     Logit,
+    LogNormal,
     ModelError,
+    Normal,
     ScaledLogit,
     Uniform,
     parse_model,
@@ -522,6 +524,25 @@ class TestPriors:
         pr = Dirac(7.0)
         assert pr.log_density(7.0) == 0.0
         assert pr.log_density(7.1) == -math.inf
+
+    @pytest.mark.parametrize("prior,inside,outside", [
+        (Uniform(2.0, 4.0), [2.0, 2.7, 3.1, 4.0], [1.999, 4.5, -math.inf]),
+        (Normal(1.5, 0.3), [-40.0, 0.0, 1.5, 2.2, 1e3], []),
+        (LogNormal(-1.0, 0.5), [1e-300, 0.1, 0.37, 1.2, 9.0, 1e300],
+         [0.0, -0.0, -2.0]),
+        (Dirac(7.0), [7.0], [7.1, 0.0]),
+    ])
+    def test_one_density_for_values_and_columns(self, prior, inside,
+                                                outside):
+        # a float for a float, bit for bit the entry of a column
+        column = prior.log_density(np.array(inside + outside))
+        assert column.shape == (len(inside) + len(outside),)
+        for x, want in zip(inside + outside, column):
+            got = prior.log_density(x)
+            assert type(got) is float
+            assert np.float64(got).view(np.int64) == want.view(np.int64), x
+        assert np.isfinite(column[:len(inside)]).all()
+        assert (column[len(inside):] == -math.inf).all()
 
     def test_lognormal_matches_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")

@@ -85,7 +85,7 @@ class TestOde:
         p = {"P0": 50.0, "r": 0.8, "K": 800.0}
         x = cm.init_state(p)
         for t0, t1 in [(0.0, 2.0), (2.0, 5.0), (5.0, 12.0)]:
-            x = sim.integrate_ode(cm, x, t0, t1, p, dt=0.05)
+            x = sim.advance(cm, x, t0, t1, p, formalism="ode", dt=0.05)
             assert x[0] == pytest.approx(logistic_closed_form(t1), rel=1e-7)
 
     def test_rk4_error_shrinks_at_fourth_order(self):
@@ -94,7 +94,8 @@ class TestOde:
         exact = logistic_closed_form(4.0)
         errs = []
         for dt in (0.5, 0.25, 0.125):
-            x = sim.integrate_ode(cm, cm.init_state(p), 0.0, 4.0, p, dt=dt)
+            x = sim.advance(cm, cm.init_state(p), 0.0, 4.0, p,
+                            formalism="ode", dt=dt)
             errs.append(abs(x[0] - exact))
         assert 10.0 < errs[0] / errs[1] < 22.0
         assert 10.0 < errs[1] / errs[2] < 22.0
@@ -110,19 +111,20 @@ class TestOde:
             f = s - s0 * np.exp(-r0 * (1.0 - s))
             fp = 1.0 - s0 * r0 * np.exp(-r0 * (1.0 - s))
             s -= f / fp
-        x = sim.integrate_ode(cm, cm.init_state(p), 0.0, 400.0, p, dt=0.2)
+        x = sim.advance(cm, cm.init_state(p), 0.0, 400.0, p,
+                        formalism="ode", dt=0.2)
         assert x[0] / p["N"] == pytest.approx(s, abs=1e-4)
 
     def test_population_conserved(self):
         cm = compiled_sir()
-        x = sim.integrate_ode(cm, cm.init_state(SIR_PARAMS), 0.0, 40.0,
-                              SIR_PARAMS, dt=0.25)
+        x = sim.advance(cm, cm.init_state(SIR_PARAMS), 0.0, 40.0,
+                        SIR_PARAMS, formalism="ode", dt=0.25)
         assert x[:3].sum() == pytest.approx(1000.0, abs=1e-8)
 
     def test_accumulator_counts_cumulative_infections(self):
         cm = compiled_sir()
-        x = sim.integrate_ode(cm, cm.init_state(SIR_PARAMS), 0.0, 400.0,
-                              SIR_PARAMS, dt=0.2)
+        x = sim.advance(cm, cm.init_state(SIR_PARAMS), 0.0, 400.0,
+                        SIR_PARAMS, formalism="ode", dt=0.2)
         # every infection passes S -> I, so cases = S(0) - S(inf)
         assert x[3] == pytest.approx(990.0 - x[0], abs=1e-6)
 
@@ -135,7 +137,7 @@ class TestOde:
         assert cm.propensities(x0, 4.0, p)[0] == 0.0
         assert cm.propensities(x0, 6.0, p)[0] == pytest.approx(250.0)
         # RK4 stages touching the switch instant cost O(dt) locally there
-        out = sim.integrate_ode(cm, x0, 0.0, 10.0, p, dt=0.05)
+        out = sim.advance(cm, x0, 0.0, 10.0, p, formalism="ode", dt=0.05)
         assert out[0] == pytest.approx(500.0 * np.exp(-0.5 * 5.0), rel=5e-3)
 
     def test_absolute_outflow_raises_domain_error(self):
@@ -149,7 +151,8 @@ class TestOde:
         ])
         p = {"C0": 500.0, "mu": 0.5}
         with pytest.raises(DomainError):
-            sim.integrate_ode(cm, cm.init_state(p), 0.0, 20.0, p, dt=0.25)
+            sim.advance(cm, cm.init_state(p), 0.0, 20.0, p,
+                        formalism="ode", dt=0.25)
 
     def test_batched_ode_matches_single(self):
         cm = compiled_sir()
@@ -159,7 +162,8 @@ class TestOde:
         batch = sim.advance(cm, x0, 0.0, 3.0, SIR_PARAMS, formalism="ode",
                             dt=0.1)
         for j in range(3):
-            single = sim.integrate_ode(cm, x0[j], 0.0, 3.0, SIR_PARAMS, dt=0.1)
+            single = sim.advance(cm, x0[j], 0.0, 3.0, SIR_PARAMS,
+                                 formalism="ode", dt=0.1)
             assert batch[j] == pytest.approx(single, rel=1e-12)
 
 
