@@ -36,24 +36,20 @@ from ssm.filters import FilterError
 # the benchmark tracer (perfbench/tracer.py) patches these two names here
 from ssm.filters import ekf_filter, smc_filter  # noqa: F401
 from ssm.forecast import forecast_rows
-from ssm.mcmc import BURN_FRACTION, Trace, ess, kmcmc_stage, pmcmc_stage
+from ssm.mcmc import (BURN_FRACTION, OPT_SCALE, Trace, ess, kmcmc_stage,
+                      pmcmc_stage)
 from ssm.model import ModelError, load_model
 from ssm.observe import DataError, DataSet
 from ssm.optimize import attempt, backend, maximize_stage, mif
 from ssm.simulate import FORMALISMS, simulate_paths
 from ssm.theta import ThetaDocument, ThetaError
 
-OPT_SCALE = 2.38 ** 2
+PROPOSAL_SD = 0.1     # a chain's proposal step where the document has none
+MIF_SD = 0.02         # mif's perturbation intensity where none is given
 
 
 def _log(msg):
     print(msg, file=sys.stderr)
-
-
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("SSM_SEED", "0"))
 
 
 def _load_compiled(path):
@@ -102,17 +98,18 @@ def _emit(doc):
     sys.stdout.write(doc.to_json())
 
 
-def _proposal_sigma(doc, space, default_sd=0.1):
+def _proposal_sigma(doc, space):
     """Fixed proposal component: the document's covariance when it covers the
     free parameters (scaled by the usual 2.38^2/d rule), otherwise a diagonal
-    built from perturbation_sd entries, otherwise a 0.1 step everywhere."""
+    built from perturbation_sd entries, otherwise a PROPOSAL_SD step
+    everywhere."""
     cov = doc.covariance_for(space)
     if cov is not None:
         return OPT_SCALE / space.dim * cov
     if any(doc.perturbation_sd.get(n, 0.0) > 0 for n in space.names):
-        sds = {n: doc.perturbation_sd.get(n, default_sd) for n in space.names}
+        sds = {n: doc.perturbation_sd.get(n, PROPOSAL_SD) for n in space.names}
         return space.perturbation_matrix(sds)
-    return np.diag(np.full(space.dim, default_sd ** 2))
+    return np.diag(np.full(space.dim, PROPOSAL_SD ** 2))
 
 
 def _write_path_csv(out, cm, label_names, times, labelled):
@@ -166,7 +163,7 @@ def cmd_simulate(args):
     cm = _load_compiled(args.model)
     doc = _read_theta(args, required=False)
     values = cm.spec.resolve_values(doc.values)
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed)
     times = np.arange(args.start, args.end + 1e-9, args.every)
     paths = simulate_paths(
         cm, values, times, formalism=args.formalism, rng=rng,
@@ -197,7 +194,7 @@ def _stage(args, stage, run, fit=True):
     # unconstrained one a fitting stage climbs
     doc.log_likelihood = float(loglik)
     doc.log_posterior = float(loglik + space.log_prior_natural(values))
-    doc.record_stage(stage, _seed(args), iterations)
+    doc.record_stage(stage, args.seed, iterations)
     _log(f"{stage}: {summary}")
     _emit(doc)
     return 0
@@ -206,7 +203,7 @@ def _stage(args, stage, run, fit=True):
 def cmd_smc(args):
     def run(cm, ds, space, base, doc):
         res = backend(cm, ds, args.t0, "smc", dt=args.dt,
-                      rng=np.random.default_rng(_seed(args)),
+                      rng=np.random.default_rng(args.seed),
                       n_particles=args.n_particles,
                       formalism=args.formalism)(base)
         text = (f"log likelihood {res.loglik:.6f} (J={args.n_particles}, "
@@ -255,10 +252,10 @@ def cmd_mif(args):
         if args.perturbation_sd is not None:
             sds = {name: args.perturbation_sd for name in space.names}
         else:
-            sds = {name: doc.perturbation_sd.get(name, 0.02)
+            sds = {name: doc.perturbation_sd.get(name, MIF_SD)
                    for name in space.names}
         res = mif(
-            cm, ds, space, base, args.t0, np.random.default_rng(_seed(args)),
+            cm, ds, space, base, args.t0, np.random.default_rng(args.seed),
             perturbation_sd=sds, n_particles=args.n_particles,
             iterations=args.iterations, cooling=args.cooling,
             formalism=args.formalism, dt=args.dt,
@@ -285,7 +282,7 @@ def _chain(args, sampler, adapt, kind, report, **options):
         if on is None:
             on = doc.covariance_for(space) is None if adapt is None else adapt
         res = sampler(
-            cm, ds, space, base, args.t0, np.random.default_rng(_seed(args)),
+            cm, ds, space, base, args.t0, np.random.default_rng(args.seed),
             iterations=args.iterations, sigma0=_proposal_sigma(doc, space),
             adapt=on, dt=args.dt,
         )
@@ -331,7 +328,7 @@ def cmd_pmcmc(args):
     # the posterior mean is scored on a stream of its own
     return _stage(args, "pmcmc", _chain(
         args, sampler, None, "smc", report,
-        rng=np.random.default_rng(_seed(args) + 1), **particles))
+        rng=np.random.default_rng(args.seed + 1), **particles))
 
 
 def _burned(args):
@@ -347,7 +344,7 @@ def _burned(args):
 def cmd_forecast(args):
     cm = _load_compiled(args.model)
     doc = _read_theta(args, required=False)
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed)
     times = np.arange(args.start + args.every, args.end + 1e-9, args.every)
     if args.trace:
         trace, _, kept = _burned(args)
@@ -406,13 +403,18 @@ def _checked(convert, ok, what):
     return parse
 
 
-# the sizes, loop counts, substep bounds, grid spacings, burn-in shares and
-# initial times a run can take
+# the sizes, loop counts and seeds, substep bounds and grid spacings,
+# burn-in shares, times, cooling factors, perturbation intensities and
+# simplex edges a run can take
 _SIZE = _checked(int, lambda n: n >= 1, "at least 1")
 _COUNT = _checked(int, lambda n: n >= 0, "at least 0")
 _SPAN = _checked(float, lambda v: v > 0, "greater than 0")
 _SHARE = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _TIME = _checked(float, np.isfinite, "finite")
+_COOLING = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_SD = _checked(float, lambda v: 0 <= v < np.inf, "finite and at least 0")
+_STEP = _checked(float, lambda v: np.isfinite(v) and v != 0,
+                 "finite and not 0")
 
 
 def _opt_model(p):
@@ -431,7 +433,7 @@ def _opt_theta(p):
 
 
 def _opt_run(p):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_COUNT, default=None,
                    help="RNG seed (default: $SSM_SEED, else 0)")
     p.add_argument("--dt", type=_SPAN, default=None,
                    help="integration substep bound (default: a tenth of "
@@ -464,8 +466,8 @@ def _grid_command(sub, name, help, formalism, every_help=None):
     _opt_theta(p)
     _opt_run(p)
     _opt_formalism(p, formalism)
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--end", type=float, required=True)
+    p.add_argument("--start", type=_TIME, default=0.0)
+    p.add_argument("--end", type=_TIME, required=True)
     p.add_argument("--every", type=_SPAN, default=1.0, help=every_help)
     # --end is checked against --start once both are parsed (`main`)
     p.set_defaults(grid=p)
@@ -507,7 +509,7 @@ def build_parser():
     ):
         p = _document_stage(sub, name, describe)
         p.add_argument("--iterations", type=_COUNT, default=300)
-        p.add_argument("--step", type=float, default=0.1,
+        p.add_argument("--step", type=_STEP, default=0.1,
                        help="initial simplex edge on the unconstrained scale")
         p.set_defaults(func=functools.partial(cmd_simplex, kind=kind,
                                               stage=name))
@@ -515,11 +517,11 @@ def build_parser():
     p = _document_stage(sub, "mif", "iterated filtering", "psr")
     p.add_argument("--iterations", type=_COUNT, default=30)
     p.add_argument("--n-particles", type=_SIZE, default=500)
-    p.add_argument("--cooling", type=float, default=0.975)
-    p.add_argument("--perturbation-sd", type=float, default=None,
+    p.add_argument("--cooling", type=_COOLING, default=0.975)
+    p.add_argument("--perturbation-sd", type=_SD, default=None,
                    help="random-walk intensity per square root of unit "
                         "time for every free parameter (default: the "
-                        "document's perturbation_sd map, else 0.02)")
+                        f"document's perturbation_sd map, else {MIF_SD})")
     p.set_defaults(func=cmd_mif)
 
     p = _document_stage(sub, "kmcmc",
@@ -548,12 +550,12 @@ def build_parser():
     p.add_argument("--trajectories", type=_SIZE, default=200)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="sample parameter draws from this chain trace")
-    p.add_argument("--burn", type=_SHARE, default=0.1)
+    p.add_argument("--burn", type=_SHARE, default=BURN_FRACTION)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("diagnostics", help="chain summaries as JSON")
     p.add_argument("--trace", required=True, metavar="PATH")
-    p.add_argument("--burn", type=_SHARE, default=0.1)
+    p.add_argument("--burn", type=_SHARE, default=BURN_FRACTION)
     p.set_defaults(func=cmd_diagnostics)
 
     return parser
@@ -566,6 +568,14 @@ def main(argv=None):
     if grid is not None and not args.end >= args.start:
         grid.error(f"argument --end: must be at least --start, got "
                    f"{args.end:g}")
+    if getattr(args, "seed", 0) is None:
+        text = os.environ.get("SSM_SEED", "0")
+        try:
+            args.seed = _COUNT(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            _log(f"error: SSM_SEED: must be an integer of at least 0, got "
+                 f"{text!r}")
+            return 2
     try:
         return args.func(args)
     except (ModelError, ThetaError, DataError) as err:

@@ -46,6 +46,7 @@ from ssm.observe import DataError
 from ssm.optimize import backend, log_posterior
 
 TARGET_ACCEPT = 0.234
+OPT_SCALE = 2.38 ** 2   # over d, a d-dimensional proposal's covariance factor
 MIX_FIXED = 0.05
 BURN_FLOOR = 200        # draws from the fixed component before adapting
 ADAPT_COOLING = 0.999   # per-iteration decay of the step multiplier's rate
@@ -175,7 +176,7 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
         raise FilterError("chain cannot start from a zero-density point")
     chol_fixed = _cholesky(np.asarray(sigma0, dtype=float))
     lam = 1.0
-    opt_scale = 2.38 ** 2 / d
+    opt_scale = OPT_SCALE / d
     mean = u.copy()
     m2 = np.zeros((d, d))   # sum of outer products of deviations from mean
     count = 1

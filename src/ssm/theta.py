@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import time
 
@@ -25,6 +26,19 @@ _KNOWN = {
 
 class ThetaError(ValueError):
     pass
+
+
+def _number(value, field, ok=math.isfinite, what="a finite number"):
+    """A JSON number (a bool is none) as a float; a ThetaError naming the
+    field unless `ok` holds of it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:       # an integer beyond the floats
+            value = math.inf
+        if ok(value):
+            return value
+    raise ThetaError(f"theta document: field '{field}' must be {what}")
 
 
 def _utc_timestamp():
@@ -60,11 +74,7 @@ class ThetaDocument:
         values = obj.get("values", {})
         if not isinstance(values, dict):
             raise ThetaError("theta document: field 'values' must be an object")
-        for name, v in values.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ThetaError(
-                    f"theta document: field 'values.{name}' must be a number"
-                )
+        values = {k: _number(v, f"values.{k}") for k, v in values.items()}
         covariance = None
         if obj.get("covariance") is not None:
             cov = obj["covariance"]
@@ -77,43 +87,42 @@ class ThetaDocument:
             order = tuple(cov["order"])
             try:
                 matrix = np.asarray(cov["matrix"], dtype=float)
-            except (TypeError, ValueError):     # ragged rows, non-numbers
+            # ragged rows, non-numbers, integers beyond the floats
+            except (TypeError, ValueError, OverflowError):
                 matrix = None
             if matrix is not None and matrix.size == 0:
                 matrix = matrix.reshape(0, 0)   # the empty matrix emits as []
-            if matrix is None or matrix.shape != (len(order), len(order)):
+            if matrix is None or matrix.shape != (len(order), len(order)) \
+                    or not np.isfinite(matrix).all():
                 raise ThetaError(
-                    "theta document: field 'covariance.matrix' shape does "
-                    "not match 'covariance.order'"
+                    "theta document: field 'covariance.matrix' must be a "
+                    "square matrix of finite numbers, a row per name of "
+                    "'covariance.order'"
                 )
             covariance = (order, matrix)
-        for field in ("log_likelihood", "log_posterior"):
-            v = obj.get(field)
-            if v is not None and (not isinstance(v, (int, float))
-                                  or isinstance(v, bool)):
-                raise ThetaError(
-                    f"theta document: field '{field}' must be a number"
-                )
+        # a stage whose filter failed writes -Infinity here
+        scores = {field: _number(obj[field], field, lambda v: True,
+                                 "a number")
+                  for field in ("log_likelihood", "log_posterior")
+                  if obj.get(field) is not None}
         psd = obj.get("perturbation_sd", {})
         if not isinstance(psd, dict):
             raise ThetaError(
                 "theta document: field 'perturbation_sd' must be an object"
             )
+        psd = {k: _number(v, f"perturbation_sd.{k}",
+                          lambda v: 0 <= v < math.inf,
+                          "a finite number of at least 0")
+               for k, v in psd.items()}
         provenance = obj.get("provenance", [])
         if not isinstance(provenance, list):
             raise ThetaError(
                 "theta document: field 'provenance' must be a list"
             )
         extra = {k: v for k, v in obj.items() if k not in _KNOWN}
-        return cls(
-            values={k: float(v) for k, v in values.items()},
-            covariance=covariance,
-            log_likelihood=obj.get("log_likelihood"),
-            log_posterior=obj.get("log_posterior"),
-            perturbation_sd={k: float(v) for k, v in psd.items()},
-            provenance=provenance,
-            extra=extra,
-        )
+        return cls(values=values, covariance=covariance,
+                   perturbation_sd=psd, provenance=provenance, extra=extra,
+                   **scores)
 
     @classmethod
     def parse_text(cls, text):

@@ -276,13 +276,29 @@ class TestValidation:
         ["simulate", "--end", "-1"], ["forecast", "--end", "-0.5"],
         ["forecast", "--burn", "-1"], ["forecast", "--burn", "1"],
         ["diagnostics", "--burn", "1.5"], ["diagnostics", "--burn", "nan"],
-        ["kalman", "--t0", "nan"], ["mif", "--t0", "inf"]])
+        ["kalman", "--t0", "nan"], ["mif", "--t0", "inf"],
+        ["simulate", "--seed", "-1"], ["kalman", "--seed", "-1"],
+        ["forecast", "--start", "inf"], ["simulate", "--start", "nan"],
+        ["simulate", "--end", "inf"], ["forecast", "--end", "inf"],
+        ["mif", "--cooling", "nan"], ["mif", "--cooling", "-1"],
+        ["mif", "--cooling", "0"], ["mif", "--cooling", "1.5"],
+        ["mif", "--perturbation-sd", "-0.5"],
+        ["mif", "--perturbation-sd", "inf"],
+        ["mif", "--perturbation-sd", "nan"],
+        ["ksimplex", "--step", "nan"], ["simplex", "--step", "0"],
+        ["ksimplex", "--step", "inf"]])
     def test_sizes_and_steps_out_of_range_are_exit_two(self, argv):
         command, option, value = argv
         bound = {"--n-particles": "at least 1", "--trajectories": "at least 1",
                  "--iterations": "at least 0", "--dt": "greater than 0",
                  "--every": "greater than 0", "--end": "at least --start",
-                 "--burn": "in [0, 1)", "--t0": "finite"}
+                 "--burn": "in [0, 1)", "--t0": "finite",
+                 "--seed": "at least 0", "--start": "finite",
+                 "--cooling": "in (0, 1]",
+                 "--perturbation-sd": "finite and at least 0",
+                 "--step": "finite and not 0"}
+        if option == "--end" and not np.isfinite(float(value)):
+            bound["--end"] = "finite"
         where = {"simulate": ["--model", SIR, "--end", "3"],
                  "forecast": ["--model", SIR, "--end", "3"],
                  "diagnostics": ["--trace", "trace.csv"]}.get(
@@ -293,6 +309,44 @@ class TestValidation:
         errors = [line for line in r.stderr.splitlines() if "error:" in line]
         assert errors == [f"ssm {command}: error: argument {option}: must "
                           f"be {bound[option]}, got {value}"]
+
+    @pytest.mark.parametrize("seed", ["-3", "abc", "", "1.5"])
+    def test_bad_seed_in_the_environment_is_exit_two(self, seed):
+        env = {"SSM_SEED": seed}
+        for argv in (["simulate", "--model", SIR, "--end", "3"],
+                     ["kalman", "--model", SIR, "--data", SIR_DATA]):
+            r = run(argv, stdin_text=POINT, env_extra=env)
+            assert r.returncode == 2
+            assert r.stderr == (f"error: SSM_SEED: must be an integer of at "
+                                f"least 0, got {seed!r}\n")
+            # --seed takes its place
+            r = run([*argv, "--seed", "1"], stdin_text=POINT, env_extra=env)
+            assert r.returncode == 0, r.stderr
+        # a command without a seed does not read it
+        r = run(["check-data", "--model", SIR, "--data", SIR_DATA],
+                env_extra=env)
+        assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize("field,doc", [
+        ("values.beta", '"values": {"beta": NaN, "gamma": 1.1}'),
+        ("values.gamma", '"values": {"beta": 1.6, "gamma": Infinity}'),
+        ("perturbation_sd.beta", '"values": {"beta": 1.6, "gamma": 1.1}, '
+                                 '"perturbation_sd": {"beta": "x"}'),
+        ("covariance.matrix", '"values": {"beta": 1.6, "gamma": 1.1}, '
+                              '"covariance": {"order": ["beta", "gamma"], '
+                              '"matrix": [[0.1, 0], [0, NaN]]}'),
+    ])
+    @pytest.mark.parametrize("command", ["kalman", "kmcmc"])
+    def test_unusable_theta_numbers_are_exit_two(self, tmp_path, command,
+                                                 field, doc):
+        extra = {"kmcmc": ["--iterations", "20", "--dt", "0.5", "--trace",
+                           str(tmp_path / "t.csv")]}.get(command, [])
+        r = run([command, "--model", SIR, "--data", SIR_DATA, *extra],
+                stdin_text='{"ssm_theta": 1, ' + doc + "}")
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: theta document: field "
+                                   f"'{field}' ")
+        assert r.stderr.count("\n") == 1
 
     def test_zero_iterations_stay_valid(self):
         r = run(["simplex", "--model", SIR, "--data", SIR_DATA,

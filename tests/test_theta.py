@@ -1,6 +1,7 @@
 """Theta documents survive the trip through their own JSON form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,40 @@ def test_malformed_covariance_is_a_theta_error(matrix):
         ThetaDocument.parse({"ssm_theta": 1, "values": {},
                              "covariance": {"order": ["a", "b"],
                                             "matrix": matrix}})
+
+
+@pytest.mark.parametrize("field,text", [
+    ("values.beta", '"values": {"beta": NaN}'),
+    ("values.beta", '"values": {"beta": Infinity}'),
+    ("values.beta", '"values": {"beta": -Infinity}'),
+    pytest.param("values.beta", '"values": {"beta": 1' + "0" * 400 + "}",
+                 id="values.beta-beyond-the-floats"),
+    ("perturbation_sd.beta", '"perturbation_sd": {"beta": "x"}'),
+    ("perturbation_sd.beta", '"perturbation_sd": {"beta": true}'),
+    ("perturbation_sd.beta", '"perturbation_sd": {"beta": null}'),
+    ("perturbation_sd.beta", '"perturbation_sd": {"beta": -0.1}'),
+    ("perturbation_sd.beta", '"perturbation_sd": {"beta": NaN}'),
+    ("perturbation_sd.beta", '"perturbation_sd": {"beta": Infinity}'),
+    ("covariance.matrix",
+     '"covariance": {"order": ["a"], "matrix": [[NaN]]}'),
+    ("covariance.matrix",
+     '"covariance": {"order": ["a", "b"], "matrix": [[1, -Infinity], '
+     '[0, 1]]}'),
+])
+def test_numbers_no_stage_can_use_are_theta_errors(field, text):
+    with pytest.raises(ThetaError, match=re.escape(f"field '{field}' ")):
+        ThetaDocument.parse_text('{"ssm_theta": 1, ' + text + "}")
+
+
+def test_failed_scores_and_zero_perturbations_stay_valid():
+    # a stage whose filter failed writes -Infinity as its scores
+    text = ('{"ssm_theta": 1, "values": {"beta": 1}, "log_likelihood": '
+            '-Infinity, "log_posterior": -Infinity, "perturbation_sd": '
+            '{"beta": 0, "gamma": 0.25}}')
+    doc = ThetaDocument.parse_text(text)
+    assert doc.log_likelihood == doc.log_posterior == -math.inf
+    assert doc.perturbation_sd == {"beta": 0.0, "gamma": 0.25}
+    assert ThetaDocument.parse_text(doc.to_json()).to_json() == doc.to_json()
 
 
 def test_property_parse_emit_parse_round_trip():
@@ -56,12 +91,14 @@ def test_property_parse_emit_parse_round_trip():
     def documents(draw):
         obj = {"ssm_theta": 1,
                "values": draw(st.dictionaries(
-                   name, number | st.integers(-2 ** 53, 2 ** 53), max_size=6))}
+                   name, finite | st.integers(-2 ** 53, 2 ** 53), max_size=6))}
         optional = {
             "covariance": covariance(),
             "log_likelihood": number,
             "log_posterior": number,
-            "perturbation_sd": st.dictionaries(name, finite, max_size=4),
+            "perturbation_sd": st.dictionaries(
+                name, st.floats(min_value=0.0, allow_infinity=False),
+                max_size=4),
             "provenance": provenance,
         }
         for key, strategy in optional.items():
