@@ -17,10 +17,10 @@ call.
 Each caller gets a kernel shaped to what it needs, generated and compiled the
 first time it is used:
 
-    rates    propensities only, once per slice of the Poisson stepper
-             (`simulate.psr_step` loops over an interval's slices in numpy)
+    rates    propensities only
     drift    drift rows and driven-parameter volatilities
-    driven   the same, driven rows only (the Poisson stepper's)
+    psr      a Poisson slice's propensities in step order, then driven
+             drifts and volatilities, for a batch laid out (nx, J)
     ode      every RK4 substep of one observation interval, for one state
              or a batch
     moments  every RK4 substep of one interval of the moment equations,
@@ -38,9 +38,9 @@ first time it is used:
 The interval kernels hold the loop over substeps, so a stepper makes one
 call per observation interval (jump: per state and interval);
 `ssm.kernels` writes their source.  The kernels for one state return
-tuples and run on Python floats (see `_on_floats`).  The `rates`, `drift`,
-`driven` and `jac` kernels are batch kernels only: a single state goes
-through them as a batch with no leading dimensions.  `dynamics` and
+tuples and run on Python floats (see `_on_floats`).  The `rates`, `drift`
+and `jac` kernels are batch kernels only: a single state goes through them
+as a batch with no leading dimensions.  `dynamics` and
 `process_cov_from` assemble dense arrays from them for tests and for
 checking the moment equations.
 """
@@ -475,13 +475,6 @@ class CompiledModel:
             + [f"_v{d_i}" for d_i in range(self.n_diff)])
 
     @cached_property
-    def driven(self):
-        return self._array_kernel(
-            "driven", ("driven", "vols"),
-            [f"_d{i}" for i in range(self.nx)[self.diff_slice]]
-            + [f"_v{d_i}" for d_i in range(self.n_diff)])
-
-    @cached_property
     def _jac(self):
         return self._array_kernel(
             "jac", ("jac",), [f"_j{i}_{j}" for i, j in self.jac_index])
@@ -566,6 +559,13 @@ class CompiledModel:
         from ssm import kernels
         return self._compile("sde", kernels.sde_source(self), vector=True,
                              floor=self.floor[:, None])["sde"]
+
+    @cached_property
+    def psr(self):
+        """The Poisson slice kernel (`simulate.psr_source`)."""
+        from ssm import simulate
+        return self._compile("psr", simulate.psr_source(self),
+                             vector=True)["psr"]
 
     @cached_property
     def jump(self):

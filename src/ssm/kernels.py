@@ -17,7 +17,10 @@ kernels that run every substep of one observation interval, which
 Element by element, each kernel takes the operations of one substep (one
 event) at a time in numpy in the same order, so its results are those bit
 for bit where the math functions agree.  Only those steppers need this
-module, so `CompiledModel` imports it on first use.
+module, so `CompiledModel` imports it on first use.  The Poisson
+stepper's slice kernel, which writes each propensity into a row of one
+buffer with `in_row` as the sde kernel does, is written beside the
+stepper (`simulate.psr_source`).
 """
 
 from ssm import expr as ex

@@ -25,9 +25,13 @@ its kernel reads.  The Poisson backend also makes one call per interval,
 `psr_step` looping over the interval's slices in numpy on a state held
 one row per coordinate; within a slice, draws that do not depend on each
 other share a numpy call, with the variates and order of one call per
-draw.  A slice works only on the reactions that some row of the batch can
-fire, through a plan cached per set of such reactions: the others would
-draw nothing, so the variates are those of the full slice, except that a
+draw.  Each slice starts with one call of the model's generated `psr`
+kernel (`psr_source`), which writes the propensities in the order the
+slice draws them, and the driven drifts and volatilities, into the rows
+of one buffer.  A slice works only on the reactions that some row of the
+batch can fire, through a plan cached per set of such reactions, in
+buffers made once per call and plan: the other reactions would draw
+nothing, so the variates are those of the full slice, except that a
 noise group none of whose members can fire draws no gamma increments.
 The jump backend makes one call of the generated `jump` kernel per
 trajectory and interval, on Python floats, the trajectories of a batch
@@ -41,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ssm import expr as ex
 from ssm.compiled import FLOAT_FAILURES, DomainError
 
 # dt=None everywhere means one tenth of the interval being advanced
@@ -97,21 +102,63 @@ def sde_step(cm, x, t, h, n_sub, params, rng):
 # ----------------------------------------------------------------------
 # Poisson backend
 
+# the least positive float: a floor that leaves every positive value as it
+# is and turns a zero divisor into one that gives 0/x = 0
+TINY = 5e-324
+
+
+def psr_source(cm):
+    """Source of `psr(x, t, p, out)` for a batch x laid out as (nx, J), one
+    row per state column: it writes into the rows of out the propensity
+    of every reaction, in the step's order (`CompiledModel.step_order`),
+    then the drift and then the volatility of every driven parameter.
+    Where a propensity reads the state, its operations write into its row
+    directly (`kernels.in_row`), so no intermediate array is made; each
+    value is that of the `rates` and `drift` kernels bit for bit."""
+    from ssm import kernels
+    names = set(cm.state_names)
+    needed = set(cm._blocks["rates"][1])
+    driven = [f"_d{i}" for i in range(cm.nx)[cm.diff_slice]]
+    driven += [f"_v{d}" for d in range(cm.n_diff)]
+    if driven:
+        needed |= cm._blocks["driven"][1] | cm._blocks["vols"][1]
+    lines = ["def psr(x, t, p, out):"]
+    cm._prologue(lines, needed, unpack="x")
+    rows = [f"_r{k}" for k in cm.step_order] + [f"_w{d}" for d in driven]
+    if rows:
+        lines.append(f"    {''.join(row + ', ' for row in rows)}= out")
+    for k, tree in enumerate(cm._prop_exprs):
+        if isinstance(tree, ex.BinOp) and tree.free_symbols() & names:
+            lines += kernels.in_row(cm, tree, f"_r{k}", names)
+        else:
+            lines.append(f"    _r{k}[...] = {ex.to_python(tree, cm._resolve)}")
+    if driven:
+        lines += cm._blocks["driven"][0] + cm._blocks["vols"][0]
+        lines += [f"    _w{d}[...] = {d}" for d in driven]
+    return "\n".join(lines) + "\n"
+
+
 class PsrPlan(NamedTuple):
     """The work of a Poisson slice with a given set of live rows, indexing
-    the step's rows (`CompiledModel.step_order`)."""
-    rows: object            # the live rows (a slice where consecutive)
-    n_exit: int             # how many of them are per-capita exits
-    exit_sources: object    # the state column of each live exit's source
-    sources: object         # the state columns of sources with a live exit
-    exit_groups: object     # the index in `sources` of each exit's source
-    # per position within a source among the live exits (first exits, then
-    # second, ...): the indices of the exits there and of their sources
+    the step's rows (`CompiledModel.step_order`).
+
+    The exits' arithmetic runs level-major: first the first live exit of
+    every source with one, then the second ones, and so on, the sources
+    of each level ordered by their number of live exits (most first), so
+    that the sources with an exit at a level are a leading block of the
+    first level's."""
+    n_exit: int             # how many live rows are per-capita exits
+    order: object           # the step row of each exit, level-major
+    exit_sources: object    # the state column of each exit's source, the same
+    # per level: its block of exits and how many sources have one
     levels: tuple
+    cascade: object         # the level-major index of each exit, in step order
+    sources: object         # the state columns of sources with a live exit
     # the binomial calls: runs of consecutive live exits from different
     # sources, as (exits, sources); a source's next exit starts a run, as
     # its trials are what the exit before left
     runs: tuple
+    absolute: object        # the step rows of the live absolute-rate reactions
     # per live absolute-rate reaction: its index among the live rows, the
     # compartments it drains, and what a firing of each live row before it
     # and of itself takes from them
@@ -121,10 +168,10 @@ class PsrPlan(NamedTuple):
 
 
 def _span(idx):
-    """An increasing run of distinct indices as a slice where it has no
-    gaps, else as it is."""
-    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
+    """Indices as a slice where they run up one by one, else as they
+    are."""
+    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(int(idx[0]), int(idx[0]) + len(idx))
     return idx
 
 
@@ -136,9 +183,14 @@ def _build_plan(cm, live):
     groups = cm.exit_groups[exits]
     live_groups, at_source = np.unique(groups, return_inverse=True)
     position = np.arange(n_exit) - np.searchsorted(groups, groups)
-    levels = tuple(
-        (np.flatnonzero(position == level), at_source[position == level])
-        for level in range(position.max(initial=-1) + 1))
+    # sources by their number of live exits, most first; exits by level,
+    # then by the rank of their source
+    rank = np.argsort(np.argsort(-np.bincount(at_source), kind="stable"))
+    order = np.lexsort((rank[at_source], position))
+    bounds = np.searchsorted(position[order], np.arange(position.max(
+        initial=-1) + 2))
+    levels = tuple((slice(int(a), int(b)), int(b - a))
+                   for a, b in zip(bounds, bounds[1:]))
     cuts = [0, *np.flatnonzero(position > 0).tolist(), n_exit]
     runs = tuple((slice(a, b), _span(at_source[a:b]))
                  for a, b in zip(cuts, cuts[1:]) if b > a)
@@ -151,9 +203,11 @@ def _build_plan(cm, live):
     fires = np.zeros(cm.n_react, dtype=bool)
     fires[reactions] = True
     return PsrPlan(
-        rows=_span(rows), n_exit=n_exit, exit_sources=cm.exit_sources[exits],
-        sources=cm.source_columns[live_groups], exit_groups=at_source,
-        levels=levels, runs=runs, caps=tuple(caps),
+        n_exit=n_exit, order=_span(exits[order]),
+        exit_sources=_span(cm.exit_sources[exits[order]]), levels=levels,
+        cascade=_span(np.argsort(order)),
+        sources=_span(cm.source_columns[live_groups]), runs=runs,
+        absolute=_span(rows[n_exit:]), caps=tuple(caps),
         stoich=cm.stoich_full[:, reactions],
         noisy=tuple(bool(fires[members].any())
                     for _, members in cm.noise_groups))
@@ -169,6 +223,76 @@ def psr_plan(cm, live):
     return plan
 
 
+def _rows(a, idx, out=None):
+    """The rows idx of a: a view where idx is a slice, else taken (into
+    out, if given)."""
+    if type(idx) is slice:
+        return a[idx]
+    # the plan's indices are in range: with mode "clip" take writes into
+    # out without a buffer
+    return a.take(idx, 0, out, "clip")
+
+
+class _Work:
+    """The buffers of one plan's slices within one `psr_step` call: per
+    live exit, in the plan's level-major order, its propensity, increment,
+    rate times increment, share q and binomial probability, then the
+    probabilities in step order; per source with a live exit, its hazard,
+    leave probability, state and whole members; per source with a second
+    live exit, the mass not yet assigned."""
+
+    def __init__(self, plan, j):
+        n_exit, n_source = plan.n_exit, plan.levels[0][1]
+        self.p, self.d, self.rd, self.q, self.cond, self.cascade = (
+            np.empty((n_exit, j)) for _ in range(6))
+        self.hazard, self.leave, self.z = (np.empty((n_source, j))
+                                           for _ in range(3))
+        self.remaining = np.empty((n_source, j), dtype=np.int64)
+        self.tail = np.empty((plan.levels[1][1] if len(plan.levels) > 1
+                              else 0, j))
+
+
+def _exit_probabilities(plan, w, state, prop, h, delta):
+    """The probability of each live exit's binomial, in step order: its
+    share q of its source's leavers over the share not yet assigned when it
+    is drawn, 0 where that is not above 1e-12, clipped to [0, 1].  The work
+    runs level-major in the plan's buffers `w`."""
+    levels = plan.levels
+    # rate times increment: the propensity over its source, floored at
+    # TINY so that an empty source gives 0, times the increment
+    rd = np.maximum(_rows(state, plan.exit_sources, w.rd), TINY, out=w.rd)
+    np.divide(_rows(prop, plan.order, w.p), rd, out=rd)
+    rd *= h if delta is None else _rows(delta, plan.order, w.d)
+    # hazard per source, its exits' terms summed in listing order; leave =
+    # 1 - exp(-hazard); an exit's share q = leave rd / hazard
+    hazard = w.hazard
+    np.copyto(hazard, rd[levels[0][0]])
+    for at, n in levels[1:]:
+        np.add(hazard[:n], rd[at], out=hazard[:n])
+    leave = np.negative(hazard, out=w.leave)
+    np.expm1(leave, out=leave)
+    np.negative(leave, out=leave)
+    safe = np.maximum(hazard, TINY, out=hazard)
+    # at the first level the whole share is unassigned, and q is the
+    # probability as it is: a term of a sum of nonnegative terms is at most
+    # the rounded sum, so q lies in [0, 1] as rounded too
+    q, cond = w.q, w.cond
+    for i, (at, n) in enumerate(levels):
+        share = q[at] if i else cond[at]
+        np.multiply(leave[:n], rd[at], out=share)
+        np.divide(share, safe[:n], out=share)
+    for i, (at, n) in enumerate(levels[1:]):
+        tail = w.tail[:n]
+        before = q[levels[i][0]] if i else cond
+        np.subtract(tail if i else 1.0, before[:n], out=tail)
+        if np.minimum.reduce(tail, axis=None) <= 1e-12:
+            # q over inf: 0, where no mass is left
+            tail = np.where(tail > 1e-12, tail, np.inf)
+        np.divide(q[at], tail, out=cond[at])
+        np.clip(cond[at], 0.0, 1.0, out=cond[at])
+    return _rows(cond, plan.cascade, w.cascade)
+
+
 def psr_step(cm, x, t, h, n_sub, params, rng):
     """n_sub time slices of length h of the Poisson approximation with
     stochastic rates, in one call, for one state or a batch of shape
@@ -182,7 +306,9 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     (sums run over the positions within a source, in listing order).
     Absolute-rate reactions fire Poisson counts, each capped, in listing
     order, by what is left of the compartments it drains after the exits
-    and earlier removals of the slice, so no count can go negative.
+    and earlier removals of the slice, so no count can go negative.  The
+    counts, integers, are combined by the stoichiometry exactly and added
+    to the state once.
 
     A slice draws, in turn: a gamma increment (mean h, variance sd^2 h)
     per noise group with a positive sd, the exit binomials source by source
@@ -203,84 +329,81 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     live draws no gamma increments: they would multiply zero rates only,
     so the counts and the law of the process are those with the draw, but
     the later variates of a seed shift.
+
+    The state is held one row per coordinate, in two buffers that take
+    turns; the model's `psr` kernel (`psr_source`) writes the propensities
+    into the rows of one buffer in the step's order, and the exits' work
+    runs in buffers made once per call and plan (`_Work`).
     """
     x = np.asarray(x, dtype=float)
     state = x.reshape(-1, cm.nx).T.copy()
+    new, change = np.empty_like(state), np.empty_like(state)
     j = state.shape[1]
-    order = cm.step_order
-    delta = np.full((len(order), j), h)
+    n_rows = len(cm.step_order)
+    # the psr kernel's rows: propensities, then driven drifts and
+    # volatilities
+    out = np.empty((n_rows + 2 * cm.n_diff, j))
+    prop, drift, vol = np.split(out, [n_rows, n_rows + cm.n_diff])
+    counts = np.empty((n_rows, j))
     # per noise group drawn: its index, rows, the columns drawn, gamma
     # shape and scale
     noises = []
-    rank = np.argsort(order)
+    rank = np.argsort(cm.step_order)
     for g, (sd_name, members) in enumerate(cm.noise_groups):
         sd = np.broadcast_to(np.asarray(params[sd_name], dtype=float), (j,))
         pos = sd > 0
         if np.any(pos):
             var = sd[pos] ** 2
             noises.append((g, rank[members, None], pos, h / var, var))
-    counts = np.empty((len(order), j))
+    delta = np.full((n_rows, j), h) if noises else None
+    work = {}
     sqrt_h = np.sqrt(h)
     for _ in range(n_sub):
-        prop = cm.propensities(state.T, t, params).T[order]
+        cm.psr(state, np.asarray(t, dtype=float), params, out)
         np.maximum(prop, 0.0, out=prop)
-        if not np.isfinite(prop).all():
+        top = np.maximum.reduce(prop, axis=1, initial=0.0)
+        if not np.maximum.reduce(top, initial=0.0) < np.inf:
             raise DomainError("non-finite rate during Poisson step")
-        plan = psr_plan(cm, prop.any(axis=1))
+        plan = psr_plan(cm, top > 0.0)
+        w = work.get(id(plan))
+        if w is None and plan.n_exit:
+            w = work[id(plan)] = _Work(plan, j)
         for g, rows, pos, shape, scale in noises:
             if plan.noisy[g]:
                 delta[rows, pos] = rng.gamma(shape, scale)
-        # from here on, the live rows only
-        prop, d = prop[plan.rows], delta[plan.rows]
-        n_exit = plan.n_exit
 
-        z = state[plan.exit_sources]
-        rd = np.divide(prop[:n_exit], z, out=np.zeros(z.shape), where=z > 0)
-        rd *= d[:n_exit]
-        hazard = np.zeros((len(plan.sources), j))
-        for at_level, groups in plan.levels:
-            hazard[groups] += rd[at_level]
-        p_leave = -np.expm1(-hazard)
-        safe = np.where(hazard > 0, hazard, 1.0)
-        q = p_leave[plan.exit_groups] * rd / safe[plan.exit_groups]
-        # tail: the probability mass not yet assigned when each exit is
-        # drawn
-        tail = np.empty_like(q)
-        unassigned = np.ones(hazard.shape)
-        for at_level, groups in plan.levels:
-            tail[at_level] = unassigned[groups]
-            unassigned[groups] -= q[at_level]
-        cond = np.divide(q, tail, out=np.zeros(q.shape), where=tail > 1e-12)
-        np.clip(cond, 0.0, 1.0, out=cond)
-        remaining = np.floor(state[plan.sources]).astype(np.int64)
-        for at, groups in plan.runs:
-            n = rng.binomial(remaining[groups], cond[at])
-            counts[at] = n
-            remaining[groups] -= n
+        if plan.n_exit:
+            cond = _exit_probabilities(plan, w, state, prop, h, delta)
+            remaining = np.floor(_rows(state, plan.sources, w.z),
+                                 out=w.remaining, casting="unsafe")
+            for at, groups in plan.runs:
+                n = rng.binomial(remaining[groups], cond[at])
+                counts[at] = n
+                remaining[groups] -= n
+        if plan.caps:
+            mean = _rows(prop, plan.absolute)
+            drawn = rng.poisson(mean * (
+                h if delta is None else _rows(delta, plan.absolute)))
+            for (row, drains, before, each), n in zip(plan.caps, drawn):
+                if len(drains):
+                    # removals come out of what the exits and the earlier
+                    # removals left behind
+                    left = state[drains] - before @ counts[:row]
+                    n = np.minimum(n, np.floor(left / each).min(axis=0))
+                counts[row] = n
 
-        caps = plan.caps
-        drawn = rng.poisson(prop[n_exit:] * d[n_exit:]) if caps else ()
-        for (row, drains, before, each), n in zip(caps, drawn):
-            if len(drains):
-                # removals come out of what the exits and the earlier
-                # removals left behind
-                left = state[drains] - before @ counts[:row]
-                n = np.minimum(n, np.floor(left / each).min(axis=0))
-            counts[row] = n
-
-        new = state + plan.stoich @ counts[:len(prop)]
+        np.matmul(plan.stoich, counts[:plan.stoich.shape[1]], out=change)
+        np.add(state, change, out=new)
         # reachable only by a per-capita reaction that drains more than one
         # member of its source, or another compartment
-        if (new[cm.comp_slice] < 0.0).any():
+        if np.minimum.reduce(new[cm.comp_slice], axis=None,
+                             initial=0.0) < 0.0:
             raise DomainError("Poisson step overdrew a compartment")
         if cm.n_diff:
-            drift_vols = cm.driven(state.T, np.asarray(t, dtype=float),
-                                   params).T
             xi = rng.standard_normal((cm.n_diff, j))
-            new[cm.diff_slice] = (state[cm.diff_slice]
-                                  + h * drift_vols[:cm.n_diff]
-                                  + sqrt_h * drift_vols[cm.n_diff:] * xi)
-        state = new
+            new[cm.diff_slice] = (state[cm.diff_slice] + h * drift
+                                  + sqrt_h * vol * xi)
+        state, new = new, state
         t += h
     return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
 

@@ -104,11 +104,16 @@ def test_rates_match_interpreter(case):
     scale = np.abs(want_rates).max(axis=1, initial=0.0)[:, None]
     err = np.abs(drift - want_drift)
     assert (err <= 1e-12 * (np.abs(want_drift) + scale)).all(), err.max()
-    # the Poisson stepper's kernel evaluates the driven rows' formulas alone
-    driven = cm.driven(states, times, p)
-    np.testing.assert_array_equal(driven[:, :cm.n_diff],
-                                  drift[:, cm.diff_slice])
-    np.testing.assert_array_equal(driven[:, cm.n_diff:], vols)
+    # the Poisson stepper's kernel, on the states as rows, writes the
+    # propensities in its step order, then the driven rows' drifts and
+    # volatilities, bit for bit
+    out = np.full((cm.n_react + 2 * cm.n_diff, len(states)), np.nan)
+    cm.psr(np.ascontiguousarray(states.T), times, p, out)
+    np.testing.assert_array_equal(out[:cm.n_react].T,
+                                  cm.propensities(states, times, p)
+                                  [:, cm.step_order])
+    np.testing.assert_array_equal(out[cm.n_react:].T,
+                                  np.hstack([drift[:, cm.diff_slice], vols]))
 
 
 def test_moments_match_dense_reference(case):

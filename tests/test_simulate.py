@@ -984,6 +984,68 @@ class TestPsrMatchesCascade:
         check()
 
 
+def shipped(name):
+    cm = CompiledModel(load_model(MODELS / f"{name}.json"))
+    return cm, cm.spec.resolve_values(SHIPPED_VALUES[name])
+
+
+class TestPsrOraclesAt500Rows:
+    """psr_step on the shipped models at 500 rows against the per-source
+    reference, draw for draw (`TestPsrMatchesCascade.assert_same_steps`),
+    in the cases its buffers, its kernel's step order and its single
+    count update are shaped around."""
+
+    same = TestPsrMatchesCascade.assert_same_steps
+    J = 500
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_VALUES))
+    def test_every_parameter_a_row_column(self, name):
+        # mif's case, a driven plague beta included.  Each row draws each
+        # parameter around its value; gamma is negative in some rows, a
+        # propensity the clamp zeroes, and 0 in others.  In others it is
+        # 1e12 times larger: I's members all leave within a slice, and on
+        # plague I's first exit leaves its second less than 1e-12 of them
+        cm, values = shipped(name)
+        rng = np.random.default_rng(len(name))
+        p = {k: v * np.exp(0.2 * rng.standard_normal(self.J))
+             for k, v in values.items()}
+        p["gamma"][:40] *= -1.0
+        p["gamma"][40:80] *= 1e12
+        p["gamma"][80:120] = 0.0
+        x = cm.init_state(p, size=self.J)
+        x[:, cm.comp_slice] = np.floor(x[:, cm.comp_slice])
+        x = sim.advance(cm, x, 0.0, 2.0, p, rng=rng, formalism="psr")
+        self.same(cm, x, p, dt=0.1, seed=len(name) + 3)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_VALUES))
+    def test_non_integer_compartments(self, name):
+        # the counts, integers, combine exactly and are added to a
+        # non-integer state once, as in the reference; added one reaction
+        # at a time they would round at each addition
+        cm, values = shipped(name)
+        rng = np.random.default_rng(len(name) + 1)
+        x = cm.init_state(values, size=self.J)
+        x[:, cm.comp_slice] += rng.uniform(0.0, 1.0, (self.J, cm.n_comp))
+        x[:, cm.comp_slice] *= rng.uniform(1.0, 1.5, (self.J, cm.n_comp))
+        out = self.same(cm, x, values, dt=0.2, seed=len(name) + 5)
+        assert not np.all(out[:, cm.comp_slice] % 1.0 == 0.0)
+
+    # per model, the compartments set in every row so that the live set
+    # changes within the call: an exit's source is empty until a live
+    # reaction fills it, or on sir, whose S is empty, I's last members leave
+    CHANGING = {"sir": {"S": 0.0, "I": 1.0}, "plague": {"R": 0.0},
+                "seir-h1n1": {"E": 0.0}, "dengue-2strain": {}}
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_VALUES))
+    def test_live_set_changing_within_a_call(self, name):
+        cm, values = shipped(name)
+        x = cm.init_state(values, size=self.J)
+        for comp, value in self.CHANGING[name].items():
+            x[:, cm.state_names.index(comp)] = value
+        self.same(cm, x, values, dt=0.5, seed=len(name) + 7)
+        assert len(cm.psr_plans) >= 2
+
+
 def random_closed_graph(n_comp, edges, rates, initial):
     """A closed model over compartments C0..C{n-1} whose per-capita
     reactions move members along the given edges."""
