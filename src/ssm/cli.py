@@ -46,6 +46,7 @@ from ssm.theta import ThetaDocument, ThetaError
 
 PROPOSAL_SD = 0.1     # a chain's proposal step where the document has none
 MIF_SD = 0.02         # mif's perturbation intensity where none is given
+MAX_GRID_ROWS = 10**6  # the most times a simulate or forecast grid may hold
 
 
 def _log(msg):
@@ -568,6 +569,12 @@ def main(argv=None):
     if grid is not None and not args.end >= args.start:
         grid.error(f"argument --end: must be at least --start, got "
                    f"{args.end:g}")
+    # refused before anything is allocated: the grid holds one time more
+    # than the whole --every steps from --start to --end
+    if (grid is not None
+            and (args.end - args.start) / args.every >= MAX_GRID_ROWS):
+        grid.error(f"argument --every: the grid from --start to --end would "
+                   f"hold more than {MAX_GRID_ROWS} times")
     if getattr(args, "seed", 0) is None:
         text = os.environ.get("SSM_SEED", "0")
         try:

@@ -193,14 +193,18 @@ def _project_psd(C):
     """C made positive semi-definite, and the repair that did it: None when
     C already was, "psd_rounding" when its lowest eigenvalue was a
     rounding-sized negative that a diagonal shift removes, "psd_eigen" when
-    the negative eigenvalues had to be cut to zero."""
-    vals = np.linalg.eigvalsh(C)
-    lo = vals[0]
-    if lo >= 0.0:
-        return C, None
-    if lo < -1e-8 * max(1.0, abs(vals[-1])):
-        vals2, vecs = np.linalg.eigh(C)
-        return (vecs * np.clip(vals2, 0.0, None)) @ vecs.T, "psd_eigen"
+    the negative eigenvalues had to be cut to zero.  FilterError where the
+    eigenvalues do not converge, as on a covariance that overflowed."""
+    try:
+        vals = np.linalg.eigvalsh(C)
+        lo = vals[0]
+        if lo >= 0.0:
+            return C, None
+        if lo < -1e-8 * max(1.0, abs(vals[-1])):
+            vals2, vecs = np.linalg.eigh(C)
+            return (vecs * np.clip(vals2, 0.0, None)) @ vecs.T, "psd_eigen"
+    except np.linalg.LinAlgError as err:
+        raise FilterError(f"covariance projection failed: {err}") from err
     return C - lo * np.eye(C.shape[0]), "psd_rounding"
 
 

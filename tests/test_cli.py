@@ -310,6 +310,44 @@ class TestValidation:
         assert errors == [f"ssm {command}: error: argument {option}: must "
                           f"be {bound[option]}, got {value}"]
 
+    @pytest.mark.parametrize("command", ["simulate", "forecast"])
+    @pytest.mark.parametrize("grid", [["--end", "1e15"],
+                                      ["--end", "3", "--every", "1e-12"]])
+    def test_oversized_time_grid_is_exit_two(self, command, grid):
+        # refused at parse time, before the grid is allocated
+        r = run([command, "--model", SIR, *grid], stdin_text=POINT)
+        assert r.returncode == 2
+        errors = [line for line in r.stderr.splitlines() if "error:" in line]
+        assert errors == [f"ssm {command}: error: argument --every: the grid "
+                          "from --start to --end would hold more than "
+                          "1000000 times"]
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["kalman", "ksimplex", "kmcmc"])
+    def test_diverged_covariance_is_a_failed_likelihood(self, tmp_path,
+                                                        command):
+        # at a whole week per RK4 step the seir-h1n1 moment equations leave
+        # RK4's stability region and the covariance overflows; its
+        # eigenvalues do not converge
+        seir = MODELS / "seir-h1n1.json"
+        truth = '{"ssm_theta": 1, "values": {"beta": 3.0, "rho": 0.35}}'
+        extra = {"ksimplex": ["--iterations", "3"],
+                 "kmcmc": ["--iterations", "5", "--trace",
+                           str(tmp_path / "t.csv")]}.get(command, [])
+        r = run([command, "--model", str(seir), "--data",
+                 str(MODELS / "seir-h1n1-data.csv"), "--dt", "1", *extra],
+                stdin_text=truth)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        errors = [line for line in r.stderr.splitlines() if "error:" in line]
+        assert errors == [{
+            "kalman": "error: covariance projection failed: Eigenvalues did "
+                      "not converge",
+            "ksimplex": "error: simplex: objective is not finite at any "
+                        "initial vertex",
+            "kmcmc": "error: chain cannot start from a zero-density point",
+        }[command]]
+
     @pytest.mark.parametrize("seed", ["-3", "abc", "", "1.5"])
     def test_bad_seed_in_the_environment_is_exit_two(self, seed):
         env = {"SSM_SEED": seed}
