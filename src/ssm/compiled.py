@@ -59,11 +59,6 @@ from ssm.observe import PARTS, mean_formula
 
 ODE_WHERE = "during deterministic integration"
 
-# the numpy function of each binary operator, for writes into a buffer
-UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
-          "^": "power"}
-
-
 # the source of a driven parameter's transform, natural value to
 # coordinate, and of its inverse
 TRANSFORMS = {Identity: ("{}", "{}"), Log: ("log({})", "exp({})"),
@@ -147,7 +142,7 @@ _SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
                   empty_like=np.empty_like, isfinite=np.isfinite,
                   scalar_sqrt=math.sqrt,
-                  **{name: getattr(np, name) for name in UFUNCS.values()})
+                  **{name: getattr(np, name) for name in ex.UFUNCS.values()})
 
 
 class ObsFns(NamedTuple):

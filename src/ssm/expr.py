@@ -537,6 +537,36 @@ def to_python(node, resolve):
     raise TypeError(f"not an Expr node: {node!r}")
 
 
+# the numpy function of each binary operator, for writes into a buffer
+UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
+          "^": "power"}
+
+
+def to_python_into(node, resolve, out, names):
+    """Statements leaving in the array `out` the value `to_python` gives.
+    An operation on the symbols `names`, other than a power (numpy's `**`
+    takes shortcuts that `power` does not), is written into `out` one
+    operation at a time in `to_python`'s order: an operand that is such an
+    operation itself is formed in `out` first and the operation writes
+    over it, so no intermediate array is made.  Any other node is
+    evaluated and assigned."""
+    def formed(node):
+        return (isinstance(node, BinOp) and node.op != "^"
+                and node.free_symbols() & names)
+
+    if not formed(node):
+        return [f"    {out}[...] = {to_python(node, resolve)}"]
+    fn = UFUNCS[node.op]
+    left, right = (to_python(n, resolve) for n in (node.left, node.right))
+    if formed(node.left):
+        return (to_python_into(node.left, resolve, out, names)
+                + [f"    {fn}({out}, {right}, out={out})"])
+    if formed(node.right):
+        return (to_python_into(node.right, resolve, out, names)
+                + [f"    {fn}({left}, {out}, out={out})"])
+    return [f"    {fn}({left}, {right}, out={out})"]
+
+
 SCALAR_NAMESPACE = {
     "sin": math.sin,
     "cos": math.cos,

@@ -19,12 +19,13 @@ event) at a time in numpy in the same order, so its results are those bit
 for bit where the math functions agree.  Only those steppers need this
 module, so `CompiledModel` imports it on first use.  The Poisson
 stepper's slice kernel, which writes each propensity into a row of one
-buffer with `in_row` as the sde kernel does, is written beside the
-stepper (`simulate.psr_source`).
+buffer as the sde kernel does (`expr.to_python_into`), is written beside
+the stepper (`simulate.psr_source`), so a process that steps psr alone
+never loads this module.
 """
 
 from ssm import expr as ex
-from ssm.compiled import ODE_WHERE, UFUNCS, combine, param_local
+from ssm.compiled import ODE_WHERE, combine, param_local
 
 
 def accumulate(out, first, pairs):
@@ -168,28 +169,6 @@ def moments_source(cm):
          for i in _floored(cm)])
 
 
-def in_row(cm, tree, out, state_names):
-    """Statements leaving the value of the operation `tree` in the array
-    `out`, operation by operation as `ex.to_python` orders them: an operand
-    that is itself an operation on the state, other than a power (numpy's
-    `**` takes shortcuts that `power` does not), is formed in `out` first
-    and the operation writes over it, so no intermediate array is made."""
-    def formed(node):
-        return (isinstance(node, ex.BinOp) and node.op != "^"
-                and node.free_symbols() & state_names)
-
-    fn = UFUNCS[tree.op]
-    left, right = (ex.to_python(node, cm._resolve)
-                   for node in (tree.left, tree.right))
-    if formed(tree.left):
-        return (in_row(cm, tree.left, out, state_names)
-                + [f"    {fn}({out}, {right}, out={out})"])
-    if formed(tree.right):
-        return (in_row(cm, tree.right, out, state_names)
-                + [f"    {fn}({left}, {out}, out={out})"])
-    return [f"    {fn}({left}, {right}, out={out})"]
-
-
 def sde_source(cm):
     """Source of `sde(x, t, dt, n, p, xi)`: n Euler-Maruyama substeps of
     length dt from time t, in place on a batch x laid out as (nx, J), one
@@ -210,10 +189,7 @@ def sde_source(cm):
     # each propensity goes into its row of _A; where the formula reads the
     # state, its operations write there directly
     for k, tree in enumerate(cm._prop_exprs):
-        if isinstance(tree, ex.BinOp) and tree.free_symbols() & state_names:
-            loop += in_row(cm, tree, f"_a{k}", state_names)
-        else:
-            loop.append(f"    _a{k}[...] = {ex.to_python(tree, cm._resolve)}")
+        loop += ex.to_python_into(tree, cm._resolve, f"_a{k}", state_names)
     loop += cm._blocks["vols"][0]
     # driven rows only: compartment and accumulator rows come from the
     # reaction increments

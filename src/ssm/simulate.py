@@ -30,9 +30,9 @@ kernel (`psr_source`), which writes the propensities in the order the
 slice draws them, and the driven drifts and volatilities, into the rows
 of one buffer.  A slice works only on the reactions that some row of the
 batch can fire, through a plan cached per set of such reactions, in
-buffers made once per call and plan: the other reactions would draw
-nothing, so the variates are those of the full slice, except that a
-noise group none of whose members can fire draws no gamma increments.
+buffers made once per call: the other reactions would draw nothing, so
+the variates are those of the full slice, except that a noise group none
+of whose members can fire draws no gamma increments.
 The jump backend makes one call of the generated `jump` kernel per
 trajectory and interval, on Python floats, the trajectories of a batch
 taking their variates from shared streams.
@@ -113,9 +113,8 @@ def psr_source(cm):
     of every reaction, in the step's order (`CompiledModel.step_order`),
     then the drift and then the volatility of every driven parameter.
     Where a propensity reads the state, its operations write into its row
-    directly (`kernels.in_row`), so no intermediate array is made; each
-    value is that of the `rates` and `drift` kernels bit for bit."""
-    from ssm import kernels
+    directly (`expr.to_python_into`), so no intermediate array is made;
+    each value is that of the `rates` and `drift` kernels bit for bit."""
     names = set(cm.state_names)
     needed = set(cm._blocks["rates"][1])
     driven = [f"_d{i}" for i in range(cm.nx)[cm.diff_slice]]
@@ -128,10 +127,7 @@ def psr_source(cm):
     if rows:
         lines.append(f"    {''.join(row + ', ' for row in rows)}= out")
     for k, tree in enumerate(cm._prop_exprs):
-        if isinstance(tree, ex.BinOp) and tree.free_symbols() & names:
-            lines += kernels.in_row(cm, tree, f"_r{k}", names)
-        else:
-            lines.append(f"    _r{k}[...] = {ex.to_python(tree, cm._resolve)}")
+        lines += ex.to_python_into(tree, cm._resolve, f"_r{k}", names)
     if driven:
         lines += cm._blocks["driven"][0] + cm._blocks["vols"][0]
         lines += [f"    _w{d}[...] = {d}" for d in driven]
@@ -234,49 +230,46 @@ def _rows(a, idx, out=None):
 
 
 class _Work:
-    """The buffers of one plan's slices within one `psr_step` call: per
-    live exit, in the plan's level-major order, its propensity, increment,
-    rate times increment, share q and binomial probability, then the
-    probabilities in step order; per source with a live exit, its hazard,
-    leave probability, state and whole members; per source with a second
-    live exit, the mass not yet assigned."""
+    """The buffers of one `psr_step` call, sized for every exit and source
+    of the model; a plan works in their leading rows.  Per exit, in the
+    plan's level-major order: rate times increment, share q, binomial
+    probability (before that, the propensities and increments taken in
+    the plan's order); per source: hazard, leave probability (after that,
+    its state), whole members and the share not yet assigned."""
 
-    def __init__(self, plan, j):
-        n_exit, n_source = plan.n_exit, plan.levels[0][1]
-        self.p, self.d, self.rd, self.q, self.cond, self.cascade = (
-            np.empty((n_exit, j)) for _ in range(6))
-        self.hazard, self.leave, self.z = (np.empty((n_source, j))
-                                           for _ in range(3))
-        self.remaining = np.empty((n_source, j), dtype=np.int64)
-        self.tail = np.empty((plan.levels[1][1] if len(plan.levels) > 1
-                              else 0, j))
+    def __init__(self, cm, j):
+        exits, sources = len(cm.exit_reactions), len(cm.source_columns)
+        self.rd, self.q, self.cond = (np.empty((exits, j)) for _ in range(3))
+        self.hazard, self.leave, self.tail = (np.empty((sources, j))
+                                              for _ in range(3))
+        self.remaining = np.empty((sources, j), dtype=np.int64)
 
 
 def _exit_probabilities(plan, w, state, prop, h, delta):
     """The probability of each live exit's binomial, in step order: its
     share q of its source's leavers over the share not yet assigned when it
     is drawn, 0 where that is not above 1e-12, clipped to [0, 1].  The work
-    runs level-major in the plan's buffers `w`."""
+    runs level-major in the leading rows of the buffers `w`."""
     levels = plan.levels
+    rd, q, cond = w.rd[:plan.n_exit], w.q[:plan.n_exit], w.cond[:plan.n_exit]
+    hazard, leave = w.hazard[:levels[0][1]], w.leave[:levels[0][1]]
     # rate times increment: the propensity over its source, floored at
     # TINY so that an empty source gives 0, times the increment
-    rd = np.maximum(_rows(state, plan.exit_sources, w.rd), TINY, out=w.rd)
-    np.divide(_rows(prop, plan.order, w.p), rd, out=rd)
-    rd *= h if delta is None else _rows(delta, plan.order, w.d)
+    np.maximum(_rows(state, plan.exit_sources, rd), TINY, out=rd)
+    np.divide(_rows(prop, plan.order, q), rd, out=rd)
+    rd *= h if delta is None else _rows(delta, plan.order, cond)
     # hazard per source, its exits' terms summed in listing order; leave =
     # 1 - exp(-hazard); an exit's share q = leave rd / hazard
-    hazard = w.hazard
     np.copyto(hazard, rd[levels[0][0]])
     for at, n in levels[1:]:
         np.add(hazard[:n], rd[at], out=hazard[:n])
-    leave = np.negative(hazard, out=w.leave)
+    np.negative(hazard, out=leave)
     np.expm1(leave, out=leave)
     np.negative(leave, out=leave)
     safe = np.maximum(hazard, TINY, out=hazard)
     # at the first level the whole share is unassigned, and q is the
     # probability as it is: a term of a sum of nonnegative terms is at most
     # the rounded sum, so q lies in [0, 1] as rounded too
-    q, cond = w.q, w.cond
     for i, (at, n) in enumerate(levels):
         share = q[at] if i else cond[at]
         np.multiply(leave[:n], rd[at], out=share)
@@ -290,7 +283,7 @@ def _exit_probabilities(plan, w, state, prop, h, delta):
             tail = np.where(tail > 1e-12, tail, np.inf)
         np.divide(q[at], tail, out=cond[at])
         np.clip(cond[at], 0.0, 1.0, out=cond[at])
-    return _rows(cond, plan.cascade, w.cascade)
+    return _rows(cond, plan.cascade, q)
 
 
 def psr_step(cm, x, t, h, n_sub, params, rng):
@@ -333,11 +326,11 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     The state is held one row per coordinate, in two buffers that take
     turns; the model's `psr` kernel (`psr_source`) writes the propensities
     into the rows of one buffer in the step's order, and the exits' work
-    runs in buffers made once per call and plan (`_Work`).
+    runs in buffers made once per call (`_Work`).
     """
     x = np.asarray(x, dtype=float)
     state = x.reshape(-1, cm.nx).T.copy()
-    new, change = np.empty_like(state), np.empty_like(state)
+    new = np.empty_like(state)
     j = state.shape[1]
     n_rows = len(cm.step_order)
     # the psr kernel's rows: propensities, then driven drifts and
@@ -356,7 +349,7 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
             var = sd[pos] ** 2
             noises.append((g, rank[members, None], pos, h / var, var))
     delta = np.full((n_rows, j), h) if noises else None
-    work = {}
+    w = _Work(cm, j)
     sqrt_h = np.sqrt(h)
     for _ in range(n_sub):
         cm.psr(state, np.asarray(t, dtype=float), params, out)
@@ -365,17 +358,16 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
         if not np.maximum.reduce(top, initial=0.0) < np.inf:
             raise DomainError("non-finite rate during Poisson step")
         plan = psr_plan(cm, top > 0.0)
-        w = work.get(id(plan))
-        if w is None and plan.n_exit:
-            w = work[id(plan)] = _Work(plan, j)
         for g, rows, pos, shape, scale in noises:
             if plan.noisy[g]:
                 delta[rows, pos] = rng.gamma(shape, scale)
 
         if plan.n_exit:
             cond = _exit_probabilities(plan, w, state, prop, h, delta)
-            remaining = np.floor(_rows(state, plan.sources, w.z),
-                                 out=w.remaining, casting="unsafe")
+            n_source = plan.levels[0][1]
+            remaining = np.floor(
+                _rows(state, plan.sources, w.leave[:n_source]),
+                out=w.remaining[:n_source], casting="unsafe")
             for at, groups in plan.runs:
                 n = rng.binomial(remaining[groups], cond[at])
                 counts[at] = n
@@ -392,8 +384,8 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
                     n = np.minimum(n, np.floor(left / each).min(axis=0))
                 counts[row] = n
 
-        np.matmul(plan.stoich, counts[:plan.stoich.shape[1]], out=change)
-        np.add(state, change, out=new)
+        np.matmul(plan.stoich, counts[:plan.stoich.shape[1]], out=new)
+        np.add(new, state, out=new)
         # reachable only by a per-capita reaction that drains more than one
         # member of its source, or another compartment
         if np.minimum.reduce(new[cm.comp_slice], axis=None,
