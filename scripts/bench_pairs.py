@@ -1,14 +1,14 @@
 """Run the benchmark on a parent revision and a change in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_REV --workload W --pairs N \
-        --out BENCH_<pr>.json [--change REV] [--seed S] [--seconds S]
+        --out BENCH_<pr>.json [--change REV] [--seed S]
 
 Both revisions are exported with `git archive` into a temporary directory,
 and each runs its own, unchanged `perfbench/run.py --trace 0` from the root
 of its tree, one run at a time.  Pair i runs both trees at seed S + i, the
-parent first in even pairs and the change first in odd ones; --seconds
-defaults to the `run_seconds` of BENCHMARK.json.  The change defaults to
-HEAD: commit what is to be measured.
+parent first in even pairs and the change first in odd ones, each run as
+long as the `run_seconds` of BENCHMARK.json.  The change defaults to HEAD:
+commit what is to be measured.
 
 The out file holds, per workload, every run's final JSON line, the
 environment line of the first run, both revisions and, per metric, each
@@ -103,7 +103,6 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     if importlib.util.find_spec("scipy") is None:
         print("bench_pairs: scipy is not installed, and perfbench/run.py "
@@ -115,7 +114,7 @@ def main(argv=None):
         parser.error(f"unknown workload {args.workload!r}")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     revs = {"parent": git("rev-parse", args.parent),
             "change": git("rev-parse", args.change)}
     doc = {**revs, "workloads": {}}
