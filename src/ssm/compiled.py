@@ -54,15 +54,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ssm import expr as ex
-from ssm.model import Identity, Log, Logit, ModelSpec
+from ssm.model import ModelSpec
 from ssm.observe import PARTS, mean_formula
 
 ODE_WHERE = "during deterministic integration"
-
-# the source of a driven parameter's transform, natural value to
-# coordinate, and of its inverse
-TRANSFORMS = {Identity: ("{}", "{}"), Log: ("log({})", "exp({})"),
-              Logit: ("log(({0})/(1.0 - ({0})))", "1.0/(1.0 + exp(-({0})))")}
 
 
 class DomainError(RuntimeError):
@@ -249,19 +244,11 @@ class CompiledModel:
 
         # chain factor d(natural)/d(coordinate) for every state column,
         # written against natural-scale symbols
-        chains = [(name, None) for name in spec.compartments]
-        for d in spec.diffusions:
-            q = ex.Sym(d.name)
-            if isinstance(d.transform, Identity):
-                chains.append((d.name, None))
-            elif isinstance(d.transform, Log):
-                chains.append((d.name, q))
-            elif isinstance(d.transform, Logit):
-                chains.append((d.name, ex.mul(q, ex.sub(ex.ONE, q))))
-            else:
-                raise ValueError(f"unsupported transform on driven parameter {d.name}")
-        self._column_chains = chains + [(name, None)
-                                        for name in spec.accumulators]
+        self._column_chains = (
+            [(name, ex.ONE) for name in spec.compartments]
+            + [(d.name, d.transform.chain(ex.Sym(d.name)))
+               for d in spec.diffusions]
+            + [(name, ex.ONE) for name in spec.accumulators])
 
     def _partials(self, tree):
         """Nonzero (state column, derivative Expr) pairs, chain applied."""
@@ -270,9 +257,7 @@ class CompiledModel:
         for j, (name, chain) in enumerate(self._column_chains):
             if name not in syms:
                 continue
-            d = ex.differentiate(tree, name)
-            if chain is not None:
-                d = ex.mul(d, chain)
+            d = ex.mul(ex.differentiate(tree, name), chain)
             if d != ex.ZERO:
                 out.append((j, d))
         return out
@@ -297,9 +282,8 @@ class CompiledModel:
             elif self.n_comp <= i < self.n_comp + self.n_diff:
                 d = spec.diffusions[i - self.n_comp]
                 u = f"_u{i}"
-                inverse = TRANSFORMS[type(d.transform)][1]
                 naturals.append(f"    {natural_local(d.name)} = "
-                                f"{inverse.format(u)}")
+                                f"{d.transform.inverse_source.format(u)}")
                 targets.append(u)
             else:
                 targets.append(state_local(name))
@@ -482,7 +466,7 @@ class CompiledModel:
         entries = [ex.to_python(tree, self._resolve)
                    for tree in spec.compartment_initials]
         # a driven coordinate starts at the transform of its initial value
-        entries += [TRANSFORMS[type(d.transform)][0].format(
+        entries += [d.transform.forward_source.format(
             param_local(d.initial_param)) for d in spec.diffusions]
         entries += ["0.0"] * self.n_acc
         source = self._kernel_source(
@@ -608,7 +592,7 @@ class CompiledModel:
 
         With `size`, returns (size, nx); parameter values may then be arrays
         of matching length.  A compartment that starts below zero is a
-        DomainError.
+        DomainError, and then any other entry that is not finite.
         """
         out = np.empty((1 if size is None else size, self.nx))
         for i, v in enumerate(self._init(p)):
@@ -617,6 +601,8 @@ class CompiledModel:
         if below.any():
             raise DomainError(f"initial {self.state_names[below.argmax()]} "
                               f"is negative")
+        if not np.isfinite(out).all():
+            raise DomainError("non-finite initial state")
         return out[0] if size is None else out
 
     def env_columns(self, prop, p):

@@ -87,10 +87,23 @@ class Expr:
         """Evaluate with `env` mapping symbol names to numbers or arrays."""
         return _eval(self, env)
 
+    def walk(self):
+        """This tree and each of its sub-trees, depth first: a node before
+        its operands, and the operands in the order of its fields."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for name in reversed(node.__slots__):
+                value = getattr(node, name)
+                if isinstance(value, Expr):
+                    stack.append(value)
+                elif isinstance(value, tuple):
+                    stack.extend(reversed(value))
+
     def free_symbols(self):
-        out = set()
-        _collect_symbols(self, out)
-        return out
+        return {node.name for node in self.walk()
+                if type(node) is Sym and node.name != "pi"}
 
 
 class Const(Expr):
@@ -348,23 +361,6 @@ def _eval(node, env):
             return yes if cond else no
         return np.where(cond, yes, no)
     raise TypeError(f"not an Expr node: {node!r}")
-
-
-def _collect_symbols(node, out):
-    if isinstance(node, Sym):
-        if node.name != "pi":
-            out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_symbols(node.operand, out)
-    elif isinstance(node, BinOp):
-        _collect_symbols(node.left, out)
-        _collect_symbols(node.right, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _collect_symbols(a, out)
-    elif isinstance(node, Ifelse):
-        for a in (node.lhs, node.rhs, node.then, node.orelse):
-            _collect_symbols(a, out)
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,6 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         floor = None
     floor = _stop_floor(cm, floor)
     x = cm.init_state(params, size=j)
-    if not np.all(np.isfinite(x)):
-        raise FilterError("non-finite initial state")
     n_obs = len(dataset)
     loglik = 0.0
     terms = np.full(n_obs, np.nan)
@@ -132,6 +130,8 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
     history = [] if return_path else None
     ancestry = [] if return_path else None
     final_weights = None
+    path = None
+    instants = n_obs
     prev_t = t0
     for i, (t, obs) in enumerate(dataset):
         x = advance(cm, x, prev_t, t, params, rng=rng, formalism=formalism,
@@ -145,10 +145,8 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
             logw += ob.stream_loglik(o.kind, parts, y)
         peak = logw.max()
         if not np.isfinite(peak):
-            return FilterResult(
-                loglik=-np.inf, times=dataset.times, means=means,
-                loglik_terms=terms, ess=ess, path=None, instants=i + 1,
-            )
+            loglik, instants = -np.inf, i + 1
+            break
         w = np.exp(logw - peak)
         total = w.sum()
         terms[i] = peak + np.log(total / j)
@@ -157,10 +155,8 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         ess[i] = 1.0 / (norm ** 2).sum()
         means[i] = norm @ x
         if floor is not None and loglik <= floor:
-            return FilterResult(
-                loglik=float(loglik), times=dataset.times, means=means,
-                loglik_terms=terms, ess=ess, path=None, instants=i + 1,
-            )
+            instants = i + 1
+            break
         if return_path:
             history.append(x.copy())
         idx = systematic_resample(norm, rng)
@@ -172,17 +168,18 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
             params, log_weight = after_resample(i, idx)
         final_weights = norm
         prev_t = t
-    path = None
-    if return_path and n_obs:
-        path = np.empty((n_obs, cm.nx))
-        pick = int(rng.choice(j, p=final_weights))
-        path[-1] = history[-1][pick]
-        for i in range(n_obs - 2, -1, -1):
-            pick = int(ancestry[i][pick])
-            path[i] = history[i][pick]
+    else:
+        # a run that filtered every instant draws the path, if asked
+        if return_path and n_obs:
+            path = np.empty((n_obs, cm.nx))
+            pick = int(rng.choice(j, p=final_weights))
+            path[-1] = history[-1][pick]
+            for i in range(n_obs - 2, -1, -1):
+                pick = int(ancestry[i][pick])
+                path[i] = history[i][pick]
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
-        loglik_terms=terms, ess=ess, path=path, instants=n_obs,
+        loglik_terms=terms, ess=ess, path=path, instants=instants,
     )
 
 
@@ -235,8 +232,6 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     """
     floor = _stop_floor(cm, floor)
     x0 = cm.init_state(params)
-    if not np.all(np.isfinite(x0)):
-        raise FilterError("non-finite initial state")
     upper = cm.tri_index
     lower = upper[::-1]
     flat = np.zeros(cm.nx + len(upper[0]))
@@ -244,6 +239,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     n_obs = len(dataset)
     # the updates still to come after the current instant
     left = sum(len(obs) for _, obs in dataset)
+    instants = n_obs
     loglik = 0.0
     terms = np.zeros(n_obs)
     means = np.full((n_obs, cm.nx), np.nan)
@@ -300,21 +296,20 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
         covs[i] = C
         left -= len(obs)
         if floor is not None and (bound := _ceiling(loglik, left)) <= floor:
-            return FilterResult(
-                loglik=float(bound), times=dataset.times, means=means,
-                loglik_terms=terms, covs=covs, repairs=repairs,
-                instants=i + 1,
-            )
+            loglik, instants = bound, i + 1
+            break
         m[cm.acc_slice] = 0.0
         C[cm.acc_slice, :] = 0.0
         C[:, cm.acc_slice] = 0.0
         flat = np.concatenate([m, C[upper]])
         prev_t = t
-    if not np.isfinite(loglik):
-        raise FilterError("non-finite log likelihood")
+    else:
+        # a stopped run returns its bound as it is
+        if not np.isfinite(loglik):
+            raise FilterError("non-finite log likelihood")
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
-        loglik_terms=terms, covs=covs, repairs=repairs, instants=n_obs,
+        loglik_terms=terms, covs=covs, repairs=repairs, instants=instants,
     )
 
 

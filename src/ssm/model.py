@@ -37,8 +37,17 @@ class ModelError(ValueError):
 # ---------------------------------------------------------------------------
 # parameter transforms
 
+# Identity, Log and Logit, the transforms a driven parameter may take, also
+# carry the source of the transform, natural value to coordinate, and of its
+# inverse, each formatted with its operand's source, and the chain factor
+# d(natural)/d(coordinate) as a formula in the natural value q
+
 class Identity:
     name = "identity"
+    forward_source = inverse_source = "{}"
+
+    def chain(self, q):
+        return ex.ONE
 
     def forward(self, x):
         return np.asarray(x, dtype=float) + 0.0
@@ -56,6 +65,11 @@ class Identity:
 
 class Log:
     name = "log"
+    forward_source = "log({})"
+    inverse_source = "exp({})"
+
+    def chain(self, q):
+        return q
 
     def forward(self, x):
         return np.log(x)
@@ -72,6 +86,11 @@ class Log:
 
 class Logit:
     name = "logit"
+    forward_source = "log(({0})/(1.0 - ({0})))"
+    inverse_source = "1.0/(1.0 + exp(-({0})))"
+
+    def chain(self, q):
+        return ex.mul(q, ex.sub(ex.ONE, q))
 
     def forward(self, x):
         x = np.asarray(x, dtype=float)
@@ -449,31 +468,18 @@ def _check_symbols(tree, allowed, where, condition_allowed=None):
     if unknown:
         name = sorted(unknown)[0]
         raise ModelError(f"unknown symbol '{name}' in {where}")
-    if condition_allowed is not None:
-        _check_conditions(tree, condition_allowed, where)
-
-
-def _check_conditions(tree, allowed, where):
-    """Branch conditions may only involve time and parameters, which keeps
-    linearization exact between observation times."""
-    if isinstance(tree, ex.Ifelse):
-        for part in (tree.lhs, tree.rhs):
-            bad = part.free_symbols() - allowed
+    if condition_allowed is None:
+        return
+    # branch conditions may only involve time and parameters, which keeps
+    # linearization exact between observation times
+    for node in tree.walk():
+        for part in (node.lhs, node.rhs) if isinstance(node, ex.Ifelse) else ():
+            bad = part.free_symbols() - condition_allowed
             if bad:
                 raise ModelError(
                     f"ifelse condition in {where} may only use time and "
                     f"parameters, found '{sorted(bad)[0]}'"
                 )
-        _check_conditions(tree.then, allowed, where)
-        _check_conditions(tree.orelse, allowed, where)
-    elif isinstance(tree, ex.Neg):
-        _check_conditions(tree.operand, allowed, where)
-    elif isinstance(tree, ex.BinOp):
-        _check_conditions(tree.left, allowed, where)
-        _check_conditions(tree.right, allowed, where)
-    elif isinstance(tree, ex.Call):
-        for a in tree.args:
-            _check_conditions(a, allowed, where)
 
 
 def parse_model(text):
