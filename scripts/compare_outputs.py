@@ -102,6 +102,17 @@ def driven_models(models):
                                reactions=reactions)}
 
 
+def pole_models(models):
+    """The shipped SIR with a division by zero among parameter values alone
+    at the truth (gamma 1.0, I0 10): in the infection rate, and in the
+    initial I, by file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    rate, initial = copy.deepcopy(sir), copy.deepcopy(sir)
+    rate["reactions"][0]["rate"] = "beta/(gamma - 1)*I/N"
+    initial["compartments"][1]["initial"] = "I0/(I0 - 10)"
+    return {"sir-pole": rate, "sir-initial-pole": initial}
+
+
 def model_args(name, data=True):
     args = ["--model", f"{{models}}/{name}.json"]
     return args + ["--data", f"{{models}}/{name}-data.csv"] if data else args
@@ -220,6 +231,28 @@ def commands():
              ["smc", *driven, *data, "--formalism", formalism,
               "--n-particles", "200"], "sir", ()),
         ]
+    # numeric failures: each ends in one error line or a finished run
+    pole = ["--model", "{work}/sir-pole.json"]
+    initial = ["--model", "{work}/sir-initial-pole.json"]
+    seir = model_args("seir-h1n1")
+    out += [
+        ("kalman sir-pole", ["kalman", *pole, *data], "sir", ()),
+        *((f"smc {formalism} sir-pole",
+           ["smc", *pole, *data, "--formalism", formalism, "--n-particles",
+            "200"], "sir", ()) for formalism in ("psr", "sde")),
+        ("simplex sir-pole", ["simplex", *pole, *data, "--iterations", "2"],
+         "sir", ()),
+        ("simulate sde sir-pole", ["simulate", *pole, "--formalism", "sde",
+                                   "--end", "30"], "sir", ()),
+        ("simulate sir-initial-pole", ["simulate", *initial, "--end", "30"],
+         "sir", ()),
+        ("smc sir-initial-pole", ["smc", *initial, *data, "--n-particles",
+                                  "200"], "sir", ()),
+        ("kalman dt 1 seir-h1n1", ["kalman", *seir, "--dt", "1"],
+         "seir-h1n1", ()),
+        ("ksimplex dt 1 seir-h1n1", ["ksimplex", *seir, "--dt", "1",
+                                     "--iterations", "3"], "seir-h1n1", ()),
+    ]
     return out
 
 
@@ -235,8 +268,8 @@ def run_tree(src, models, work):
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
     for name, doc in {**invalid_models(models), **law_models(models),
-                      **prior_models(models),
-                      **driven_models(models)}.items():
+                      **prior_models(models), **driven_models(models),
+                      **pole_models(models)}.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}
     prev = b""

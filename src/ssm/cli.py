@@ -16,8 +16,11 @@ incoming values on, and one that keeps fewer than two its incoming
 covariance.
 
 Exit codes: 0 on success, 2 for schema or validation problems in options,
-models, data, or parameter documents, 1 for numerical failures at runtime
-(an initial state with a negative compartment among them).
+models, data, or parameter documents, 1 for numerical failures at runtime:
+a state, rate or likelihood that is not finite, an initial state with a
+negative compartment or an entry that is not finite, also where parameter
+values alone give it (a division by zero among them).  A failure writes
+one `error:` line to stderr, and no numpy warning.
 """
 
 from __future__ import annotations
@@ -584,7 +587,10 @@ def main(argv=None):
                  f"{text!r}")
             return 2
     try:
-        return args.func(args)
+        # a numeric failure reaches stderr as one `error:` line, never as a
+        # numpy warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ModelError, ThetaError, DataError) as err:
         _log(f"error: {err}")
         return 2

@@ -37,12 +37,15 @@ first time it is used:
 
 The interval kernels hold the loop over substeps, so a stepper makes one
 call per observation interval (jump: per state and interval);
-`ssm.kernels` writes their source.  The kernels for one state return
-tuples and run on Python floats (see `_on_floats`).  The `rates`, `drift`
-and `jac` kernels are batch kernels only: a single state goes through them
-as a batch with no leading dimensions.  `dynamics` and
-`process_cov_from` assemble dense arrays from them for tests and for
-checking the moment equations.
+`ssm.kernels` writes their source.  A kernel runs in one of two
+arithmetics.  The kernels for one state return tuples and run on Python
+floats, and again in numpy's where that raises (see `_on_floats`).  Every
+batch kernel, `init` among them, runs in numpy's: its prologue takes each
+parameter value to a numpy float, so parameter values alone give numpy's
+inf or nan, never an exception.  The `rates`, `drift` and `jac` kernels are
+batch kernels only: a single state goes through them as a batch with no
+leading dimensions.  `dynamics` and `process_cov_from` assemble dense
+arrays from them for tests and for checking the moment equations.
 """
 
 from __future__ import annotations
@@ -95,6 +98,12 @@ def combine(pairs):
 FLOAT_FAILURES = (ZeroDivisionError, OverflowError, TypeError, ValueError)
 
 
+def _as_numpy(value):
+    """A parameter value as numpy's arithmetic takes it: a number as a
+    numpy float, an array as it is."""
+    return value if type(value) is np.ndarray else np.float64(value)
+
+
 def _on_floats(kernel, on_numpy):
     """Wrap a scalar kernel, which returns a tuple, to run on Python floats,
     several times faster than on numpy scalars, and return an array.
@@ -103,8 +112,9 @@ def _on_floats(kernel, on_numpy):
     to a fractional power as a complex number (a TypeError where it meets a
     comparison or a math function); in those cases the whole call, for an
     interval kernel the whole interval, runs again on numpy scalars (the
-    times too) through `on_numpy()`, the same kernel compiled against
-    numpy's math functions, so the result is numpy's."""
+    times here, the parameter values in the kernel's prologue) through
+    `on_numpy()`, the same kernel compiled against numpy's math functions,
+    so the result is numpy's."""
     def run(x, *args):
         try:
             out = np.array(kernel(x.tolist(), *args))
@@ -132,11 +142,14 @@ def _settle_batch(cols, floor):
     return np.maximum(x, floor, out=x)
 
 
+# a kernel's prologue binds each parameter value through `param`: as it is
+# on Python floats, as a numpy value on numpy's arithmetic
 _SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
-                  nextafter=math.nextafter, DomainError=DomainError)
-_VECTOR_NS = dict(ex.VECTOR_NAMESPACE, sqrt=np.sqrt, empty=np.empty,
-                  empty_like=np.empty_like, isfinite=np.isfinite,
-                  scalar_sqrt=math.sqrt,
+                  nextafter=math.nextafter, DomainError=DomainError,
+                  param=lambda value: value)
+_VECTOR_NS = dict(ex.VECTOR_NAMESPACE, param=_as_numpy, sqrt=np.sqrt,
+                  empty=np.empty, empty_like=np.empty_like,
+                  isfinite=np.isfinite, scalar_sqrt=math.sqrt,
                   **{name: getattr(np, name) for name in ex.UFUNCS.values()})
 
 
@@ -298,7 +311,8 @@ class CompiledModel:
         lines.extend(naturals)
         for p in spec.parameters:
             if p.name in needed:
-                lines.append(f"    {param_local(p.name)} = p['{p.name}']")
+                lines.append(f"    {param_local(p.name)} = "
+                             f"param(p['{p.name}'])")
 
     def _build_blocks(self):
         """Source lines of the model's intermediate quantities, shared by
@@ -432,6 +446,7 @@ class CompiledModel:
         call."""
         ns = self._compile(name, source, vector=False)
         return ns, cache(lambda: self._compile(name, source, vector=False,
+                                               param=_as_numpy,
                                                **ex.VECTOR_NAMESPACE))
 
     def _float_kernels(self, name, source, *functions):

@@ -478,20 +478,12 @@ def differentiate(node, name):
             return mul(Call("exp", (u,)), du)
         return div(du, u)  # log
     if isinstance(node, Ifelse):
-        return _ifelse_simplified(
-            node.comparator,
-            node.lhs,
-            node.rhs,
-            differentiate(node.then, name),
-            differentiate(node.orelse, name),
-        )
+        then = differentiate(node.then, name)
+        orelse = differentiate(node.orelse, name)
+        if then == orelse:
+            return then
+        return Ifelse(node.comparator, node.lhs, node.rhs, then, orelse)
     raise TypeError(f"not an Expr node: {node!r}")
-
-
-def _ifelse_simplified(comparator, lhs, rhs, then, orelse):
-    if then == orelse:
-        return then
-    return Ifelse(comparator, lhs, rhs, then, orelse)
 
 
 # ---------------------------------------------------------------------------

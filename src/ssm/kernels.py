@@ -224,7 +224,7 @@ def sde_source(cm):
              "    t = t + dt"]
 
     needed = ({sd for sd, _ in cm.noise_groups}
-              | {n for d in cm.spec.diffusions for n in d.drift.free_symbols()}
+              | cm._blocks["driven"][1]
               | cm._blocks["rates"][1] | cm._blocks["vols"][1])
     states = needed & state_names
     head = []

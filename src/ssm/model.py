@@ -290,10 +290,6 @@ class ModelSpec(NamedTuple):
     def n_reactions(self):
         return len(self.reactions)
 
-    @property
-    def parameter_names(self):
-        return tuple(p.name for p in self.parameters)
-
     def free_parameters(self):
         return ParameterSpace(tuple(p for p in self.parameters if p.free))
 
@@ -311,7 +307,7 @@ class ModelSpec(NamedTuple):
             else:
                 raise ModelError(f"no value supplied for parameter '{p.name}'")
         if values:
-            unknown = set(values) - set(self.parameter_names)
+            unknown = set(values) - {p.name for p in self.parameters}
             if unknown:
                 raise ModelError(
                     f"unknown parameter name(s) in values: {', '.join(sorted(unknown))}"
@@ -473,7 +469,8 @@ def _check_symbols(tree, allowed, where, condition_allowed=None):
     # branch conditions may only involve time and parameters, which keeps
     # linearization exact between observation times
     for node in tree.walk():
-        for part in (node.lhs, node.rhs) if isinstance(node, ex.Ifelse) else ():
+        sides = (node.lhs, node.rhs) if isinstance(node, ex.Ifelse) else ()
+        for part in sides:
             bad = part.free_symbols() - condition_allowed
             if bad:
                 raise ModelError(

@@ -162,8 +162,7 @@ def log_posterior(space, base_values, run):
             lp = space.log_prior_unconstrained(u)
             if not np.isfinite(lp):
                 return -np.inf, lp, None
-            values = dict(base_values)
-            values.update(space.to_natural(u))
+            values = dict(base_values, **space.to_natural(u))
         ll, path = attempt(run, values, None if bar is None else bar - lp)
         return ll, lp, path
 
@@ -174,23 +173,30 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
                    iterations=300, step=0.1, dt=None, xtol=1e-5):
     """Run the simplex on the chosen likelihood backend; returns the merged
     natural-scale values and the log likelihood at the optimum.  FilterError
-    when the posterior is zero at every initial vertex."""
-    target = log_posterior(space, base_values,
-                           backend(cm, dataset, t0, kind, dt=dt))
+    when the posterior is zero at every initial vertex; where the likelihood
+    fails at the starting point, the message ends with that failure's."""
+    run = backend(cm, dataset, t0, kind, dt=dt)
+    target = log_posterior(space, base_values, run)
 
     def objective(u):
         ll, lp, _ = target(u)
         return ll + lp if np.isfinite(ll) else -np.inf
 
+    start = space.to_unconstrained(base_values)
     try:
-        res = nelder_mead(objective, space.to_unconstrained(base_values),
-                          step=step, iterations=iterations, xtol=xtol)
+        res = nelder_mead(objective, start, step=step, iterations=iterations,
+                          xtol=xtol)
     except NoFiniteVertex as err:
-        raise FilterError(f"simplex: {err}") from err
-    values = dict(base_values)
-    values.update(space.to_natural(res.x))
+        message = f"simplex: {err}"
+        # where the likelihood fails at the starting point, that failure
+        # names the cause
+        try:
+            run(dict(base_values, **space.to_natural(start)))
+        except (DomainError, FilterError) as failure:
+            message += f"; at the starting point: {failure}"
+        raise FilterError(message) from err
     return {
-        "values": values,
+        "values": dict(base_values, **space.to_natural(res.x)),
         "log_likelihood": target(res.x)[0],
         "iterations": res.iterations,
         "converged": res.converged,
@@ -237,14 +243,10 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
                     formalism=formalism, dt=dt)
 
     def merged(u_vec):
-        out = dict(base_values)
-        out.update(space.to_natural(u_vec))
-        return out
+        return dict(base_values, **space.to_natural(u_vec))
 
     def columns(u):
-        out = dict(base_values)
-        out.update(space.natural_columns(u))
-        return out
+        return dict(base_values, **space.natural_columns(u))
 
     theta_trace = [theta.copy()]
     if not moving.any() or n_obs == 0:

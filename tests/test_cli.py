@@ -81,6 +81,33 @@ class TestPlumbing:
                            input=POINT)
         assert r.returncode == 0, r.stderr
 
+    def test_psr_stages_never_load_the_kernels_module(self, tmp_path):
+        # ssm.kernels writes the interval kernels and costs a stage peak
+        # memory to compile: stages that step psr alone never load it, and
+        # an sde stage does
+        theta = str(tmp_path / "theta.json")
+        Path(theta).write_text(POINT)
+        stage = ["--model", SIR, "--data", SIR_DATA, "--theta", theta,
+                 "--n-particles", "20"]
+        runs = [["check-data", "--model", SIR, "--data", SIR_DATA],
+                ["cat", "--theta", theta],
+                ["smc", *stage],
+                ["mif", *stage, "--iterations", "1"],
+                ["forecast", "--model", SIR, "--theta", theta, "--end", "3",
+                 "--trajectories", "5"]]
+        code = (
+            "import sys\n"
+            "from ssm.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'ssm.kernels' not in sys.modules\n"
+            f"assert main({['smc', *stage, '--formalism', 'sde']!r}) == 0\n"
+            "assert 'ssm.kernels' in sys.modules\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=ssm_env(), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+
     def test_runtime_imports_no_jsonschema(self):
         # the model schema is checked without jsonschema, a test-only
         # dependency
@@ -263,6 +290,50 @@ class TestValidation:
             r = run([*argv, "--model", str(model)], stdin_text=POINT)
             assert r.returncode == code, r.stderr
         assert r.stderr == "error: initial I is negative\n"
+        # at I0 10, I0/(I0 - 10) divides by zero among parameter values
+        # alone: an initial state that is not finite
+        i0["prior"] = {"dirac": 10}
+        spec["compartments"][1]["initial"] = "I0/(I0 - 10)"
+        model.write_text(json.dumps(spec))
+        r = run([*argv, "--model", str(model)], stdin_text=POINT)
+        assert r.returncode == 1
+        assert r.stderr == "error: non-finite initial state\n"
+
+    @pytest.mark.parametrize("case, argv", [
+        *(("pole", argv) for argv in (
+            ["kalman"], ["ksimplex", "--iterations", "2"],
+            ["kmcmc", "--iterations", "3"], ["simplex", "--iterations", "2"],
+            ["smc", "--formalism", "psr"], ["smc", "--formalism", "sde"],
+            ["pmcmc", "--iterations", "3"], ["simulate"])),
+        ("overflow", ["kalman"]), ("overflow", ["smc"])])
+    def test_parameter_arithmetic_fails_cleanly(self, tmp_path, case, argv):
+        # the rate divides by zero, or overflows, among parameter values
+        # alone: every stage follows numpy's arithmetic there, and a
+        # failure is one error line
+        rate, values = {
+            "pole": ("beta/(gamma - 1)*I/N", {"beta": 1.5, "gamma": 1.0}),
+            "overflow": ("beta^10*I/N/beta^10", {"beta": 1e31, "gamma": 1.0}),
+        }[case]
+        spec = json.loads(Path(SIR).read_text())
+        spec["reactions"][0]["rate"] = rate
+        model = tmp_path / "pole.json"
+        model.write_text(json.dumps(spec))
+        command = argv[0]
+        extra = ["--end", "3"] if command == "simulate" else ["--data",
+                                                             SIR_DATA]
+        if command in ("smc", "pmcmc"):
+            extra += ["--n-particles", "20"]
+        if command in ("kmcmc", "pmcmc"):
+            extra += ["--trace", str(tmp_path / "trace.csv")]
+        theta = json.dumps({"ssm_theta": 1, "values": values})
+        r = run([*argv, "--model", str(model), *extra], stdin_text=theta,
+                cwd=tmp_path)
+        assert "Traceback" not in r.stderr
+        assert "Warning" not in r.stderr
+        if r.returncode:
+            assert r.returncode == 1
+            assert r.stderr.startswith("error: ")
+            assert r.stderr.count("\n") == 1, r.stderr
 
     @pytest.mark.parametrize("argv", [
         ["smc", "--n-particles", "0"], ["smc", "--n-particles", "-3"],
@@ -337,16 +408,17 @@ class TestValidation:
         r = run([command, "--model", str(seir), "--data",
                  str(MODELS / "seir-h1n1-data.csv"), "--dt", "1", *extra],
                 stdin_text=truth)
+        # stderr holds the error line alone, no numpy warning, and the
+        # simplex names the starting point's failure
         assert r.returncode == 1
-        assert "Traceback" not in r.stderr
-        errors = [line for line in r.stderr.splitlines() if "error:" in line]
-        assert errors == [{
-            "kalman": "error: covariance projection failed: Eigenvalues did "
-                      "not converge",
+        diverged = ("covariance projection failed: Eigenvalues did not "
+                    "converge")
+        assert r.stderr == {
+            "kalman": f"error: {diverged}\n",
             "ksimplex": "error: simplex: objective is not finite at any "
-                        "initial vertex",
-            "kmcmc": "error: chain cannot start from a zero-density point",
-        }[command]]
+                        f"initial vertex; at the starting point: {diverged}\n",
+            "kmcmc": "error: chain cannot start from a zero-density point\n",
+        }[command]
 
     @pytest.mark.parametrize("seed", ["-3", "abc", "", "1.5"])
     def test_bad_seed_in_the_environment_is_exit_two(self, seed):

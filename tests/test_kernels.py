@@ -256,6 +256,26 @@ def test_float_kernels_rerun_against_numpy_math():
         x = single
 
 
+def test_float_kernels_rerun_parameters_on_numpy():
+    # beta/(gamma - 1) divides by zero among parameter values alone: Python
+    # floats raise on it, and the rerun on numpy takes the parameter values
+    # to numpy floats, so the moment kernel gives numpy's inf, as the
+    # batch kernels do
+    cm = CompiledModel(sir_model(reactions=[
+        {"from": "S", "to": "I", "rate": "beta/(gamma - 1)*I/N",
+         "accumulators": ["cases"]},
+        {"from": "I", "to": "R", "rate": "gamma"},
+    ]))
+    p = cm.spec.resolve_values({"beta": 1.5, "gamma": 1.0})
+    x = cm.init_state(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moments = cm.moments(
+            np.concatenate([x, np.zeros(len(cm.tri_index[0]))]), 0.0, p)
+        drift, _ = cm.drift_and_vols(x, 0.0, p)
+    assert moments[0] == -np.inf and moments[1] == np.inf
+    np.testing.assert_array_equal(moments[: cm.nx], drift)
+
+
 def test_property_batch_equals_single():
     # one state goes through the batch kernels too: this checks that a
     # state with no leading dimensions, at any scale, gives its batch row
