@@ -33,19 +33,20 @@ first time it is used:
              state
     init     the initial state from parameter values
     obs      each observation stream's parts and the gradient of its mean,
-             for one state (the moment filter) or a batch
+             for a batch
 
 The interval kernels hold the loop over substeps, so a stepper makes one
 call per observation interval (jump: per state and interval);
 `ssm.kernels` writes their source.  A kernel runs in one of two
-arithmetics.  The kernels for one state return tuples and run on Python
-floats, and again in numpy's where that raises (see `_on_floats`).  Every
-batch kernel, `init` among them, runs in numpy's: its prologue takes each
-parameter value to a numpy float, so parameter values alone give numpy's
-inf or nan, never an exception.  The `rates`, `drift` and `jac` kernels are
-batch kernels only: a single state goes through them as a batch with no
-leading dimensions.  `dynamics` and `process_cov_from` assemble dense
-arrays from them for tests and for checking the moment equations.
+arithmetics.  The interval kernels for one state (ode, moments, jump)
+return tuples and run on Python floats, and again in numpy's where that
+raises (see `_on_floats`).  Every batch kernel, `init` among them, runs in
+numpy's: its prologue takes each parameter value to a numpy float, so
+parameter values alone give numpy's inf or nan, never an exception.  The
+`rates`, `drift`, `jac` and `obs` kernels are batch kernels only: a single
+state goes through them as a batch with no leading dimensions.  `dynamics`
+and `process_cov_from` assemble dense arrays from them for tests and for
+checking the moment equations.
 """
 
 from __future__ import annotations
@@ -110,16 +111,14 @@ def _on_floats(kernel, on_numpy):
     Python float arithmetic raises on division by zero, math.exp on
     overflow and math.log outside its domain, and takes a negative number
     to a fractional power as a complex number (a TypeError where it meets a
-    comparison or a math function); in those cases the whole call, for an
-    interval kernel the whole interval, runs again on numpy scalars (the
-    times here, the parameter values in the kernel's prologue) through
-    `on_numpy()`, the same kernel compiled against numpy's math functions,
-    so the result is numpy's."""
+    comparison, a math function or the array of floats returned); in those
+    cases the whole call, for an interval kernel the whole interval, runs
+    again on numpy scalars (the times here, the parameter values in the
+    kernel's prologue) through `on_numpy()`, the same kernel compiled
+    against numpy's math functions, so the result is numpy's."""
     def run(x, *args):
         try:
-            out = np.array(kernel(x.tolist(), *args))
-            if out.dtype.kind == "f":
-                return out
+            return np.array(kernel(x.tolist(), *args), dtype=float)
         except FLOAT_FAILURES:
             pass
         args = [np.float64(a) if type(a) is float else a for a in args]
@@ -490,13 +489,7 @@ class CompiledModel:
         return self._compile("init", source, vector=True)["init"]
 
     @cached_property
-    def _obs_single(self):
-        names = [o.kernel for o in self.observations]
-        return dict(zip(names, self._float_kernels("obs", self._obs_source,
-                                                   *names)))
-
-    @cached_property
-    def _obs_batch(self):
+    def _obs(self):
         return self._compile("obs", self._obs_source, vector=True)
 
     # the interval kernels import ssm.kernels, which writes their source,
@@ -659,15 +652,16 @@ class CompiledModel:
     def obs_values(self, name, x, t, p):
         """Evaluate one stream; returns (parts dict, gradient over the state
         of the observed mean, `observe.mean_formula`).
-        Parts are floats for one state (the moment filter) and arrays over
+        Parts are floats for one state (the moment filter), which goes
+        through the batch kernel with no leading dimensions, and arrays over
         the leading dimensions of a batch, whose gradient is None.
         """
         o = self._obs_by_name[name]
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
+        raw = self._obs[o.kernel](x.transpose(-1, *range(x.ndim - 1)),
+                                  np.asarray(t, dtype=float), p)
         if lead:
-            raw = self._obs_batch[o.kernel](
-                x.transpose(-1, *range(x.ndim - 1)), t, p)
             # a fresh array of the batch's shape is the kernel's own; a
             # view of the state or a parameter value is copied out
             return {part: v if type(v) is np.ndarray and v.base is None
@@ -675,7 +669,6 @@ class CompiledModel:
                     else np.broadcast_to(np.asarray(v, dtype=float),
                                          lead).copy()
                     for part, v in zip(o.parts, raw)}, None
-        raw = self._obs_single[o.kernel](x, float(t), p)
         grad = np.zeros(self.nx)
         for j, v in zip(o.grad_cols, raw[len(o.parts):]):
             grad[j] = v

@@ -166,14 +166,18 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
     posterior it must exceed; a target may return any log likelihood at or
     below `bar - logprior_u` for a proposal it can tell will fall short.
     payload travels with the accepted state (the particle chain stores its
-    sampled trajectory there).  Proposals with non-finite posterior are
-    rejected outright, and the incumbent values are re-recorded.
+    sampled trajectory there); where the likelihood failed, it is the
+    failure (`optimize.attempt`).  Proposals with non-finite posterior are
+    rejected outright, and the incumbent values are re-recorded.  A start
+    of zero density is a FilterError, which names the failure there.
     """
     u = np.asarray(u0, dtype=float).copy()
     d = u.size
     ll, lp, payload = target(u, None)
     if not np.isfinite(ll + lp):
-        raise FilterError("chain cannot start from a zero-density point")
+        reason = f": {payload}" if isinstance(payload, Exception) else ""
+        raise FilterError(
+            f"chain cannot start from a zero-density point{reason}")
     chol_fixed = _cholesky(np.asarray(sigma0, dtype=float))
     lam = 1.0
     opt_scale = OPT_SCALE / d

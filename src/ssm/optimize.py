@@ -134,15 +134,17 @@ def backend(cm, dataset, t0, kind, *, dt=None, rng=None, n_particles=500,
 
 def attempt(run, values, floor=None):
     """(log likelihood, path) of the backend `run` at natural-scale values;
-    minus infinity where it fails or gives a non-finite estimate.  A
-    `floor` is passed on to the filter, which may then return a bound on
-    the estimate, at or below the floor, in place of the estimate."""
+    minus infinity where it fails or gives a non-finite estimate, with the
+    DomainError or FilterError of a failure in the place of the path.  This
+    is the one place a failed likelihood becomes minus infinity.  A `floor`
+    is passed on to the filter, which may then return a bound on the
+    estimate, at or below the floor, in place of the estimate."""
     try:
         # probing far corners is expected to overflow into the -inf branch
         with np.errstate(all="ignore"):
             res = run(values) if floor is None else run(values, floor=floor)
-    except (DomainError, FilterError):
-        return -np.inf, None
+    except (DomainError, FilterError) as failure:
+        return -np.inf, failure
     if not np.isfinite(res.loglik):
         return -np.inf, None
     return res.loglik, res.path
@@ -153,7 +155,8 @@ def log_posterior(space, base_values, run):
     `(u, bar=None) -> (log likelihood, log prior on the unconstrained
     scale, path)` for the backend `run`.  Invalid regions get a
     minus-infinity likelihood, so the simplex walks around them and the
-    chain rejects them.  A chain passes as `bar` the log posterior that a
+    chain rejects them; where the likelihood failed, the path is its
+    failure (`attempt`).  A chain passes as `bar` the log posterior that a
     proposal must exceed; the filter may then stop once the likelihood
     cannot exceed `bar - lp`, returning a value at or below it."""
 
@@ -190,9 +193,8 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
         message = f"simplex: {err}"
         # where the likelihood fails at the starting point, that failure
         # names the cause
-        try:
-            run(dict(base_values, **space.to_natural(start)))
-        except (DomainError, FilterError) as failure:
+        failure = target(start)[2]
+        if isinstance(failure, Exception):
             message += f"; at the starting point: {failure}"
         raise FilterError(message) from err
     return {
@@ -274,15 +276,12 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
                 ) * sds[walk]
             return columns(u), space.log_prior_unconstrained(u) / n_obs
 
-        with np.errstate(all="ignore"):
-            try:
-                ll = smc_filter(
-                    cm, dataset, columns(u), t0, rng=rng, n_particles=j,
-                    formalism=formalism, dt=dt, after_resample=rejuvenate,
-                    log_weight=space.log_prior_unconstrained(u) / n_obs,
-                ).loglik
-            except (DomainError, FilterError):
-                ll = -np.inf
+        # the swarm's values are formed inside `attempt`, under its errstate
+        ll = attempt(lambda swarm: smc_filter(
+            cm, dataset, columns(swarm), t0, rng=rng, n_particles=j,
+            formalism=formalism, dt=dt, after_resample=rejuvenate,
+            log_weight=space.log_prior_unconstrained(swarm) / n_obs,
+        ), u)[0]
         proposal = theta.copy()
         proposal[moving] = u[:, moving].mean(axis=0)
         if not (np.isfinite(ll) and np.all(np.isfinite(proposal))):

@@ -409,7 +409,7 @@ class TestValidation:
                  str(MODELS / "seir-h1n1-data.csv"), "--dt", "1", *extra],
                 stdin_text=truth)
         # stderr holds the error line alone, no numpy warning, and the
-        # simplex names the starting point's failure
+        # simplex and the chain name the starting point's failure
         assert r.returncode == 1
         diverged = ("covariance projection failed: Eigenvalues did not "
                     "converge")
@@ -417,8 +417,29 @@ class TestValidation:
             "kalman": f"error: {diverged}\n",
             "ksimplex": "error: simplex: objective is not finite at any "
                         f"initial vertex; at the starting point: {diverged}\n",
-            "kmcmc": "error: chain cannot start from a zero-density point\n",
+            "kmcmc": "error: chain cannot start from a zero-density point: "
+                     f"{diverged}\n",
         }[command]
+
+    @pytest.mark.parametrize("command", ["pmcmc", "kmcmc"])
+    def test_chain_that_cannot_start_names_its_cause(self, tmp_path, command):
+        # at gamma 1.0 the rate beta/(gamma - 1)*I/N is infinite: the
+        # likelihood fails at the chain's start, and the one error line
+        # names that failure
+        spec = json.loads(Path(SIR).read_text())
+        spec["reactions"][0]["rate"] = "beta/(gamma - 1)*I/N"
+        model = tmp_path / "pole.json"
+        model.write_text(json.dumps(spec))
+        theta = '{"ssm_theta": 1, "values": {"beta": 1.5, "gamma": 1.0}}'
+        extra = ["--n-particles", "20"] if command == "pmcmc" else []
+        r = run([command, "--model", str(model), "--data", SIR_DATA,
+                 "--iterations", "3", "--trace", str(tmp_path / "trace.csv"),
+                 *extra], stdin_text=theta)
+        cause = {"pmcmc": "non-finite rate during Poisson step",
+                 "kmcmc": "moments diverged during propagation"}[command]
+        assert r.returncode == 1
+        assert r.stderr == ("error: chain cannot start from a zero-density "
+                            f"point: {cause}\n")
 
     @pytest.mark.parametrize("seed", ["-3", "abc", "", "1.5"])
     def test_bad_seed_in_the_environment_is_exit_two(self, seed):

@@ -212,6 +212,29 @@ def test_batch_calls_take_a_time_per_row():
         np.testing.assert_allclose(vols[i], v1, rtol=1e-12, atol=0.0)
 
 
+def test_one_state_observation_is_its_batch_row():
+    # the moment filter observes one state at a time; that state goes
+    # through the stream's batch kernel, so its parts are, bit for bit, the
+    # row of a batch.  The mean takes exp of an argument that moves with
+    # the state and the time, where math.exp and numpy's exp may differ in
+    # the last bit
+    doc = json.loads((MODELS / "sir.json").read_text())
+    doc["observations"] = [{"name": "cases", "distribution": "poisson",
+                            "mean": "rho*inc*exp(-inc/(1 + t))"}]
+    spec = parse_model(json.dumps(doc))
+    cm = CompiledModel(spec)
+    p = spec.resolve_values(SETTINGS["sir"])
+    rng = np.random.default_rng(23)
+    states = random_states(cm, cm.init_state(p), 200, rng)
+    times = rng.uniform(0.0, 40.0, size=200)
+    batch, _ = cm.obs_values("cases", states, times, p)
+    single = np.array([cm.obs_values("cases", x, t, p)[0]["mean"]
+                       for x, t in zip(states, times)])
+    differ = np.flatnonzero(single.view(np.int64)
+                            != batch["mean"].view(np.int64))
+    assert differ.size == 0, f"{differ.size} of 200 rows differ"
+
+
 def test_scalar_kernels_follow_numpy_arithmetic():
     # Python float arithmetic would raise on 0/0 and return a complex
     # number for a negative base to a fractional power; the moment kernel,

@@ -169,7 +169,8 @@ BACKENDS = [("ode", "ode_loglik"), ("ekf", "ekf_filter"),
 
 class TestLogPosterior:
     """The one target behind simplex, kmcmc and pmcmc maps every invalid
-    point to a minus-infinity likelihood, whatever the backend."""
+    point to a minus-infinity likelihood, whatever the backend, and hands
+    on a failed likelihood's error in the place of the path."""
 
     def target(self, kind):
         spec = sir_model()
@@ -207,13 +208,17 @@ class TestLogPosterior:
 
     @pytest.mark.parametrize("kind", [kind for kind, _ in BACKENDS])
     def test_negative_initial_compartment(self, kind):
-        # a chain that proposes such a point rejects it
+        # a chain that proposes such a point rejects it, and a chain that
+        # starts there names the cause
         spec = sir_model()
         ds = make_dataset([1.0, 2.0, 3.0], {"cases_obs": [3, 4, 6]})
         run = opt.backend(CompiledModel(spec), ds, 0.0, kind,
                           rng=np.random.default_rng(4), n_particles=50)
         values = spec.resolve_values({"beta": 0.5, "gamma": 0.25})
-        assert opt.attempt(run, dict(values, I0=-5.0)) == (-np.inf, None)
+        ll, failure = opt.attempt(run, dict(values, I0=-5.0))
+        assert ll == -np.inf
+        assert type(failure) is DomainError
+        assert str(failure) == "initial I is negative"
 
     @pytest.mark.parametrize("error", [DomainError, FilterError])
     @pytest.mark.parametrize("kind, name", BACKENDS)
@@ -226,7 +231,7 @@ class TestLogPosterior:
         ll, lp, path = target(np.log([0.5, 0.25]))
         assert ll == -np.inf
         assert np.isfinite(lp)
-        assert path is None
+        assert type(path) is error and path.args == ("injected",)
 
 
 class TestIteratedFiltering:
