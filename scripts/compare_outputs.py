@@ -113,6 +113,16 @@ def pole_models(models):
     return {"sir-pole": rate, "sir-initial-pole": initial}
 
 
+def expobs_models(models):
+    """The shipped SIR with a mean that takes exp of an argument moving with
+    the state and the time, so that the moment filter's one-state
+    observation arithmetic is pinned, by file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    stream = {"name": "cases", "distribution": "poisson",
+              "mean": "rho*inc*exp(-inc/(1 + t))"}
+    return {"sir-expobs": dict(sir, observations=[stream])}
+
+
 def model_args(name, data=True):
     args = ["--model", f"{{models}}/{name}.json"]
     return args + ["--data", f"{{models}}/{name}-data.csv"] if data else args
@@ -252,6 +262,15 @@ def commands():
          "seir-h1n1", ()),
         ("ksimplex dt 1 seir-h1n1", ["ksimplex", *seir, "--dt", "1",
                                      "--iterations", "3"], "seir-h1n1", ()),
+        # chains that cannot start name the failure at their start
+        ("kmcmc dt 1 seir-h1n1", ["kmcmc", *seir, "--dt", "1",
+                                  "--iterations", "5", "--trace",
+                                  "kmcmc.csv"], "seir-h1n1", ()),
+        ("pmcmc sir-pole", ["pmcmc", *pole, *data, "--n-particles", "100",
+                            "--iterations", "5", "--trace", "pmcmc.csv"],
+         "sir", ()),
+        ("kalman sir-expobs", ["kalman", "--model", "{work}/sir-expobs.json",
+                               *data], "sir", ()),
     ]
     return out
 
@@ -269,7 +288,7 @@ def run_tree(src, models, work):
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
     for name, doc in {**invalid_models(models), **law_models(models),
                       **prior_models(models), **driven_models(models),
-                      **pole_models(models)}.items():
+                      **pole_models(models), **expobs_models(models)}.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}
     prev = b""

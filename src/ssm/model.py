@@ -135,12 +135,11 @@ def _parse_transform(raw):
         return Log()
     if raw == "logit":
         return Logit()
-    if isinstance(raw, dict) and "scaled_logit" in raw:
-        low, high = raw["scaled_logit"]
-        if not low < high:
-            raise ModelError(f"scaled_logit bounds must satisfy low < high, got [{low}, {high}]")
-        return ScaledLogit(float(low), float(high))
-    raise ModelError(f"unknown transform {raw!r}")
+    # the schema leaves {"scaled_logit": [low, high]}
+    low, high = raw["scaled_logit"]
+    if not low < high:
+        raise ModelError(f"scaled_logit bounds must satisfy low < high, got [{low}, {high}]")
+    return ScaledLogit(float(low), float(high))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +226,8 @@ def _parse_prior(raw):
         if sd <= 0:
             raise ModelError(f"lognormal prior needs sd > 0, got {sd}")
         return LogNormal(mean, sd)
-    if kind == "dirac":
-        return Dirac(float(args))
-    raise ModelError(f"unknown prior {kind!r}")
+    # the schema leaves dirac
+    return Dirac(float(args))
 
 
 # ---------------------------------------------------------------------------
