@@ -43,6 +43,12 @@ TRUTH = {
 MODELS = tuple(TRUTH)
 # the sir-priors variant (`prior_models`) also estimates rho
 PRIORS_TRUTH = dict(TRUTH["sir"], rho=0.5)
+# the shipped SIR at R0 = 0.25, whose outbreak dies out within weeks, and
+# counts it might report: every particle is soon extinct
+EXTINCT_TRUTH = {"beta": 0.5, "gamma": 2.0}
+EXTINCT_DATA = "time,stream,value\n" + "".join(
+    f"{week},cases,{count}\n"
+    for week, count in enumerate([3, 1, 1] + [0] * 23, 1))
 FORMALISMS = ("ode", "sde", "psr", "jump")
 
 
@@ -130,7 +136,8 @@ def model_args(name, data=True):
 
 def commands():
     """(label, argv, stdin, files): stdin names a theta file written from
-    TRUTH (PRIORS_TRUTH for sir-priors), "prev" for the previous command's
+    TRUTH (PRIORS_TRUTH for sir-priors, EXTINCT_TRUTH for sir-extinct),
+    "prev" for the previous command's
     stdout, "tap" for the stdout of the last command that is no tap, run in
     that command's working directory so that it reads the files written
     there, or None; files are the paths, relative to the working
@@ -272,6 +279,16 @@ def commands():
         ("kalman sir-expobs", ["kalman", "--model", "{work}/sir-expobs.json",
                                *data], "sir", ()),
     ]
+    # an outbreak that dies out: the steppers meet batches at a fixed point
+    extinct = [*model_args("sir", data=False),
+               "--data", "{work}/sir-extinct-data.csv"]
+    out += [(f"smc {formalism} sir-extinct",
+             ["smc", *extinct, "--formalism", formalism, "--n-particles",
+              "200"], "sir-extinct", ()) for formalism in ("sde", "psr")]
+    out.append(("simulate sde x5 sir-extinct",
+                ["simulate", *model_args("sir", data=False), "--formalism",
+                 "sde", "--end", "30", "--trajectories", "5"],
+                "sir-extinct", ()))
     return out
 
 
@@ -283,9 +300,11 @@ def run_tree(src, models, work):
         (work, "{work}"))]
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                SSM_SEED=SEED, SOURCE_DATE_EPOCH=EPOCH)
-    for name, values in {**TRUTH, "sir-priors": PRIORS_TRUTH}.items():
+    for name, values in {**TRUTH, "sir-priors": PRIORS_TRUTH,
+                         "sir-extinct": EXTINCT_TRUTH}.items():
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
+    (work / "sir-extinct-data.csv").write_text(EXTINCT_DATA)
     for name, doc in {**invalid_models(models), **law_models(models),
                       **prior_models(models), **driven_models(models),
                       **pole_models(models), **expobs_models(models)}.items():

@@ -27,8 +27,8 @@ first time it is used:
              over [mean, upper triangle of covariance], for the moment
              filter
     sde      every Euler-Maruyama substep of one interval over a batch of
-             states, reading the interval's normals as one array laid out
-             (substep, noise row, state)
+             states, drawing the interval's normals as one array laid out
+             (substep, noise row, state), none at a fixed point
     jump     every event of one interval of the jump process, for one
              state
     init     the initial state from parameter values
@@ -374,6 +374,10 @@ class CompiledModel:
 
         rate_syms = syms(self._prop_exprs)
         driven_syms = syms(d.drift for d in spec.diffusions)
+        # with no driven parameter and no propensity that reads the time, a
+        # batch whose propensities are all zero stays where it is: the
+        # steppers leave such an interval at once
+        self.static = not self.n_diff and "t" not in rate_syms
         self._blocks = {
             "rates": (rates, rate_syms),
             "drift": (drift, rate_syms | driven_syms),

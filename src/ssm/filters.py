@@ -88,6 +88,20 @@ class FilterResult(NamedTuple):
     repairs: dict | None = None
 
 
+def zero_likelihood(res):
+    """Why the estimate of the particle filter or of the deterministic
+    trajectory in `res` is not finite: the first instant whose term is
+    not, where every particle weight vanished or the trajectory gives the
+    data zero probability."""
+    bad = np.flatnonzero(~np.isfinite(res.loglik_terms))
+    if not bad.size:
+        return "the log likelihood is not finite"
+    t = float(res.times[bad[0]])
+    if res.ess is not None:
+        return f"every particle weight vanished at t = {t:g}"
+    return f"the data at t = {t:g} have zero probability on the trajectory"
+
+
 def systematic_resample(weights, rng):
     """Indices drawn by systematic resampling from normalized weights."""
     n = len(weights)

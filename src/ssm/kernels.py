@@ -44,21 +44,42 @@ def accumulate(out, first, pairs):
     return lines
 
 
-def rk4_source(name, deriv, size, settle):
+def derivative(cm, name, blocks, body, needed=(), extra=()):
+    """Source of `name(y, t, ...)`, the `blocks` of cm and then `body` over
+    the state unpacked from y (followed by the `extra` names), and the
+    parameters it reads: it takes their values as arguments, after t, in
+    declaration order, so that a caller binds them once."""
+    needed = set(needed).union(*(cm._blocks[b][1] for b in blocks))
+    params = [p.name for p in cm.spec.parameters if p.name in needed]
+    lines = [f"def {name}(y, t{_args(params)}):"]
+    cm._prologue(lines, needed - set(params), unpack="y", extra=extra)
+    for block in blocks:
+        lines += cm._blocks[block][0]
+    return "\n".join(lines + body) + "\n", params
+
+
+def _args(params):
+    return "".join(f", {param_local(name)}" for name in params)
+
+
+def rk4_source(cm, name, deriv, size, settle, params):
     """Source of `name(y, t, h, n, p)`: n classic RK4 substeps of length h
     from time t over the locals _y0.._y{size-1}, unpacked from y, with the
-    four stages written out around `deriv(y, t, p)`, which returns a tuple.
-    The arithmetic is that of y + h/6 (k1 + 2 k2 + 2 k3 + k4) on arrays.
-    The `settle` lines run on the locals after each substep; the result is
-    their tuple."""
+    four stages written out around `deriv(y, t, ...)` (`derivative`),
+    which returns a tuple and takes the values of `params`, bound once per
+    call.  The arithmetic is that of y + h/6 (k1 + 2 k2 + 2 k3 + k4) on
+    arrays.  The `settle` lines run on the locals after each substep; the
+    result is their tuple."""
     y = [f"_y{i}" for i in range(size)]
+    args = _args(params)
 
-    def stage(k, args, t):
+    def stage(k, values, t):
         ks = ", ".join(f"_k{k}_{i}" for i in range(size))
-        return f"        {ks}, = {deriv}(({', '.join(args)},), {t}, p)"
+        return f"        {ks}, = {deriv}(({', '.join(values)},), {t}{args})"
 
-    lines = [
-        f"def {name}(y, t, h, n, p):",
+    lines = [f"def {name}(y, t, h, n, p):"]
+    cm._prologue(lines, set(params))
+    lines += [
         f"    {', '.join(y)}, = y",
         "    _hh = 0.5*h",
         "    _h6 = h/6.0",
@@ -86,14 +107,14 @@ def ode_source(cm, batch):
     on a non-finite state or on one below its floor by more than 1e-6 of
     its largest magnitude (at least 1), then clamps at the floor; the batch
     kernel leaves that to `settle` on its columns and `floor`."""
-    deriv = cm._kernel_source(
-        "def deriv(x, t, p):", ("rates", "drift"),
-        [f"    return ({', '.join(f'_d{i}' for i in range(cm.nx))},)"],
-        unpack="x")
+    deriv, params = derivative(
+        cm, "deriv", ("rates", "drift"),
+        [f"    return ({', '.join(f'_d{i}' for i in range(cm.nx))},)"])
     ys = ", ".join(f"_y{i}" for i in range(cm.nx))
     if batch:
-        return deriv + rk4_source("ode", "deriv", cm.nx,
-                                  [f"        {ys}, = settle(({ys},), floor)"])
+        return deriv + rk4_source(
+            cm, "ode", "deriv", cm.nx,
+            [f"        {ys}, = settle(({ys},), floor)"], params)
     finite = " and ".join(f"-inf < _y{i} < inf" for i in range(cm.nx))
     settle = [f"        if not ({finite}):",
               f"            raise DomainError('non-finite state {ODE_WHERE}')"]
@@ -108,13 +129,14 @@ def ode_source(cm, batch):
         # numpy's maximum(-0.0, 0.0) is 0.0
         settle += [f"        _y{i} = 0.0 if _y{i} <= 0.0 else _y{i}"
                    for i in floored]
-    return deriv + rk4_source("ode", "deriv", cm.nx, settle)
+    return deriv + rk4_source(cm, "ode", "deriv", cm.nx, settle, params)
 
 
 def moments_source(cm):
     """Source of `moments(y, t, p) -> dy` for one state's moment equations
     and of `interval(y, t, h, n, p)`, RK4 around them that clamps the mean
-    at the floor after each substep.
+    at the floor after each substep; both bind the parameter values once
+    and pass them to `_moments(y, t, ...)`, the equations themselves.
 
     y = [m, upper triangle of C], in the row-major order of `tri_index`;
     dy = [drift, upper triangle of dC] with
@@ -159,23 +181,34 @@ def moments_source(cm):
         body.append(f"    _dc{i}_{j} = {combine(terms) if terms else '0.0'}")
         outs.append(f"_dc{i}_{j}")
     body.append(f"    return ({', '.join(outs)},)")
-    src = cm._kernel_source(
-        "def moments(y, t, p):", ("rates", "drift", "vols", "jac"), body,
-        unpack="y", extra=[f"_c{i}_{j}" for i, j in zip(*cm.tri_index)],
-        needed={sd for sd, _ in cm.noise_groups})
-    return src + rk4_source(
-        "interval", "moments", len(outs),
+    src, params = derivative(
+        cm, "_moments", ("rates", "drift", "vols", "jac"), body,
+        needed={sd for sd, _ in cm.noise_groups},
+        extra=[f"_c{i}_{j}" for i, j in zip(*cm.tri_index)])
+    lines = ["def moments(y, t, p):"]
+    cm._prologue(lines, set(params))
+    lines.append(f"    return _moments(y, t{_args(params)})")
+    return src + "\n".join(lines) + "\n" + rk4_source(
+        cm, "interval", "_moments", len(outs),
         [f"        _y{i} = 0.0 if _y{i} <= 0.0 else _y{i}"
-         for i in _floored(cm)])
+         for i in _floored(cm)], params)
 
 
 def sde_source(cm):
-    """Source of `sde(x, t, dt, n, p, xi)`: n Euler-Maruyama substeps of
+    """Source of `sde(x, t, dt, n, p, draw)`: n Euler-Maruyama substeps of
     length dt from time t, in place on a batch x laid out as (nx, J), one
     row per state column.
 
-    xi holds the interval's standard normals, shape (n, K, J): per substep,
+    The interval's standard normals xi come from one call draw((n, K, J)),
+    made once the first substep's propensities are formed: per substep,
     one row per reaction, then per noise group, then per driven parameter.
+    On a static model (`CompiledModel.static`) a finite batch whose
+    propensities are all exactly zero, in every row, is a fixed point:
+    the kernel clamps it at zero, which turns -0.0 into 0.0 as the first
+    substep's clamp would, and returns without drawing.  Every increment
+    would be dt*0 plus a normal or a noise term times a zero propensity,
+    ±0 (a noise group's term counts as zero whatever its sd), so the
+    substeps would leave the clamped state as it is.
     Each reaction's increment dt*a + sqrt(dt)*(sqrt(a+)*xi + sd*eta*a+) is
     formed for all reactions at once, in the rows of one buffer, and added
     to every row of the state it touches.  The new state is checked for
@@ -190,6 +223,14 @@ def sde_source(cm):
     # state, its operations write there directly
     for k, tree in enumerate(cm._prop_exprs):
         loop += ex.to_python_into(tree, cm._resolve, f"_a{k}", state_names)
+    loop.append("    if _n == 0:")
+    if cm.static:
+        loop += ["        if not _A.any() and isfinite(x).all():",
+                 "            maximum(x, 0.0, out=x)",
+                 "            return n"]
+    loop.append(f"        xi = draw((n, "
+                f"{cm.n_react + len(cm.noise_groups) + cm.n_diff}, "
+                f"x.shape[1]))")
     loop += cm._blocks["vols"][0]
     # driven rows only: compartment and accumulator rows come from the
     # reaction increments
@@ -229,7 +270,7 @@ def sde_source(cm):
     states = needed & state_names
     head = []
     cm._prologue(head, states, read="_x{}")
-    lines = ["def sde(x, t, dt, n, p, xi):"]
+    lines = ["def sde(x, t, dt, n, p, draw):"]
     cm._prologue(lines, needed - states)
 
     def views(prefix, buffer, count):

@@ -350,6 +350,21 @@ class ParameterSpace:
             for i, p in enumerate(self.params)
         }
 
+    def zero_prior(self, u):
+        """Why the log prior at the unconstrained vector u is not finite:
+        the first parameter whose term is not, with its value and its
+        prior's support (a value on its edge can still have a zero density
+        on this scale)."""
+        for i, p in enumerate(self.params):
+            value = float(p.transform.inverse(u[i]))
+            if not np.isfinite(p.prior.log_density(value)
+                               + p.transform.log_jacobian(u[i])):
+                lo, hi = p.prior.support()
+                where = "lies on the edge of" if lo <= value <= hi else \
+                    "lies outside"
+                return (f"{p.name} = {value:g} {where} the support "
+                        f"[{lo:g}, {hi:g}] of its {p.prior.name} prior")
+
     def log_prior_unconstrained(self, u):
         """Log prior density on the unconstrained scale, batched like
         natural_columns: the natural density times the transform Jacobian."""

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ssm.compiled import DomainError
-from ssm.filters import FilterError, ekf_filter, ode_loglik, smc_filter
+from ssm.filters import (FilterError, ekf_filter, ode_loglik, smc_filter,
+                         zero_likelihood)
 # the benchmark tracer (perfbench/tracer.py) patches these two names here
 from ssm.filters import systematic_resample  # noqa: F401
 from ssm.observe import stream_loglik  # noqa: F401
@@ -135,8 +136,10 @@ def backend(cm, dataset, t0, kind, *, dt=None, rng=None, n_particles=500,
 def attempt(run, values, floor=None):
     """(log likelihood, path) of the backend `run` at natural-scale values;
     minus infinity where it fails or gives a non-finite estimate, with the
-    DomainError or FilterError of a failure in the place of the path.  This
-    is the one place a failed likelihood becomes minus infinity.  A `floor`
+    DomainError or FilterError of a failure in the place of the path, and
+    for a non-finite estimate a FilterError naming the first instant the
+    data have zero probability (`filters.zero_likelihood`).  This is the
+    one place a failed likelihood becomes minus infinity.  A `floor`
     is passed on to the filter, which may then return a bound on the
     estimate, at or below the floor, in place of the estimate."""
     try:
@@ -146,7 +149,7 @@ def attempt(run, values, floor=None):
     except (DomainError, FilterError) as failure:
         return -np.inf, failure
     if not np.isfinite(res.loglik):
-        return -np.inf, None
+        return -np.inf, FilterError(zero_likelihood(res))
     return res.loglik, res.path
 
 
@@ -155,16 +158,18 @@ def log_posterior(space, base_values, run):
     `(u, bar=None) -> (log likelihood, log prior on the unconstrained
     scale, path)` for the backend `run`.  Invalid regions get a
     minus-infinity likelihood, so the simplex walks around them and the
-    chain rejects them; where the likelihood failed, the path is its
-    failure (`attempt`).  A chain passes as `bar` the log posterior that a
-    proposal must exceed; the filter may then stop once the likelihood
-    cannot exceed `bar - lp`, returning a value at or below it."""
+    chain rejects them.  Where the posterior is zero, the path is its
+    cause: the likelihood's failure (`attempt`), or a ValueError naming a
+    parameter outside its prior's support (`ParameterSpace.zero_prior`).
+    A chain passes as `bar` the log posterior that a proposal must exceed;
+    the filter may then stop once the likelihood cannot exceed
+    `bar - lp`, returning a value at or below it."""
 
     def target(u, bar=None):
         with np.errstate(all="ignore"):
             lp = space.log_prior_unconstrained(u)
             if not np.isfinite(lp):
-                return -np.inf, lp, None
+                return -np.inf, lp, ValueError(space.zero_prior(u))
             values = dict(base_values, **space.to_natural(u))
         ll, path = attempt(run, values, None if bar is None else bar - lp)
         return ll, lp, path
@@ -176,8 +181,8 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
                    iterations=300, step=0.1, dt=None, xtol=1e-5):
     """Run the simplex on the chosen likelihood backend; returns the merged
     natural-scale values and the log likelihood at the optimum.  FilterError
-    when the posterior is zero at every initial vertex; where the likelihood
-    fails at the starting point, the message ends with that failure's."""
+    when the posterior is zero at every initial vertex, its message ending
+    with the cause at the starting point (`log_posterior`)."""
     run = backend(cm, dataset, t0, kind, dt=dt)
     target = log_posterior(space, base_values, run)
 
@@ -190,13 +195,8 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
         res = nelder_mead(objective, start, step=step, iterations=iterations,
                           xtol=xtol)
     except NoFiniteVertex as err:
-        message = f"simplex: {err}"
-        # where the likelihood fails at the starting point, that failure
-        # names the cause
-        failure = target(start)[2]
-        if isinstance(failure, Exception):
-            message += f"; at the starting point: {failure}"
-        raise FilterError(message) from err
+        raise FilterError(f"simplex: {err}; at the starting point: "
+                          f"{target(start)[2]}") from err
     return {
         "values": dict(base_values, **space.to_natural(res.x)),
         "log_likelihood": target(res.x)[0],

@@ -19,23 +19,30 @@ unmodulated between events.
 The deterministic and diffusion backends make one call per observation
 interval: `ode_step` and `sde_step` run every substep of the interval in
 the model's generated `ode` and `sde` interval kernels, with the domain
-check and the clamp after each substep.  The diffusion backend draws the
+check and the clamp after each substep.  The diffusion kernel draws the
 interval's normals in one call, in the (substep, noise row, state) layout
-its kernel reads.  The Poisson backend also makes one call per interval,
-`psr_step` looping over the interval's slices in numpy on a state held
-one row per coordinate; within a slice, draws that do not depend on each
-other share a numpy call, with the variates and order of one call per
-draw.  Each slice starts with one call of the model's generated `psr`
-kernel (`psr_source`), which writes the propensities in the order the
-slice draws them, and the driven drifts and volatilities, into the rows
-of one buffer.  A slice works only on the reactions that some row of the
-batch can fire, through a plan cached per set of such reactions, in
-buffers made once per call: the other reactions would draw nothing, so
-the variates are those of the full slice, except that a noise group none
-of whose members can fire draws no gamma increments.
+it reads, once the first substep's propensities are formed.  The Poisson
+backend also makes one call per interval, `psr_step` looping over the
+interval's slices in numpy on a state held one row per coordinate; within a
+slice, draws that do not depend on each other share a numpy call, with the
+variates and order of one call per draw.  Each slice starts with one call
+of the model's generated `psr` kernel (`psr_source`), which writes the
+propensities in the order the slice draws them, and the driven drifts and
+volatilities, into the rows of one buffer.  A slice works only on the
+reactions that some row of the batch can fire, through a plan cached per
+set of such reactions, in buffers made once per call: the other reactions
+would draw nothing, so the variates are those of the full slice, except
+that a noise group none of whose members can fire draws no gamma
+increments.
 The jump backend makes one call of the generated `jump` kernel per
 trajectory and interval, on Python floats, the trajectories of a batch
 taking their variates from shared streams.
+
+A model is static (`CompiledModel.static`) when it has no driven
+parameter and no propensity reads the time.  There a batch whose
+propensities are all zero is at a fixed point, as an extinct epidemic is:
+the diffusion and Poisson steppers return it at once, drawing nothing for
+the rest of the interval.
 """
 
 from __future__ import annotations
@@ -84,17 +91,21 @@ def sde_step(cm, x, t, h, n_sub, params, rng):
     is exactly h times the assembled dispersion: one standard normal per
     reaction scaled by sqrt(propensity), one per noise group through the
     group column, one per driven parameter scaled by its volatility.  The
-    interval's normals come from one draw of shape (n_sub, K, J), the
-    layout the kernel reads: per substep, K rows (reactions, noise groups,
-    driven parameters) of one normal per state of the batch.  A non-finite
-    state raises DomainError, the whole draw taken.  Compartments and
-    accumulators are clamped at zero after every substep.
+    kernel draws the interval's normals from rng in one call of shape
+    (n_sub, K, J), the layout it reads: per substep, K rows (reactions,
+    noise groups, driven parameters) of one normal per state of the batch.
+    A non-finite state raises DomainError, the whole draw taken.
+    Compartments and accumulators are clamped at zero after every substep.
+
+    On a static model (`CompiledModel.static`), a batch whose
+    propensities are all exactly zero in every row cannot move: it comes
+    back clamped at zero, as the substeps would leave it, and nothing is
+    drawn.  The later variates of a seed shift, but not the law of the
+    process.
     """
     x = np.asarray(x, dtype=float)
     state = x.reshape(-1, cm.nx).T.copy()
-    k = cm.n_react + len(cm.noise_groups) + cm.n_diff
-    xi = rng.standard_normal((n_sub, k, state.shape[1]))
-    if cm.sde(state, t, h, n_sub, params, xi) < n_sub:
+    if cm.sde(state, t, h, n_sub, params, rng.standard_normal) < n_sub:
         raise DomainError("non-finite state during diffusion step")
     return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
 
@@ -321,7 +332,10 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     would be with it.  A noise group none of whose member reactions is
     live draws no gamma increments: they would multiply zero rates only,
     so the counts and the law of the process are those with the draw, but
-    the later variates of a seed shift.
+    the later variates of a seed shift.  On a static model
+    (`CompiledModel.static`) a slice with no live reaction leaves the
+    state as it is, and so would every slice after it: the call returns
+    after that slice, which drew nothing, with the same bytes.
 
     The state is held one row per coordinate, in two buffers that take
     turns; the model's `psr` kernel (`psr_source`) writes the propensities
@@ -397,6 +411,10 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
                                   + sqrt_h * vol * xi)
         state, new = new, state
         t += h
+        if cm.static and not top.any():
+            # nothing fired or drew, and nothing will: the rest of the
+            # slices would add zeros to a state this one already made
+            break
     return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
 
 

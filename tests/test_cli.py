@@ -441,6 +441,43 @@ class TestValidation:
         assert r.stderr == ("error: chain cannot start from a zero-density "
                             f"point: {cause}\n")
 
+    @pytest.mark.parametrize("command, point", [
+        ("kmcmc", "outside"), ("simplex", "outside"), ("ksimplex", "outside"),
+        ("pmcmc", "zero"), ("simplex", "zero")])
+    def test_start_of_zero_posterior_names_its_cause(self, tmp_path,
+                                                     command, point):
+        # outside: beta 50 lies outside its uniform prior, and the
+        # posterior is zero before any likelihood runs; zero: no one is
+        # ever infected, and the week's 5 cases have zero probability, a
+        # minus-infinity estimate with no failure raised
+        cause = {
+            "outside": "beta = 50 lies outside the support [0.3, 5] of its "
+                       "uniform prior",
+            "zero": "every particle weight vanished at t = 1"
+                    if command == "pmcmc" else
+                    "the data at t = 1 have zero probability on the "
+                    "trajectory"}[point]
+        model, data, theta = SIR, SIR_DATA, POINT
+        if point == "outside":
+            theta = '{"ssm_theta": 1, "values": {"beta": 50.0, "gamma": 1.1}}'
+        else:
+            spec = json.loads(Path(SIR).read_text())
+            spec["reactions"][0]["rate"] = "0 * beta"
+            model = tmp_path / "zero.json"
+            model.write_text(json.dumps(spec))
+            data = tmp_path / "d.csv"
+            data.write_text("time,stream,value\n1,cases,5\n")
+        extra = {"pmcmc": ["--n-particles", "40"],
+                 "kmcmc": ["--dt", "0.5"]}.get(command, [])
+        r = run([command, "--model", str(model), "--data", str(data),
+                 "--iterations", "3", "--seed", "1", *extra],
+                stdin_text=theta, cwd=tmp_path)
+        start = ("simplex: objective is not finite at any initial vertex; "
+                 "at the starting point" if "simplex" in command
+                 else "chain cannot start from a zero-density point")
+        assert r.returncode == 1
+        assert r.stderr == f"error: {start}: {cause}\n"
+
     @pytest.mark.parametrize("seed", ["-3", "abc", "", "1.5"])
     def test_bad_seed_in_the_environment_is_exit_two(self, seed):
         env = {"SSM_SEED": seed}

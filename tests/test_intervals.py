@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import SIR, TWO_DRIVEN_SIR, build, local_level_model
+from test_simulate import reference_psr_step
 from ssm import simulate as sim
 from ssm.compiled import CompiledModel, DomainError
 from ssm.model import load_model, parse_model
@@ -121,7 +122,30 @@ def reference_sde_substep(cm, x, t, dt, p, rng):
     return np.maximum(new, cm.floor)
 
 
+def static(cm):
+    """No driven parameter, and no rate that reads the time."""
+    return not cm.spec.diffusions and all(
+        "t" not in r.rate.free_symbols() for r in cm.spec.reactions)
+
+
+def at_fixed_point(cm, x, t, p):
+    """A static model and a finite batch whose propensities are all
+    exactly zero in every row: it cannot move."""
+    return (static(cm) and np.isfinite(x).all()
+            and not cm.propensities(x, t, p).any())
+
+
 def reference_sde(cm, x, t0, t1, p, rng, dt=None):
+    """`reference_sde_substeps`, except that a batch at a fixed point comes
+    back clamped at the floor, the first substep's clamp, with nothing
+    drawn."""
+    x = np.asarray(x, dtype=float)
+    if at_fixed_point(cm, x, t0, p):
+        return np.maximum(x, cm.floor)
+    return reference_sde_substeps(cm, x, t0, t1, p, rng, dt=dt)
+
+
+def reference_sde_substeps(cm, x, t0, t1, p, rng, dt=None):
     n_sub, h = sim.substeps(t1 - t0, dt)
     x = np.asarray(x, dtype=float)
     rows = x.reshape(-1, cm.nx)
@@ -773,3 +797,140 @@ def test_jump_seasonal_forcing():
             lambda x, t0, t1: reference_jump(cm, x, t0, t1, p, rng_ref),
             x, same=same_jump(cm))[0] == "ok"
         assert_same_generator(rng, rng_ref)
+
+
+# ----------------------------------------------------------------------
+# fixed points: on a static model, a batch whose propensities are all
+# zero stays where it is, and the sde and psr steppers draw nothing
+
+# the compartments each shipped static model's outbreak leaves empty
+EXTINCT = {"sir": ("I",), "seir-h1n1": ("E", "I")}
+
+
+def extinct(cm, name, rows):
+    """A single state (rows None) or a batch of `rows` states after an
+    outbreak: its infected compartments empty, the others and the
+    accumulators spread, one susceptible count and one accumulator at
+    -0.0."""
+    p = cm.spec.resolve_values(SHIPPED[name])
+    x = spread(cm, cm.init_state(p), rows or 1, np.random.default_rng(30))
+    x[:, [cm.state_names.index(c) for c in EXTINCT[name]]] = 0.0
+    x[:, cm.acc_slice] = np.arange(rows or 1)[:, None] + 3.0
+    x[0, 0] = x[0, -1] = -0.0
+    return x[0] if rows is None else x
+
+
+def reference_psr(cm, x, t0, t1, p, rng, dt=None):
+    """The per-source cascade of `test_simulate`, slice by slice."""
+    n_sub, h = sim.substeps(t1 - t0, dt)
+    t = t0
+    for _ in range(n_sub):
+        x = reference_psr_step(cm, x, t, h, p, rng)
+        t += h
+    return x
+
+
+REFERENCES = {"sde": reference_sde_substeps, "psr": reference_psr}
+
+
+def stepped(cm, x, t0, t1, p, formalism, seed=31):
+    """The stepper's and the reference substeps' results from one seed,
+    and their generators."""
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sim.advance(cm, x, t0, t1, p, rng=rng, formalism=formalism)
+    want = REFERENCES[formalism](cm, x, t0, t1, p, rng_ref)
+    return got, want, rng, rng_ref
+
+
+def sde_block(cm, x, n_sub=10, seed=31):
+    """A generator after drawing one interval's whole block of normals."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((n_sub, cm.n_react + len(cm.noise_groups)
+                         + cm.n_diff, len(np.atleast_2d(x))))
+    return rng
+
+
+@pytest.mark.parametrize("name", sorted(EXTINCT))
+@pytest.mark.parametrize("formalism", ["sde", "psr"])
+@pytest.mark.parametrize("rows", [None, 50])
+def test_extinct_batch_is_a_fixed_point(name, formalism, rows):
+    cm, p = shipped(name)
+    assert cm.static
+    x = extinct(cm, name, rows)
+    got, want, rng, _ = stepped(cm, x, 1.0, 2.0, p, formalism)
+    # the substeps' bytes, -0.0 turned into 0.0, and nothing drawn
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.maximum(x, 0.0).tobytes()
+    assert not np.signbit(got).any()
+    assert_same_generator(rng, np.random.default_rng(31))
+    if formalism == "sde":
+        assert_same(outcome(reference_sde, cm, x, 1.0, 2.0, p, rng),
+                    ("ok", got))
+
+
+@pytest.mark.parametrize("name", sorted(EXTINCT))
+@pytest.mark.parametrize("formalism", ["sde", "psr"])
+@pytest.mark.parametrize("rows", [None, 50])
+def test_one_live_particle_draws_as_before(name, formalism, rows):
+    cm, p = shipped(name)
+    x = extinct(cm, name, rows)
+    # one member of the last row is infectious
+    np.atleast_2d(x)[-1, cm.state_names.index("I")] = 1.0
+    got, want, rng, rng_ref = stepped(cm, x, 1.0, 2.0, p, formalism)
+    assert got.tobytes() == want.tobytes()
+    assert_same_generator(rng, rng_ref)
+    if formalism == "sde":
+        assert_same_generator(rng, sde_block(cm, x))
+
+
+# SIR with immigration into I, after t = 5 only
+LATE_IMMIGRATION = dict(reactions=SIR["reactions"] + [
+    {"from": "EXTERNAL", "to": "I", "rate": "ifelse(t > 5, 20*gamma, 0)"}])
+# C is born per capita at a rate negative above 5 members, and dies at
+# a zero rate
+CROWDED = {
+    **DECAY_AT_TWO,
+    "name": "crowded",
+    "compartments": [{"name": "C", "initial": "C0"},
+                     {"name": "D", "initial": "0"}],
+    "reactions": [{"effect": {"C": 1}, "source": "C",
+                   "rate": "mu*(1 - C/5)"},
+                  {"from": "C", "to": "D", "rate": "0*mu"}],
+}
+
+
+def moving_batch(label):
+    """(model, values, batch) whose propensities are all zero, or one of
+    them negative, at t = 4 in every row, yet which moves within the
+    interval to t = 6: by a rate that reads the time, by a driven
+    parameter, or by a negative propensity."""
+    p = {"N": 1000.0, "I0": 0.0, "beta": 1.5, "gamma": 0.5}
+    if label == "negative":
+        cm, p = CompiledModel(build(CROWDED)), {"C0": 40.0, "mu": 0.5}
+    elif label == "driven":
+        cm, p = CompiledModel(build(SIR, **DRIVEN_SIR)), {**p, "beta0": 1.5}
+    else:
+        cm = CompiledModel(build(SIR, **LATE_IMMIGRATION))
+    return cm, p, cm.init_state(p, size=20)
+
+
+# psr clips a negative propensity to zero: such a batch cannot move
+@pytest.mark.parametrize("label, formalism", [
+    ("time", "sde"), ("time", "psr"), ("driven", "sde"), ("driven", "psr"),
+    ("negative", "sde")])
+@pytest.mark.parametrize("single", [False, True])
+def test_batch_that_can_move_is_stepped(label, formalism, single):
+    cm, p, x = moving_batch(label)
+    if single:
+        x = x[0]
+    a = cm.propensities(x, 4.0, p)
+    assert (a <= 0.0).all() and (a == 0.0).all() == (label != "negative")
+    assert static(cm) == cm.static == (label == "negative")
+    got, want, rng, rng_ref = stepped(cm, x, 4.0, 6.0, p, formalism)
+    assert got.tobytes() == want.tobytes()
+    assert_same_generator(rng, rng_ref)
+    assert not np.array_equal(got, x)
+    if formalism == "sde":
+        assert_same_generator(rng, sde_block(cm, x))
+        assert_same(outcome(reference_sde, cm, x, 4.0, 6.0, p,
+                            np.random.default_rng(31)), ("ok", got))

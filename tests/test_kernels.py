@@ -139,11 +139,16 @@ def normals(cm, n, rng):
 
 def sde_substep(cm, states, t, p, dt, xis):
     """One substep of the sde interval kernel on states of shape (J, nx),
-    given the normals of each kind as (J, k), passed on as one (1, K, J)
-    array."""
+    given the normals of each kind as (J, k), drawn by the kernel as one
+    (1, K, J) array."""
     x = states.T.copy()
     xi = np.concatenate([xi.T for xi in xis if xi is not None])[None]
-    assert cm.sde(x, t, dt, 1, p, xi) == 1
+
+    def draw(shape):
+        assert shape == xi.shape
+        return xi
+
+    assert cm.sde(x, t, dt, 1, p, draw) == 1
     return x.T
 
 

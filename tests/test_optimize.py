@@ -204,7 +204,10 @@ class TestLogPosterior:
         ll, lp, path = target(np.array([50.0, 0.0]))
         assert ll == -np.inf
         assert not np.isfinite(lp)
-        assert path is None
+        # the path is the cause: the parameter and the support it left
+        assert type(path) is ValueError
+        assert str(path) == (f"beta = {np.exp(50.0):g} lies outside the "
+                             f"support [0.05, 5] of its uniform prior")
 
     @pytest.mark.parametrize("kind", [kind for kind, _ in BACKENDS])
     def test_negative_initial_compartment(self, kind):
