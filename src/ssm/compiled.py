@@ -376,7 +376,7 @@ class CompiledModel:
         driven_syms = syms(d.drift for d in spec.diffusions)
         # with no driven parameter and no propensity that reads the time, a
         # batch whose propensities are all zero stays where it is: the
-        # steppers leave such an interval at once
+        # sde kernel leaves such an interval at once
         self.static = not self.n_diff and "t" not in rate_syms
         self._blocks = {
             "rates": (rates, rate_syms),
@@ -388,10 +388,13 @@ class CompiledModel:
         }
 
     def _kernel_source(self, header, blocks, body, unpack=None, extra=(),
-                       needed=()):
+                       needed=(), params=True):
         needed = set(needed)
         for name in blocks:
             needed |= self._blocks[name][1]
+        if not params:
+            # the header takes every parameter's value as an argument
+            needed -= {p.name for p in self.spec.parameters}
         lines = [header]
         self._prologue(lines, needed, unpack, extra)
         for name in blocks:

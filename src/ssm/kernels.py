@@ -44,41 +44,29 @@ def accumulate(out, first, pairs):
     return lines
 
 
-def derivative(cm, name, blocks, body, needed=(), extra=()):
-    """Source of `name(y, t, ...)`, the `blocks` of cm and then `body` over
-    the state unpacked from y (followed by the `extra` names), and the
-    parameters it reads: it takes their values as arguments, after t, in
-    declaration order, so that a caller binds them once."""
-    needed = set(needed).union(*(cm._blocks[b][1] for b in blocks))
-    params = [p.name for p in cm.spec.parameters if p.name in needed]
-    lines = [f"def {name}(y, t{_args(params)}):"]
-    cm._prologue(lines, needed - set(params), unpack="y", extra=extra)
-    for block in blocks:
-        lines += cm._blocks[block][0]
-    return "\n".join(lines + body) + "\n", params
+def param_args(cm):
+    """Source of every parameter's value as arguments after t, in
+    declaration order: `_kernel_source` with `params` false reads them so."""
+    return "".join(f", {param_local(p.name)}" for p in cm.spec.parameters)
 
 
-def _args(params):
-    return "".join(f", {param_local(name)}" for name in params)
-
-
-def rk4_source(cm, name, deriv, size, settle, params):
+def rk4_source(cm, name, deriv, size, settle):
     """Source of `name(y, t, h, n, p)`: n classic RK4 substeps of length h
     from time t over the locals _y0.._y{size-1}, unpacked from y, with the
-    four stages written out around `deriv(y, t, ...)` (`derivative`),
-    which returns a tuple and takes the values of `params`, bound once per
+    four stages written out around `deriv(y, t, ...)`, which returns a
+    tuple and takes the parameter values (`param_args`), bound once per
     call.  The arithmetic is that of y + h/6 (k1 + 2 k2 + 2 k3 + k4) on
     arrays.  The `settle` lines run on the locals after each substep; the
     result is their tuple."""
     y = [f"_y{i}" for i in range(size)]
-    args = _args(params)
+    args = param_args(cm)
 
     def stage(k, values, t):
         ks = ", ".join(f"_k{k}_{i}" for i in range(size))
         return f"        {ks}, = {deriv}(({', '.join(values)},), {t}{args})"
 
     lines = [f"def {name}(y, t, h, n, p):"]
-    cm._prologue(lines, set(params))
+    cm._prologue(lines, {p.name for p in cm.spec.parameters})
     lines += [
         f"    {', '.join(y)}, = y",
         "    _hh = 0.5*h",
@@ -107,14 +95,14 @@ def ode_source(cm, batch):
     on a non-finite state or on one below its floor by more than 1e-6 of
     its largest magnitude (at least 1), then clamps at the floor; the batch
     kernel leaves that to `settle` on its columns and `floor`."""
-    deriv, params = derivative(
-        cm, "deriv", ("rates", "drift"),
-        [f"    return ({', '.join(f'_d{i}' for i in range(cm.nx))},)"])
+    deriv = cm._kernel_source(
+        f"def deriv(x, t{param_args(cm)}):", ("rates", "drift"),
+        [f"    return ({', '.join(f'_d{i}' for i in range(cm.nx))},)"],
+        unpack="x", params=False)
     ys = ", ".join(f"_y{i}" for i in range(cm.nx))
     if batch:
-        return deriv + rk4_source(
-            cm, "ode", "deriv", cm.nx,
-            [f"        {ys}, = settle(({ys},), floor)"], params)
+        return deriv + rk4_source(cm, "ode", "deriv", cm.nx,
+                                  [f"        {ys}, = settle(({ys},), floor)"])
     finite = " and ".join(f"-inf < _y{i} < inf" for i in range(cm.nx))
     settle = [f"        if not ({finite}):",
               f"            raise DomainError('non-finite state {ODE_WHERE}')"]
@@ -129,7 +117,7 @@ def ode_source(cm, batch):
         # numpy's maximum(-0.0, 0.0) is 0.0
         settle += [f"        _y{i} = 0.0 if _y{i} <= 0.0 else _y{i}"
                    for i in floored]
-    return deriv + rk4_source(cm, "ode", "deriv", cm.nx, settle, params)
+    return deriv + rk4_source(cm, "ode", "deriv", cm.nx, settle)
 
 
 def moments_source(cm):
@@ -181,17 +169,18 @@ def moments_source(cm):
         body.append(f"    _dc{i}_{j} = {combine(terms) if terms else '0.0'}")
         outs.append(f"_dc{i}_{j}")
     body.append(f"    return ({', '.join(outs)},)")
-    src, params = derivative(
-        cm, "_moments", ("rates", "drift", "vols", "jac"), body,
-        needed={sd for sd, _ in cm.noise_groups},
-        extra=[f"_c{i}_{j}" for i, j in zip(*cm.tri_index)])
+    args = param_args(cm)
+    src = cm._kernel_source(
+        f"def _moments(y, t{args}):", ("rates", "drift", "vols", "jac"),
+        body, unpack="y", extra=[f"_c{i}_{j}" for i, j in zip(*cm.tri_index)],
+        needed={sd for sd, _ in cm.noise_groups}, params=False)
     lines = ["def moments(y, t, p):"]
-    cm._prologue(lines, set(params))
-    lines.append(f"    return _moments(y, t{_args(params)})")
+    cm._prologue(lines, {p.name for p in cm.spec.parameters})
+    lines.append(f"    return _moments(y, t{args})")
     return src + "\n".join(lines) + "\n" + rk4_source(
         cm, "interval", "_moments", len(outs),
         [f"        _y{i} = 0.0 if _y{i} <= 0.0 else _y{i}"
-         for i in _floored(cm)], params)
+         for i in _floored(cm)])
 
 
 def sde_source(cm):

@@ -166,11 +166,11 @@ def adaptive_chain(target, u0, sigma0, rng, iterations, *, adapt=True):
     posterior it must exceed; a target may return any log likelihood at or
     below `bar - logprior_u` for a proposal it can tell will fall short.
     payload travels with the accepted state (the particle chain stores its
-    sampled trajectory there); where the posterior is zero, it is the
-    cause, an exception (`optimize.log_posterior`).  Proposals with
-    non-finite posterior are rejected outright, and the incumbent values
-    are re-recorded.  A start of zero density is a FilterError, which
-    names the cause there.
+    sampled trajectory there); where the likelihood or the prior is zero,
+    it is the cause, an exception (`optimize.log_posterior`).  Proposals
+    with non-finite posterior are rejected outright, and the incumbent
+    values are re-recorded.  A start of zero density is a FilterError,
+    which names the cause there where the payload is an exception.
     """
     u = np.asarray(u0, dtype=float).copy()
     d = u.size

@@ -354,7 +354,7 @@ class ParameterSpace:
         """Why the log prior at the unconstrained vector u is not finite:
         the first parameter whose term is not, with its value and its
         prior's support (a value on its edge can still have a zero density
-        on this scale)."""
+        on this scale), or else the sum of the terms."""
         for i, p in enumerate(self.params):
             value = float(p.transform.inverse(u[i]))
             if not np.isfinite(p.prior.log_density(value)
@@ -364,6 +364,7 @@ class ParameterSpace:
                     "lies outside"
                 return (f"{p.name} = {value:g} {where} the support "
                         f"[{lo:g}, {hi:g}] of its {p.prior.name} prior")
+        return "the log prior, a sum of finite terms, is not finite"
 
     def log_prior_unconstrained(self, u):
         """Log prior density on the unconstrained scale, batched like

@@ -158,9 +158,10 @@ def log_posterior(space, base_values, run):
     `(u, bar=None) -> (log likelihood, log prior on the unconstrained
     scale, path)` for the backend `run`.  Invalid regions get a
     minus-infinity likelihood, so the simplex walks around them and the
-    chain rejects them.  Where the posterior is zero, the path is its
-    cause: the likelihood's failure (`attempt`), or a ValueError naming a
-    parameter outside its prior's support (`ParameterSpace.zero_prior`).
+    chain rejects them.  Where the likelihood or the prior is zero, the
+    path is its cause: the likelihood's failure (`attempt`), or a
+    ValueError naming a parameter outside its prior's support
+    (`ParameterSpace.zero_prior`).
     A chain passes as `bar` the log posterior that a proposal must exceed;
     the filter may then stop once the likelihood cannot exceed
     `bar - lp`, returning a value at or below it."""
@@ -182,7 +183,8 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
     """Run the simplex on the chosen likelihood backend; returns the merged
     natural-scale values and the log likelihood at the optimum.  FilterError
     when the posterior is zero at every initial vertex, its message ending
-    with the cause at the starting point (`log_posterior`)."""
+    with the cause at the starting point where the target names one, as
+    `mcmc.adaptive_chain`'s does (`log_posterior`)."""
     run = backend(cm, dataset, t0, kind, dt=dt)
     target = log_posterior(space, base_values, run)
 
@@ -195,8 +197,10 @@ def maximize_stage(cm, dataset, space, base_values, t0, kind,
         res = nelder_mead(objective, start, step=step, iterations=iterations,
                           xtol=xtol)
     except NoFiniteVertex as err:
-        raise FilterError(f"simplex: {err}; at the starting point: "
-                          f"{target(start)[2]}") from err
+        cause = target(start)[2]
+        reason = (f"; at the starting point: {cause}"
+                  if isinstance(cause, Exception) else "")
+        raise FilterError(f"simplex: {err}{reason}") from err
     return {
         "values": dict(base_values, **space.to_natural(res.x)),
         "log_likelihood": target(res.x)[0],

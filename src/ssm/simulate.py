@@ -41,8 +41,9 @@ taking their variates from shared streams.
 A model is static (`CompiledModel.static`) when it has no driven
 parameter and no propensity reads the time.  There a batch whose
 propensities are all zero is at a fixed point, as an extinct epidemic is:
-the diffusion and Poisson steppers return it at once, drawing nothing for
-the rest of the interval.
+the diffusion stepper returns it at once, drawing nothing for the rest of
+the interval.  The Poisson stepper draws nothing there either, slice by
+slice.
 """
 
 from __future__ import annotations
@@ -332,10 +333,8 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     would be with it.  A noise group none of whose member reactions is
     live draws no gamma increments: they would multiply zero rates only,
     so the counts and the law of the process are those with the draw, but
-    the later variates of a seed shift.  On a static model
-    (`CompiledModel.static`) a slice with no live reaction leaves the
-    state as it is, and so would every slice after it: the call returns
-    after that slice, which drew nothing, with the same bytes.
+    the later variates of a seed shift.  A slice with no live reaction and
+    no driven parameter draws nothing at all.
 
     The state is held one row per coordinate, in two buffers that take
     turns; the model's `psr` kernel (`psr_source`) writes the propensities
@@ -411,10 +410,6 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
                                   + sqrt_h * vol * xi)
         state, new = new, state
         t += h
-        if cm.static and not top.any():
-            # nothing fired or drew, and nothing will: the rest of the
-            # slices would add zeros to a state this one already made
-            break
     return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
 
 

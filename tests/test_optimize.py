@@ -6,6 +6,8 @@ import pytest
 from helpers import local_level_model, sir_model
 from ssm.compiled import CompiledModel, DomainError
 from ssm.filters import FilterError
+from ssm.mcmc import adaptive_chain
+from ssm.model import Identity, Normal, ParameterDef, ParameterSpace
 from ssm import optimize as opt
 from ssm import simulate as sim
 from ssm.observe import DataSet
@@ -209,6 +211,23 @@ class TestLogPosterior:
         assert str(path) == (f"beta = {np.exp(50.0):g} lies outside the "
                              f"support [0.05, 5] of its uniform prior")
 
+    def test_prior_whose_terms_are_finite_but_not_their_sum(self):
+        # three standard normal terms near -0.85e308 each, whose sum
+        # overflows: no parameter alone lies outside its support
+        space = ParameterSpace(
+            ParameterDef(name, Normal(0.0, 1.0), Identity(), "estimated")
+            for name in "abc")
+
+        def unreachable(values, floor=None):
+            raise AssertionError("likelihood run at a zero prior")
+
+        target = opt.log_posterior(space, {}, unreachable)
+        ll, lp, path = target(np.full(3, 1.3e154))
+        assert ll == lp == -np.inf
+        assert type(path) is ValueError
+        assert str(path) == ("the log prior, a sum of finite terms, is not "
+                             "finite")
+
     @pytest.mark.parametrize("kind", [kind for kind, _ in BACKENDS])
     def test_negative_initial_compartment(self, kind):
         # a chain that proposes such a point rejects it, and a chain that
@@ -235,6 +254,38 @@ class TestLogPosterior:
         assert ll == -np.inf
         assert np.isfinite(lp)
         assert type(path) is error and path.args == ("injected",)
+
+
+@pytest.mark.parametrize("payload, named", [
+    (None, False), (np.zeros((3, 2)), False),
+    (FilterError("every particle weight vanished at t = 1"), True)])
+@pytest.mark.parametrize("stage", ["simplex", "chain"])
+def test_start_error_names_only_an_exception(monkeypatch, stage, payload,
+                                             named):
+    # the simplex and the chain read a target's payload at a start of zero
+    # posterior by one rule: an exception is the cause, anything else (a
+    # path, whose finite terms may overflow in their sum) names nothing
+    def target(u, bar=None):
+        return -np.inf, 0.0, payload
+
+    with pytest.raises(FilterError) as err:
+        if stage == "chain":
+            adaptive_chain(target, np.zeros(2), np.eye(2),
+                           np.random.default_rng(0), 3)
+        else:
+            monkeypatch.setattr(opt, "log_posterior", lambda *args: target)
+            spec = local_level_model()
+            opt.maximize_stage(
+                CompiledModel(spec), make_dataset(LL_TIMES, {"y": LL_DATA}),
+                level_space(spec),
+                spec.resolve_values({"x0": 6.0, "c_drift": -0.5}), 0.0,
+                "ode")
+    start = {"chain": "chain cannot start from a zero-density point",
+             "simplex": "simplex: objective is not finite at any initial "
+                        "vertex"}[stage]
+    assert str(err.value) == (
+        f"{start}{'; at the starting point' if stage == 'simplex' else ''}"
+        f": {payload}" if named else start)
 
 
 class TestIteratedFiltering:
