@@ -43,6 +43,9 @@ TRUTH = {
 MODELS = tuple(TRUTH)
 # the sir-priors variant (`prior_models`) also estimates rho
 PRIORS_TRUTH = dict(TRUTH["sir"], rho=0.5)
+# the sir-driven-transforms variant (`driven_models`) starts its identity
+# coordinate from b0
+TRANSFORMS_TRUTH = dict(TRUTH["sir"], b0=-0.2)
 # the shipped SIR at R0 = 0.25, whose outbreak dies out within weeks, and
 # counts it might report: every particle is soon extinct
 EXTINCT_TRUTH = {"beta": 0.5, "gamma": 2.0}
@@ -95,8 +98,12 @@ def prior_models(models):
 
 
 def driven_models(models):
-    """The shipped SIR with both rates driven, so that the steppers draw for
-    two driven parameters, by file stem."""
+    """By file stem: the shipped SIR with both rates driven, so that the
+    steppers draw for two driven parameters, and the shipped SIR with a
+    driven log-contact b_t on the identity scale, started from b0 under a
+    normal prior, and a driven reporting rate rho_t on the logit scale, so
+    that the initial state and the kernel prologue of those two transforms
+    are pinned."""
     sir = json.loads((models / "sir.json").read_text())
     reactions = copy.deepcopy(sir["reactions"])
     reactions[0]["rate"] = "beta_t*I/N"
@@ -104,8 +111,19 @@ def driven_models(models):
     diffusions = [{"name": f"{name}_t", "transform": "log",
                    "volatility": "0.2", "initial": name}
                   for name in ("beta", "gamma")]
+    transforms = copy.deepcopy(sir)
+    transforms["parameters"].append(
+        {"name": "b0", "prior": {"normal": [0.0, 0.5]}, "role": "estimated"})
+    transforms["reactions"][0]["rate"] = "beta*exp(b_t)*I/N"
+    transforms["observations"][0]["mean"] = "rho_t*inc"
+    transforms["diffusions"] = [
+        {"name": "b_t", "transform": "identity", "volatility": "0.2",
+         "initial": "b0"},
+        {"name": "rho_t", "transform": "logit", "volatility": "0.3",
+         "initial": "rho"}]
     return {"sir-driven": dict(sir, diffusions=diffusions,
-                               reactions=reactions)}
+                               reactions=reactions),
+            "sir-driven-transforms": transforms}
 
 
 def pole_models(models):
@@ -136,8 +154,9 @@ def model_args(name, data=True):
 
 def commands():
     """(label, argv, stdin, files): stdin names a theta file written from
-    TRUTH (PRIORS_TRUTH for sir-priors, EXTINCT_TRUTH for sir-extinct),
-    "prev" for the previous command's
+    TRUTH (PRIORS_TRUTH for sir-priors, TRANSFORMS_TRUTH for
+    sir-driven-transforms, EXTINCT_TRUTH for sir-extinct), "prev" for the
+    previous command's
     stdout, "tap" for the stdout of the last command that is no tap, run in
     that command's working directory so that it reads the files written
     there, or None; files are the paths, relative to the working
@@ -248,6 +267,17 @@ def commands():
              ["smc", *driven, *data, "--formalism", formalism,
               "--n-particles", "200"], "sir", ()),
         ]
+    transforms = ["--model", "{work}/sir-driven-transforms.json"]
+    out.append(("kalman sir-driven-transforms",
+                ["kalman", *transforms, *data], "sir-driven-transforms", ()))
+    out += [(f"smc {formalism} sir-driven-transforms",
+             ["smc", *transforms, *data, "--formalism", formalism,
+              "--n-particles", "200"], "sir-driven-transforms", ())
+            for formalism in ("psr", "sde")]
+    out += [(f"simulate {formalism} x5 sir-driven-transforms",
+             ["simulate", *transforms, "--formalism", formalism, "--end",
+              "30", "--trajectories", "5"], "sir-driven-transforms", ())
+            for formalism in FORMALISMS]
     # numeric failures: each ends in one error line or a finished run
     pole = ["--model", "{work}/sir-pole.json"]
     initial = ["--model", "{work}/sir-initial-pole.json"]
@@ -301,6 +331,7 @@ def run_tree(src, models, work):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
                SSM_SEED=SEED, SOURCE_DATE_EPOCH=EPOCH)
     for name, values in {**TRUTH, "sir-priors": PRIORS_TRUTH,
+                         "sir-driven-transforms": TRANSFORMS_TRUTH,
                          "sir-extinct": EXTINCT_TRUTH}.items():
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")

@@ -14,11 +14,9 @@ functions to math.* (one state); vector kernels bind them to numpy.* so a
 whole swarm of states, or per-particle parameter values, goes through in one
 call.
 
-Each caller gets a kernel shaped to what it needs, generated and compiled the
-first time it is used:
+Each stage gets a kernel shaped to what it runs per substep or per
+observation instant, generated and compiled the first time it is used:
 
-    rates    propensities only
-    drift    drift rows and driven-parameter volatilities
     psr      a Poisson slice's propensities in step order, then driven
              drifts and volatilities, for a batch laid out (nx, J)
     ode      every RK4 substep of one observation interval, for one state
@@ -31,7 +29,6 @@ first time it is used:
              (substep, noise row, state), none at a fixed point
     jump     every event of one interval of the jump process, for one
              state
-    init     the initial state from parameter values
     obs      each observation stream's parts and the gradient of its mean,
              for a batch
 
@@ -40,13 +37,14 @@ call per observation interval (jump: per state and interval);
 `ssm.kernels` writes their source.  A kernel runs in one of two
 arithmetics.  The interval kernels for one state (ode, moments, jump)
 return tuples and run on Python floats, and again in numpy's where that
-raises (see `_on_floats`).  Every batch kernel, `init` among them, runs in
-numpy's: its prologue takes each parameter value to a numpy float, so
-parameter values alone give numpy's inf or nan, never an exception.  The
-`rates`, `drift`, `jac` and `obs` kernels are batch kernels only: a single
-state goes through them as a batch with no leading dimensions.  `dynamics`
-and `process_cov_from` assemble dense arrays from them for tests and for
-checking the moment equations.
+raises (see `_on_floats`).  Every batch kernel runs in numpy's: its
+prologue takes each parameter value to a numpy float, so parameter values
+alone give numpy's inf or nan, never an exception.  The `obs` kernels are
+batch kernels only: a single state goes through them as a batch with no
+leading dimensions.  The initial state (once per filter call) and
+`dynamics`, `propensities` and `process_cov_from`, the references for
+tests, go through the `Expr` interpreter instead, with parameter values as
+numpy floats too.
 """
 
 from __future__ import annotations
@@ -103,6 +101,15 @@ def _as_numpy(value):
     """A parameter value as numpy's arithmetic takes it: a number as a
     numpy float, an array as it is."""
     return value if type(value) is np.ndarray else np.float64(value)
+
+
+def _columns(lead, trees, env):
+    """Each tree evaluated at `env`, along the last axis of an array with
+    leading dimensions `lead`."""
+    out = np.empty(lead + (len(trees),))
+    for i, tree in enumerate(trees):
+        out[..., i] = tree.eval(env)
+    return out
 
 
 def _on_floats(kernel, on_numpy):
@@ -436,16 +443,6 @@ class CompiledModel:
     # ------------------------------------------------------------------
     # kernels shaped to their callers, compiled on first use
 
-    def _array_kernel(self, name, blocks, values):
-        """Batch kernel returning `values` along the last axis; x may have
-        any leading dimensions, none for a single state."""
-        source = self._kernel_source(
-            f"def {name}(x, t, p):", blocks,
-            [f"    out = empty(x.shape[:-1] + ({len(values)},))"]
-            + [f"    out[..., {i}] = {v}" for i, v in enumerate(values)]
-            + ["    return out"])
-        return self._compile(name, source, vector=True)[name]
-
     def _float_namespaces(self, name, source):
         """Namespace of `source` compiled for Python floats, and a function
         returning it compiled against numpy's math functions, on first
@@ -461,39 +458,6 @@ class CompiledModel:
         ns, on_numpy = self._float_namespaces(name, source)
         return tuple(_on_floats(ns[fn], lambda fn=fn: on_numpy()[fn])
                      for fn in functions)
-
-    @cached_property
-    def _rates(self):
-        return self._array_kernel(
-            "rates", ("rates",), [f"_a{k}" for k in range(self.n_react)])
-
-    @cached_property
-    def _drift(self):
-        return self._array_kernel(
-            "drift", ("rates", "drift", "vols"),
-            [f"_d{i}" for i in range(self.nx)]
-            + [f"_v{d_i}" for d_i in range(self.n_diff)])
-
-    @cached_property
-    def _jac(self):
-        return self._array_kernel(
-            "jac", ("jac",), [f"_j{i}_{j}" for i, j in self.jac_index])
-
-    @cached_property
-    def _init(self):
-        spec = self.spec
-        needed = {d.initial_param for d in spec.diffusions}.union(
-            *(tree.free_symbols() for tree in spec.compartment_initials))
-        entries = [ex.to_python(tree, self._resolve)
-                   for tree in spec.compartment_initials]
-        # a driven coordinate starts at the transform of its initial value
-        entries += [d.transform.forward_source.format(
-            param_local(d.initial_param)) for d in spec.diffusions]
-        entries += ["0.0"] * self.n_acc
-        source = self._kernel_source(
-            "def init(p):", (), [f"    return ({''.join(e + ', ' for e in entries)})"],
-            needed=needed)
-        return self._compile("init", source, vector=True)["init"]
 
     @cached_property
     def _obs(self):
@@ -571,7 +535,43 @@ class CompiledModel:
         return ns["jump"], lambda: on_numpy()["jump"]
 
     # ------------------------------------------------------------------
-    # evaluation helpers
+    # through the `Expr` interpreter, sharing no code with the kernels: the
+    # initial state, and the references the tests check the kernels against
+
+    def _env(self, x, t, p):
+        """The interpreter's symbols at state x and time t: the state
+        columns, the driven parameters' natural values, and the parameter
+        values as numpy floats, as in the batch kernels."""
+        env = {name: _as_numpy(value) for name, value in p.items()}
+        env.update({name: x[..., i] for i, name in enumerate(self.state_names)},
+                   t=np.asarray(t, dtype=float))
+        for i, d in enumerate(self.spec.diffusions, self.n_comp):
+            env[d.name] = d.transform.inverse(x[..., i])
+        return env
+
+    @cached_property
+    def _row_exprs(self):
+        """The drift of every state column as a tree: compartment and
+        accumulator rows sum their propensities in `combine`'s order,
+        driven rows are their own formula."""
+        rows = []
+        for coefs in self.stoich_full.astype(int):
+            row = None
+            for coef, tree in zip(coefs, self._prop_exprs):
+                if coef:
+                    term = (tree if coef in (1, -1)
+                            else ex.BinOp("*", ex.Const(float(coef)), tree))
+                    row = ((ex.Neg(term) if coef == -1 else term) if row is None
+                           else ex.BinOp("-" if coef == -1 else "+", row, term))
+            rows.append(ex.ZERO if row is None else row)
+        rows[self.diff_slice] = [d.drift for d in self.spec.diffusions]
+        return rows
+
+    @cached_property
+    def _row_partials(self):
+        """(row, column, tree) of each nonzero of the drift Jacobian."""
+        return [(i, j, tree) for i, row in enumerate(self._row_exprs)
+                for j, tree in self._partials(row)]
 
     def dynamics(self, x, t, p):
         """Propensities, drift, volatilities and dense drift Jacobian at x.
@@ -581,26 +581,19 @@ class CompiledModel:
         them.
         """
         x = np.asarray(x, dtype=float)
-        drift, vols = self.drift_and_vols(x, t, p)
-        jac = np.zeros(x.shape[:-1] + (self.nx, self.nx))
-        if self.jac_index:
-            rows, cols = zip(*self.jac_index)
-            jac[..., rows, cols] = self._jac(x, np.asarray(t, dtype=float), p)
-        return self.propensities(x, t, p), drift, vols, jac
-
-    # the batch kernels take the time as an array too, so that a single
-    # state or time follows numpy's arithmetic, as a batch does
+        env = self._env(x, t, p)
+        lead = x.shape[:-1]
+        jac = np.zeros(lead + (self.nx, self.nx))
+        for i, j, tree in self._row_partials:
+            jac[..., i, j] = tree.eval(env)
+        vols = [d.volatility for d in self.spec.diffusions]
+        return (_columns(lead, self._prop_exprs, env),
+                _columns(lead, self._row_exprs, env),
+                _columns(lead, vols, env), jac)
 
     def propensities(self, x, t, p):
-        return self._rates(np.asarray(x, dtype=float),
-                           np.asarray(t, dtype=float), p)
-
-    def drift_and_vols(self, x, t, p):
-        """Drift of every state column and volatility of every driven
-        parameter; x may carry leading batch dimensions."""
-        out = self._drift(np.asarray(x, dtype=float),
-                          np.asarray(t, dtype=float), p)
-        return out[..., : self.nx], out[..., self.nx :]
+        x = np.asarray(x, dtype=float)
+        return _columns(x.shape[:-1], self._prop_exprs, self._env(x, t, p))
 
     def init_state(self, p, size=None):
         """Initial state from parameter values; accumulator coordinates are 0.
@@ -609,9 +602,16 @@ class CompiledModel:
         of matching length.  A compartment that starts below zero is a
         DomainError, and then any other entry that is not finite.
         """
-        out = np.empty((1 if size is None else size, self.nx))
-        for i, v in enumerate(self._init(p)):
-            out[:, i] = v
+        env = {name: _as_numpy(value) for name, value in p.items()}
+        out = np.zeros((1 if size is None else size, self.nx))
+        for i, tree in enumerate(self.spec.compartment_initials):
+            out[:, i] = tree.eval(env)
+        # a driven coordinate starts at the transform of its initial value,
+        # under the identity at the value itself, -0.0 kept
+        for i, d in enumerate(self.spec.diffusions, self.n_comp):
+            value = env[d.initial_param]
+            out[:, i] = (value if d.transform.name == "identity"
+                         else d.transform.forward(value))
         below = np.any(out[:, self.comp_slice] < 0.0, axis=0)
         if below.any():
             raise DomainError(f"initial {self.state_names[below.argmax()]} "
@@ -620,31 +620,20 @@ class CompiledModel:
             raise DomainError("non-finite initial state")
         return out[0] if size is None else out
 
-    def env_columns(self, prop, p):
-        """Environmental dispersion columns: for each noise group, the
-        state-space direction sum of member effect columns weighted by their
-        propensities, scaled by the group sd."""
-        lead = prop.shape[:-1]
-        cols = np.zeros(lead + (self.nx, len(self.noise_groups)))
-        for g_i, (sd_name, members) in enumerate(self.noise_groups):
-            sd = np.asarray(p[sd_name], dtype=float)
-            acc = np.zeros(lead + (self.nx,))
-            for k in members:
-                acc += self.stoich_full[:, k] * prop[..., k, None]
-            cols[..., g_i] = acc * sd[..., None]
-        return cols
-
     def process_cov_from(self, prop, vols, p, demographic=True, environmental=True):
         """Full-state instantaneous covariance of the diffusion approximation
-        given the propensities and volatilities (see `dynamics`)."""
+        given the propensities and volatilities (see `dynamics`); a noise
+        group's direction sums its members' effect columns weighted by their
+        propensities, times the group sd."""
         lead = prop.shape[:-1]
         cov = np.zeros(lead + (self.nx, self.nx))
+        a = np.clip(prop, 0.0, None)
         if demographic and self.n_react:
-            a = np.clip(prop, 0.0, None)
             cov += np.einsum("...k,ik,jk->...ij", a, self.stoich_full, self.stoich_full)
-        if environmental and self.noise_groups:
-            cols = self.env_columns(np.clip(prop, 0.0, None), p)
-            cov += np.einsum("...ig,...jg->...ij", cols, cols)
+        for sd_name, members in self.noise_groups if environmental else ():
+            col = (a[..., members] @ self.stoich_full[:, members].T
+                   * np.asarray(p[sd_name], dtype=float)[..., None])
+            cov += col[..., :, None] * col[..., None, :]
         for d_i in range(self.n_diff):
             row = self.n_comp + d_i
             cov[..., row, row] += vols[..., d_i] ** 2

@@ -94,6 +94,10 @@ class Trace:
                 "log_likelihood", "log_prior", "accepted"
             ]:
                 raise DataError(f"{path}: not a chain trace")
+            names = header[1:-3]
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise DataError(f"{path}: parameter column '{name}' is repeated")
             rows = []
             for row in filter(None, r):
                 if len(row) != len(header):
@@ -111,7 +115,7 @@ class Trace:
                                     f"value is not finite")
         cells = np.array(rows, dtype=float).reshape(len(rows),
                                                     len(header) - 1)
-        return cls(tuple(header[1:-3]), cells[:, :-3], cells[:, -3],
+        return cls(tuple(names), cells[:, :-3], cells[:, -3],
                    cells[:, -2], cells[:, -1] != 0)
 
 

@@ -38,13 +38,13 @@ class ModelError(ValueError):
 # parameter transforms
 
 # Identity, Log and Logit, the transforms a driven parameter may take, also
-# carry the source of the transform, natural value to coordinate, and of its
-# inverse, each formatted with its operand's source, and the chain factor
-# d(natural)/d(coordinate) as a formula in the natural value q
+# carry the source of the inverse, coordinate to natural value, formatted
+# with its operand's source, and the chain factor d(natural)/d(coordinate)
+# as a formula in the natural value q
 
 class Identity:
     name = "identity"
-    forward_source = inverse_source = "{}"
+    inverse_source = "{}"
 
     def chain(self, q):
         return ex.ONE
@@ -65,7 +65,6 @@ class Identity:
 
 class Log:
     name = "log"
-    forward_source = "log({})"
     inverse_source = "exp({})"
 
     def chain(self, q):
@@ -86,7 +85,6 @@ class Log:
 
 class Logit:
     name = "logit"
-    forward_source = "log(({0})/(1.0 - ({0})))"
     inverse_source = "1.0/(1.0 + exp(-({0})))"
 
     def chain(self, q):

@@ -6,7 +6,8 @@ compiled kernels, the filters and `DataSet.validate` read them there.
 
 Data arrives as a long-format CSV with columns time, stream, value; several
 streams may report at the same instant and a stream may skip instants.  Rows
-with an empty or NaN value are treated as missing and dropped.  Accumulator
+with an empty, NA or NaN value are treated as missing and dropped; any
+other value that is not a finite number is an error.  Accumulator
 coordinates reset to zero after each observation instant, so an accumulator
 stream always reports what was gathered since the previous instant.
 """
@@ -99,9 +100,9 @@ class DataSet:
                 try:
                     v = float(v_raw)
                 except ValueError:
-                    raise DataError(f"{path}:{i}: bad value {v_raw!r}") from None
-                if not math.isfinite(v):
-                    continue
+                    v = None
+                if v is None or not math.isfinite(v):
+                    raise DataError(f"{path}:{i}: bad value {v_raw!r}")
                 rows.append((t, stream, v))
         return cls(rows)
 

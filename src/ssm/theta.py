@@ -84,7 +84,13 @@ class ThetaDocument:
                     "theta document: field 'covariance' needs 'order' and "
                     "'matrix'"
                 )
-            order = tuple(cov["order"])
+            order = cov["order"]
+            if not (isinstance(order, list)
+                    and all(isinstance(name, str) for name in order)
+                    and len(set(order)) == len(order)):
+                raise ThetaError("theta document: field 'covariance.order' "
+                                 "must be a list of distinct names")
+            order = tuple(order)
             try:
                 matrix = np.asarray(cov["matrix"], dtype=float)
             # ragged rows, non-numbers, integers beyond the floats

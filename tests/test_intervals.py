@@ -4,11 +4,15 @@
 `simulate.sde_step` run every substep of an observation interval in one
 generated call, and `simulate.gillespie_interval` every event of one
 state's interval.  The references below step one substep (one event) at a
-time through the model's single-call kernels (`drift_and_vols`, `moments`,
-`propensities`), with the domain check, the clamp and the draws of a
-substep written out in numpy.  Both must give equal arrays, raise the same
-errors and, but for the diffusion stepper after an error, leave the
-generator in the same state.
+time, with the domain check, the clamp and the draws of a substep written
+out in numpy.  The ode, sde and jump references take the propensities,
+drift and volatilities from the `Expr` interpreter (`dynamics`,
+`propensities`), which shares no generated code with the kernels; the
+moment reference takes each substep's derivative from the moment kernel's
+own `moments`, which `test_kernels.py` checks against the interpreter, so
+that it checks the substep loop bit for bit.  Both must give equal arrays,
+raise the same errors and, but for the diffusion stepper after an error,
+leave the generator in the same state.
 """
 
 import json
@@ -53,7 +57,7 @@ def reference_check_domain(cm, x):
 
 def reference_ode(cm, x, t0, t1, p, dt=None):
     def drift(x, t, p):
-        return cm.drift_and_vols(x, t, p)[0]
+        return cm.dynamics(x, t, p)[1]
 
     n_sub, h = sim.substeps(t1 - t0, dt)
     x = np.array(x, dtype=float)
@@ -93,8 +97,7 @@ def reference_sde_substep(cm, x, t, dt, p, rng):
     xi_demo, xi_env, xi_diff = np.split(
         xi, [cm.n_react, cm.n_react + n_groups], axis=1)
     sq = math.sqrt(dt)
-    a = cm.propensities(x, t, p)
-    drift, vols = cm.drift_and_vols(x, t, p)
+    a, drift, vols, _ = cm.dynamics(x, t, p)
     ap = np.maximum(a, 0.0)
     inc = dt * a + sq * np.sqrt(ap) * xi_demo if cm.n_react else a
     for g, (sd_name, members) in enumerate(cm.noise_groups):
@@ -176,7 +179,7 @@ def reference_jump_row(cm, x, t, t1, dt_max, p, exps, unis, normals):
         cap = min(dt_max, t1 - t)
         elapsed = min(tau, cap)
         if cm.n_diff:
-            drift, vols = cm.drift_and_vols(x, t, p)
+            _, drift, vols, _ = cm.dynamics(x, t, p)
             xi = np.array([next(normals) for _ in range(cm.n_diff)])
             x[cm.diff_slice] = x[cm.diff_slice] + (
                 elapsed * drift[cm.diff_slice] + np.sqrt(elapsed) * vols * xi)

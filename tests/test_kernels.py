@@ -1,13 +1,15 @@
 """Oracle checks of the generated kernels on the four shipped models, and
 on SIR with rates whose operations nest on both sides.
 
-Each kernel is checked against a reference built another way: propensities,
-drift and volatilities against the expression interpreter, the moment
+Each kernel is checked against a reference built another way, through the
+expression interpreter, which shares no generated code with the kernels:
+the Poisson slice kernel's propensities, drifts and volatilities and the
+moment kernel's drift against the interpreter written out here, the moment
 equations against the dense Jacobian and covariance of `dynamics`, and the
-fused Euler-Maruyama step against its formula.  A single state goes through
-the same batch kernels as a batch, so the single-state checks below test
-shapes and broadcasting (a state with no leading dimensions, a time per
-row), not a second implementation.
+fused Euler-Maruyama step against its formula over `dynamics`.  The
+single-state checks of `dynamics` and `propensities` below test shapes
+and broadcasting (a state with no leading dimensions, a time per row) of
+the reference itself.
 """
 
 import json
@@ -94,26 +96,32 @@ def test_rates_match_interpreter(case):
         want_vols.append([d.volatility.eval(env) for d in spec.diffusions])
     want_rates, want_drift = np.array(want_rates), np.array(want_drift)
     want_vols = np.array(want_vols).reshape(len(states), cm.n_diff)
-    np.testing.assert_allclose(cm.propensities(states, times, p), want_rates,
+    # the Poisson stepper's kernel, on the states as rows, writes the
+    # propensities in its step order, then the driven rows' drifts and
+    # volatilities
+    out = np.full((cm.n_react + 2 * cm.n_diff, len(states)), np.nan)
+    cm.psr(np.ascontiguousarray(states.T), times, p, out)
+    rates = out[:cm.n_react].T
+    np.testing.assert_allclose(rates, want_rates[:, cm.step_order],
                                rtol=1e-12, atol=0.0)
-    drift, vols = cm.drift_and_vols(states, times, p)
-    np.testing.assert_allclose(vols, want_vols, rtol=1e-12, atol=0.0)
-    # inflow and outflow of a compartment can cancel in the stoichiometry
-    # sum, so each state's drift may be off on the scale of its own
-    # propensities
+    np.testing.assert_allclose(out[cm.n_react:].T,
+                               np.hstack([want_drift[:, cm.diff_slice],
+                                          want_vols]), rtol=1e-12, atol=0.0)
+    # and, bit for bit, what `dynamics` gives: the two make the same
+    # operations in the same order
+    prop, drift, vols, _ = cm.dynamics(states, times, p)
+    np.testing.assert_array_equal(rates, prop[:, cm.step_order])
+    np.testing.assert_array_equal(out[cm.n_react:].T,
+                                  np.hstack([drift[:, cm.diff_slice], vols]))
+    # the moment kernel's drift, at a state with no covariance.  Inflow and
+    # outflow of a compartment can cancel in the stoichiometry sum, so each
+    # state's drift may be off on the scale of its own propensities
+    zeros = np.zeros(len(cm.tri_index[0]))
+    drift = np.array([cm.moments(np.concatenate([x, zeros]), t, p)[: cm.nx]
+                      for x, t in zip(states, times)])
     scale = np.abs(want_rates).max(axis=1, initial=0.0)[:, None]
     err = np.abs(drift - want_drift)
     assert (err <= 1e-12 * (np.abs(want_drift) + scale)).all(), err.max()
-    # the Poisson stepper's kernel, on the states as rows, writes the
-    # propensities in its step order, then the driven rows' drifts and
-    # volatilities, bit for bit
-    out = np.full((cm.n_react + 2 * cm.n_diff, len(states)), np.nan)
-    cm.psr(np.ascontiguousarray(states.T), times, p, out)
-    np.testing.assert_array_equal(out[:cm.n_react].T,
-                                  cm.propensities(states, times, p)
-                                  [:, cm.step_order])
-    np.testing.assert_array_equal(out[cm.n_react:].T,
-                                  np.hstack([drift[:, cm.diff_slice], vols]))
 
 
 def test_moments_match_dense_reference(case):
@@ -162,8 +170,11 @@ def test_sde_kernel_matches_reference_formula(case):
     prop, drift, vols, _ = cm.dynamics(states, t, p)
     a = np.clip(prop, 0.0, None)
     noise = (np.sqrt(a) * xi_demo) @ cm.stoich_full.T
-    if cm.noise_groups:
-        noise += np.einsum("jig,jg->ji", cm.env_columns(a, p), xi_env)
+    for g, (sd_name, members) in enumerate(cm.noise_groups):
+        # the group's direction: its members' effect columns weighted by
+        # their propensities, scaled by the group sd
+        direction = a[:, members] @ cm.stoich_full[:, members].T
+        noise += direction * (p[sd_name] * xi_env[:, g])[:, None]
     if cm.n_diff:
         noise[:, cm.diff_slice] += vols * xi_diff
     # the kernel clamps at the floor after the step
@@ -173,18 +184,17 @@ def test_sde_kernel_matches_reference_formula(case):
 
 
 def test_batch_calls_match_stacked_single_calls(case):
-    # a single state runs through the same rates and drift kernels, so
-    # their part checks that a state with no leading dimensions gives the
-    # row of the batch; the sde part runs the interval kernel on the batch
-    # and on each row alone
+    # the reference's part checks that a state with no leading dimensions
+    # gives the row of the batch; the sde part runs the interval kernel on
+    # the batch and on each row alone
     cm, p, states, times = case
     t = float(times[0])
     single = np.array([cm.propensities(x, t, p) for x in states])
     np.testing.assert_allclose(cm.propensities(states, t, p), single,
                                rtol=1e-13, atol=0.0)
-    drift, vols = cm.drift_and_vols(states, t, p)
+    _, drift, vols, _ = cm.dynamics(states, t, p)
     for i, x in enumerate(states):
-        d1, v1 = cm.drift_and_vols(x, t, p)
+        _, d1, v1, _ = cm.dynamics(x, t, p)
         np.testing.assert_allclose(drift[i], d1, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(vols[i], v1, rtol=1e-13, atol=0.0)
 
@@ -207,12 +217,11 @@ def test_batch_calls_take_a_time_per_row():
     rng = np.random.default_rng(11)
     states = random_states(cm, cm.init_state(p), N_STATES, rng)
     times = rng.uniform(0.0, 40.0, size=N_STATES)
-    rates = cm.propensities(states, times, p)
-    drift, vols = cm.drift_and_vols(states, times, p)
+    rates, drift, vols, _ = cm.dynamics(states, times, p)
     for i, (x, t) in enumerate(zip(states, times)):
         np.testing.assert_allclose(rates[i], cm.propensities(x, t, p),
                                    rtol=1e-12, atol=0.0)
-        d1, v1 = cm.drift_and_vols(x, t, p)
+        _, d1, v1, _ = cm.dynamics(x, t, p)
         np.testing.assert_allclose(drift[i], d1, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(vols[i], v1, rtol=1e-12, atol=0.0)
 
@@ -244,8 +253,8 @@ def test_scalar_kernels_follow_numpy_arithmetic():
     # Python float arithmetic would raise on 0/0 and return a complex
     # number for a negative base to a fractional power; the moment kernel,
     # which runs on floats, must give numpy's nan, like the batch kernels.
-    # The propensities of one state go through the batch kernel itself, so
-    # their comparison checks only the single-state shape and dtype
+    # The interpreter's propensities of one state are its batch's, so their
+    # comparison checks only the single-state shape and dtype
     cm = CompiledModel(sir_model(reactions=[
         {"from": "S", "to": "I", "rate": "beta*I/(S+I)", "accumulators": ["cases"]},
         {"from": "I", "to": "R", "rate": "gamma*(R-1)^0.5"},
@@ -288,7 +297,7 @@ def test_float_kernels_rerun_parameters_on_numpy():
     # beta/(gamma - 1) divides by zero among parameter values alone: Python
     # floats raise on it, and the rerun on numpy takes the parameter values
     # to numpy floats, so the moment kernel gives numpy's inf, as the
-    # batch kernels do
+    # batch kernels and the interpreter do
     cm = CompiledModel(sir_model(reactions=[
         {"from": "S", "to": "I", "rate": "beta/(gamma - 1)*I/N",
          "accumulators": ["cases"]},
@@ -299,7 +308,7 @@ def test_float_kernels_rerun_parameters_on_numpy():
     with np.errstate(divide="ignore", invalid="ignore"):
         moments = cm.moments(
             np.concatenate([x, np.zeros(len(cm.tri_index[0]))]), 0.0, p)
-        drift, _ = cm.drift_and_vols(x, 0.0, p)
+        drift = cm.dynamics(x, 0.0, p)[1]
     assert moments[0] == -np.inf and moments[1] == np.inf
     np.testing.assert_array_equal(moments[: cm.nx], drift)
 
@@ -328,9 +337,9 @@ def test_property_batch_equals_single():
         single = np.array([cm.propensities(r, t, p) for r in x])
         np.testing.assert_allclose(cm.propensities(x, t, p), single,
                                    rtol=1e-13, atol=0.0)
-        drift, vols = cm.drift_and_vols(x, t, p)
+        _, drift, vols, _ = cm.dynamics(x, t, p)
         for i, r in enumerate(x):
-            d1, v1 = cm.drift_and_vols(r, t, p)
+            _, d1, v1, _ = cm.dynamics(r, t, p)
             np.testing.assert_allclose(drift[i], d1, rtol=1e-13, atol=1e-9)
             np.testing.assert_allclose(vols[i], v1, rtol=1e-13, atol=0.0)
 

@@ -15,7 +15,7 @@ from ssm.compiled import CompiledModel
 from ssm.filters import FilterError
 from ssm.mcmc import Trace, adaptive_chain, ess, kmcmc_stage, pmcmc_stage
 from ssm.model import load_model
-from ssm.observe import DataSet
+from ssm.observe import DataError, DataSet
 
 from helpers import ROOT, SIR_PRIORS, local_level_model, sir_model
 
@@ -223,6 +223,15 @@ class TestTrace:
         p = tmp_path / "x.csv"
         p.write_text("step,beta\n0,1.0\n")
         with pytest.raises(ValueError):
+            Trace.from_csv(p)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        # otherwise one name would stand for two columns, and readers of
+        # the trace would take either one
+        p = tmp_path / "x.csv"
+        p.write_text("iteration,beta,beta,log_likelihood,log_prior,accepted\n"
+                     "0,1.0,1.1,-10.0,-2.0,1\n")
+        with pytest.raises(DataError, match="column 'beta' is repeated"):
             Trace.from_csv(p)
 
 

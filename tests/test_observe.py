@@ -280,6 +280,13 @@ class TestDataSet:
         p = self.write(tmp_path, "time,stream,value\n1,y,four\n")
         with pytest.raises(ob.DataError, match="data.csv:2"):
             ob.DataSet.from_csv(p)
+        # missing is empty, NA or NaN: an infinite value is no observation
+        for value in ("inf", "-inf", "Infinity", "1e400"):
+            p = self.write(tmp_path,
+                           f"time,stream,value\n1,y,4\n2,y,{value}\n")
+            with pytest.raises(ob.DataError,
+                               match=f"data.csv:3: bad value '{value}'"):
+                ob.DataSet.from_csv(p)
 
     def test_validate_against_model(self, tmp_path):
         p = self.write(

@@ -614,7 +614,7 @@ def reference_psr_step(cm, x, t, dt, params, rng, dead_rng=None):
     if np.any(new[..., cm.comp_slice] < 0.0):
         raise DomainError("Poisson step overdrew a compartment")
     if cm.n_diff:
-        drift, vols = cm.drift_and_vols(x, t, params)
+        _, drift, vols, _ = cm.dynamics(x, t, params)
         # one row of normals per driven parameter
         xi = np.moveaxis(rng.standard_normal((cm.n_diff,) + lead), 0, -1)
         new[..., cm.diff_slice] = (

@@ -17,11 +17,21 @@ def test_empty_covariance_reads_back():
     assert back.covariance[1].shape == (0, 0)
 
 
-@pytest.mark.parametrize("matrix", [[[1.0, 0.0], [0.0]], [["a", 1.0]], []])
-def test_malformed_covariance_is_a_theta_error(matrix):
+@pytest.mark.parametrize("order,matrix", [
+    pytest.param(["a", "b"], matrix, id=f"matrix{i}")
+    for i, matrix in enumerate([[[1.0, 0.0], [0.0]], [["a", 1.0]], []])
+] + [
+    # an order that is no list of distinct names, beside a matrix that fits
+    pytest.param(order, np.eye(n).tolist(), id=f"order-{name}")
+    for name, order, n in [("number", 5, 1), ("nested", [["beta"]], 1),
+                           ("string", "ab", 2),
+                           ("repeated", ["beta", "beta"], 2),
+                           ("numbers", [1, 2], 2)]
+])
+def test_malformed_covariance_is_a_theta_error(order, matrix):
     with pytest.raises(ThetaError, match="covariance"):
         ThetaDocument.parse({"ssm_theta": 1, "values": {},
-                             "covariance": {"order": ["a", "b"],
+                             "covariance": {"order": order,
                                             "matrix": matrix}})
 
 
