@@ -182,6 +182,17 @@ def commands():
                         ["smc", *model_args(name), "--formalism", formalism,
                          "--n-particles", "200"], name, ()))
     sir = model_args("sir")
+    # the particle filter under the other two formalisms, and the sampled
+    # path of a chain outside sde
+    out += [(f"smc {formalism} x50 sir",
+             ["smc", *sir, "--formalism", formalism, "--n-particles", "50"],
+             "sir", ()) for formalism in ("ode", "jump")]
+    out += [(f"pmcmc {formalism} --paths sir",
+             ["pmcmc", *sir, "--formalism", formalism, "--n-particles", n,
+              "--iterations", iterations, "--trace", "pmcmc.csv", "--paths",
+              "paths.csv"], "sir", ("pmcmc.csv", "paths.csv"))
+            for formalism, n, iterations in (("psr", "50", "10"),
+                                             ("jump", "20", "5"))]
     out += [
         ("simplex sir", ["simplex", *sir, "--iterations", "20",
                          "--dt", "0.5"], "sir", ()),

@@ -11,8 +11,10 @@ the drift of every coordinate and the exact Jacobian of the drift, and emit
 straight-line Python source for them, with the stoichiometry, noise-group
 membership and Jacobian sparsity folded in.  Scalar kernels bind the math
 functions to math.* (one state); vector kernels bind them to numpy.* so a
-whole swarm of states, or per-particle parameter values, goes through in one
-call.
+whole swarm of J states, or per-particle parameter values, goes through in
+one call.  A swarm is laid out (nx, J), one column per state, from
+`init_state` through every stepper, filter and batch kernel; one state is
+stepped only by `ode` and `moments`.
 
 Each stage gets a kernel shaped to what it runs per substep or per
 observation instant, generated and compiled the first time it is used:
@@ -40,8 +42,8 @@ return tuples and run on Python floats, and again in numpy's where that
 raises (see `_on_floats`).  Every batch kernel runs in numpy's: its
 prologue takes each parameter value to a numpy float, so parameter values
 alone give numpy's inf or nan, never an exception.  The `obs` kernels are
-batch kernels only: a single state goes through them as a batch with no
-leading dimensions.  The initial state (once per filter call) and
+batch kernels only: a single state goes through them as a batch of one
+value per row.  The initial state (once per filter call) and
 `dynamics`, `propensities` and `process_cov_from`, the references for
 tests, go through the `Expr` interpreter instead, with parameter values as
 numpy floats too.
@@ -482,17 +484,16 @@ class CompiledModel:
 
     def ode(self, x, t, h, n_sub, p):
         """n_sub RK4 substeps of length h from time t, in one call: x is one
-        state or a batch of shape (J, nx), whose parameter values may be
-        per-row columns.  After each substep the state is clamped at the
+        state or a batch laid out (nx, J), whose parameter values may be
+        per-state columns.  After each substep the state is clamped at the
         floor; DomainError if it is not finite or lies below the floor by
         more than 1e-6 of its largest magnitude (the batch's, for a batch).
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return self._ode_single(x, float(t), float(h), n_sub, p)
-        out = self._ode_batch(tuple(x.T), np.float64(t), np.float64(h),
-                              n_sub, p)
-        return np.ascontiguousarray(np.array(out).T)
+        return np.array(self._ode_batch(tuple(x), np.float64(t),
+                                        np.float64(h), n_sub, p))
 
     @cached_property
     def _moments(self):
@@ -598,27 +599,27 @@ class CompiledModel:
     def init_state(self, p, size=None):
         """Initial state from parameter values; accumulator coordinates are 0.
 
-        With `size`, returns (size, nx); parameter values may then be arrays
-        of matching length.  A compartment that starts below zero is a
-        DomainError, and then any other entry that is not finite.
+        With `size`, returns (nx, size), a column per state; parameter
+        values may then be arrays of length size.  A compartment that
+        starts below zero is a DomainError, then any entry not finite.
         """
         env = {name: _as_numpy(value) for name, value in p.items()}
-        out = np.zeros((1 if size is None else size, self.nx))
+        out = np.zeros((self.nx, 1 if size is None else size))
         for i, tree in enumerate(self.spec.compartment_initials):
-            out[:, i] = tree.eval(env)
+            out[i] = tree.eval(env)
         # a driven coordinate starts at the transform of its initial value,
         # under the identity at the value itself, -0.0 kept
         for i, d in enumerate(self.spec.diffusions, self.n_comp):
             value = env[d.initial_param]
-            out[:, i] = (value if d.transform.name == "identity"
-                         else d.transform.forward(value))
-        below = np.any(out[:, self.comp_slice] < 0.0, axis=0)
+            out[i] = (value if d.transform.name == "identity"
+                      else d.transform.forward(value))
+        below = np.any(out[self.comp_slice] < 0.0, axis=1)
         if below.any():
             raise DomainError(f"initial {self.state_names[below.argmax()]} "
                               f"is negative")
         if not np.isfinite(out).all():
             raise DomainError("non-finite initial state")
-        return out[0] if size is None else out
+        return out[:, 0] if size is None else out
 
     def process_cov_from(self, prop, vols, p, demographic=True, environmental=True):
         """Full-state instantaneous covariance of the diffusion approximation
@@ -649,14 +650,13 @@ class CompiledModel:
         """Evaluate one stream; returns (parts dict, gradient over the state
         of the observed mean, `observe.mean_formula`).
         Parts are floats for one state (the moment filter), which goes
-        through the batch kernel with no leading dimensions, and arrays over
-        the leading dimensions of a batch, whose gradient is None.
+        through the batch kernel as it is, and arrays (J,) for a batch laid
+        out (nx, J), whose gradient is None.
         """
         o = self._obs_by_name[name]
         x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        raw = self._obs[o.kernel](x.transpose(-1, *range(x.ndim - 1)),
-                                  np.asarray(t, dtype=float), p)
+        lead = x.shape[1:]
+        raw = self._obs[o.kernel](x, np.asarray(t, dtype=float), p)
         if lead:
             # a fresh array of the batch's shape is the kernel's own; a
             # view of the state or a parameter value is copied out

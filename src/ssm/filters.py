@@ -167,15 +167,15 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         loglik += terms[i]
         norm = w / total
         ess[i] = 1.0 / (norm ** 2).sum()
-        means[i] = norm @ x
+        means[i] = x @ norm
         if floor is not None and loglik <= floor:
             instants = i + 1
             break
         if return_path:
             history.append(x.copy())
         idx = systematic_resample(norm, rng)
-        x = x[idx]
-        x[:, cm.acc_slice] = 0.0
+        x = x.take(idx, axis=1)
+        x[cm.acc_slice] = 0.0
         if return_path:
             ancestry.append(idx)
         if after_resample is not None:
@@ -187,10 +187,10 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
         if return_path and n_obs:
             path = np.empty((n_obs, cm.nx))
             pick = int(rng.choice(j, p=final_weights))
-            path[-1] = history[-1][pick]
+            path[-1] = history[-1][:, pick]
             for i in range(n_obs - 2, -1, -1):
                 pick = int(ancestry[i][pick])
-                path[i] = history[i][pick]
+                path[i] = history[i][:, pick]
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
         loglik_terms=terms, ess=ess, path=path, instants=instants,

@@ -22,7 +22,7 @@ def forecast_table(cm, thetas, t0, times, *, formalism="psr", rng=None,
     """Quantiles of each stream's conditional mean over one simulated
     trajectory per parameter draw.
 
-    The draws become per-row parameter columns and all trajectories advance
+    The draws become per-state parameter columns and all trajectories advance
     together as one batch.  Returns (stream names, array of shape
     (n_times, n_streams, 5))."""
     times = np.asarray(times, dtype=float)
@@ -41,7 +41,7 @@ def forecast_table(cm, thetas, t0, times, *, formalism="psr", rng=None,
         for k, obs in enumerate(cm.observations):
             parts, _ = cm.obs_values(obs.name, x, t_next, values)
             means[:, i, k] = stream_mean(obs.kind, parts)
-        x[:, cm.acc_slice] = 0.0
+        x[cm.acc_slice] = 0.0
         t = t_next
     return streams, np.moveaxis(quantiles(means), 0, -1)
 

@@ -6,13 +6,13 @@ Jacobian nonzeros).  The functions here assemble from them the source of the
 kernels that run every substep of one observation interval, which
 `CompiledModel` compiles on first use:
 
-    ode_source      RK4 over the full state, for Python floats or for
-                    arrays
+    ode_source      RK4 over the full state, for one state on Python
+                    floats or a batch laid out (nx, J) on arrays
     moments_source  the moment equations of the moment filter, and RK4
                     over [mean, upper triangle of covariance] around them
     sde_source      Euler-Maruyama over a batch laid out as (nx, J)
     jump_source     the jump process of one state, event by event, for
-                    Python floats
+                    Python floats: each column of a batch in turn
 
 Element by element, each kernel takes the operations of one substep (one
 event) at a time in numpy in the same order, so its results are those bit

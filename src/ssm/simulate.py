@@ -2,13 +2,14 @@
 
 All steppers share the full state layout produced by CompiledModel:
 compartments, then driven parameter coordinates on their transformed scale,
-then accumulators.  The deterministic backend integrates the drift with
-classic fourth-order Runge-Kutta; the diffusion backend takes Euler-Maruyama
-steps with demographic, environmental and parameter-diffusion noise entering
-through separate factor columns; the Poisson backend draws integer reaction
-counts per time slice with competing exits handled as conditional binomials;
-the jump backend simulates the underlying Markov jump process event by
-event, one trajectory after another.
+then accumulators; they take and return a batch as (nx, J), a column per
+state, and only `ode_step` also takes one state.  The deterministic backend
+integrates the drift with classic fourth-order Runge-Kutta; the diffusion
+backend takes Euler-Maruyama steps with demographic, environmental and
+parameter-diffusion noise entering through separate factor columns; the
+Poisson backend draws integer reaction counts per time slice with competing
+exits handled as conditional binomials; the jump backend simulates the
+underlying Markov jump process event by event, one trajectory after another.
 
 Environmental (white) noise multiplies the rates of the reactions in a noise
 group by the increment of a gamma process with mean dt and variance sd^2 dt.
@@ -85,8 +86,8 @@ def ode_step(cm, x, t, h, n_sub, params):
 # diffusion backend
 
 def sde_step(cm, x, t, h, n_sub, params, rng):
-    """n_sub Euler-Maruyama substeps of length h, one call of the model's
-    `sde` interval kernel.
+    """n_sub Euler-Maruyama substeps of length h over a batch laid out
+    (nx, J), one call of the model's `sde` interval kernel on a copy.
 
     Noise is applied through factor columns so that the increment covariance
     is exactly h times the assembled dispersion: one standard normal per
@@ -104,11 +105,10 @@ def sde_step(cm, x, t, h, n_sub, params, rng):
     drawn.  The later variates of a seed shift, but not the law of the
     process.
     """
-    x = np.asarray(x, dtype=float)
-    state = x.reshape(-1, cm.nx).T.copy()
+    state = np.array(x, dtype=float)
     if cm.sde(state, t, h, n_sub, params, rng.standard_normal) < n_sub:
         raise DomainError("non-finite state during diffusion step")
-    return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +300,8 @@ def _exit_probabilities(plan, w, state, prop, h, delta):
 
 def psr_step(cm, x, t, h, n_sub, params, rng):
     """n_sub time slices of length h of the Poisson approximation with
-    stochastic rates, in one call, for one state or a batch of shape
-    (J, nx) whose parameter values may be per-row columns.
+    stochastic rates, in one call, for a batch laid out (nx, J) whose
+    parameter values may be per-state columns.
 
     Per source compartment, the members leaving within a slice follow a
     multinomial over the competing exits: with per-capita rates r_k and
@@ -336,13 +336,12 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     the later variates of a seed shift.  A slice with no live reaction and
     no driven parameter draws nothing at all.
 
-    The state is held one row per coordinate, in two buffers that take
-    turns; the model's `psr` kernel (`psr_source`) writes the propensities
-    into the rows of one buffer in the step's order, and the exits' work
+    The batch is held one row per coordinate, in its copy and one more
+    buffer that take turns; the model's `psr` kernel (`psr_source`) writes
+    the propensities into the rows of one buffer in the step's order, and the exits' work
     runs in buffers made once per call (`_Work`).
     """
-    x = np.asarray(x, dtype=float)
-    state = x.reshape(-1, cm.nx).T.copy()
+    state = np.array(x, dtype=float)
     new = np.empty_like(state)
     j = state.shape[1]
     n_rows = len(cm.step_order)
@@ -410,7 +409,7 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
                                   + sqrt_h * vol * xi)
         state, new = new, state
         t += h
-    return state[:, 0].copy() if x.ndim == 1 else np.ascontiguousarray(state.T)
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -450,24 +449,23 @@ def _jump_rows(kernel, scalar, rows, t0, t1, dt_max, params, rng):
 
 
 def gillespie_interval(cm, x, t0, t1, params, rng, dt_max=None):
-    """Exact simulation of the jump process over [t0, t1] for one state or
-    a batch, one call of the model's `jump` kernel per row (see
-    `kernels.jump_source`); parameter values may be per-row columns.
+    """Exact simulation of the jump process over [t0, t1] for a batch laid
+    out (nx, J), one call of the model's `jump` kernel per column (see
+    `kernels.jump_source`); parameter values may be per-column arrays.
 
     Rates are frozen at the current state between events; a wait beyond
     dt_max is discarded and the clock advanced by dt_max, so time-varying
     rates and driven parameters are refreshed at least that often.  A
     reaction that would overdraw a compartment has zero propensity, and a
     non-finite total raises DomainError.  Driven parameters move by
-    Euler-Maruyama over each elapsed stretch.  The rows run in turn on
+    Euler-Maruyama over each elapsed stretch.  The states run in turn on
     Python floats, taking their variates from one set of `jump_streams`, so
-    a row's draws depend on the rows before it in the batch.  Where Python
-    float arithmetic raises (or turns complex) in any row, the whole call
+    a state's draws depend on the states before it.  Where Python float
+    arithmetic raises (or turns complex) for any state, the whole call
     runs again on numpy scalars from the generator state at entry, so the
     result is numpy's.
     """
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, cm.nx)
+    rows = np.asarray(x, dtype=float).T
     if dt_max is None:
         dt_max = (t1 - t0) / SUBSTEPS_PER_INTERVAL
     kernel, on_numpy = cm.jump
@@ -479,7 +477,7 @@ def gillespie_interval(cm, x, t0, t1, params, rng, dt_max=None):
         rng.bit_generator.state = start
         out = _jump_rows(on_numpy(), np.float64, rows, t0, t1, dt_max,
                          params, rng)
-    return out.reshape(x.shape)
+    return np.ascontiguousarray(out.T)
 
 
 # ----------------------------------------------------------------------
@@ -489,9 +487,9 @@ FORMALISMS = ("ode", "sde", "psr", "jump")
 
 
 def advance(cm, x, t0, t1, params, rng=None, formalism="ode", dt=None):
-    """Advance states, one or a batch, from t0 to t1 under the chosen
-    formalism: ode, sde and psr in `substeps` of at most dt (dt=None takes
-    a tenth of the interval), jump with rates refreshed at least every dt.
+    """Advance a batch laid out (nx, J), or under ode one state, from t0 to
+    t1: ode, sde and psr in `substeps` of at most dt (dt=None takes a
+    tenth of the interval), jump with rates refreshed at least every dt.
     Raises DomainError when a state leaves the admissible region."""
     if t1 - t0 <= 0:
         return np.array(x, dtype=float, copy=True)
@@ -511,17 +509,17 @@ def simulate_paths(cm, params, times, formalism="ode", rng=None,
     """Simulate forward from the parameter-determined initial state.
 
     times is an increasing grid whose first entry is the initial time; the
-    result has shape (trajectories, len(times), nx) with accumulators
-    growing monotonically (no windowed resets here).
+    result, the (nx, trajectories) batch at each time transposed, has shape
+    (trajectories, len(times), nx), accumulators growing monotonically.
     """
     times = np.asarray(times, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
     x = cm.init_state(params, size=trajectories)
     out = np.empty((trajectories, len(times), cm.nx))
-    out[:, 0] = x
+    out[:, 0] = x.T
     for i in range(1, len(times)):
         x = advance(cm, x, times[i - 1], times[i], params, rng=rng,
                     formalism=formalism, dt=dt)
-        out[:, i] = x
+        out[:, i] = x.T
     return out

@@ -99,11 +99,12 @@ class ThetaDocument:
             if matrix is not None and matrix.size == 0:
                 matrix = matrix.reshape(0, 0)   # the empty matrix emits as []
             if matrix is None or matrix.shape != (len(order), len(order)) \
-                    or not np.isfinite(matrix).all():
+                    or not np.isfinite(matrix).all() \
+                    or not np.allclose(matrix, matrix.T, rtol=1e-12, atol=0.0):
                 raise ThetaError(
                     "theta document: field 'covariance.matrix' must be a "
-                    "square matrix of finite numbers, a row per name of "
-                    "'covariance.order'"
+                    "symmetric square matrix of finite numbers, a row per "
+                    "name of 'covariance.order'"
                 )
             covariance = (order, matrix)
         # a stage whose filter failed writes -Infinity here

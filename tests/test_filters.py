@@ -608,3 +608,52 @@ class TestEarlyStop:
             assert_same_run(
                 run_filter("smc", cm, ds, values, floor=np.inf, **extra),
                 full)
+
+
+# ----------------------------------------------------------------------
+# the sampled path, read back from the swarms
+
+@pytest.mark.parametrize("formalism", ["psr", "sde"])
+def test_sampled_path_is_an_ancestral_line(shipped_sir, monkeypatch,
+                                           formalism):
+    # every swarm the filter steps is a C-ordered (nx, J) array, one
+    # column per particle (a swarm resampled as x[:, idx] would be
+    # F-ordered), and the path is, bit for bit, one particle's line of
+    # ancestors: its last state a column k of the last swarm, and each
+    # earlier state the column of the swarm before that the ancestor
+    # indices of that instant name
+    cm, ds, values = shipped_sir
+    j = 64
+    swarms, ancestors = [], []
+    advance, resample = fl.advance, fl.systematic_resample
+
+    def swarm(x):
+        assert x.shape == (cm.nx, j) and x.flags.c_contiguous
+        return x
+
+    def recording_advance(cm, x, *args, **kwargs):
+        out = swarm(advance(cm, swarm(x), *args, **kwargs))
+        swarms.append(out.copy())
+        return out
+
+    def recording_resample(weights, rng):
+        ancestors.append(resample(weights, rng))
+        return ancestors[-1]
+
+    monkeypatch.setattr(fl, "advance", recording_advance)
+    monkeypatch.setattr(fl, "systematic_resample", recording_resample)
+    res = fl.smc_filter(cm, ds, values, 0.0, np.random.default_rng(5),
+                        n_particles=j, formalism=formalism, return_path=True)
+    n = len(ds)
+    assert len(swarms) == len(ancestors) == n
+    assert res.path.shape == (n, cm.nx)
+
+    def line_matches(k):
+        for i in range(n - 1, -1, -1):
+            if swarms[i][:, k].tobytes() != res.path[i].tobytes():
+                return False
+            if i:
+                k = ancestors[i - 1][k]
+        return True
+
+    assert any(line_matches(k) for k in range(j))

@@ -56,11 +56,13 @@ def reference_check_domain(cm, x):
 
 
 def reference_ode(cm, x, t0, t1, p, dt=None):
+    """RK4 on one state, or on a batch laid out (nx, J) taken one row per
+    state, as `dynamics` reads it."""
     def drift(x, t, p):
         return cm.dynamics(x, t, p)[1]
 
     n_sub, h = sim.substeps(t1 - t0, dt)
-    x = np.array(x, dtype=float)
+    x = np.array(x, dtype=float).T
     t = t0
     for _ in range(n_sub):
         k1 = drift(x, t, p)
@@ -70,7 +72,7 @@ def reference_ode(cm, x, t0, t1, p, dt=None):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = reference_check_domain(cm, x)
         t += h
-    return x
+    return x.T
 
 
 def reference_moments(cm, y, t0, t1, p, dt=None):
@@ -89,40 +91,41 @@ def reference_moments(cm, y, t0, t1, p, dt=None):
 
 
 def reference_sde_substep(cm, x, t, dt, p, rng):
-    """One Euler-Maruyama substep of a (J, nx) batch: one (K, J) draw whose
-    rows are the reactions, the noise groups and the driven parameters in
-    turn, the increments reaction by reaction, the check, then the clamp."""
+    """One Euler-Maruyama substep of a batch laid out (nx, J): one (K, J)
+    draw whose rows are the reactions, the noise groups and the driven
+    parameters in turn, the increments reaction by reaction, the check,
+    then the clamp."""
     n_groups = len(cm.noise_groups)
-    xi = rng.standard_normal((cm.n_react + n_groups + cm.n_diff, len(x))).T
-    xi_demo, xi_env, xi_diff = np.split(
-        xi, [cm.n_react, cm.n_react + n_groups], axis=1)
+    xi = rng.standard_normal((cm.n_react + n_groups + cm.n_diff, x.shape[1]))
+    xi_demo, xi_env, xi_diff = np.split(xi, [cm.n_react,
+                                             cm.n_react + n_groups])
     sq = math.sqrt(dt)
-    a, drift, vols, _ = cm.dynamics(x, t, p)
+    # `dynamics` reads one row per state
+    a, drift, vols = (v.T for v in cm.dynamics(x.T, t, p)[:3])
     ap = np.maximum(a, 0.0)
     inc = dt * a + sq * np.sqrt(ap) * xi_demo if cm.n_react else a
     for g, (sd_name, members) in enumerate(cm.noise_groups):
-        w = sq * p[sd_name] * xi_env[:, g]
-        inc[:, members] = inc[:, members] + np.asarray(w)[:, None] * ap[:, members]
+        w = sq * p[sd_name] * xi_env[g]
+        inc[members] = inc[members] + np.asarray(w) * ap[members]
     new = np.empty_like(x)
     for i in range(cm.nx):
         if cm.n_comp <= i < cm.n_comp + cm.n_diff:
             d = i - cm.n_comp
-            new[:, i] = (x[:, i] + dt * drift[:, i]
-                         + sq * vols[:, d] * xi_diff[:, d])
+            new[i] = x[i] + dt * drift[i] + sq * vols[d] * xi_diff[d]
             continue
-        col = x[:, i]
+        col = x[i]
         for k in range(cm.n_react):
             coef = cm.stoich_full[i, k]
             if coef == 1:
-                col = col + inc[:, k]
+                col = col + inc[k]
             elif coef == -1:
-                col = col - inc[:, k]
+                col = col - inc[k]
             elif coef:
-                col = col + int(coef) * inc[:, k]
-        new[:, i] = col
+                col = col + int(coef) * inc[k]
+        new[i] = col
     if not np.isfinite(new).all():
         raise DomainError("non-finite state during diffusion step")
-    return np.maximum(new, cm.floor)
+    return np.maximum(new, cm.floor[:, None])
 
 
 def static(cm):
@@ -135,7 +138,7 @@ def at_fixed_point(cm, x, t, p):
     """A static model and a finite batch whose propensities are all
     exactly zero in every row: it cannot move."""
     return (static(cm) and np.isfinite(x).all()
-            and not cm.propensities(x, t, p).any())
+            and not cm.propensities(x.T, t, p).any())
 
 
 def reference_sde(cm, x, t0, t1, p, rng, dt=None):
@@ -144,19 +147,18 @@ def reference_sde(cm, x, t0, t1, p, rng, dt=None):
     drawn."""
     x = np.asarray(x, dtype=float)
     if at_fixed_point(cm, x, t0, p):
-        return np.maximum(x, cm.floor)
+        return np.maximum(x, cm.floor[:, None])
     return reference_sde_substeps(cm, x, t0, t1, p, rng, dt=dt)
 
 
 def reference_sde_substeps(cm, x, t0, t1, p, rng, dt=None):
     n_sub, h = sim.substeps(t1 - t0, dt)
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, cm.nx)
     t = t0
     for _ in range(n_sub):
-        rows = reference_sde_substep(cm, rows, t, h, p, rng)
+        x = reference_sde_substep(cm, x, t, h, p, rng)
         t += h
-    return rows[0] if x.ndim == 1 else rows
+    return x
 
 
 def reference_jump_row(cm, x, t, t1, dt_max, p, exps, unis, normals):
@@ -193,19 +195,18 @@ def reference_jump_row(cm, x, t, t1, dt_max, p, exps, unis, normals):
 
 
 def reference_jump(cm, x, t0, t1, p, rng, dt_max=None):
-    """Row after row, on one set of `jump_streams`, each row with its own
-    parameter values."""
+    """State after state of a batch laid out (nx, J), on one set of
+    `jump_streams`, each state with its own parameter values."""
     if dt_max is None:
         dt_max = (t1 - t0) / sim.SUBSTEPS_PER_INTERVAL
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, cm.nx)
+    rows = np.asarray(x, dtype=float).T
     streams = sim.jump_streams(rng)
     out = [reference_jump_row(
         cm, row, t0, t1, dt_max,
         {k: np.broadcast_to(v, len(rows))[j] if np.ndim(v) else v
          for k, v in p.items()}, *streams)
         for j, row in enumerate(rows)]
-    return np.array(out, dtype=float).reshape(x.shape)
+    return np.array(out, dtype=float).T
 
 
 # ----------------------------------------------------------------------
@@ -239,11 +240,11 @@ def shipped(name):
 
 
 def spread(cm, x0, n, rng):
-    """n states around x0: compartments moved by up to a fifth, driven
-    coordinates by 0.3."""
-    x = np.repeat(x0[None], n, axis=0)
-    x[:, cm.comp_slice] *= rng.uniform(0.8, 1.2, size=(n, cm.n_comp))
-    x[:, cm.diff_slice] += 0.3 * rng.standard_normal((n, cm.n_diff))
+    """n states around x0, laid out (nx, n): compartments moved by up to a
+    fifth, driven coordinates by 0.3."""
+    x = np.repeat(x0[:, None], n, axis=1)
+    x[cm.comp_slice] *= rng.uniform(0.8, 1.2, size=(n, cm.n_comp)).T
+    x[cm.diff_slice] += 0.3 * rng.standard_normal((n, cm.n_diff)).T
     return x
 
 
@@ -258,7 +259,7 @@ def run_intervals(step, reference, x, *args, same=assert_same, **kwargs):
         if got[0] != "ok":
             return got
         x = got[1].copy()
-        x[..., -1] = 0.0
+        x[-1] = 0.0
     return got
 
 
@@ -303,7 +304,7 @@ def test_moments_match_substeps(name, dt):
 def test_sde_matches_substeps(name, dt):
     cm, p = shipped(name)
     x0 = cm.init_state(p)
-    for x in (x0, spread(cm, x0, 64, np.random.default_rng(3))):
+    for x in (x0[:, None], spread(cm, x0, 64, np.random.default_rng(3))):
         rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
 
         def step(x, t0, t1):
@@ -329,9 +330,9 @@ def same_jump(cm):
     def same(got, want):
         if got[0] != "ok" or not cm.n_diff:
             return assert_same(got, want)
-        assert_same(("ok", got[1][..., counts]), ("ok", want[1][..., counts]))
-        np.testing.assert_allclose(got[1][..., cm.diff_slice],
-                                   want[1][..., cm.diff_slice],
+        assert_same(("ok", got[1][counts]), ("ok", want[1][counts]))
+        np.testing.assert_allclose(got[1][cm.diff_slice],
+                                   want[1][cm.diff_slice],
                                    rtol=1e-12, atol=0.0)
     return same
 
@@ -339,7 +340,7 @@ def same_jump(cm):
 def integral_spread(cm, x0, n, rng):
     """`spread` with the compartments rounded to whole members."""
     x = spread(cm, x0, n, rng)
-    x[:, cm.comp_slice] = np.round(x[:, cm.comp_slice])
+    x[cm.comp_slice] = np.round(x[cm.comp_slice])
     return x
 
 
@@ -352,7 +353,7 @@ def test_jump_matches_events(name, dt):
     # moved by up to a tenth
     scale = np.random.default_rng(7).uniform(0.9, 1.1, (len(p0), 6))
     columns = {k: v * f for (k, v), f in zip(p0.items(), scale)}
-    for x, p in ((x0, p0),
+    for x, p in ((x0[:, None], p0),
                  (integral_spread(cm, x0, 6, np.random.default_rng(8)),
                   columns)):
         rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
@@ -538,11 +539,11 @@ def seed_with_positive_normal(substep):
                 if np.random.default_rng(s).standard_normal(substep + 1)[-1] > 0)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 50])
+@pytest.mark.parametrize("rows", [1, 50])
 def test_sde_domain_error_on_a_clamped_infinity(rows):
     cm = CompiledModel(build(SPIKE))
     p = {"C0": 500.0, "mu": 0.5}
-    x = cm.init_state(p) if rows is None else cm.init_state(p, size=rows)
+    x = cm.init_state(p, size=rows)
     # ten substeps of 0.1 from 0: the sixth starts at t == 0.5
     seed = seed_with_positive_normal(5)
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -555,7 +556,7 @@ def test_sde_domain_error_on_a_clamped_infinity(rows):
     # the whole interval's block is drawn, the substeps after the failing
     # one included
     rng_ref = np.random.default_rng(seed)
-    rng_ref.standard_normal((10, cm.n_react, 1 if rows is None else rows))
+    rng_ref.standard_normal((10, cm.n_react, rows))
     assert_same_generator(rng, rng_ref)
 
 
@@ -604,7 +605,7 @@ def test_ode_tolerance_and_clamp(d, ok):
     cm = CompiledModel(build(STILL))
     p = {"C0": 1.0, "mu": 0.5}
     x = np.array([1.0, d])
-    for x in (x, np.array([x, [1.0, 0.0]])):
+    for x in (x, np.column_stack([x, [1.0, 0.0]])):
         got = outcome(sim.advance, cm, x, 0.0, 1.0, p, formalism="ode")
         assert_same(got, outcome(reference_ode, cm, x, 0.0, 1.0, p))
         assert (got[0] == "ok") == ok
@@ -663,7 +664,7 @@ def test_jump_row_with_nothing_to_fire_waits_out_its_cap():
     # of normals; no exponential or uniform is drawn
     rng = np.random.default_rng(13)
     xi = rng.standard_normal(sim.JUMP_BLOCK)
-    for row, draws in zip(got, (xi[:4], xi[4:8])):
+    for row, draws in zip(got.T, (xi[:4], xi[4:8])):
         lam = 1.0
         for v in draws:
             lam = lam + (0.25 * 0.5 + 0.5 * 0.2 * v)
@@ -678,7 +679,7 @@ def test_jump_model_without_reactions():
     cm = CompiledModel(local_level_model())
     p = {"x0": 1.0, "c_drift": 0.3, "q_sd": 0.5, "tau2": 1.0}
     got = jump_outcomes(cm, cm.init_state(p, size=3), 0.0, 1.0, p, 21)[1]
-    assert len(set(got[:, 0].tolist())) == 3
+    assert len(set(got[0].tolist())) == 3
 
 
 def test_jump_streams_draw_fixed_blocks_when_they_run_dry():
@@ -715,8 +716,8 @@ def test_jump_never_fires_an_infeasible_reaction():
     got = sim.gillespie_interval(cm, x, 0.0, 20.0, p,
                                  np.random.default_rng(15))
     assert (got >= 0.0).all()
-    assert (got.sum(axis=1) == 2.0).all()
-    assert (got[:, 1] > 0.0).any()
+    assert (got.sum(axis=0) == 2.0).all()
+    assert (got[1] > 0.0).any()
     jump_outcomes(cm, x, 0.0, 20.0, p, 15)
 
 
@@ -744,7 +745,7 @@ def test_jump_negative_propensity_is_clamped():
                    {"from": "C", "to": "D", "rate": "mu"}]))
     p = {"C0": 40.0, "mu": 0.5}
     got = jump_outcomes(cm, cm.init_state(p, size=20), 0.0, 1.0, p, 16)[1]
-    assert (got.sum(axis=1) == 40.0).all()
+    assert (got.sum(axis=0) == 40.0).all()
 
 
 @pytest.mark.parametrize("reactions", [
@@ -760,7 +761,7 @@ def test_jump_negative_propensity_is_clamped():
 def test_jump_domain_error_on_a_non_finite_rate(reactions):
     cm = CompiledModel(build(DECAY_AT_TWO, reactions=reactions))
     p = {"C0": 0.0 if "effect" in reactions[0] else 5.0, "mu": 0.5}
-    for x in (cm.init_state(p), cm.init_state(p, size=3)):
+    for x in (cm.init_state(p)[:, None], cm.init_state(p, size=3)):
         with np.errstate(over="ignore", invalid="ignore"):
             got = jump_outcomes(cm, x, 0.0, 1.0, p, 17)
         assert got[:2] == ("error", DomainError)
@@ -792,7 +793,7 @@ def test_jump_seasonal_forcing():
     cm = CompiledModel(parse_model(json.dumps(doc)))
     p = cm.spec.resolve_values(SHIPPED["plague"])
     x0 = cm.init_state(p)
-    for x in (x0, np.repeat(x0[None], 3, axis=0)):
+    for x in (x0[:, None], np.repeat(x0[:, None], 3, axis=1)):
         rng, rng_ref = np.random.default_rng(20), np.random.default_rng(20)
         assert run_intervals(
             lambda x, t0, t1: sim.advance(cm, x, t0, t1, p, rng=rng,
@@ -811,16 +812,16 @@ EXTINCT = {"sir": ("I",), "seir-h1n1": ("E", "I")}
 
 
 def extinct(cm, name, rows):
-    """A single state (rows None) or a batch of `rows` states after an
-    outbreak: its infected compartments empty, the others and the
+    """A batch of `rows` states (rows None: one state, as a batch of one)
+    after an outbreak: its infected compartments empty, the others and the
     accumulators spread, one susceptible count and one accumulator at
     -0.0."""
     p = cm.spec.resolve_values(SHIPPED[name])
     x = spread(cm, cm.init_state(p), rows or 1, np.random.default_rng(30))
-    x[:, [cm.state_names.index(c) for c in EXTINCT[name]]] = 0.0
-    x[:, cm.acc_slice] = np.arange(rows or 1)[:, None] + 3.0
-    x[0, 0] = x[0, -1] = -0.0
-    return x[0] if rows is None else x
+    x[[cm.state_names.index(c) for c in EXTINCT[name]]] = 0.0
+    x[cm.acc_slice] = np.arange(rows or 1) + 3.0
+    x[0, 0] = x[-1, 0] = -0.0
+    return x
 
 
 def reference_psr(cm, x, t0, t1, p, rng, dt=None):
@@ -849,7 +850,7 @@ def sde_block(cm, x, n_sub=10, seed=31):
     """A generator after drawing one interval's whole block of normals."""
     rng = np.random.default_rng(seed)
     rng.standard_normal((n_sub, cm.n_react + len(cm.noise_groups)
-                         + cm.n_diff, len(np.atleast_2d(x))))
+                         + cm.n_diff, x.shape[1]))
     return rng
 
 
@@ -878,7 +879,7 @@ def test_one_live_particle_draws_as_before(name, formalism, rows):
     cm, p = shipped(name)
     x = extinct(cm, name, rows)
     # one member of the last row is infectious
-    np.atleast_2d(x)[-1, cm.state_names.index("I")] = 1.0
+    x[cm.state_names.index("I"), -1] = 1.0
     got, want, rng, rng_ref = stepped(cm, x, 1.0, 2.0, p, formalism)
     assert got.tobytes() == want.tobytes()
     assert_same_generator(rng, rng_ref)
@@ -925,8 +926,8 @@ def moving_batch(label):
 def test_batch_that_can_move_is_stepped(label, formalism, single):
     cm, p, x = moving_batch(label)
     if single:
-        x = x[0]
-    a = cm.propensities(x, 4.0, p)
+        x = x[:, :1]
+    a = cm.propensities(x.T, 4.0, p)
     assert (a <= 0.0).all() and (a == 0.0).all() == (label != "negative")
     assert static(cm) == cm.static == (label == "negative")
     got, want, rng, rng_ref = stepped(cm, x, 4.0, 6.0, p, formalism)

@@ -146,9 +146,10 @@ def normals(cm, n, rng):
 
 
 def sde_substep(cm, states, t, p, dt, xis):
-    """One substep of the sde interval kernel on states of shape (J, nx),
-    given the normals of each kind as (J, k), drawn by the kernel as one
-    (1, K, J) array."""
+    """One substep of the sde interval kernel on states given one row per
+    state, as `dynamics` reads them, and handed to the kernel in its
+    layout (nx, J); the normals of each kind are given as (J, k), drawn by
+    the kernel as one (1, K, J) array."""
     x = states.T.copy()
     xi = np.concatenate([xi.T for xi in xis if xi is not None])[None]
 
@@ -241,7 +242,7 @@ def test_one_state_observation_is_its_batch_row():
     rng = np.random.default_rng(23)
     states = random_states(cm, cm.init_state(p), 200, rng)
     times = rng.uniform(0.0, 40.0, size=200)
-    batch, _ = cm.obs_values("cases", states, times, p)
+    batch, _ = cm.obs_values("cases", states.T, times, p)
     single = np.array([cm.obs_values("cases", x, t, p)[0]["mean"]
                        for x, t in zip(states, times)])
     differ = np.flatnonzero(single.view(np.int64)
@@ -287,9 +288,9 @@ def test_float_kernels_rerun_against_numpy_math():
     for t in (0.0, 5.0, 6.0):
         with np.errstate(over="ignore"):
             single = cm.ode(x, t, 0.1, 10, p)
-            batch = cm.ode(np.stack([x, x]), t, 0.1, 10, p)
+            batch = cm.ode(np.stack([x, x], axis=1), t, 0.1, 10, p)
         assert np.isfinite(single).all()
-        assert single.tobytes() == batch[0].tobytes()
+        assert single.tobytes() == batch[:, 0].tobytes()
         x = single
 
 

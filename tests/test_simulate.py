@@ -158,13 +158,13 @@ class TestOde:
         cm = compiled_sir()
         x0 = cm.init_state(SIR_PARAMS, size=3)
         x0[1, 1] = 20.0
-        x0[1, 0] = 980.0
+        x0[0, 1] = 980.0
         batch = sim.advance(cm, x0, 0.0, 3.0, SIR_PARAMS, formalism="ode",
                             dt=0.1)
         for j in range(3):
-            single = sim.advance(cm, x0[j], 0.0, 3.0, SIR_PARAMS,
+            single = sim.advance(cm, x0[:, j], 0.0, 3.0, SIR_PARAMS,
                                  formalism="ode", dt=0.1)
-            assert batch[j] == pytest.approx(single, rel=1e-12)
+            assert batch[:, j] == pytest.approx(single, rel=1e-12)
 
 
 class TestJacobian:
@@ -239,14 +239,14 @@ class TestJacobian:
         {"name": "cases_obs", "distribution": "binomial",
          "trials": "cases", "probability": "gamma"}])
     def test_batch_observation_parts_without_gradient(self, stream):
-        # a batch gives each row's parts of one state, as arrays of its
+        # a batch gives each column's parts of one state, as arrays of its
         # own (not views of the state), and no gradient
         cm = CompiledModel(build(dict(SIR, observations=[stream])))
         rng = np.random.default_rng(3)
-        xs = np.round(np.abs(rng.normal(scale=300.0, size=(6, cm.nx))))
+        xs = np.round(np.abs(rng.normal(scale=300.0, size=(6, cm.nx)))).T
         parts, grad = cm.obs_values("cases_obs", xs, 0.0, SIR_PARAMS)
         assert grad is None
-        for j, x in enumerate(xs):
+        for j, x in enumerate(xs.T):
             single, _ = cm.obs_values("cases_obs", x, 0.0, SIR_PARAMS)
             assert parts.keys() == single.keys()
             for name, v in single.items():
@@ -350,8 +350,8 @@ class TestSde:
         decay = np.exp(-0.5)
         mean_exact = 500.0 * decay
         var_exact = 500.0 * decay * (1.0 - decay)
-        assert x[:, 0].mean() == pytest.approx(mean_exact, abs=1.0)
-        assert x[:, 0].var() == pytest.approx(var_exact, rel=0.06)
+        assert x[0].mean() == pytest.approx(mean_exact, abs=1.0)
+        assert x[0].var() == pytest.approx(var_exact, rel=0.06)
 
     def test_variance_scales_inversely_with_population(self):
         rng = np.random.default_rng(5)
@@ -362,7 +362,7 @@ class TestSde:
             x = cm.init_state(params, size=4000)
             x = sim.advance(cm, x, 0.0, 2.0, params, rng=rng,
                             formalism="sde", dt=0.05)
-            fractions[n_pop] = np.var(x[:, 1] / n_pop)
+            fractions[n_pop] = np.var(x[1] / n_pop)
         ratio = fractions[400.0] / fractions[4000.0]
         assert 6.0 < ratio < 16.0
 
@@ -386,7 +386,7 @@ class TestSde:
                         rng=np.random.default_rng(10), formalism="sde", dt=0.1)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-        assert a[:, :3].sum(axis=1) == pytest.approx(1000.0, abs=1e-8)
+        assert a[:3].sum(axis=0) == pytest.approx(1000.0, abs=1e-8)
 
     def test_clamping_never_removes_mass(self):
         cm = compiled_sir()
@@ -395,7 +395,7 @@ class TestSde:
                           rng=np.random.default_rng(9), formalism="sde",
                           dt=0.1)
         assert np.all(out >= 0.0)
-        assert np.all(out[:, :3].sum(axis=1) >= 1000.0 - 1e-8)
+        assert np.all(out[:3].sum(axis=0) >= 1000.0 - 1e-8)
 
     def test_driven_parameter_moments(self):
         # identity-transform random walk with drift: mean c t, variance q^2 t
@@ -406,8 +406,8 @@ class TestSde:
         rng = np.random.default_rng(77)
         x = cm.init_state(p, size=30000)
         x = sim.advance(cm, x, 0.0, 4.0, p, rng=rng, formalism="sde", dt=0.1)
-        assert x[:, 0].mean() == pytest.approx(2.0 + 0.3 * 4.0, abs=0.02)
-        assert x[:, 0].var() == pytest.approx(0.25 * 4.0, rel=0.03)
+        assert x[0].mean() == pytest.approx(2.0 + 0.3 * 4.0, abs=0.02)
+        assert x[0].var() == pytest.approx(0.25 * 4.0, rel=0.03)
 
 
 class TestPsr:
@@ -418,8 +418,8 @@ class TestPsr:
         x = cm.init_state(SIR_PARAMS, size=n)
         dt = 0.05
         stepped = sim.psr_step(cm, x, 0.0, dt, 1, SIR_PARAMS, rng)
-        new_cases = stepped[:, 3] - x[:, 3]
-        recoveries = x[:, 1] - stepped[:, 1] + new_cases
+        new_cases = stepped[3] - x[3]
+        recoveries = x[1] - stepped[1] + new_cases
         # exit probability per susceptible 1 - exp(-beta I/N dt)
         p_inf = -np.expm1(-0.5 * 10.0 / 1000.0 * dt)
         p_rec = -np.expm1(-0.25 * dt)
@@ -442,9 +442,9 @@ class TestPsr:
         rng = np.random.default_rng(17)
         x = cm.init_state(p, size=2000)
         x = sim.advance(cm, x, 0.0, 12.0, p, rng=rng, formalism="psr", dt=0.25)
-        exited = x[:, 1] + x[:, 2]
+        exited = x[1] + x[2]
         assert exited.mean() > 199.0
-        frac_a = x[:, 1].sum() / exited.sum()
+        frac_a = x[1].sum() / exited.sum()
         assert frac_a == pytest.approx(0.3, abs=0.01)
 
     def test_stayers_match_survival(self):
@@ -456,7 +456,7 @@ class TestPsr:
         x = sim.psr_step(cm, x, 0.0, 1.0, 1, p, rng)
         surv = np.exp(-0.5)
         se = np.sqrt(400 * surv * (1 - surv) / n)
-        assert x[:, 0].mean() == pytest.approx(400 * surv, abs=5 * se)
+        assert x[0].mean() == pytest.approx(400 * surv, abs=5 * se)
 
     def test_integer_states_and_conservation(self):
         cm = compiled_sir()
@@ -464,8 +464,8 @@ class TestPsr:
         x = cm.init_state(SIR_PARAMS, size=300)
         x = sim.advance(cm, x, 0.0, 10.0, SIR_PARAMS, rng=rng,
                         formalism="psr", dt=0.25)
-        assert np.array_equal(x[:, :3], np.round(x[:, :3]))
-        assert np.all(x[:, :3].sum(axis=1) == 1000.0)
+        assert np.array_equal(x[:3], np.round(x[:3]))
+        assert np.all(x[:3].sum(axis=0) == 1000.0)
         assert np.all(x >= 0.0)
 
     def test_absolute_removal_capped_after_exits(self):
@@ -480,8 +480,8 @@ class TestPsr:
         for i in range(30):
             x = sim.psr_step(cm, x, float(i), 1.0, 1, p, rng)
             assert np.all(x >= 0.0)
-            assert np.all(x[:, 0] + x[:, 1] + x[:, 2] == 100.0)
-        assert np.all(x[:, 0] == 0.0)
+            assert np.all(x[0] + x[1] + x[2] == 100.0)
+        assert np.all(x[0] == 0.0)
 
     def test_overdrawing_exit_is_a_domain_error(self):
         # each exit takes two members of C, but the cascade draws exits
@@ -491,7 +491,7 @@ class TestPsr:
         ])
         p = {"C0": 1.0, "mu": 50.0}
         with pytest.raises(DomainError):
-            sim.psr_step(cm, cm.init_state(p), 0.0, 1.0, 1, p,
+            sim.psr_step(cm, cm.init_state(p)[:, None], 0.0, 1.0, 1, p,
                          np.random.default_rng(2))
 
     def test_environmental_noise_inflates_variance(self):
@@ -516,7 +516,7 @@ class TestPsr:
             x = cm.init_state(p, size=3000)
             x = sim.advance(cm, x, 0.0, 5.0, p, rng=rng, formalism="psr",
                             dt=0.25)
-            out[sd] = np.var(x[:, 3])
+            out[sd] = np.var(x[3])
         assert out[1.0] > 2.0 * out[0.0]
 
     def test_gamma_increment_moments(self):
@@ -568,10 +568,8 @@ def reference_noise_deltas(cm, dt, params, lead, rng, prop, dead_rng=None):
 
 
 def reference_psr_step(cm, x, t, dt, params, rng, dead_rng=None):
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    """One slice of a batch laid out (nx, J), worked one row per state."""
+    x = np.asarray(x, dtype=float).T
     lead = x.shape[:-1]
     prop = np.clip(cm.propensities(x, t, params), 0.0, None)
     if not np.all(np.isfinite(prop)):
@@ -622,7 +620,7 @@ def reference_psr_step(cm, x, t, dt, params, rng, dead_rng=None):
             + dt * drift[..., cm.diff_slice]
             + np.sqrt(dt) * vols * xi
         )
-    return new[0] if squeeze else new
+    return new.T
 
 
 SHIPPED_VALUES = {
@@ -731,8 +729,9 @@ def slice_increments(cm, x, dt, p, rng):
     exit's per-capita rate r."""
     sim.psr_step(cm, x, 0.0, dt, 1, p, rng)
     (_, (_, prob)), = [c for c in rng.calls if c[0] == "binomial"]
-    rate = (cm.propensities(x, 0.0, p)[:, cm.exit_reactions]
-            / x[:, cm.exit_sources])
+    rows = x.T
+    rate = (cm.propensities(rows, 0.0, p)[:, cm.exit_reactions]
+            / rows[:, cm.exit_sources])
     return -np.log1p(-prob.T) / rate
 
 
@@ -777,7 +776,7 @@ class TestPsrMatchesCascade:
         x = cm.init_state(values, size=64)
         x = sim.advance(cm, x, 0.0, 3.0, values, rng=rng, formalism="psr")
         # empty some compartments, some rows wholly
-        comp = x[:, cm.comp_slice]
+        comp = x[cm.comp_slice].T
         comp[rng.random(comp.shape) < 0.3] = 0.0
         comp[:4] = 0.0
         self.assert_same_steps(cm, x, values, dt=0.1, seed=len(name) + 1)
@@ -795,7 +794,7 @@ class TestPsrMatchesCascade:
         values = cm.spec.resolve_values(SHIPPED_VALUES[name])
         x0 = cm.init_state(values, size=8)
         full = x0.copy()
-        full[:, cm.comp_slice] += 5.0
+        full[cm.comp_slice] += 5.0
         initial = {"sir": 1, "plague": 3, "seir-h1n1": 1,
                    "dengue-2strain": 2}[name]
         for x, want in ((full, binomials), (x0, initial)):
@@ -815,17 +814,17 @@ class TestPsrMatchesCascade:
         cm = CompiledModel(load_model(MODELS / "dengue-2strain.json"))
         values = cm.spec.resolve_values(SHIPPED_VALUES["dengue-2strain"])
         x = cm.init_state(values, size=8)
-        x[:, cm.comp_slice] += 5.0
-        x[:, [cm.state_names.index("I1"), cm.state_names.index("I21")]] = 0.0
+        x[cm.comp_slice] += 5.0
+        x[[cm.state_names.index("I1"), cm.state_names.index("I21")]] = 0.0
         rng = RecordingGenerator(3)
         sim.psr_step(cm, x, 0.0, 0.1, 1, values, rng)
         assert [c for c, _ in rng.calls].count("binomial") == 2
 
     def test_single_state(self):
         cm = compiled_sir()
-        x = cm.init_state(SIR_PARAMS)
+        x = cm.init_state(SIR_PARAMS)[:, None]
         out = self.assert_same_steps(cm, x, SIR_PARAMS)
-        assert out.shape == (cm.nx,)
+        assert out.shape == (cm.nx, 1)
 
     def test_three_competing_exits(self):
         cm = compiled(THREE_EXITS)
@@ -879,7 +878,7 @@ class TestPsrMatchesCascade:
         p = {"C0": 100.0, "mu": 0.5, "kappa": 40.0, "lam": 30.0}
         x = cm.init_state(p, size=300)
         out = self.assert_same_steps(cm, x, p, dt=1.0, seed=11)
-        assert np.all(out[:, 0] >= 0.0)
+        assert np.all(out[0] >= 0.0)
 
 
     def test_plans_switch_within_an_interval(self):
@@ -906,7 +905,7 @@ class TestPsrMatchesCascade:
         ])
         p = dict(SIR_PARAMS, sigma_env=np.linspace(0.0, 0.5, 40))
         x = cm.init_state(p, size=40)
-        x[:, 0], x[:, 1], x[:, 2] = 700.0, 0.0, 300.0
+        x[0], x[1], x[2] = 700.0, 0.0, 300.0
         rng, rng_ref = RecordingGenerator(4), RecordingGenerator(4)
         dead = RecordingGenerator(5)
         got = sim.psr_step(cm, x, 0.0, 0.2, 5, p, rng)
@@ -959,9 +958,9 @@ class TestPsrMatchesCascade:
                 for c in range(cm.n_comp):
                     kind = draw(st.sampled_from(("keep", "empty", "few")))
                     if kind == "empty":
-                        x[:, c] = 0.0
+                        x[c] = 0.0
                     elif kind == "few":
-                        x[:, c] = rng.integers(0, 4, len(x))
+                        x[c] = rng.integers(0, 4, x.shape[1])
                 return cm, x, values, dt, seed
             n = draw(st.integers(2, 5))
             pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -1013,7 +1012,7 @@ class TestPsrOraclesAt500Rows:
         p["gamma"][40:80] *= 1e12
         p["gamma"][80:120] = 0.0
         x = cm.init_state(p, size=self.J)
-        x[:, cm.comp_slice] = np.floor(x[:, cm.comp_slice])
+        x[cm.comp_slice] = np.floor(x[cm.comp_slice])
         x = sim.advance(cm, x, 0.0, 2.0, p, rng=rng, formalism="psr")
         self.same(cm, x, p, dt=0.1, seed=len(name) + 3)
 
@@ -1025,10 +1024,10 @@ class TestPsrOraclesAt500Rows:
         cm, values = shipped(name)
         rng = np.random.default_rng(len(name) + 1)
         x = cm.init_state(values, size=self.J)
-        x[:, cm.comp_slice] += rng.uniform(0.0, 1.0, (self.J, cm.n_comp))
-        x[:, cm.comp_slice] *= rng.uniform(1.0, 1.5, (self.J, cm.n_comp))
+        x[cm.comp_slice] += rng.uniform(0.0, 1.0, (self.J, cm.n_comp)).T
+        x[cm.comp_slice] *= rng.uniform(1.0, 1.5, (self.J, cm.n_comp)).T
         out = self.same(cm, x, values, dt=0.2, seed=len(name) + 5)
-        assert not np.all(out[:, cm.comp_slice] % 1.0 == 0.0)
+        assert not np.all(out[cm.comp_slice] % 1.0 == 0.0)
 
     # per model, the compartments set in every row so that the live set
     # changes within the call: an exit's source is empty until a live
@@ -1041,7 +1040,7 @@ class TestPsrOraclesAt500Rows:
         cm, values = shipped(name)
         x = cm.init_state(values, size=self.J)
         for comp, value in self.CHANGING[name].items():
-            x[:, cm.state_names.index(comp)] = value
+            x[cm.state_names.index(comp)] = value
         self.same(cm, x, values, dt=0.5, seed=len(name) + 7)
         assert len(cm.psr_plans) >= 2
 
@@ -1092,9 +1091,9 @@ def test_property_closed_graphs_conserve_mass():
             for i in range(4):
                 x = sim.advance(cm, x, i * dt, (i + 1) * dt, {}, rng=rng,
                                 formalism=formalism, dt=dt / 2)
-                comp = x[:, cm.comp_slice]
+                comp = x[cm.comp_slice]
                 assert np.all(comp >= 0.0), formalism
-                assert np.all(comp.sum(axis=1) == total), formalism
+                assert np.all(comp.sum(axis=0) == total), formalism
 
     check()
 
@@ -1108,8 +1107,8 @@ class TestJump:
         p = {"C0": 0.0, "mu": 0.5}
         rng = np.random.default_rng(19)
         counts = np.array([
-            sim.gillespie_interval(cm, cm.init_state(p), 0.0, 2.0, p, rng,
-                                   dt_max=5.0)[0]
+            sim.gillespie_interval(cm, cm.init_state(p)[:, None], 0.0, 2.0,
+                                   p, rng, dt_max=5.0)[0, 0]
             for _ in range(800)
         ])
         lam = 24.0
@@ -1126,8 +1125,8 @@ class TestJump:
         n = 3000
         for t in (0.5, 1.0, 2.0):
             alive = sum(
-                sim.gillespie_interval(cm, cm.init_state(p), 0.0, t, p, rng,
-                                       dt_max=10.0)[0]
+                sim.gillespie_interval(cm, cm.init_state(p)[:, None], 0.0, t,
+                                       p, rng, dt_max=10.0)[0, 0]
                 for _ in range(n)
             )
             surv = np.exp(-0.7 * t)
@@ -1148,8 +1147,8 @@ class TestJump:
         rng = np.random.default_rng(37)
         tot_a = tot_b = 0.0
         for _ in range(300):
-            x = sim.gillespie_interval(cm, cm.init_state(p), 0.0, 25.0, p,
-                                       rng, dt_max=25.0)
+            x = sim.gillespie_interval(cm, cm.init_state(p)[:, None], 0.0,
+                                       25.0, p, rng, dt_max=25.0)[:, 0]
             tot_a += x[1]
             tot_b += x[2]
         n = tot_a + tot_b
@@ -1159,8 +1158,9 @@ class TestJump:
     def test_conservation_and_integrality(self):
         cm = compiled_sir()
         rng = np.random.default_rng(43)
-        x = sim.gillespie_interval(cm, cm.init_state(SIR_PARAMS), 0.0, 8.0,
-                                   SIR_PARAMS, rng, dt_max=0.5)
+        x = sim.gillespie_interval(cm, cm.init_state(SIR_PARAMS)[:, None],
+                                   0.0, 8.0, SIR_PARAMS, rng,
+                                   dt_max=0.5)[:, 0]
         assert x[:3].sum() == 1000.0
         assert np.array_equal(x, np.round(x))
         assert x[3] == 990.0 - x[0]
@@ -1179,10 +1179,10 @@ class TestJump:
             x = sim.gillespie_interval(cm, cm.init_state(p, size=n), 0.0, t,
                                        p, rng, dt_max=t)
             assert np.all(x >= 0.0)
-            assert np.all(x[:, 0] + x[:, 2] == 3.0)
+            assert np.all(x[0] + x[2] == 3.0)
             want = poisson.sf(2, 5.0 * t)
             se = np.sqrt(want * (1 - want) / n)
-            assert np.mean(x[:, 0] == 0.0) == pytest.approx(want, abs=5 * se)
+            assert np.mean(x[0] == 0.0) == pytest.approx(want, abs=5 * se)
 
     def test_per_row_parameter_columns(self):
         cm = compiled(DECAY)
@@ -1199,7 +1199,7 @@ class TestJump:
                 rows = mu == rate
                 surv = np.exp(-rate * t)
                 se = np.sqrt(surv * (1 - surv) / (rows.sum() * c0))
-                assert x[rows, 0].mean() / c0 == pytest.approx(
+                assert x[0, rows].mean() / c0 == pytest.approx(
                     surv, abs=5 * se)
 
     def test_paths_reproducible_by_seed(self):

@@ -21,6 +21,11 @@ def test_empty_covariance_reads_back():
     pytest.param(["a", "b"], matrix, id=f"matrix{i}")
     for i, matrix in enumerate([[[1.0, 0.0], [0.0]], [["a", 1.0]], []])
 ] + [
+    # asymmetric: Cholesky would read the lower triangle alone
+    pytest.param(["a", "b"], matrix, id=f"asymmetric-{name}")
+    for name, matrix in [("upper", [[0.01, 5.0], [0.0, 0.01]]),
+                         ("lower", [[0.01, 0.0], [5.0, 0.01]])]
+] + [
     # an order that is no list of distinct names, beside a matrix that fits
     pytest.param(order, np.eye(n).tolist(), id=f"order-{name}")
     for name, order, n in [("number", 5, 1), ("nested", [["beta"]], 1),
@@ -88,8 +93,10 @@ def test_property_parse_emit_parse_round_trip():
         order = draw(st.lists(name, unique=True, max_size=4))
         n = len(order)
         entries = draw(st.lists(finite, min_size=n * n, max_size=n * n))
+        # a covariance is symmetric: the upper triangle, mirrored
         return {"order": order,
-                "matrix": [entries[i * n:(i + 1) * n] for i in range(n)]}
+                "matrix": [[entries[min(i, j) * n + max(i, j)]
+                            for j in range(n)] for i in range(n)]}
 
     provenance = st.lists(st.fixed_dictionaries(
         {"stage": st.text(max_size=8), "seed": st.integers(0, 2 ** 32),
