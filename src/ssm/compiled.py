@@ -599,9 +599,9 @@ class CompiledModel:
     def init_state(self, p, size=None):
         """Initial state from parameter values; accumulator coordinates are 0.
 
-        With `size`, returns (nx, size), a column per state; parameter
-        values may then be arrays of length size.  A compartment that
-        starts below zero is a DomainError, then any entry not finite.
+        With `size`, returns (nx, size); parameter values may then be arrays
+        of matching length.  A compartment that starts below zero is a
+        DomainError, and then any other entry that is not finite.
         """
         env = {name: _as_numpy(value) for name, value in p.items()}
         out = np.zeros((self.nx, 1 if size is None else size))

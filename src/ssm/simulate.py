@@ -338,8 +338,8 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
 
     The batch is held one row per coordinate, in its copy and one more
     buffer that take turns; the model's `psr` kernel (`psr_source`) writes
-    the propensities into the rows of one buffer in the step's order, and the exits' work
-    runs in buffers made once per call (`_Work`).
+    the propensities into the rows of one buffer in the step's order, and
+    the exits' work runs in buffers made once per call (`_Work`).
     """
     state = np.array(x, dtype=float)
     new = np.empty_like(state)
@@ -509,8 +509,8 @@ def simulate_paths(cm, params, times, formalism="ode", rng=None,
     """Simulate forward from the parameter-determined initial state.
 
     times is an increasing grid whose first entry is the initial time; the
-    result, the (nx, trajectories) batch at each time transposed, has shape
-    (trajectories, len(times), nx), accumulators growing monotonically.
+    result has shape (trajectories, len(times), nx), each time's batch
+    transposed, accumulators growing monotonically (no windowed resets).
     """
     times = np.asarray(times, dtype=float)
     if rng is None:
