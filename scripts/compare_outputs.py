@@ -214,6 +214,10 @@ def commands():
         ("kmcmc plague", ["kmcmc", *model_args("plague"), "--iterations",
                           "100", "--dt", "0.5", "--trace", "kmcmc.csv"],
          "plague", ("kmcmc.csv",)),
+        # one state scored through a Poisson mean that is the bare state
+        ("simplex plague", ["simplex", *model_args("plague"),
+                            "--iterations", "20", "--dt", "0.5"],
+         "plague", ()),
     ]
     for formalism in FORMALISMS:
         out.append((f"forecast {formalism} sir",
@@ -237,6 +241,11 @@ def commands():
                     ["forecast", *model_args(name, data=False),
                      "--formalism", "psr", "--end", end,
                      "--trajectories", "200"], name, ()))
+    # a batch's observed means that are a row of the state
+    out.append(("forecast psr plague",
+                ["forecast", *model_args("plague", data=False),
+                 "--formalism", "psr", "--end", "12", "--trajectories", "20"],
+                "plague", ()))
     data = ["--data", "{models}/sir-data.csv"]
     out += [
         ("check-data unknown-key", ["check-data", "--model",
@@ -258,7 +267,13 @@ def commands():
              "sir", ("kmcmc.csv",)),
             (f"forecast {name}", ["forecast", *model, "--end", "12",
                                   "--trajectories", "20"], "sir", ()),
+            (f"simplex {name}", ["simplex", *model, *data, "--iterations",
+                                 "20", "--dt", "0.5"], "sir", ()),
         ]
+    # a parameter-valued part spread over a batch
+    out.append(("smc sde sir-binomial",
+                ["smc", "--model", "{work}/sir-binomial.json", *data,
+                 "--formalism", "sde", "--n-particles", "200"], "sir", ()))
     priors = ["--model", "{work}/sir-priors.json", *data]
     out += [
         ("kalman sir-priors", ["kalman", *priors], "sir-priors", ()),
