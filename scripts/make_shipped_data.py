@@ -42,14 +42,17 @@ RUNS = [
 
 
 def draw_observation(kind, parts, rng):
+    """One observation of a stream from its parts, a tuple in
+    `observe.PARTS` order."""
     if kind == "poisson":
-        return int(rng.poisson(max(parts["mean"], 0.0)))
+        return int(rng.poisson(max(parts[0], 0.0)))
     if kind == "binomial":
-        return int(rng.binomial(int(round(parts["trials"])),
-                                min(max(parts["probability"], 0.0), 1.0)))
+        trials, probability = parts
+        return int(rng.binomial(int(round(trials)),
+                                min(max(probability, 0.0), 1.0)))
     if kind == "discretized_normal":
-        return int(round(rng.normal(parts["mean"],
-                                    np.sqrt(max(parts["variance"], 0.0)))))
+        mean, variance = parts
+        return int(round(rng.normal(mean, np.sqrt(max(variance, 0.0)))))
     raise ValueError(kind)
 
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from ssm import expr as ex
 from ssm.model import ModelSpec
-from ssm.observe import PARTS, mean_formula
+from ssm.observe import mean_formula
 
 ODE_WHERE = "during deterministic integration"
 
@@ -162,16 +162,13 @@ _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, param=_as_numpy, sqrt=np.sqrt,
 
 
 class ObsFns(NamedTuple):
-    """What one observation stream's generated function `kernel` returns.
-
-    `parts` names the values it returns before the gradient entries, the
-    law's `observe.PARTS`; `grad_cols` the state columns of the gradient
-    entries of `observe.mean_formula`.
+    """What one observation stream's generated function `kernel` returns:
+    the law's parts in `observe.PARTS` order, then the gradient entries of
+    `observe.mean_formula` at the state columns `grad_cols`.
     """
 
     name: str
     kind: str
-    parts: tuple
     grad_cols: tuple
     kernel: str
 
@@ -436,7 +433,6 @@ class CompiledModel:
             sources.append(self._kernel_source(
                 f"def obs{i}(x, t, p):", (), body, unpack="x", needed=needed))
             observations.append(ObsFns(o.name, o.distribution,
-                                       PARTS[o.distribution],
                                        tuple(j for j, _ in grads), f"obs{i}"))
         self.observations = tuple(observations)
         self._obs_by_name = {o.name: o for o in observations}
@@ -647,28 +643,27 @@ class CompiledModel:
         return self._obs_by_name[name]
 
     def obs_values(self, name, x, t, p):
-        """Evaluate one stream; returns (parts dict, gradient over the state
-        of the observed mean, `observe.mean_formula`).
+        """Evaluate one stream; returns (parts, gradient over the state of
+        the observed mean, `observe.mean_formula`), the parts a tuple in
+        `observe.PARTS` order.
         Parts are floats for one state (the moment filter), which goes
         through the batch kernel as it is, and arrays (J,) for a batch laid
-        out (nx, J), whose gradient is None.
+        out (nx, J), whose gradient is None.  A batch's parts are the
+        arrays the kernel made, views of the state and parameter columns
+        among them, read-only by contract; a part that is no such array is
+        spread over the batch.
         """
         o = self._obs_by_name[name]
         x = np.asarray(x, dtype=float)
         lead = x.shape[1:]
         raw = self._obs[o.kernel](x, np.asarray(t, dtype=float), p)
+        n = len(raw) - len(o.grad_cols)
         if lead:
-            # a fresh array of the batch's shape is the kernel's own; a
-            # view of the state or a parameter value is copied out
-            return {part: v if type(v) is np.ndarray and v.base is None
-                    and v.shape == lead and v.dtype == float
-                    else np.broadcast_to(np.asarray(v, dtype=float),
-                                         lead).copy()
-                    for part, v in zip(o.parts, raw)}, None
+            return tuple(v if type(v) is np.ndarray and v.shape == lead
+                         else np.full(lead, v) for v in raw[:n]), None
         grad = np.zeros(self.nx)
-        for j, v in zip(o.grad_cols, raw[len(o.parts):]):
-            grad[j] = v
-        return {part: float(v) for part, v in zip(o.parts, raw)}, grad
+        grad[list(o.grad_cols)] = raw[n:]
+        return tuple(map(float, raw[:n])), grad
 
     def natural_diffusions(self, x):
         """Natural-scale values of the driven parameters for reporting."""

@@ -172,7 +172,7 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
             instants = i + 1
             break
         if return_path:
-            history.append(x.copy())
+            history.append(x)
         idx = systematic_resample(norm, rng)
         x = x.take(idx, axis=1)
         x[cm.acc_slice] = 0.0
@@ -241,7 +241,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     `_ceiling`) is at or below `floor`, and returns that bound (see the
     module docstring); the instants it did not reach keep nan means and
     covariances.  A likelihood that counted the mass of the one-count bin
-    in place of the density at its centre (ROADMAP item 2) would have
+    in place of the density at its centre (ROADMAP item 4) would have
     terms at most 0, and this ceiling would go back to 0.
     """
     floor = _stop_floor(cm, floor)
@@ -270,7 +270,7 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
             flat = cm.moments_interval(flat, prev_t, h, n_sub, params)
         if not np.isfinite(flat).all():
             raise FilterError("moments diverged during propagation")
-        m = flat[: cm.nx].copy()
+        m = flat[: cm.nx]
         C = np.empty((cm.nx, cm.nx))
         C[upper] = C[lower] = flat[cm.nx :]
         for stream, y in obs:
@@ -346,7 +346,6 @@ def ode_loglik(cm, dataset, params, t0, dt=None):
             terms[i] += ob.stream_loglik(o.kind, parts, y)
         loglik += terms[i]
         means[i] = x
-        x = x.copy()
         x[cm.acc_slice] = 0.0
         prev_t = t
     return FilterResult(

@@ -2,7 +2,10 @@
 
 This is the only module that knows the observation laws.  `PARTS`,
 `COUNT_KINDS` and `mean_formula` declare them; the model parser, the
-compiled kernels, the filters and `DataSet.validate` read them there.
+compiled kernels, the filters and `DataSet.validate` read them there.  A
+stream's parts reach the densities as one tuple in PARTS order; a batch's
+parts may be views of the state or of parameter columns, so they are
+read-only by contract, and no function here writes its arguments.
 
 Data arrives as a long-format CSV with columns time, stream, value; several
 streams may report at the same instant and a stream may skip instants.  Rows
@@ -191,24 +194,13 @@ def log_factorial(k):
 # measurement log densities; all vectorized over the parameter arguments
 
 def poisson_logpmf(y, mean):
-    if (isinstance(y, (int, float)) and 0.0 <= y <= 2.0 ** 53
-            and isinstance(mean, np.ndarray) and mean.dtype == float
-            and mean.ndim and mean.size
-            and mean.min() > 0.0 and mean.max() < math.inf):
-        # a particle filter's positive finite means at one count a float
-        # holds exactly: the general formula's operations, in place, none
-        # of them invalid or overflowing
-        out = np.log(mean)
-        out *= float(y)
-        out -= mean
-        out -= log_factorial(y)
-        return out
     y = np.asarray(y, dtype=float)
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = y * np.log(mean) - mean - log_factorial(y)
-    out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
-    out = np.where(mean < 0, -np.inf, out)
+    if not (mean > 0).all():
+        out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
+        out = np.where(mean < 0, -np.inf, out)
     return out if out.shape else float(out)
 
 
@@ -249,13 +241,14 @@ def binomial_logpmf(y, trials, prob):
 
 
 def stream_loglik(kind, parts, y):
-    """Log density of observed value y given the compiled stream parts."""
+    """Log density of observed value y given the stream's parts, a tuple
+    in PARTS order (`CompiledModel.obs_values`), which it does not write."""
     if kind == "poisson":
-        return poisson_logpmf(y, parts["mean"])
+        return poisson_logpmf(y, *parts)
     if kind == "discretized_normal":
-        return discretized_normal_logpdf(y, parts["mean"], parts["variance"])
+        return discretized_normal_logpdf(y, *parts)
     if kind == "binomial":
-        return binomial_logpmf(y, parts["trials"], parts["probability"])
+        return binomial_logpmf(y, *parts)
     raise ValueError(f"unknown observation distribution {kind!r}")
 
 
@@ -266,13 +259,14 @@ def stream_moments(kind, parts):
     """Observation mean and variance used by the moment filter, the
     variance floored at VARIANCE_FLOOR."""
     if kind == "poisson":
-        mean = np.maximum(parts["mean"], 0.0)
+        mean = np.maximum(parts[0], 0.0)
         return mean, np.maximum(mean, VARIANCE_FLOOR)
     if kind == "discretized_normal":
-        return parts["mean"], np.maximum(parts["variance"], VARIANCE_FLOOR)
+        mean, var = parts
+        return mean, np.maximum(var, VARIANCE_FLOOR)
     if kind == "binomial":
-        n = parts["trials"]
-        p = np.clip(parts["probability"], 0.0, 1.0)
+        n, p = parts
+        p = np.clip(p, 0.0, 1.0)
         mean = n * p
         return mean, np.maximum(n * p * (1.0 - p), VARIANCE_FLOOR)
     raise ValueError(f"unknown observation distribution {kind!r}")
@@ -280,5 +274,6 @@ def stream_moments(kind, parts):
 
 def stream_mean(kind, parts):
     if kind == "binomial":
-        return parts["trials"] * np.clip(parts["probability"], 0.0, 1.0)
-    return parts["mean"]
+        n, p = parts
+        return n * np.clip(p, 0.0, 1.0)
+    return parts[0]

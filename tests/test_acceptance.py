@@ -425,8 +425,8 @@ def random_states(cm, base_state, n, rng):
 
 def observed_mean(kind, parts):
     if kind == "binomial":
-        return float(parts["trials"]) * float(parts["probability"])
-    return float(parts["mean"])
+        return float(parts[0]) * float(parts[1])
+    return float(parts[0])
 
 
 def test_criterion_09_derivative_oracle(report):

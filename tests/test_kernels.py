@@ -21,6 +21,7 @@ import pytest
 from helpers import sir_model
 from ssm.compiled import CompiledModel
 from ssm.model import parse_model
+from ssm.observe import PARTS
 
 MODELS = Path(__file__).resolve().parent.parent / "src" / "ssm" / "models"
 
@@ -227,27 +228,47 @@ def test_batch_calls_take_a_time_per_row():
         np.testing.assert_allclose(vols[i], v1, rtol=1e-12, atol=0.0)
 
 
+# a stream under each law, and for a two-part law the part that is exactly
+# a known function of the `inc` row, which pins the order of the parts
+OBSERVED = [
+    ({"distribution": "poisson", "mean": "rho*inc*exp(-inc/(1 + t))"}, None),
+    ({"distribution": "binomial", "trials": "inc",
+      "probability": "rho*exp(-inc/(1 + t))"}, (0, lambda inc: inc)),
+    ({"distribution": "discretized_normal",
+      "mean": "rho*inc*exp(-inc/(1 + t))", "variance": "1 + inc"},
+     (1, lambda inc: 1.0 + inc)),
+]
+
+
 def test_one_state_observation_is_its_batch_row():
     # the moment filter observes one state at a time; that state goes
     # through the stream's batch kernel, so its parts are, bit for bit, the
-    # row of a batch.  The mean takes exp of an argument that moves with
+    # row of a batch.  The means take exp of an argument that moves with
     # the state and the time, where math.exp and numpy's exp may differ in
     # the last bit
     doc = json.loads((MODELS / "sir.json").read_text())
-    doc["observations"] = [{"name": "cases", "distribution": "poisson",
-                            "mean": "rho*inc*exp(-inc/(1 + t))"}]
-    spec = parse_model(json.dumps(doc))
-    cm = CompiledModel(spec)
-    p = spec.resolve_values(SETTINGS["sir"])
-    rng = np.random.default_rng(23)
-    states = random_states(cm, cm.init_state(p), 200, rng)
-    times = rng.uniform(0.0, 40.0, size=200)
-    batch, _ = cm.obs_values("cases", states.T, times, p)
-    single = np.array([cm.obs_values("cases", x, t, p)[0]["mean"]
-                       for x, t in zip(states, times)])
-    differ = np.flatnonzero(single.view(np.int64)
-                            != batch["mean"].view(np.int64))
-    assert differ.size == 0, f"{differ.size} of 200 rows differ"
+    for stream, known in OBSERVED:
+        doc["observations"] = [dict(stream, name="cases")]
+        spec = parse_model(json.dumps(doc))
+        cm = CompiledModel(spec)
+        p = spec.resolve_values(SETTINGS["sir"])
+        rng = np.random.default_rng(23)
+        states = random_states(cm, cm.init_state(p), 200, rng)
+        times = rng.uniform(0.0, 40.0, size=200)
+        batch, _ = cm.obs_values("cases", states.T, times, p)
+        single = np.array([cm.obs_values("cases", x, t, p)[0]
+                           for x, t in zip(states, times)]).T
+        assert len(batch) == len(single) == len(PARTS[stream["distribution"]])
+        for k, part in enumerate(batch):
+            differ = np.flatnonzero(single[k].view(np.int64)
+                                    != part.view(np.int64))
+            assert differ.size == 0, (stream, k, f"{differ.size} of 200 "
+                                      "rows differ")
+        if known is not None:
+            k, fn = known
+            inc = states[:, cm.state_names.index("inc")]
+            np.testing.assert_array_equal(batch[k].view(np.int64),
+                                          fn(inc).view(np.int64))
 
 
 def test_scalar_kernels_follow_numpy_arithmetic():
