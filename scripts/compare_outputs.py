@@ -274,6 +274,13 @@ def commands():
     out.append(("smc sde sir-binomial",
                 ["smc", "--model", "{work}/sir-binomial.json", *data,
                  "--formalism", "sde", "--n-particles", "200"], "sir", ()))
+    # iterated filtering from the first instant, so that the walk's first
+    # step crosses the gap to the second instant; the normal law keeps the
+    # unreported initial state possible
+    out.append(("mif t0 1 sir-normal",
+                ["mif", "--model", "{work}/sir-normal.json", *data, "--t0",
+                 "1", "--iterations", "2", "--n-particles", "100"], "sir",
+                ()))
     priors = ["--model", "{work}/sir-priors.json", *data]
     out += [
         ("kalman sir-priors", ["kalman", *priors], "sir-priors", ()),

@@ -229,13 +229,13 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
     Regular parameters start from the current estimate with a perturbation
     of variance b * a^(m-1) * sd^2 (b = INITIAL_VARIANCE_FACTOR) and take a
     random-walk step of variance a^(m-1) * gap * sd^2 after each resampling
-    but the last; initial-condition parameters are perturbed at the initial
-    time only.  Weights carry a 1/n power of the prior, so that n
-    observations jointly apply it once.  The new estimate is the mean of the
-    filtered parameter swarm at the last instant.  The perturbation cools by
-    `cooling` per completed pass.  A pass whose filter fails or whose
-    weights all vanish is discarded without cooling; ten in a row raise
-    FilterError.
+    but the last, where gap is the time to the next instant; initial-
+    condition parameters are perturbed at the initial time only.  Weights
+    carry a 1/n power of the prior, so that n observations jointly apply it
+    once.  The new estimate is the mean of the filtered parameter swarm at
+    the last instant.  The perturbation cools by `cooling` per completed
+    pass.  A pass whose filter fails or whose weights all vanish is
+    discarded without cooling; ten in a row raise FilterError.
     """
     sds = np.array([float(perturbation_sd.get(n, 0.0)) for n in space.names])
     moving = sds > 0
@@ -260,7 +260,7 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
         return MifResult(merged(theta), ll, np.array(theta_trace), 0)
 
     j = n_particles
-    lags = np.diff(dataset.times, prepend=t0)
+    gaps = np.diff(dataset.times)
     completed = 0
     failures = 0
     consecutive_failures = 0
@@ -276,7 +276,7 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
             u = u[idx]
             if i + 1 < n_obs:
                 u[:, walk] += rng.standard_normal((j, walk.sum())) * np.sqrt(
-                    a_m * lags[i]
+                    a_m * gaps[i]
                 ) * sds[walk]
             return columns(u), space.log_prior_unconstrained(u) / n_obs
 

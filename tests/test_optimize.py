@@ -1,5 +1,7 @@
 """Simplex and iterated filtering against analytic optima."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -331,3 +333,32 @@ class TestIteratedFiltering:
     def test_trace_shapes(self):
         res = self.run_mif(iterations=8)
         assert res.theta_trace.shape == (9, 2)
+
+    def test_walk_spans_the_gap_to_the_next_instant(self, monkeypatch):
+        # on an irregular grid, the step after resampling at instant i has
+        # the variance of the time to instant i + 1, the gap it crosses
+        # next; none follows the last instant
+        times = [1.0, 2.0, 10.0, 10.5]
+        steps = []
+
+        def filter_stub(cm, dataset, params, t0, *, n_particles,
+                        after_resample=None, **kw):
+            if after_resample is not None:
+                ancestors = np.arange(n_particles)
+                for i in range(len(dataset)):
+                    before = np.array(params["c_drift"])
+                    params, _ = after_resample(i, ancestors)
+                    steps.append(params["c_drift"] - before)
+            return SimpleNamespace(loglik=0.0, path=None)
+
+        monkeypatch.setattr(opt, "smc_filter", filter_stub)
+        spec = local_level_model()
+        sd = 0.3
+        opt.mif(CompiledModel(spec), make_dataset(times, {"y": [3] * 4}),
+                level_space(spec),
+                spec.resolve_values({"x0": 6.0, "c_drift": -0.5}), 0.0,
+                np.random.default_rng(61), perturbation_sd={"c_drift": sd},
+                n_particles=4000, iterations=1)
+        variances = np.var(steps, axis=1) / sd ** 2
+        assert variances[:3] == pytest.approx(np.diff(times), rel=0.1)
+        assert variances[3] == 0.0
