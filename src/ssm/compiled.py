@@ -662,7 +662,8 @@ class CompiledModel:
             return tuple(v if type(v) is np.ndarray and v.shape == lead
                          else np.full(lead, v) for v in raw[:n]), None
         grad = np.zeros(self.nx)
-        grad[list(o.grad_cols)] = raw[n:]
+        for j, v in zip(o.grad_cols, raw[n:]):
+            grad[j] = v
         return tuple(map(float, raw[:n])), grad
 
     def natural_diffusions(self, x):
