@@ -147,7 +147,10 @@ SCORED = [
 ]
 
 
-@pytest.mark.parametrize("kind, formulas", SCORED)
+@pytest.mark.parametrize("kind, formulas", SCORED, ids=[
+    "poisson-view", "poisson-parameter", "poisson-fresh",
+    "binomial-view-parameter", "binomial-fresh", "normal-view-parameter",
+    "normal-fresh"])
 def test_scoring_leaves_the_parts_and_the_state_alone(kind, formulas):
     # a batch's parts may be views of the state or the caller's parameter
     # columns (`CompiledModel.obs_values`): no density, moment or mean may
