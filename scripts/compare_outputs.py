@@ -147,6 +147,16 @@ def expobs_models(models):
     return {"sir-expobs": dict(sir, observations=[stream])}
 
 
+def gradobs_models(models):
+    """The shipped SIR with an observed mean whose gradient over the state
+    has two nonzero columns, `inc` and `I`, so that the moment filter's
+    update over a general gradient is pinned, by file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    stream = {"name": "cases", "distribution": "poisson",
+              "mean": "rho*inc + 0.001*I"}
+    return {"sir-gradobs": dict(sir, observations=[stream])}
+
+
 def model_args(name, data=True):
     args = ["--model", f"{{models}}/{name}.json"]
     return args + ["--data", f"{{models}}/{name}-data.csv"] if data else args
@@ -274,6 +284,11 @@ def commands():
     out.append(("smc sde sir-binomial",
                 ["smc", "--model", "{work}/sir-binomial.json", *data,
                  "--formalism", "sde", "--n-particles", "200"], "sir", ()))
+    # iterated filtering whose every pass fails: the shipped SIR's first
+    # count at its initial state, whose accumulator is zero
+    out.append(("mif t0 1 sir",
+                ["mif", *sir, "--t0", "1", "--iterations", "2",
+                 "--n-particles", "100"], "sir", ()))
     # iterated filtering from the first instant, so that the walk's first
     # step crosses the gap to the second instant; the normal law keeps the
     # unreported initial state possible
@@ -342,6 +357,15 @@ def commands():
         ("kalman sir-expobs", ["kalman", "--model", "{work}/sir-expobs.json",
                                *data], "sir", ()),
     ]
+    gradobs = ["--model", "{work}/sir-gradobs.json", *data]
+    out += [
+        ("kalman sir-gradobs", ["kalman", *gradobs], "sir", ()),
+        ("kalman dt 0.5 sir-gradobs", ["kalman", *gradobs, "--dt", "0.5"],
+         "sir", ()),
+        ("kmcmc sir-gradobs", ["kmcmc", *gradobs, "--iterations", "60",
+                               "--dt", "0.5", "--trace", "kmcmc.csv"],
+         "sir", ("kmcmc.csv",)),
+    ]
     # an outbreak that dies out: the steppers meet batches at a fixed point
     extinct = [*model_args("sir", data=False),
                "--data", "{work}/sir-extinct-data.csv"]
@@ -371,7 +395,8 @@ def run_tree(src, models, work):
     (work / "sir-extinct-data.csv").write_text(EXTINCT_DATA)
     for name, doc in {**invalid_models(models), **law_models(models),
                       **prior_models(models), **driven_models(models),
-                      **pole_models(models), **expobs_models(models)}.items():
+                      **pole_models(models), **expobs_models(models),
+                      **gradobs_models(models)}.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}
     prev = b""
