@@ -235,7 +235,8 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
     once.  The new estimate is the mean of the filtered parameter swarm at
     the last instant.  The perturbation cools by `cooling` per completed
     pass.  A pass whose filter fails or whose weights all vanish is
-    discarded without cooling; ten in a row raise FilterError.
+    discarded without cooling; ten in a row raise FilterError, naming the
+    last pass's failure.
     """
     sds = np.array([float(perturbation_sd.get(n, 0.0)) for n in space.names])
     moving = sds > 0
@@ -281,19 +282,20 @@ def mif(cm, dataset, space, base_values, t0, rng, *, perturbation_sd,
             return columns(u), space.log_prior_unconstrained(u) / n_obs
 
         # the swarm's values are formed inside `attempt`, under its errstate
-        ll = attempt(lambda swarm: smc_filter(
+        ll, cause = attempt(lambda swarm: smc_filter(
             cm, dataset, columns(swarm), t0, rng=rng, n_particles=j,
             formalism=formalism, dt=dt, after_resample=rejuvenate,
             log_weight=space.log_prior_unconstrained(swarm) / n_obs,
-        ), u)[0]
+        ), u)
         proposal = theta.copy()
         proposal[moving] = u[:, moving].mean(axis=0)
         if not (np.isfinite(ll) and np.all(np.isfinite(proposal))):
             failures += 1
             consecutive_failures += 1
             if consecutive_failures >= 10:
+                reason = f": {cause}" if isinstance(cause, Exception) else ""
                 raise FilterError(
-                    "iterated filtering failed ten passes in a row"
+                    f"iterated filtering failed ten passes in a row{reason}"
                 )
             continue
         consecutive_failures = 0

@@ -478,7 +478,17 @@ class TestValidation:
         assert r.returncode == 1
         assert r.stderr == f"error: {start}: {cause}\n"
 
-    @pytest.mark.parametrize("seed", ["-3", "abc", "", "1.5"])
+    def test_iterated_filtering_that_never_passes_names_its_cause(self):
+        # from t0 1 the first count, 14, meets the initial state, whose
+        # accumulator is 0: every pass's weights vanish there
+        r = run(["mif", "--model", SIR, "--data", SIR_DATA, "--t0", "1",
+                 "--iterations", "2", "--n-particles", "20", "--seed", "1"],
+                stdin_text=POINT)
+        assert r.returncode == 1
+        assert r.stderr == ("error: iterated filtering failed ten passes in "
+                            "a row: every particle weight vanished at t = 1\n")
+
+    @pytest.mark.parametrize("seed",["-3", "abc", "", "1.5"])
     def test_bad_seed_in_the_environment_is_exit_two(self, seed):
         env = {"SSM_SEED": seed}
         for argv in (["simulate", "--model", SIR, "--end", "3"],
