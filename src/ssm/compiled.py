@@ -24,8 +24,8 @@ observation instant, generated and compiled the first time it is used:
     ode      every RK4 substep of one observation interval, for one state
              or a batch
     moments  every RK4 substep of one interval of the moment equations,
-             over [mean, upper triangle of covariance], for the moment
-             filter
+             over [mean, upper triangle of covariance], and the update
+             by each stream in that layout, for the moment filter
     sde      every Euler-Maruyama substep of one interval over a batch of
              states, drawing the interval's normals as one array laid out
              (substep, noise row, state), none at a fixed point
@@ -37,13 +37,14 @@ observation instant, generated and compiled the first time it is used:
 The interval kernels hold the loop over substeps, so a stepper makes one
 call per observation interval (jump: per state and interval);
 `ssm.kernels` writes their source.  A kernel runs in one of two
-arithmetics.  The interval kernels for one state (ode, moments, jump)
-return tuples and run on Python floats, and again in numpy's where that
-raises (see `_on_floats`).  Every batch kernel runs in numpy's: its
-prologue takes each parameter value to a numpy float, so parameter values
-alone give numpy's inf or nan, never an exception.  The `obs` kernels are
-batch kernels only: a single state goes through them as a batch of one
-value per row.  The initial state (once per filter call) and
+arithmetics.  The kernels for one state (ode, moments, jump) return
+tuples and run on Python floats, and again in numpy's where that raises
+(see `_on_floats`); the moment filter's update calls the `obs` kernels
+compiled with them.  Every batch kernel runs in numpy's: its prologue
+takes each parameter value to a numpy float, so parameter values alone
+give numpy's inf or nan, never an exception.  Elsewhere a single state
+goes through the `obs` kernels as a batch of one value per row.  The
+initial state (once per filter call) and
 `dynamics`, `propensities` and `process_cov_from`, the references for
 tests, go through the `Expr` interpreter instead, with parameter values as
 numpy floats too.
@@ -52,14 +53,14 @@ numpy floats too.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ssm import expr as ex
 from ssm.model import ModelSpec
-from ssm.observe import mean_formula
+from ssm.observe import mean_formula, stream_moments
 
 ODE_WHERE = "during deterministic integration"
 
@@ -115,24 +116,41 @@ def _columns(lead, trees, env):
 
 
 def _on_floats(kernel, on_numpy):
-    """Wrap a scalar kernel, which returns a tuple, to run on Python floats,
-    several times faster than on numpy scalars, and return an array.
-    Python float arithmetic raises on division by zero, math.exp on
-    overflow and math.log outside its domain, and takes a negative number
-    to a fractional power as a complex number (a TypeError where it meets a
-    comparison, a math function or the array of floats returned); in those
+    """Wrap a scalar kernel `kernel(x, *args)`, x a sequence of Python
+    floats, to run on Python floats, several times faster than on numpy
+    scalars.  Python float arithmetic raises on division by zero, math.exp
+    on overflow and math.log outside its domain, and takes a negative
+    number to a fractional power as a complex number (a TypeError where it
+    meets a comparison, a math function or the floats returned); in those
     cases the whole call, for an interval kernel the whole interval, runs
-    again on numpy scalars (the times here, the parameter values in the
-    kernel's prologue) through `on_numpy()`, the same kernel compiled
-    against numpy's math functions, so the result is numpy's."""
+    again on numpy scalars (x as an array, the times here, the parameter
+    values in the kernel's prologue) through `on_numpy()`, the same kernel
+    compiled against numpy's math functions, so the result is numpy's,
+    taken back to Python floats and bools."""
     def run(x, *args):
         try:
-            return np.array(kernel(x.tolist(), *args), dtype=float)
+            return kernel(x, *args)
         except FLOAT_FAILURES:
             pass
         args = [np.float64(a) if type(a) is float else a for a in args]
-        return np.array(on_numpy()(x, *args))
+        return _python(on_numpy()(np.array(x), *args))
     return run
+
+
+def _python(out):
+    """A kernel's result, tuples of numpy scalars, as Python floats and
+    bools."""
+    if out is None or type(out) is tuple:
+        return out and tuple(map(_python, out))
+    return bool(out) if isinstance(out, (bool, np.bool_)) else float(out)
+
+
+def _float_kernels(namespaces, *functions):
+    """The `functions` of the namespaces `CompiledModel._float_namespaces`
+    returns, on Python floats, each wrapped by `_on_floats`."""
+    ns, on_numpy = namespaces
+    return tuple(_on_floats(ns[fn], lambda fn=fn: on_numpy()[fn])
+                 for fn in functions)
 
 
 def _settle_batch(cols, floor):
@@ -151,10 +169,13 @@ def _settle_batch(cols, floor):
 
 
 # a kernel's prologue binds each parameter value through `param`: as it is
-# on Python floats, as a numpy value on numpy's arithmetic
+# on Python floats, as a numpy value on numpy's arithmetic; so do the
+# observation laws' moments, `law_moments`
 _SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
                   nextafter=math.nextafter, DomainError=DomainError,
-                  param=lambda value: value)
+                  param=lambda value: value,
+                  law_moments=partial(stream_moments,
+                                      math=ex.SCALAR_NAMESPACE))
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, param=_as_numpy, sqrt=np.sqrt,
                   empty=np.empty, empty_like=np.empty_like,
                   isfinite=np.isfinite, scalar_sqrt=math.sqrt,
@@ -446,16 +467,9 @@ class CompiledModel:
         returning it compiled against numpy's math functions, on first
         call."""
         ns = self._compile(name, source, vector=False)
-        return ns, cache(lambda: self._compile(name, source, vector=False,
-                                               param=_as_numpy,
-                                               **ex.VECTOR_NAMESPACE))
-
-    def _float_kernels(self, name, source, *functions):
-        """The `functions` of `source` for one state on Python floats, each
-        wrapped by `_on_floats`."""
-        ns, on_numpy = self._float_namespaces(name, source)
-        return tuple(_on_floats(ns[fn], lambda fn=fn: on_numpy()[fn])
-                     for fn in functions)
+        return ns, cache(lambda: self._compile(
+            name, source, vector=False, param=_as_numpy,
+            law_moments=stream_moments, **ex.VECTOR_NAMESPACE))
 
     @cached_property
     def _obs(self):
@@ -468,8 +482,8 @@ class CompiledModel:
     @cached_property
     def _ode_single(self):
         from ssm import kernels
-        return self._float_kernels(
-            "ode", kernels.ode_source(self, batch=False), "ode")[0]
+        return _float_kernels(self._float_namespaces(
+            "ode", kernels.ode_source(self, batch=False)), "ode")[0]
 
     @cached_property
     def _ode_batch(self):
@@ -487,26 +501,47 @@ class CompiledModel:
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return self._ode_single(x, float(t), float(h), n_sub, p)
+            return np.array(self._ode_single(x.tolist(), float(t), float(h),
+                                             n_sub, p))
         return np.array(self._ode_batch(tuple(x), np.float64(t),
                                         np.float64(h), n_sub, p))
 
     @cached_property
-    def _moments(self):
+    def _moment_namespaces(self):
+        """The moment filter's kernels for one state: the moment equations
+        and their interval (`kernels.moments_source`), and each stream's
+        update (`kernels.update_source`) with the observation kernels it
+        calls."""
         from ssm import kernels
-        return self._float_kernels("moments", kernels.moments_source(self),
-                                   "moments", "interval")
+        return self._float_namespaces("moments", kernels.moments_source(self)
+                                      + self._obs_source
+                                      + kernels.update_source(self))
+
+    @cached_property
+    def moment_kernels(self):
+        """The moment filter's kernels on Python floats, over tuples
+        y = [m, upper triangle of C]: `interval(y, t, h, n, p)`, n RK4
+        substeps of length h from time t with the mean clamped at the floor
+        after each, and per stream name `update(y, v, t, p)`
+        (`kernels.update_source`)."""
+        interval, *updates = _float_kernels(
+            self._moment_namespaces, "interval",
+            *(f"update{i}" for i in range(len(self.observations))))
+        return interval, {o.name: fn for o, fn in zip(self.observations,
+                                                      updates)}
 
     def moments(self, y, t, p):
         """dy for one state's moment equations at y = [m, upper triangle of
         C] (see `kernels.moments_source`)."""
-        return self._moments[0](np.asarray(y, dtype=float), t, p)
+        run, = _float_kernels(self._moment_namespaces, "moments")
+        return np.array(run(np.asarray(y, dtype=float).tolist(), t, p))
 
     def moments_interval(self, y, t, h, n_sub, p):
         """n_sub RK4 substeps of length h of the moment equations from time
         t, in one call, with the mean clamped at the floor after each."""
-        return self._moments[1](np.asarray(y, dtype=float), float(t),
-                                float(h), n_sub, p)
+        return np.array(self.moment_kernels[0](
+            np.asarray(y, dtype=float).tolist(), float(t), float(h), n_sub,
+            p))
 
     @cached_property
     def sde(self):

@@ -26,6 +26,7 @@ normal's, can exceed 1) never stops early.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -222,17 +223,23 @@ def _project_psd(C):
 def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     """Continuous-discrete moment filter.
 
-    Between observations the mean follows the drift and the covariance the
-    linearized flow plus process dispersion, integrated jointly by RK4 in
-    one call per interval, the mean clamped at the floor after each
-    substep.
+    The filter carries y = [mean, upper triangle of covariance] as Python
+    floats from instant to instant (`CompiledModel.moment_kernels`), and
+    forms the result's arrays once, at the end.  Between observations the
+    mean follows the drift and the covariance the linearized flow plus
+    process dispersion, integrated jointly by RK4 in one call per
+    interval, the mean clamped at the floor after each substep.
     Each reporting stream then applies a scalar update with the innovation
-    variance taken from the stream's observation model.  The result's
-    `repairs` counts the updates and, per repair, the updates where it
-    changed something: compartments of the mean clipped at zero, the
-    innovation variance floored at one count, the covariance projected back
-    to positive semi-definite (see _project_psd); and the updates whose
-    observation variance sat at its floor (`observe.stream_moments`).
+    variance s taken from the stream's observation model: with P = C g for
+    the gradient g of the observed mean, C becomes C - P P'/s, which
+    equals the Joseph form (see `kernels.update_source`).  The new
+    covariance first meets a Cholesky test on floats; only a matrix it
+    rejects goes to _project_psd.  The result's `repairs` counts the
+    updates and, per repair, the updates where it changed something:
+    compartments of the mean clipped at zero, the innovation variance
+    floored at one count, a covariance the Cholesky test rejected projected
+    back to positive semi-definite (see _project_psd); and the updates
+    whose observation variance sat at its floor (`observe.stream_moments`).
 
     With a `floor` and only count streams, whose terms the one-count floor
     of the innovation variance keeps at or below UPDATE_CEILING, it stops
@@ -245,85 +252,78 @@ def ekf_filter(cm, dataset, params, t0, dt=None, floor=None):
     terms at most 0, and this ceiling would go back to 0.
     """
     floor = _stop_floor(cm, floor)
-    x0 = cm.init_state(params)
+    interval, updates = cm.moment_kernels
+    nx = cm.nx
     upper = cm.tri_index
     lower = upper[::-1]
-    flat = np.zeros(cm.nx + len(upper[0]))
-    flat[: cm.nx] = x0
-    n_obs = len(dataset)
+    columns = (*range(nx), *upper[1])
+    # y's entries in an accumulator's row or column, zeroed after each
+    # instant: reset((*y, 0.0)) takes them from the 0.0 appended
+    reset = itemgetter(*(len(columns) if j >= cm.acc_slice.start else k
+                         for k, j in enumerate(columns)))
+    y = (*cm.init_state(params).tolist(), *(0.0,) * len(upper[0]))
     # the updates still to come after the current instant
     left = sum(len(obs) for _, obs in dataset)
-    instants = n_obs
     loglik = 0.0
-    terms = np.zeros(n_obs)
-    means = np.full((n_obs, cm.nx), np.nan)
-    covs = np.full((n_obs, cm.nx, cm.nx), np.nan)
+    terms, rows = [], []
     prev_t = t0
-    eye = np.eye(cm.nx)
     repairs = dict.fromkeys(("updates", "mean_clipped", "variance_floored",
                              "psd_rounding", "psd_eigen",
                              "obs_variance_floored"), 0)
-    for i, (t, obs) in enumerate(dataset):
+    for t, obs in dataset:
+        t = float(t)
         span = t - prev_t
         if span > 0:
             n_sub, h = substeps(span, dt)
-            flat = cm.moments_interval(flat, prev_t, h, n_sub, params)
-        if not np.isfinite(flat).all():
+            y = interval(y, float(prev_t), float(h), n_sub, params)
+        if not all(map(math.isfinite, y)):
             raise FilterError("moments diverged during propagation")
-        m = flat[: cm.nx]
-        C = np.empty((cm.nx, cm.nx))
-        C[upper] = C[lower] = flat[cm.nx :]
-        for stream, y in obs:
-            o = cm.obs(stream)
-            parts, grad = cm.obs_values(stream, m, t, params)
-            mean, var = ob.stream_moments(o.kind, parts)
-            repairs["obs_variance_floored"] += bool(var == ob.VARIANCE_FLOOR)
-            hch = float(grad @ C @ grad)
-            s = hch + float(var)
-            if not np.isfinite(s):
+        term = 0.0
+        for stream, v in obs:
+            # every law's data lie on the integers (count data are checked)
+            out = updates[stream](y, round(v), t, params)
+            if out is None:
                 raise FilterError(
                     f"non-finite innovation variance on stream {stream}"
                 )
-            # counts sit on a unit grid: a predictive density narrower than
-            # one bin would overstate the probability mass, so the
-            # innovation variance is bounded below by one bin
-            repairs["updates"] += 1
-            repairs["variance_floored"] += s < 1.0
-            s = max(s, 1.0)
-            r_eff = s - hch
-            # every law's data lie on the integers (count data are checked)
-            e = round(y) - float(mean)
-            k = (C @ grad) / s
-            contribution = -0.5 * (np.log(2.0 * np.pi * s) + e * e / s)
-            terms[i] += contribution
+            y, contribution, flags = out
+            term += contribution
             loglik += contribution
-            m = m + k * e
-            comps = m[cm.comp_slice]
-            repairs["mean_clipped"] += bool((comps < 0.0).any())
-            np.maximum(comps, 0.0, out=comps)
-            ikh = eye - k[:, None] * grad
-            C = ikh @ C @ ikh.T + k[:, None] * k * r_eff
-            C, repair = _project_psd(0.5 * (C + C.T))
-            if repair:
-                repairs[repair] += 1
-        means[i] = m
-        covs[i] = C
+            repairs["updates"] += 1
+            for key, flag in zip(("variance_floored", "obs_variance_floored",
+                                  "mean_clipped"), flags):
+                repairs[key] += flag
+            if not flags[3]:
+                C = np.empty((nx, nx))
+                C[upper] = C[lower] = y[nx:]
+                C, repair = _project_psd(C)
+                if repair:
+                    repairs[repair] += 1
+                    y = (*y[:nx], *C[upper].tolist())
+        terms.append(term)
+        rows.append(y)
         left -= len(obs)
         if floor is not None and (bound := _ceiling(loglik, left)) <= floor:
-            loglik, instants = bound, i + 1
+            loglik = bound
             break
-        m[cm.acc_slice] = 0.0
-        C[cm.acc_slice, :] = 0.0
-        C[:, cm.acc_slice] = 0.0
-        flat = np.concatenate([m, C[upper]])
+        y = reset((*y, 0.0))
         prev_t = t
     else:
         # a stopped run returns its bound as it is
         if not np.isfinite(loglik):
             raise FilterError("non-finite log likelihood")
+    n_obs, done = len(dataset), len(rows)
+    means = np.full((n_obs, nx), np.nan)
+    covs = np.full((n_obs, nx, nx), np.nan)
+    if done:
+        packed = np.array(rows)
+        means[:done] = packed[:, :nx]
+        covs[:done, upper[0], upper[1]] = packed[:, nx:]
+        covs[:done, lower[0], lower[1]] = packed[:, nx:]
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
-        loglik_terms=terms, covs=covs, repairs=repairs, instants=instants,
+        loglik_terms=np.array(terms + [0.0] * (n_obs - done)), covs=covs,
+        repairs=repairs, instants=done,
     )
 
 

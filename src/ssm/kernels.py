@@ -10,6 +10,8 @@ kernels that run every substep of one observation interval, which
                     floats or a batch laid out (nx, J) on arrays
     moments_source  the moment equations of the moment filter, and RK4
                     over [mean, upper triangle of covariance] around them
+    update_source   the moment filter's update by one stream, in that
+                    layout, on Python floats
     sde_source      Euler-Maruyama over a batch laid out as (nx, J)
     jump_source     the jump process of one state, event by event, for
                     Python floats: each column of a batch in turn
@@ -26,6 +28,7 @@ never loads this module.
 
 from ssm import expr as ex
 from ssm.compiled import ODE_WHERE, combine, param_local
+from ssm.observe import VARIANCE_FLOOR
 
 
 def accumulate(out, first, pairs):
@@ -181,6 +184,70 @@ def moments_source(cm):
         cm, "interval", "_moments", len(outs),
         [f"        _y{i} = 0.0 if _y{i} <= 0.0 else _y{i}"
          for i in _floored(cm)])
+
+
+def update_source(cm):
+    """Source of `update{i}(y, v, t, p)` per observation stream i, the
+    moment filter's update of y = [m, upper triangle of C] (the layout of
+    `moments_source`) by the stream's value v, and of `positive(y)`.
+
+    The stream's parts and gradient g come from `obs{i}` at m, the law's
+    mean and variance from `law_moments` (`observe.stream_moments`).  The
+    innovation variance s = g'C g + variance is floored at one count; with
+    P = C g over the gradient's nonzero columns, k = P/s and e = v - mean,
+    m becomes m + k e with the compartments clipped at zero and C becomes
+    C - k P', the Joseph form at the floored s.  Returns None where s is
+    not finite, else the new y, the term -(log(2 pi s) + e^2/s)/2 and the
+    flags (s floored, variance floored, mean clipped, `positive` of the
+    new y).  `positive(y)` runs Cholesky on C and says whether every pivot
+    was positive and finite.
+    """
+    def c(a, b):
+        return f"_c{min(a, b)}_{max(a, b)}"
+
+    def reduced(i, j):
+        # C[i, j] less the products of the Cholesky rows i and j so far
+        return " - ".join([c(i, j), *(f"_l{i}_{k}*_l{j}_{k}"
+                                      for k in range(j))])
+
+    n = cm.nx
+    pairs = [(int(i), int(j)) for i, j in zip(*cm.tri_index)]
+    cs = ", ".join(c(i, j) for i, j in pairs)
+    lines = ["def positive(y):", f"    {'_, ' * n}{cs}, = y"]
+    for j in range(n):
+        lines += [f"    _d = {reduced(j, j)}", "    if not 0.0 < _d < inf:",
+                  "        return False"]
+        if j < n - 1:
+            lines.append("    _r = sqrt(_d)")
+        lines += [f"    _l{i}_{j} = ({reduced(i, j)})/_r"
+                  for i in range(j + 1, n)]
+    lines.append("    return True")
+    ms = ", ".join(f"_m{i}" for i in range(n))
+    clipped = " or ".join(f"_m{i} < 0.0" for i in range(cm.n_comp))
+    for s_i, o in enumerate(cm.observations):
+        gs = [(f"_g{k}", col) for k, col in enumerate(o.grad_cols)]
+        lines += [f"def update{s_i}(y, v, t, p):", f"    {ms}, {cs}, = y",
+                  f"    *_parts, {''.join(f'{g}, ' for g, _ in gs)}= "
+                  f"obs{s_i}(({ms},), t, p)",
+                  f"    _mean, _var = law_moments({o.kind!r}, _parts)"]
+        lines += [f"    _P{i} = "
+                  + (" + ".join(f"{c(i, col)}*{g}" for g, col in gs) or "0.0")
+                  for i in range(n)]
+        h = " + ".join(f"{g}*_P{col}" for g, col in gs) or "0.0"
+        lines += [f"    _s = {h} + _var", "    if not -inf < _s < inf:",
+                  "        return None", "    _floored = _s < 1.0",
+                  "    if _floored:", "        _s = 1.0", "    _e = v - _mean"]
+        lines += [f"    _k{i} = _P{i}/_s" for i in range(n)]
+        lines += [f"    _m{i} = _m{i} + _k{i}*_e" for i in range(n)]
+        lines.append(f"    _clipped = {clipped or 'False'}")
+        lines += [f"    _m{i} = 0.0 if _m{i} <= 0.0 else _m{i}"
+                  for i in range(cm.n_comp)]
+        new_c = ", ".join(f"{c(i, j)} - _k{i}*_P{j}" for i, j in pairs)
+        lines += [f"    _y = ({ms}, {new_c},)",
+                  "    return _y, -0.5*(log(6.283185307179586*_s) + _e*_e/_s), "
+                  f"(_floored, _var == {VARIANCE_FLOOR!r}, _clipped, "
+                  "positive(_y))"]
+    return "\n".join(lines) + "\n"
 
 
 def sde_source(cm):

@@ -255,20 +255,23 @@ def stream_loglik(kind, parts, y):
 VARIANCE_FLOOR = 1e-6
 
 
-def stream_moments(kind, parts):
+def stream_moments(kind, parts, math=ex.VECTOR_NAMESPACE):
     """Observation mean and variance used by the moment filter, the
-    variance floored at VARIANCE_FLOOR."""
+    variance floored at VARIANCE_FLOOR.  `math` binds `maximum` and
+    `minimum`: numpy's, or `expr.SCALAR_NAMESPACE`'s for parts that are
+    Python floats, which follow numpy's rule and give its values."""
+    maximum, minimum = math["maximum"], math["minimum"]
     if kind == "poisson":
-        mean = np.maximum(parts[0], 0.0)
-        return mean, np.maximum(mean, VARIANCE_FLOOR)
+        mean = maximum(parts[0], 0.0)
+        return mean, maximum(mean, VARIANCE_FLOOR)
     if kind == "discretized_normal":
         mean, var = parts
-        return mean, np.maximum(var, VARIANCE_FLOOR)
+        return mean, maximum(var, VARIANCE_FLOOR)
     if kind == "binomial":
         n, p = parts
-        p = np.clip(p, 0.0, 1.0)
+        p = minimum(maximum(p, 0.0), 1.0)
         mean = n * p
-        return mean, np.maximum(n * p * (1.0 - p), VARIANCE_FLOOR)
+        return mean, maximum(n * p * (1.0 - p), VARIANCE_FLOOR)
     raise ValueError(f"unknown observation distribution {kind!r}")
 
 

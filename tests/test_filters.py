@@ -11,8 +11,10 @@ from ssm.compiled import CompiledModel
 from ssm import filters as fl
 from ssm import simulate as sim
 from ssm.model import load_model
-from ssm.observe import DataSet, poisson_logpmf
+from ssm.observe import (VARIANCE_FLOOR, DataSet, poisson_logpmf,
+                         stream_moments)
 
+SHIPPED = ROOT / "src" / "ssm" / "models"
 LL_PARAMS = {"x0": 2.0, "c_drift": 0.4, "q_sd": 0.7, "tau2": 1.5}
 LL_DATA = [3, 3, 4, 6, 5, 7, 8, 8, 10, 9, 11, 13, 12, 14, 15]
 
@@ -364,27 +366,182 @@ class TestMomentFilterRepairs:
 
     def test_counts_follow_the_repairs_made(self, monkeypatch):
         # reports of zero cases in a growing epidemic pull the mean below
-        # zero; the psd counts equal the branches _project_psd took
+        # zero; every update either passes the Cholesky test or makes
+        # exactly one projection, and the psd counts equal the branches
+        # _project_psd took
         cm = CompiledModel(sir_model())
         p = {"beta": 2.0, "gamma": 0.3, "N": 1000.0, "I0": 10.0}
         ds = make_dataset(np.arange(1.0, 26.0), {"cases_obs": [0] * 25})
-        taken = []
+        events = []
         project = fl._project_psd
+        interval, updates = cm.moment_kernels
 
-        def spy(C):
-            out = project(C)
-            taken.append(out[1])
+        def spy_update(*args):
+            out = updates["cases_obs"](*args)
+            events.append(("update", out[2][3]))
             return out
 
-        monkeypatch.setattr(fl, "_project_psd", spy)
+        def spy_project(C):
+            out = project(C)
+            events.append(("project", out[1]))
+            return out
+
+        monkeypatch.setattr(fl, "_project_psd", spy_project)
+        monkeypatch.setitem(cm.__dict__, "moment_kernels",
+                            (interval, {"cases_obs": spy_update}))
         res = fl.ekf_filter(cm, ds, p, t0=0.0)
         r = res.repairs
-        assert r["updates"] == len(taken) == 25
+        taken = [what for kind, what in events if kind == "project"]
+        passed = [what for kind, what in events if kind == "update"]
+        assert r["updates"] == len(passed) == 25
+        assert len(events) == len(passed) + passed.count(False)
+        for (kind, what), after in zip(events, events[1:] + [None]):
+            if kind == "update":
+                assert (after is not None and after[0] == "project") \
+                    == (not what)
         assert r["psd_rounding"] == taken.count("psd_rounding")
-        assert r["psd_eigen"] == taken.count("psd_eigen")
+        assert r["psd_eigen"] == taken.count("psd_eigen") > 0
         assert 0 < r["mean_clipped"] <= 25
         assert np.all(res.means[:, cm.comp_slice] >= 0.0)
+        monkeypatch.undo()
         assert fl.ekf_filter(cm, ds, p, t0=0.0).repairs == r
+
+    @pytest.mark.parametrize("name", ["sir", "dengue-2strain"])
+    def test_a_covariance_the_cholesky_test_passes_is_psd(self, name):
+        # rank-deficient covariances, as conserved populations give, with
+        # rounding-sized and larger symmetric noise: some pass, some fail,
+        # and none that passes has an eigenvalue below -1e-12 max|C|
+        cm = CompiledModel(load_model(SHIPPED / f"{name}.json"))
+        positive = cm._moment_namespaces[0]["positive"]
+        n, upper = cm.nx, cm.tri_index
+        rng = np.random.default_rng(29)
+        verdicts = []
+        for noise in (1e-16, 1e-14, 1e-12, 1e-10):
+            for _ in range(100):
+                a = rng.normal(size=(n, n - 1)) * 10.0 ** rng.uniform(-2, 3)
+                C = a @ a.T
+                e = rng.normal(size=(n, n)) * noise * np.abs(C).max()
+                C = C + e + e.T
+                ok = positive((*np.zeros(n), *C[upper]))
+                verdicts.append(ok)
+                if ok:
+                    assert np.linalg.eigvalsh(C)[0] >= -1e-12 * np.abs(C).max()
+        assert any(verdicts) and not all(verdicts)
+
+    def test_an_indefinite_covariance_is_projected(self, monkeypatch):
+        # a covariance with eigenvalue -1 fails the Cholesky test at every
+        # update and takes the eigen branch of _project_psd
+        cm = CompiledModel(sir_model())
+        p = {"beta": 2.0, "gamma": 0.3, "N": 1000.0, "I0": 10.0}
+        ds = make_dataset(np.arange(1.0, 6.0), {"cases_obs": [3] * 5})
+        interval, updates = cm.moment_kernels
+        C = np.diag([4.0, -1.0, 4.0, 4.0])
+        y = (990.0, 10.0, 0.0, 0.0, *C[cm.tri_index])
+        assert not cm._moment_namespaces[0]["positive"](y)
+        monkeypatch.setitem(cm.__dict__, "moment_kernels",
+                            (lambda *args: y, updates))
+        r = fl.ekf_filter(cm, ds, p, t0=0.0).repairs
+        assert r["psd_eigen"] == r["updates"] == 5
+        assert r["psd_rounding"] == 0
+
+
+def joseph_update(m, C, grad, mean, var, y, comps):
+    """The moment filter's update by one stream in dense numpy, in the
+    Joseph form, as the filter made it before its float update: the new
+    mean and covariance, the term and the flags (innovation variance
+    floored, observation variance floored, mean clipped)."""
+    hch = float(grad @ C @ grad)
+    s = hch + float(var)
+    floored = s < 1.0
+    s = max(s, 1.0)
+    r_eff = s - hch
+    e = round(y) - float(mean)
+    k = (C @ grad) / s
+    term = -0.5 * (np.log(2.0 * np.pi * s) + e * e / s)
+    m = m + k * e
+    clipped = bool((m[comps] < 0.0).any())
+    m[comps] = np.maximum(m[comps], 0.0)
+    ikh = np.eye(len(m)) - k[:, None] * grad
+    C = ikh @ C @ ikh.T + k[:, None] * k * r_eff
+    return m, 0.5 * (C + C.T), term, (floored, var == VARIANCE_FLOOR,
+                                      clipped)
+
+
+# SIR observed through a gradient with one and with two nonzero columns
+ORACLE_STREAMS = [
+    {"name": "one", "distribution": "discretized_normal",
+     "mean": "a*cases", "variance": "tau2"},
+    {"name": "two", "distribution": "discretized_normal",
+     "mean": "a*cases + b*I", "variance": "tau2"},
+    {"name": "counts", "distribution": "poisson", "mean": "a*cases + b*I"},
+]
+
+
+def test_float_update_matches_the_dense_joseph_update():
+    # random positive-definite covariances at scales that put the
+    # innovation variance below and above the one-count floor, values far
+    # from the mean so that compartments clip, and an observation
+    # variance at its floor
+    fixed = [{"name": name, "prior": {"dirac": 1.0}, "role": "fixed"}
+             for name in ("a", "b", "tau2")]
+    cm = CompiledModel(sir_model(parameters=SIR["parameters"] + fixed,
+                                 observations=ORACLE_STREAMS))
+    updates = cm.moment_kernels[1]
+    upper = cm.tri_index
+    rng = np.random.default_rng(2029)
+    seen = set()
+    for trial in range(60):
+        scale = (0.1, 1.0, 6.0)[trial % 3]
+        a = rng.normal(size=(4, 4)) * scale
+        C = a @ a.T + 1e-3 * scale ** 2 * np.eye(4)
+        m = rng.uniform(0.0, 2.0 * scale ** 2, 4)
+        p = {"N": 1000.0, "I0": 10.0, "beta": 1.5, "gamma": 1.0,
+             "a": rng.uniform(0.2, 1.0), "b": rng.uniform(0.1, 0.5),
+             "tau2": rng.choice([1e-7, 0.1, 2.0])}
+        for o in cm.observations:
+            parts, grad = cm.obs_values(o.name, m, 1.0, p)
+            mean, var = stream_moments(o.kind, parts)
+            y = float(round(mean + rng.choice([-8.0, 0.0, 8.0]) * scale))
+            want_m, want_C, want_term, want_flags = joseph_update(
+                m, C, grad, mean, var, y, cm.comp_slice)
+            got_y, got_term, got_flags = updates[o.name](
+                (*m, *C[upper]), round(y), 1.0, p)
+            tol = 1e-12 * np.abs(want_C).max()
+            np.testing.assert_allclose(got_y[:4], want_m, rtol=0, atol=tol)
+            np.testing.assert_allclose(got_y[4:], want_C[upper], rtol=0,
+                                       atol=tol)
+            assert got_term == pytest.approx(want_term, rel=1e-12)
+            assert got_flags[:3] == want_flags
+            seen.add(want_flags)
+    # both sides of the floor, of the variance floor and of the clip
+    for i in range(3):
+        assert {flags[i] for flags in seen} == {False, True}
+
+
+@pytest.mark.parametrize("mean, safe", [
+    # exp overflows once t > 5.7: math.exp raises, numpy's exp gives inf,
+    # which min() caps at 1; the safe mean never overflows
+    ("cases*min(1, exp(1000*(t - 5)))",
+     "cases*min(1, exp(min(1000*(t - 5), 0)))"),
+    # numpy's inf mean: an infinite innovation variance
+    ("cases*exp(1000*(t - 5))", None)])
+def test_update_reruns_a_float_failure_on_numpy(mean, safe):
+    def run(mean):
+        cm = CompiledModel(sir_model(observations=[
+            {"name": "cases_obs", "distribution": "poisson", "mean": mean}]))
+        ds = make_dataset(np.arange(1.0, 11.0), {"cases_obs": [4] * 10})
+        p = {"beta": 1.5, "gamma": 1.0, "N": 1000.0, "I0": 10.0}
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fl.ekf_filter(cm, ds, p, t0=0.0)
+
+    if safe is None:
+        with pytest.raises(fl.FilterError,
+                           match="non-finite innovation variance"):
+            run(mean)
+        return
+    got, want = run(mean), run(safe)
+    assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
+    assert got.repairs == want.repairs
 
 
 class TestMomentFilterOnSir:
@@ -442,8 +599,6 @@ class TestMomentFilterOnSir:
 
 # ----------------------------------------------------------------------
 # early stop at a floor
-
-SHIPPED = ROOT / "src" / "ssm" / "models"
 
 
 @pytest.fixture(scope="module")
