@@ -193,14 +193,15 @@ def update_source(cm):
 
     The stream's parts and gradient g come from `obs{i}` at m, the law's
     mean and variance from `law_moments` (`observe.stream_moments`).  The
-    innovation variance s = g'C g + variance is floored at one count; with
-    P = C g over the gradient's nonzero columns, k = P/s and e = v - mean,
-    m becomes m + k e with the compartments clipped at zero and C becomes
-    C - k P', the Joseph form at the floored s.  Returns None where s is
-    not finite, else the new y, the term -(log(2 pi s) + e^2/s)/2 and the
-    flags (s floored, variance floored, mean clipped, `positive` of the
-    new y).  `positive(y)` runs Cholesky on C and says whether every pivot
-    was positive and finite.
+    innovation variance s = g'C g + variance is floored at one count, as
+    counts sit on a unit grid and a predictive density narrower than one
+    bin would overstate its mass.  With P = C g over the gradient's
+    nonzero columns, k = P/s and e = v - mean, m becomes m + k e with the
+    compartments clipped at zero and C becomes C - k P', the Joseph form
+    at the floored s.  Returns None where s is not finite, else the new y,
+    the term -(log(2 pi s) + e^2/s)/2 and the flags (s floored, variance
+    floored, mean clipped, `positive` of the new y).  `positive(y)` runs
+    Cholesky on C and says whether every pivot was positive and finite.
     """
     def c(a, b):
         return f"_c{min(a, b)}_{max(a, b)}"

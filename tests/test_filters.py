@@ -447,9 +447,9 @@ class TestMomentFilterRepairs:
 
 def joseph_update(m, C, grad, mean, var, y, comps):
     """The moment filter's update by one stream in dense numpy, in the
-    Joseph form, as the filter made it before its float update: the new
-    mean and covariance, the term and the flags (innovation variance
-    floored, observation variance floored, mean clipped)."""
+    Joseph form, the reference for `kernels.update_source`: the new mean
+    and covariance, the term and the flags (innovation variance floored,
+    observation variance floored, mean clipped)."""
     hch = float(grad @ C @ grad)
     s = hch + float(var)
     floored = s < 1.0
