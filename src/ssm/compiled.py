@@ -175,7 +175,7 @@ _SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
                   nextafter=math.nextafter, DomainError=DomainError,
                   param=lambda value: value,
                   law_moments=partial(stream_moments,
-                                      math=ex.SCALAR_NAMESPACE))
+                                      namespace=ex.SCALAR_NAMESPACE))
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, param=_as_numpy, sqrt=np.sqrt,
                   empty=np.empty, empty_like=np.empty_like,
                   isfinite=np.isfinite, scalar_sqrt=math.sqrt,

@@ -255,12 +255,12 @@ def stream_loglik(kind, parts, y):
 VARIANCE_FLOOR = 1e-6
 
 
-def stream_moments(kind, parts, math=ex.VECTOR_NAMESPACE):
+def stream_moments(kind, parts, namespace=ex.VECTOR_NAMESPACE):
     """Observation mean and variance used by the moment filter, the
-    variance floored at VARIANCE_FLOOR.  `math` binds `maximum` and
+    variance floored at VARIANCE_FLOOR.  `namespace` binds `maximum` and
     `minimum`: numpy's, or `expr.SCALAR_NAMESPACE`'s for parts that are
     Python floats, which follow numpy's rule and give its values."""
-    maximum, minimum = math["maximum"], math["minimum"]
+    maximum, minimum = namespace["maximum"], namespace["minimum"]
     if kind == "poisson":
         mean = maximum(parts[0], 0.0)
         return mean, maximum(mean, VARIANCE_FLOOR)
