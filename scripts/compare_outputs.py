@@ -157,6 +157,34 @@ def gradobs_models(models):
     return {"sir-gradobs": dict(sir, observations=[stream])}
 
 
+def negmean_models(models):
+    """The shipped SIR with a Poisson mean that is negative where `inc` is
+    0 and exactly 0 where it is 1, so that the particle filter's
+    fix-ups for non-positive means are pinned, by file stem."""
+    sir = json.loads((models / "sir.json").read_text())
+    stream = {"name": "cases", "distribution": "poisson",
+              "mean": "rho*inc - 0.5"}
+    return {"sir-negmean": dict(sir, observations=[stream])}
+
+
+def twolaws_models(models):
+    """The shipped SIR with two streams of two laws, `cases` (Poisson) and
+    `cases_n` (discretized normal), so that the particle filter sums two
+    laws into one instant's weights, by file stem; its data file
+    (`twolaws_data`) reports each shipped count under both names."""
+    sir = json.loads((models / "sir.json").read_text())
+    normal = dict(LAWS["sir-normal"], name="cases_n")
+    return {"sir-twolaws": dict(sir, observations=[*sir["observations"],
+                                                   normal])}
+
+
+def twolaws_data(models):
+    """The shipped SIR's data with each row repeated for `cases_n`."""
+    header, *rows = (models / "sir-data.csv").read_text().splitlines()
+    return "\n".join([header, *(f"{row}\n{row.replace(',cases,', ',cases_n,')}"
+                                for row in rows)]) + "\n"
+
+
 def model_args(name, data=True):
     args = ["--model", f"{{models}}/{name}.json"]
     return args + ["--data", f"{{models}}/{name}-data.csv"] if data else args
@@ -366,6 +394,19 @@ def commands():
                                "--dt", "0.5", "--trace", "kmcmc.csv"],
          "sir", ("kmcmc.csv",)),
     ]
+    # a Poisson mean at and below zero, and two laws in one instant's
+    # weights, through the particle filter and iterated filtering's hooks
+    negmean = ["--model", "{work}/sir-negmean.json", *data]
+    out += [(f"smc {formalism} sir-negmean",
+             ["smc", *negmean, "--formalism", formalism, "--n-particles",
+              "200"], "sir", ()) for formalism in ("sde", "psr")]
+    twolaws = ["--model", "{work}/sir-twolaws.json",
+               "--data", "{work}/sir-twolaws-data.csv"]
+    out += [(f"smc {formalism} sir-twolaws",
+             ["smc", *twolaws, "--formalism", formalism, "--n-particles",
+              "200"], "sir", ()) for formalism in ("sde", "psr")]
+    out.append(("mif sir-twolaws", ["mif", *twolaws, "--iterations", "2",
+                                    "--n-particles", "100"], "sir", ()))
     # an outbreak that dies out: the steppers meet batches at a fixed point
     extinct = [*model_args("sir", data=False),
                "--data", "{work}/sir-extinct-data.csv"]
@@ -393,10 +434,12 @@ def run_tree(src, models, work):
         (work / f"theta-{name}.json").write_text(
             json.dumps({"ssm_theta": 1, "values": values}) + "\n")
     (work / "sir-extinct-data.csv").write_text(EXTINCT_DATA)
+    (work / "sir-twolaws-data.csv").write_text(twolaws_data(models))
     for name, doc in {**invalid_models(models), **law_models(models),
                       **prior_models(models), **driven_models(models),
                       **pole_models(models), **expobs_models(models),
-                      **gradobs_models(models)}.items():
+                      **gradobs_models(models), **negmean_models(models),
+                      **twolaws_models(models)}.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
     outputs, codes = {}, {}
     prev = b""
