@@ -28,7 +28,8 @@ observation instant, generated and compiled the first time it is used:
              by each stream in that layout, for the moment filter
     sde      every Euler-Maruyama substep of one interval over a batch of
              states, drawing the interval's normals as one array laid out
-             (substep, noise row, state), none at a fixed point
+             (substep, noise row, state), none at a fixed point, in
+             scratch kept per batch width
     jump     every event of one interval of the jump process, for one
              state
     obs      each observation stream's parts and the gradient of its mean,
@@ -178,7 +179,8 @@ _SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
                                       namespace=ex.SCALAR_NAMESPACE))
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, param=_as_numpy, sqrt=np.sqrt,
                   empty=np.empty, empty_like=np.empty_like,
-                  isfinite=np.isfinite, scalar_sqrt=math.sqrt,
+                  isfinite=np.isfinite, count_nonzero=np.count_nonzero,
+                  scalar_sqrt=math.sqrt,
                   **{name: getattr(np, name) for name in ex.UFUNCS.values()})
 
 
@@ -252,6 +254,9 @@ class CompiledModel:
         self.step_order = np.array(
             [*self.exit_reactions, *external], dtype=int)
         self.psr_plans = {}
+        # the steppers' scratch per (stepper, batch width): buffers that
+        # every call writes before it reads and that no caller receives
+        self.scratch = {}
 
         # noise groups: (sd parameter name, member reaction indices)
         self.noise_groups = tuple(
@@ -544,11 +549,22 @@ class CompiledModel:
             p))
 
     @cached_property
-    def sde(self):
-        """The Euler-Maruyama interval kernel (see `kernels.sde_source`)."""
+    def _sde(self):
         from ssm import kernels
-        return self._compile("sde", kernels.sde_source(self), vector=True,
-                             floor=self.floor[:, None])["sde"]
+        ns = self._compile("sde", kernels.sde_source(self), vector=True,
+                           floor=self.floor[:, None], asarray=np.asarray,
+                           zero=np.zeros(()))
+        return ns["sde"], ns["scratch"]
+
+    def sde(self, x, t, dt, n, p, draw):
+        """The Euler-Maruyama interval kernel (see `kernels.sde_source`) on
+        the batch x, in place, in the scratch kept for x's width."""
+        kernel, scratch = self._sde
+        key = "sde", x.shape[1]
+        work = self.scratch.get(key)
+        if work is None:
+            work = self.scratch[key] = scratch(x.shape[1])
+        return kernel(x, t, dt, n, p, draw, work)
 
     @cached_property
     def psr(self):

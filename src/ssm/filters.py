@@ -103,13 +103,21 @@ def zero_likelihood(res):
     return f"the data at t = {t:g} have zero probability on the trajectory"
 
 
-def systematic_resample(weights, rng):
-    """Indices drawn by systematic resampling from normalized weights."""
+def systematic_resample(weights, rng, work=None):
+    """Indices, a new array, drawn by systematic resampling from
+    normalized weights: positions (u + k)/n for one uniform u, searched in
+    the cumulative sums, the last set to 1.  `work` holds arange(n) as
+    floats and buffers for the positions and the sums, which a filter
+    makes once per call; without it they are made here."""
     n = len(weights)
-    positions = (rng.random() + np.arange(n)) / n
-    cum = np.cumsum(weights)
+    if work is None:
+        work = np.arange(n, dtype=float), np.empty(n), np.empty(n)
+    base, positions, cum = work
+    np.add(base, rng.random(), out=positions)
+    np.divide(positions, n, out=positions)
+    weights.cumsum(out=cum)
     cum[-1] = 1.0
-    return np.searchsorted(cum, positions)
+    return cum.searchsorted(positions)
 
 
 def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
@@ -131,6 +139,15 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
     ancestor indices; it returns the parameters of the next interval and a
     per-particle term added to the next instant's log weights, as
     `log_weight` is to the first instant's.
+
+    The working vectors, made once per call, serve every instant: the log
+    weights, into which each stream's density is added in place under one
+    error state per call (`observe.stream_loglik`), the weights, their
+    squares and the resampling's buffers.  An instant makes the stepper's
+    swarm, the stream kernels' parts, the ancestor indices and the
+    resampled swarm, and besides only the densities of a law other than
+    Poisson and the fix-ups of a mean not positive and finite.  No working
+    vector reaches the caller.
     """
     j = n_particles
     if log_weight is not None or after_resample is not None:
@@ -142,56 +159,63 @@ def smc_filter(cm, dataset, params, t0, rng, n_particles=500,
     terms = np.full(n_obs, np.nan)
     means = np.full((n_obs, cm.nx), np.nan)
     ess = np.full(n_obs, np.nan)
+    kinds = {o.name: o.kind for o in cm.observations}
+    logw, w, sq = np.empty(j), np.empty(j), np.empty(j)
+    resampling = np.arange(j, dtype=float), np.empty(j), np.empty(j)
     history = [] if return_path else None
     ancestry = [] if return_path else None
-    final_weights = None
     path = None
     instants = n_obs
     prev_t = t0
-    for i, (t, obs) in enumerate(dataset):
-        x = advance(cm, x, prev_t, t, params, rng=rng, formalism=formalism,
-                    dt=dt)
-        logw = np.zeros(j)
-        if log_weight is not None:
-            logw += log_weight
-        for stream, y in obs:
-            o = cm.obs(stream)
-            parts, _ = cm.obs_values(stream, x, t, params)
-            logw += ob.stream_loglik(o.kind, parts, y)
-        peak = logw.max()
-        if not np.isfinite(peak):
-            loglik, instants = -np.inf, i + 1
-            break
-        w = np.exp(logw - peak)
-        total = w.sum()
-        terms[i] = peak + np.log(total / j)
-        loglik += terms[i]
-        norm = w / total
-        ess[i] = 1.0 / (norm ** 2).sum()
-        means[i] = x @ norm
-        if floor is not None and loglik <= floor:
-            instants = i + 1
-            break
-        if return_path:
-            history.append(x)
-        idx = systematic_resample(norm, rng)
-        x = x.take(idx, axis=1)
-        x[cm.acc_slice] = 0.0
-        if return_path:
-            ancestry.append(idx)
-        if after_resample is not None:
-            params, log_weight = after_resample(i, idx)
-        final_weights = norm
-        prev_t = t
-    else:
-        # a run that filtered every instant draws the path, if asked
-        if return_path and n_obs:
-            path = np.empty((n_obs, cm.nx))
-            pick = int(rng.choice(j, p=final_weights))
-            path[-1] = history[-1][:, pick]
-            for i in range(n_obs - 2, -1, -1):
-                pick = int(ancestry[i][pick])
-                path[i] = history[i][:, pick]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, ((t, obs), data_terms) in enumerate(
+                zip(dataset, dataset.log_factorials)):
+            x = advance(cm, x, prev_t, t, params, rng=rng,
+                        formalism=formalism, dt=dt)
+            if log_weight is None:
+                logw.fill(0.0)
+            else:
+                np.add(0.0, log_weight, out=logw)
+            for (stream, y), data_term in zip(obs, data_terms):
+                parts, _ = cm.obs_values(stream, x, t, params)
+                ob.stream_loglik(kinds[stream], parts, y, logw, w, data_term)
+            peak = np.maximum.reduce(logw)
+            if not math.isfinite(peak):
+                loglik, instants = -np.inf, i + 1
+                break
+            np.subtract(logw, peak, out=w)
+            np.exp(w, out=w)
+            total = np.add.reduce(w)
+            terms[i] = peak + np.log(total / j)
+            loglik += terms[i]
+            # w holds the normalized weights from here to the next instant
+            np.divide(w, total, out=w)
+            np.multiply(w, w, out=sq)
+            ess[i] = 1.0 / np.add.reduce(sq)
+            np.matmul(x, w, out=means[i])
+            if floor is not None and loglik <= floor:
+                instants = i + 1
+                break
+            if return_path:
+                history.append(x)
+            idx = systematic_resample(w, rng, resampling)
+            x = x.take(idx, axis=1)
+            x[cm.acc_slice] = 0.0
+            if return_path:
+                ancestry.append(idx)
+            if after_resample is not None:
+                params, log_weight = after_resample(i, idx)
+            prev_t = t
+        else:
+            # a run that filtered every instant draws the path, if asked,
+            # from the last instant's weights
+            if return_path and n_obs:
+                path = np.empty((n_obs, cm.nx))
+                pick = int(rng.choice(j, p=w))
+                path[-1] = history[-1][:, pick]
+                for i in range(n_obs - 2, -1, -1):
+                    pick = int(ancestry[i][pick])
+                    path[i] = history[i][:, pick]
     return FilterResult(
         loglik=float(loglik), times=dataset.times, means=means,
         loglik_terms=terms, ess=ess, path=path, instants=instants,

@@ -252,9 +252,14 @@ def update_source(cm):
 
 
 def sde_source(cm):
-    """Source of `sde(x, t, dt, n, p, draw)`: n Euler-Maruyama substeps of
-    length dt from time t, in place on a batch x laid out as (nx, J), one
-    row per state column.
+    """Source of `sde(x, t, dt, n, p, draw, work)`: n Euler-Maruyama
+    substeps of length dt from time t, in place on a batch x laid out as
+    (nx, J), one row per state column, and of `scratch(j)`, which makes
+    the kernel's `work` for a batch of width j: its buffers and the views
+    of their rows.  A call writes every buffer before it reads it and
+    returns none of them, so one `work` serves every call at its width
+    (`CompiledModel.sde`).  A call still makes the normals' array and, per
+    substep, the noise term of each noise group's member reaction.
 
     The interval's standard normals xi come from one call draw((n, K, J)),
     made once the first substep's propensities are formed: per substep,
@@ -269,7 +274,8 @@ def sde_source(cm):
     Each reaction's increment dt*a + sqrt(dt)*(sqrt(a+)*xi + sd*eta*a+) is
     formed for all reactions at once, in the rows of one buffer, and added
     to every row of the state it touches.  The new state is checked for
-    finiteness, all rows at once, before it is clamped at the floor.
+    finiteness, all rows at once by one count of its finite entries,
+    before it is clamped at the floor.
     Returns n, or the index of the first substep whose new state was not
     finite; x then holds the state before that substep.
     """
@@ -282,7 +288,7 @@ def sde_source(cm):
         loop += ex.to_python_into(tree, cm._resolve, f"_a{k}", state_names)
     loop.append("    if _n == 0:")
     if cm.static:
-        loop += ["        if not _A.any() and isfinite(x).all():",
+        loop += ["        if not count_nonzero(_A) and isfinite(x).all():",
                  "            maximum(x, 0.0, out=x)",
                  "            return n"]
     loop.append(f"        xi = draw((n, "
@@ -293,7 +299,7 @@ def sde_source(cm):
     # reaction increments
     loop += cm._blocks["driven"][0]
     if cm.n_react:
-        loop += ["    maximum(_A, 0.0, out=_AP)",
+        loop += ["    maximum(_A, zero, out=_AP)",
                  "    sqrt(_AP, out=_Q)",
                  "    multiply(_Q, _sq, out=_Q)",
                  f"    multiply(_Q, xi[_n, :{cm.n_react}], out=_Q)",
@@ -314,9 +320,9 @@ def sde_source(cm):
                      for k in range(cm.n_react) if S[i, k]]
         loop += accumulate(f"_o{i}", f"_x{i}", pairs)
     # without driven rows every row is clamped at zero, a scalar floor
-    floor = "floor" if cm.n_diff else "0.0"
+    floor = "floor" if cm.n_diff else "zero"
     loop += ["    isfinite(_new, out=_ok)",
-             "    if not _ok.all():",
+             "    if count_nonzero(_ok) < _ok.size:",
              "        return _n",
              f"    maximum(_new, {floor}, out=x)",
              "    t = t + dt"]
@@ -327,27 +333,29 @@ def sde_source(cm):
     states = needed & state_names
     head = []
     cm._prologue(head, states, read="_x{}")
-    lines = ["def sde(x, t, dt, n, p, draw):"]
+    lines = ["def sde(x, t, dt, n, p, draw, work):"]
     cm._prologue(lines, needed - states)
-
-    def views(prefix, buffer, count):
-        names = "".join(f"{prefix}{i}, " for i in range(count))
-        return [f"    {names}= {buffer}"] if count else []
-
+    # the scratch, as `scratch(j)` makes it for a batch of width j: the
     # buffers for the new state, its finiteness and, a row per reaction,
     # the propensities, their positive parts, the noise terms and the
-    # increments; the locals are views of their rows
-    lines += ["    _sq = scalar_sqrt(dt)",
-              "    _new = empty(x.shape)",
-              "    _ok = empty(x.shape, bool)",
-              f"    _A = empty(({cm.n_react}, x.shape[1]))",
-              "    _AP, _Q, _I = empty_like(_A), empty_like(_A), empty_like(_A)"]
-    lines += views("_x", "x", cm.nx) + views("_o", "_new", cm.nx)
-    lines += (views("_a", "_A", cm.n_react) + views("_ap", "_AP", cm.n_react)
-              + views("_i", "_I", cm.n_react))
-    lines.append("    for _n in range(n):")
+    # increments, then the views of the rows that are locals
+    rows = {"_new": ("_o", cm.nx), "_A": ("_a", cm.n_react),
+            "_AP": ("_ap", cm.n_react), "_I": ("_i", cm.n_react)}
+    views = "".join(f"{prefix}{i}, " for prefix, count in rows.values()
+                    for i in range(count))
+    lines += ["    _sq = asarray(scalar_sqrt(dt))",
+              "    dt = asarray(dt)",
+              f"    _new, _ok, _A, _AP, _Q, _I, {views}= work",
+              f"    {''.join(f'_x{i}, ' for i in range(cm.nx))}= x",
+              "    for _n in range(n):"]
     lines += ["    " + line for line in head + loop]
-    lines.append("    return n")
+    lines += ["    return n",
+              "def scratch(j):",
+              f"    _new, _ok = empty(({cm.nx}, j)), empty(({cm.nx}, j), bool)",
+              f"    _A = empty(({cm.n_react}, j))",
+              "    _AP, _Q, _I = empty_like(_A), empty_like(_A), empty_like(_A)",
+              "    return (_new, _ok, _A, _AP, _Q, _I, "
+              f"{''.join(f'*{buffer}, ' for buffer in rows)})"]
     return "\n".join(lines) + "\n"
 
 

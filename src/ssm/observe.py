@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,12 @@ class DataSet:
 
     def __len__(self):
         return len(self.records)
+
+    @cached_property
+    def log_factorials(self):
+        """Per record, log(y!) of each value: the count laws' data term."""
+        return [tuple(log_factorial(v) for _, v in obs)
+                for _, obs in self.records]
 
     def __iter__(self):
         return iter(self.records)
@@ -198,10 +205,19 @@ def poisson_logpmf(y, mean):
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = y * np.log(mean) - mean - log_factorial(y)
-    if not (mean > 0).all():
-        out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
-        out = np.where(mean < 0, -np.inf, out)
+    out = _poisson_edges(out, y, mean)
     return out if out.shape else float(out)
+
+
+def _poisson_edges(out, y, mean):
+    """`out`, the general formula's log mass, with the masses it misses
+    where a mean is not positive and finite: at 0, 0 for y = 0 and -inf
+    above; -inf at a negative or an infinite mean."""
+    if (np.minimum.reduce(mean, axis=None, initial=np.inf) > 0.0
+            and np.maximum.reduce(mean, axis=None, initial=0.0) < np.inf):
+        return out
+    out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
+    return np.where((mean < 0) | (mean == np.inf), -np.inf, out)
 
 
 def discretized_normal_logpdf(y, mean, var):
@@ -221,6 +237,11 @@ def discretized_normal_logpdf(y, mean, var):
 
 def binomial_logpmf(y, trials, prob):
     y = np.asarray(y, dtype=float)
+    return _binomial(y, log_factorial(y), trials, prob)
+
+
+def _binomial(y, log_y_factorial, trials, prob):
+    """The binomial log mass of y (an array) with log(y!) given."""
     n = np.round(np.asarray(trials, dtype=float))
     p = np.asarray(prob, dtype=float)
     ok = (y >= 0) & (y <= n) & (y == np.round(y)) & (p >= 0) & (p <= 1)
@@ -228,28 +249,49 @@ def binomial_logpmf(y, trials, prob):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             log_factorial(n)
-            - log_factorial(y)
+            - log_y_factorial
             - log_factorial(n - y)
             + y * np.log(p_in)
             + (n - y) * np.log1p(-p_in)
         )
-        # exact boundary cases instead of the clipped approximation
+        # exact boundary cases instead of the clipped approximation; a
+        # finite count has no mass among infinitely many trials
+        out = np.where(n < np.inf, out, -np.inf)
         out = np.where((p == 0), np.where(y == 0, 0.0, -np.inf), out)
         out = np.where((p == 1), np.where(y == n, 0.0, -np.inf), out)
     out = np.where(ok, out, -np.inf)
     return out if out.shape else float(out)
 
 
-def stream_loglik(kind, parts, y):
+def stream_loglik(kind, parts, y, out=None, scratch=None, data_term=None):
     """Log density of observed value y given the stream's parts, a tuple
-    in PARTS order (`CompiledModel.obs_values`), which it does not write."""
-    if kind == "poisson":
-        return poisson_logpmf(y, *parts)
-    if kind == "discretized_normal":
+    in PARTS order (`CompiledModel.obs_values`), which it does not write.
+    With `out`, a batch's (J,) buffer, the densities are added into it
+    instead, with the law's function's bits, and nothing is returned: a
+    count law takes `data_term`, log(y!) (`DataSet.log_factorials`), and
+    a Poisson stream works in `scratch`, another (J,) buffer, under the
+    caller's error state."""
+    if kind not in PARTS:
+        raise ValueError(f"unknown observation distribution {kind!r}")
+    if out is None:
+        if kind == "poisson":
+            return poisson_logpmf(y, *parts)
+        if kind == "binomial":
+            return binomial_logpmf(y, *parts)
         return discretized_normal_logpdf(y, *parts)
-    if kind == "binomial":
-        return binomial_logpmf(y, *parts)
-    raise ValueError(f"unknown observation distribution {kind!r}")
+    if kind == "poisson":
+        mean, = parts
+        np.log(mean, out=scratch)
+        np.multiply(y, scratch, out=scratch)
+        np.subtract(scratch, mean, out=scratch)
+        np.subtract(scratch, data_term, out=scratch)
+        density = _poisson_edges(scratch, y, mean)
+    elif kind == "binomial":
+        density = _binomial(np.asarray(y, dtype=float), data_term, *parts)
+    else:
+        density = discretized_normal_logpdf(y, *parts)
+    np.add(out, density, out=out)
+    return None
 
 
 VARIANCE_FLOOR = 1e-6

@@ -242,14 +242,26 @@ def _rows(a, idx, out=None):
 
 
 class _Work:
-    """The buffers of one `psr_step` call, sized for every exit and source
-    of the model; a plan works in their leading rows.  Per exit, in the
-    plan's level-major order: rate times increment, share q, binomial
-    probability (before that, the propensities and increments taken in
-    the plan's order); per source: hazard, leave probability (after that,
-    its state), whole members and the share not yet assigned."""
+    """The scratch of `psr_step` for a batch of width j, kept per model
+    and width (`CompiledModel.scratch`): the state buffer that takes turns
+    with the step's copy; the `psr` kernel's rows (propensities in step
+    order, driven drifts, volatilities) and the counts; and the exits'
+    buffers, sized for every exit and source of the model, a plan working
+    in their leading rows.  Per exit, in the plan's level-major order:
+    rate times increment, share q, binomial probability (before that, the
+    propensities and increments taken in the plan's order); per source:
+    hazard, leave probability (after that, its state), whole members and
+    the share not yet assigned.  Also the rank of each reaction in the
+    step's order."""
 
     def __init__(self, cm, j):
+        n_rows = len(cm.step_order)
+        self.new = np.empty((cm.nx, j))
+        self.out = np.empty((n_rows + 2 * cm.n_diff, j))
+        self.prop, self.drift, self.vol = np.split(
+            self.out, [n_rows, n_rows + cm.n_diff])
+        self.counts = np.empty((n_rows, j))
+        self.rank = np.argsort(cm.step_order)
         exits, sources = len(cm.exit_reactions), len(cm.source_columns)
         self.rd, self.q, self.cond = (np.empty((exits, j)) for _ in range(3))
         self.hazard, self.leave, self.tail = (np.empty((sources, j))
@@ -339,29 +351,27 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     The batch is held one row per coordinate, in its copy and one more
     buffer that take turns; the model's `psr` kernel (`psr_source`) writes
     the propensities into the rows of one buffer in the step's order, and
-    the exits' work runs in buffers made once per call (`_Work`).
+    the exits' work runs in more buffers.  Those buffers are the scratch
+    kept per model and width (`_Work`): each slice writes them before it
+    reads them, and what the caller receives is the copy, never them.
     """
-    state = np.array(x, dtype=float)
-    new = np.empty_like(state)
+    copy = state = np.array(x, dtype=float)
     j = state.shape[1]
-    n_rows = len(cm.step_order)
-    # the psr kernel's rows: propensities, then driven drifts and
-    # volatilities
-    out = np.empty((n_rows + 2 * cm.n_diff, j))
-    prop, drift, vol = np.split(out, [n_rows, n_rows + cm.n_diff])
-    counts = np.empty((n_rows, j))
+    w = cm.scratch.get(("psr", j))
+    if w is None:
+        w = cm.scratch["psr", j] = _Work(cm, j)
+    new, out, prop, drift, vol, counts = (w.new, w.out, w.prop, w.drift,
+                                          w.vol, w.counts)
     # per noise group drawn: its index, rows, the columns drawn, gamma
     # shape and scale
     noises = []
-    rank = np.argsort(cm.step_order)
     for g, (sd_name, members) in enumerate(cm.noise_groups):
         sd = np.broadcast_to(np.asarray(params[sd_name], dtype=float), (j,))
         pos = sd > 0
         if np.any(pos):
             var = sd[pos] ** 2
-            noises.append((g, rank[members, None], pos, h / var, var))
-    delta = np.full((n_rows, j), h) if noises else None
-    w = _Work(cm, j)
+            noises.append((g, w.rank[members, None], pos, h / var, var))
+    delta = np.full((len(cm.step_order), j), h) if noises else None
     sqrt_h = np.sqrt(h)
     for _ in range(n_sub):
         cm.psr(state, np.asarray(t, dtype=float), params, out)
@@ -409,7 +419,10 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
                                   + sqrt_h * vol * xi)
         state, new = new, state
         t += h
-    return state
+    if state is not copy:
+        # the caller receives the copy, never the scratch
+        np.copyto(copy, state)
+    return copy
 
 
 # ----------------------------------------------------------------------

@@ -139,6 +139,37 @@ class TestSmcMechanics:
                             formalism="psr")
         assert res.loglik == -np.inf
 
+    def test_an_infinite_mean_gives_its_particle_no_weight(self,
+                                                           monkeypatch):
+        # one particle's Poisson mean is +inf at the fifth instant: the
+        # count has no mass there, as at a negative mean, and the other
+        # particles carry the estimate
+        cm = CompiledModel(load_model(SHIPPED / "sir.json"))
+        ds = DataSet.from_csv(SHIPPED / "sir-data.csv")
+        values = cm.spec.resolve_values({"beta": 1.5, "gamma": 1.0})
+        obs_values = cm.obs_values
+
+        def run(mean):
+            def stub(stream, x, t, p):
+                parts, grad = obs_values(stream, x, t, p)
+                if t == ds.times[4]:
+                    parts = (parts[0].copy(),)
+                    parts[0][0] = mean
+                return parts, grad
+
+            monkeypatch.setattr(cm, "obs_values", stub)
+            rng = np.random.default_rng(9)
+            res = fl.smc_filter(cm, ds, values, 0.0, rng, n_particles=50,
+                                formalism="sde")
+            return res, rng.bit_generator.state
+
+        (got, got_state), (want, want_state) = run(np.inf), run(-1.0)
+        assert np.isfinite(want.loglik)
+        assert got.loglik == want.loglik
+        np.testing.assert_array_equal(got.loglik_terms, want.loglik_terms)
+        np.testing.assert_array_equal(got.means, want.means)
+        assert got_state == want_state
+
     def test_ess_full_for_identical_particles(self):
         cm = CompiledModel(sir_model())
         p = {"beta": 0.5, "gamma": 0.25, "N": 1000.0, "I0": 10.0}
@@ -791,8 +822,8 @@ def test_sampled_path_is_an_ancestral_line(shipped_sir, monkeypatch,
         swarms.append(out.copy())
         return out
 
-    def recording_resample(weights, rng):
-        ancestors.append(resample(weights, rng))
+    def recording_resample(weights, rng, *work):
+        ancestors.append(resample(weights, rng, *work))
         return ancestors[-1]
 
     monkeypatch.setattr(fl, "advance", recording_advance)

@@ -94,13 +94,13 @@ class TestPoisson:
 
 def general_poisson_logpmf(y, mean):
     """The Poisson log mass as the general formula forms it, masked where
-    the mean is not positive."""
+    the mean is not positive or is infinite."""
     y = np.asarray(y, dtype=float)
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = y * np.log(mean) - mean - ob.log_factorial(y)
     out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
-    return np.where(mean < 0, -np.inf, out)
+    return np.where((mean < 0) | (mean == np.inf), -np.inf, out)
 
 
 class TestPoissonOverMeans:
@@ -230,6 +230,55 @@ class TestBinomial:
         assert ob.binomial_logpmf(3, 9.6, 0.3) == pytest.approx(
             scipy.stats.binom.logpmf(3, 10, 0.3), rel=1e-10
         )
+
+
+def test_an_infinite_part_leaves_a_finite_count_no_mass():
+    # y*log(inf) - inf and log(inf!) - log((inf - y)!) are nan; the mass
+    # of a finite count there is 0, except of 0 at probability 0
+    inf = np.inf
+    assert ob.poisson_logpmf(3.0, inf) == -inf
+    assert ob.poisson_logpmf(0.0, inf) == -inf
+    assert ob.binomial_logpmf(3.0, inf, 0.5) == -inf
+    assert ob.binomial_logpmf(0.0, inf, 0.5) == -inf
+    assert ob.binomial_logpmf(0.0, inf, 0.0) == 0.0
+    assert ob.binomial_logpmf(2.0, inf, 0.0) == -inf
+    assert ob.binomial_logpmf(2.0, inf, 1.0) == -inf
+    means = np.array([4.0, inf, 0.0, inf])
+    for y in (0.0, 3.0):
+        got = ob.poisson_logpmf(y, means)
+        assert got[0] == pytest.approx(scipy.stats.poisson.logpmf(y, 4.0))
+        assert list(got[1:]) == [-inf, -inf if y else 0.0, -inf]
+    got = ob.binomial_logpmf(np.array([3.0, 3.0, 0.0, 0.0]),
+                             np.array([10.0, inf, inf, inf]),
+                             np.array([0.5, 0.5, 0.0, 0.5]))
+    assert got[0] == pytest.approx(scipy.stats.binom.logpmf(3, 10, 0.5))
+    assert list(got[1:]) == [-inf, 0.0, -inf]
+
+
+@pytest.mark.parametrize("kind, parts", [
+    ("poisson", (np.array([0.0, -0.0, -2.0, 1e-300, 3.5, 40.0, np.inf,
+                           np.nan]),)),
+    ("poisson", (np.linspace(0.5, 60.0, 8),)),
+    ("discretized_normal", (np.linspace(-3.0, 40.0, 8),
+                            np.array([0.0, 1e-6, 1.0, 2.5, 9.0, 40.0,
+                                      np.inf, -1.0]))),
+    ("binomial", (np.array([0.0, 3.0, 10.0, 14.4, 60.0, np.inf, 12.0,
+                            20.0]),
+                  np.array([0.5, 0.0, 1.0, 0.3, 0.25, 0.5, 1.5, np.nan]))),
+])
+def test_scoring_into_a_buffer_adds_the_laws_bits(kind, parts):
+    # a batch's densities added into a buffer, the data term given, are
+    # the law's function's, added to what the buffer held
+    rng = np.random.default_rng(3)
+    for y in (0.0, 1.0, 3.0, 12.0, 13.0, 40.0):
+        start = rng.normal(size=8)
+        out, scratch = start.copy(), np.full(8, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            none = ob.stream_loglik(kind, parts, y, out, scratch,
+                                    ob.log_factorial(y))
+            want = start + ob.stream_loglik(kind, parts, y)
+        assert none is None
+        assert out.tobytes() == want.tobytes()
 
 
 class TestMoments:
