@@ -351,7 +351,8 @@ def sde_source(cm):
     lines += ["    " + line for line in head + loop]
     lines += ["    return n",
               "def scratch(j):",
-              f"    _new, _ok = empty(({cm.nx}, j)), empty(({cm.nx}, j), bool)",
+              f"    _new = empty(({cm.nx}, j))",
+              "    _ok = empty(_new.shape, bool)",
               f"    _A = empty(({cm.n_react}, j))",
               "    _AP, _Q, _I = empty_like(_A), empty_like(_A), empty_like(_A)",
               "    return (_new, _ok, _A, _AP, _Q, _I, "

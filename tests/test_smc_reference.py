@@ -152,7 +152,8 @@ def shipped(name):
 
 
 @pytest.mark.parametrize("name, formalism, j", [
-    *((name, formalism, 500) for name in TRUTH for formalism in ("psr", "sde")),
+    *((name, formalism, 500) for name in TRUTH
+      for formalism in ("psr", "sde")),
     ("sir", "jump", 20)])
 def test_shipped_models_match_the_reference(name, formalism, j):
     cm, ds, values = shipped(name)
