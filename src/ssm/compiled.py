@@ -169,6 +169,19 @@ def _settle_batch(cols, floor):
     return np.maximum(x, floor, out=x)
 
 
+def _sde_work(cm, j):
+    """The sde kernel's scratch for a batch of width j (`kernels.sde_source`):
+    the buffers for the new state, its finiteness and, a row per reaction,
+    the propensities, their positive parts, the noise terms and the
+    increments, then the views of the rows of the new state, the
+    propensities, their positive parts and the increments."""
+    new = np.empty((cm.nx, j))
+    a = np.empty((cm.n_react, j))
+    ap, q, inc = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    return (new, np.empty(new.shape, bool), a, ap, q, inc,
+            *new, *a, *ap, *inc)
+
+
 # a kernel's prologue binds each parameter value through `param`: as it is
 # on Python floats, as a numpy value on numpy's arithmetic; so do the
 # observation laws' moments, `law_moments`
@@ -178,7 +191,6 @@ _SCALAR_NS = dict(ex.SCALAR_NAMESPACE, inf=math.inf, sqrt=math.sqrt,
                   law_moments=partial(stream_moments,
                                       namespace=ex.SCALAR_NAMESPACE))
 _VECTOR_NS = dict(ex.VECTOR_NAMESPACE, param=_as_numpy, sqrt=np.sqrt,
-                  empty=np.empty, empty_like=np.empty_like,
                   isfinite=np.isfinite, count_nonzero=np.count_nonzero,
                   scalar_sqrt=math.sqrt,
                   **{name: getattr(np, name) for name in ex.UFUNCS.values()})
@@ -254,8 +266,7 @@ class CompiledModel:
         self.step_order = np.array(
             [*self.exit_reactions, *external], dtype=int)
         self.psr_plans = {}
-        # the steppers' scratch per (stepper, batch width): buffers that
-        # every call writes before it reads and that no caller receives
+        # the steppers' scratch per (stepper, batch width) (`work`)
         self.scratch = {}
 
         # noise groups: (sd parameter name, member reaction indices)
@@ -551,20 +562,24 @@ class CompiledModel:
     @cached_property
     def _sde(self):
         from ssm import kernels
-        ns = self._compile("sde", kernels.sde_source(self), vector=True,
-                           floor=self.floor[:, None], asarray=np.asarray,
-                           zero=np.zeros(()))
-        return ns["sde"], ns["scratch"]
+        return self._compile("sde", kernels.sde_source(self), vector=True,
+                             floor=self.floor[:, None], asarray=np.asarray,
+                             zero=np.zeros(()))["sde"]
 
     def sde(self, x, t, dt, n, p, draw):
         """The Euler-Maruyama interval kernel (see `kernels.sde_source`) on
         the batch x, in place, in the scratch kept for x's width."""
-        kernel, scratch = self._sde
-        key = "sde", x.shape[1]
-        work = self.scratch.get(key)
-        if work is None:
-            work = self.scratch[key] = scratch(x.shape[1])
-        return kernel(x, t, dt, n, p, draw, work)
+        return self._sde(x, t, dt, n, p, draw,
+                         self.work("sde", x.shape[1], _sde_work))
+
+    def work(self, stepper, j, make):
+        """The scratch of `stepper` for a batch of width j, made by
+        make(self, j) the first time and kept: buffers that every call
+        writes before it reads and that no caller receives."""
+        buffers = self.scratch.get((stepper, j))
+        if buffers is None:
+            buffers = self.scratch[stepper, j] = make(self, j)
+        return buffers
 
     @cached_property
     def psr(self):

@@ -103,15 +103,13 @@ def zero_likelihood(res):
     return f"the data at t = {t:g} have zero probability on the trajectory"
 
 
-def systematic_resample(weights, rng, work=None):
+def systematic_resample(weights, rng, work):
     """Indices, a new array, drawn by systematic resampling from
     normalized weights: positions (u + k)/n for one uniform u, searched in
     the cumulative sums, the last set to 1.  `work` holds arange(n) as
     floats and buffers for the positions and the sums, which a filter
-    makes once per call; without it they are made here."""
+    makes once per call."""
     n = len(weights)
-    if work is None:
-        work = np.arange(n, dtype=float), np.empty(n), np.empty(n)
     base, positions, cum = work
     np.add(base, rng.random(), out=positions)
     np.divide(positions, n, out=positions)

@@ -254,12 +254,12 @@ def update_source(cm):
 def sde_source(cm):
     """Source of `sde(x, t, dt, n, p, draw, work)`: n Euler-Maruyama
     substeps of length dt from time t, in place on a batch x laid out as
-    (nx, J), one row per state column, and of `scratch(j)`, which makes
-    the kernel's `work` for a batch of width j: its buffers and the views
-    of their rows.  A call writes every buffer before it reads it and
-    returns none of them, so one `work` serves every call at its width
-    (`CompiledModel.sde`).  A call still makes the normals' array and, per
-    substep, the noise term of each noise group's member reaction.
+    (nx, J), one row per state column.  `work` is the scratch for x's
+    width that `CompiledModel.sde` keeps (`compiled._sde_work`): buffers
+    and views of their rows.  A call writes every buffer before it reads
+    it and returns none of them, so one `work` serves every call at its
+    width.  A call still makes the normals' array and, per substep, the
+    noise term of each noise group's member reaction.
 
     The interval's standard normals xi come from one call draw((n, K, J)),
     made once the first substep's propensities are formed: per substep,
@@ -335,28 +335,18 @@ def sde_source(cm):
     cm._prologue(head, states, read="_x{}")
     lines = ["def sde(x, t, dt, n, p, draw, work):"]
     cm._prologue(lines, needed - states)
-    # the scratch, as `scratch(j)` makes it for a batch of width j: the
-    # buffers for the new state, its finiteness and, a row per reaction,
-    # the propensities, their positive parts, the noise terms and the
-    # increments, then the views of the rows that are locals
-    rows = {"_new": ("_o", cm.nx), "_A": ("_a", cm.n_react),
-            "_AP": ("_ap", cm.n_react), "_I": ("_i", cm.n_react)}
-    views = "".join(f"{prefix}{i}, " for prefix, count in rows.values()
-                    for i in range(count))
+    # the scratch (`compiled._sde_work`): the buffers, then the views of
+    # the rows that are locals
+    views = "".join(f"{prefix}{i}, " for prefix, count in (
+        ("_o", cm.nx), ("_a", cm.n_react), ("_ap", cm.n_react),
+        ("_i", cm.n_react)) for i in range(count))
     lines += ["    _sq = asarray(scalar_sqrt(dt))",
               "    dt = asarray(dt)",
               f"    _new, _ok, _A, _AP, _Q, _I, {views}= work",
               f"    {''.join(f'_x{i}, ' for i in range(cm.nx))}= x",
               "    for _n in range(n):"]
     lines += ["    " + line for line in head + loop]
-    lines += ["    return n",
-              "def scratch(j):",
-              f"    _new = empty(({cm.nx}, j))",
-              "    _ok = empty(_new.shape, bool)",
-              f"    _A = empty(({cm.n_react}, j))",
-              "    _AP, _Q, _I = empty_like(_A), empty_like(_A), empty_like(_A)",
-              "    return (_new, _ok, _A, _AP, _Q, _I, "
-              f"{''.join(f'*{buffer}, ' for buffer in rows)})"]
+    lines.append("    return n")
     return "\n".join(lines) + "\n"
 
 

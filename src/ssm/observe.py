@@ -69,7 +69,7 @@ class DataSet:
 
     @cached_property
     def log_factorials(self):
-        """Per record, log(y!) of each value: the count laws' data term."""
+        """Per record, log(y!) of each value: the Poisson law's data term."""
         return [tuple(log_factorial(v) for _, v in obs)
                 for _, obs in self.records]
 
@@ -204,19 +204,26 @@ def poisson_logpmf(y, mean):
     y = np.asarray(y, dtype=float)
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = y * np.log(mean) - mean - log_factorial(y)
-    out = _poisson_edges(out, y, mean)
+        out = _poisson_into(y, mean, log_factorial(y),
+                            np.empty(np.broadcast_shapes(y.shape,
+                                                         mean.shape)))
     return out if out.shape else float(out)
 
 
-def _poisson_edges(out, y, mean):
-    """`out`, the general formula's log mass, with the masses it misses
-    where a mean is not positive and finite: at 0, 0 for y = 0 and -inf
+def _poisson_into(y, mean, log_y_factorial, buf):
+    """The Poisson log mass of y at `mean`, given log(y!), under the
+    caller's error state: the general formula, formed in `buf` (of their
+    broadcast shape), then, only where some mean is not positive and
+    finite, the masses it misses there: at 0, 0 for y = 0 and -inf
     above; -inf at a negative or an infinite mean."""
+    np.log(mean, out=buf)
+    np.multiply(y, buf, out=buf)
+    np.subtract(buf, mean, out=buf)
+    np.subtract(buf, log_y_factorial, out=buf)
     if (np.minimum.reduce(mean, axis=None, initial=np.inf) > 0.0
             and np.maximum.reduce(mean, axis=None, initial=0.0) < np.inf):
-        return out
-    out = np.where(mean > 0, out, np.where(y == 0, -mean, -np.inf))
+        return buf
+    out = np.where(mean > 0, buf, np.where(y == 0, -mean, -np.inf))
     return np.where((mean < 0) | (mean == np.inf), -np.inf, out)
 
 
@@ -237,11 +244,6 @@ def discretized_normal_logpdf(y, mean, var):
 
 def binomial_logpmf(y, trials, prob):
     y = np.asarray(y, dtype=float)
-    return _binomial(y, log_factorial(y), trials, prob)
-
-
-def _binomial(y, log_y_factorial, trials, prob):
-    """The binomial log mass of y (an array) with log(y!) given."""
     n = np.round(np.asarray(trials, dtype=float))
     p = np.asarray(prob, dtype=float)
     ok = (y >= 0) & (y <= n) & (y == np.round(y)) & (p >= 0) & (p <= 1)
@@ -249,7 +251,7 @@ def _binomial(y, log_y_factorial, trials, prob):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             log_factorial(n)
-            - log_y_factorial
+            - log_factorial(y)
             - log_factorial(n - y)
             + y * np.log(p_in)
             + (n - y) * np.log1p(-p_in)
@@ -268,9 +270,9 @@ def stream_loglik(kind, parts, y, out=None, scratch=None, data_term=None):
     in PARTS order (`CompiledModel.obs_values`), which it does not write.
     With `out`, a batch's (J,) buffer, the densities are added into it
     instead, with the law's function's bits, and nothing is returned: a
-    count law takes `data_term`, log(y!) (`DataSet.log_factorials`), and
-    a Poisson stream works in `scratch`, another (J,) buffer, under the
-    caller's error state."""
+    Poisson stream takes `data_term`, log(y!) (`DataSet.log_factorials`),
+    and works in `scratch`, another (J,) buffer, under the caller's error
+    state."""
     if kind not in PARTS:
         raise ValueError(f"unknown observation distribution {kind!r}")
     if out is None:
@@ -280,14 +282,9 @@ def stream_loglik(kind, parts, y, out=None, scratch=None, data_term=None):
             return binomial_logpmf(y, *parts)
         return discretized_normal_logpdf(y, *parts)
     if kind == "poisson":
-        mean, = parts
-        np.log(mean, out=scratch)
-        np.multiply(y, scratch, out=scratch)
-        np.subtract(scratch, mean, out=scratch)
-        np.subtract(scratch, data_term, out=scratch)
-        density = _poisson_edges(scratch, y, mean)
+        density = _poisson_into(y, *parts, data_term, scratch)
     elif kind == "binomial":
-        density = _binomial(np.asarray(y, dtype=float), data_term, *parts)
+        density = binomial_logpmf(y, *parts)
     else:
         density = discretized_normal_logpdf(y, *parts)
     np.add(out, density, out=out)

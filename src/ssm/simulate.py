@@ -88,6 +88,10 @@ def ode_step(cm, x, t, h, n_sub, params):
 def sde_step(cm, x, t, h, n_sub, params, rng):
     """n_sub Euler-Maruyama substeps of length h over a batch laid out
     (nx, J), one call of the model's `sde` interval kernel on a copy.
+    The kernel works in the scratch the model keeps for the batch width
+    (`CompiledModel.work`); the caller receives the copy, never that
+    scratch; a call still makes the copy and what `kernels.sde_source`
+    names.
 
     Noise is applied through factor columns so that the increment covariance
     is exactly h times the assembled dispersion: one standard normal per
@@ -243,7 +247,7 @@ def _rows(a, idx, out=None):
 
 class _Work:
     """The scratch of `psr_step` for a batch of width j, kept per model
-    and width (`CompiledModel.scratch`): the state buffer that takes turns
+    and width (`CompiledModel.work`): the state buffer that takes turns
     with the step's copy; the `psr` kernel's rows (propensities in step
     order, driven drifts, volatilities) and the counts; and the exits'
     buffers, sized for every exit and source of the model, a plan working
@@ -357,9 +361,7 @@ def psr_step(cm, x, t, h, n_sub, params, rng):
     """
     copy = state = np.array(x, dtype=float)
     j = state.shape[1]
-    w = cm.scratch.get(("psr", j))
-    if w is None:
-        w = cm.scratch["psr", j] = _Work(cm, j)
+    w = cm.work("psr", j, _Work)
     new, out, prop, drift, vol, counts = (w.new, w.out, w.prop, w.drift,
                                           w.vol, w.counts)
     # per noise group drawn: its index, rows, the columns drawn, gamma

@@ -103,10 +103,15 @@ class TestGaussianOracle:
         assert a == pytest.approx(oracle, abs=0.6)
 
 
+def resampling_work(n):
+    # the buffers smc_filter makes once per call for systematic_resample
+    return np.arange(n, dtype=float), np.empty(n), np.empty(n)
+
+
 class TestResample:
     def test_uniform_weights_keep_every_slot(self):
         idx = fl.systematic_resample(
-            np.full(10, 0.1), np.random.default_rng(0)
+            np.full(10, 0.1), np.random.default_rng(0), resampling_work(10)
         )
         assert np.array_equal(idx, np.arange(10))
 
@@ -124,7 +129,8 @@ class TestResample:
         w = np.array([0.65, 0.1, 0.25])
         totals = np.zeros(3)
         for seed in range(200):
-            idx = fl.systematic_resample(w, np.random.default_rng(seed))
+            idx = fl.systematic_resample(w, np.random.default_rng(seed),
+                                         resampling_work(3))
             totals += np.bincount(idx, minlength=3)
         assert totals / totals.sum() == pytest.approx(w, abs=0.03)
 
@@ -822,8 +828,8 @@ def test_sampled_path_is_an_ancestral_line(shipped_sir, monkeypatch,
         swarms.append(out.copy())
         return out
 
-    def recording_resample(weights, rng, *work):
-        ancestors.append(resample(weights, rng, *work))
+    def recording_resample(weights, rng, work):
+        ancestors.append(resample(weights, rng, work))
         return ancestors[-1]
 
     monkeypatch.setattr(fl, "advance", recording_advance)

@@ -277,6 +277,3 @@ def test_resampling_writes_the_positions_and_sums_of_the_reference(n):
         assert work[2].tobytes() == cum.tobytes()
         want = reference_resample(weights, np.random.default_rng(seed))
         np.testing.assert_array_equal(idx, want)
-        np.testing.assert_array_equal(
-            fl.systematic_resample(weights, np.random.default_rng(seed)),
-            want)
